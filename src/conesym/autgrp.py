@@ -26,7 +26,7 @@ from math import factorial
 from typing import Sequence
 
 from .core import Permutation, TriangleFacet, permute_facet
-from .ridge import Graph, build_complement, build_ridge_graph
+from .ridge import Graph, _mask_of, build_complement
 
 __all__ = [
     "PermGroup",
@@ -38,6 +38,7 @@ __all__ = [
     "induced_facet_permutation",
     "is_faithful_symn_action",
     "Theorem1Report",
+    "certify_theorem1",
     "verify_theorem1",
 ]
 
@@ -222,13 +223,6 @@ class _AutomorphismSearch:
 
     # partition machinery ---------------------------------------------------
 
-    @staticmethod
-    def _mask_of(vertices) -> int:
-        m = 0
-        for v in vertices:
-            m |= 1 << v
-        return m
-
     def _refine(self, cells, splitters):
         """Equitable refinement: split cells by neighbor counts into queued
         splitter sets until stable.  Fragments are ordered by count, so the
@@ -251,7 +245,7 @@ class _AutomorphismSearch:
                     for key in sorted(buckets):
                         frag = buckets[key]
                         out.append(frag)
-                        queue.append(self._mask_of(frag))
+                        queue.append(_mask_of(frag))
             cells = out
         return cells
 
@@ -259,7 +253,7 @@ class _AutomorphismSearch:
         cell = cells[pos]
         rest = [w for w in cell if w != v]
         new = cells[:pos] + [[v], rest] + cells[pos + 1 :]
-        return self._refine(new, [1 << v, self._mask_of(rest)])
+        return self._refine(new, [1 << v, _mask_of(rest)])
 
     # search ----------------------------------------------------------------
 
@@ -324,8 +318,8 @@ class _AutomorphismSearch:
             return 0
         gens = self.chain.subchain(depth).generators()
         if not gens:
-            return self._mask_of(seeds)
-        mask = self._mask_of(seeds)
+            return _mask_of(seeds)
+        mask = _mask_of(seeds)
         queue = deque(seeds)
         while queue:
             x = queue.popleft()
@@ -371,9 +365,10 @@ def induced_facet_permutation(
     return tuple(index[permute_facet(sigma, f)] for f in facets)
 
 
-def is_faithful_symn_action(graph: Graph, n: int) -> bool:
-    """True when the induced point-permutation action on the facet vertices
-    consists of automorphisms and has full order n! (hence is injective)."""
+def _induced_action(graph: Graph, n: int):
+    """The point-permutation generators induced on the facet vertices and the
+    exact order they generate, or None when one of them is not an
+    automorphism (checked edge by edge)."""
     if graph.labels is None:
         raise ValueError("graph must carry facet labels")
     induced = [
@@ -381,8 +376,15 @@ def is_faithful_symn_action(graph: Graph, n: int) -> bool:
         for sigma in symn_point_generators(n)
     ]
     if not all(is_graph_automorphism(graph, p) for p in induced):
-        return False
-    return group_order(induced, graph.n) == factorial(n)
+        return None
+    return induced, group_order(induced, graph.n)
+
+
+def is_faithful_symn_action(graph: Graph, n: int) -> bool:
+    """True when the induced point-permutation action on the facet vertices
+    consists of automorphisms and has full order n! (hence is injective)."""
+    action = _induced_action(graph, n)
+    return action is not None and action[1] == factorial(n)
 
 
 @dataclass
@@ -396,27 +398,21 @@ class Theorem1Report:
     witness: tuple[int, ...] | None = None
 
 
-def verify_theorem1(n: int, vertex_cap: int = 500) -> Theorem1Report:
-    """Certify the symmetry-group identification at one size.
+def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
+    """Certify the symmetry-group identification on the complement ridge
+    graph `gbar`, given its automorphism group `aut`.
 
-    For n >= 5 the automorphism group of the (complement) ridge graph must
-    have order n! and coincide with the induced point-permutation image; for
-    n = 4 the order must be 144 (realized geometrically by the reflection
-    construction, checked elsewhere) while the induced image has order 24.
-    On failure the witness is an automorphism generator outside the induced
-    image.
+    For n >= 5 the automorphism group must have order n! and coincide with
+    the induced point-permutation image; for n = 4 the order must be 144
+    (realized geometrically by the reflection construction, checked
+    elsewhere) while the induced image has order 24.  On failure the witness
+    is an automorphism generator outside the induced image.
     """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    gbar = build_complement(n)
-    aut = automorphism_group(gbar, vertex_cap)
-    induced_gens = [
-        induced_facet_permutation(sigma, gbar.labels)
-        for sigma in symn_point_generators(n)
-    ]
-    if not all(is_graph_automorphism(gbar, p) for p in induced_gens):
+    n = gbar.labels[0].n
+    action = _induced_action(gbar, n)
+    if action is None:
         raise RuntimeError("induced point permutations failed the automorphism check")
-    induced_order = group_order(induced_gens, gbar.n)
+    induced_gens, induced_order = action
 
     if n >= 5:
         expected = factorial(n)
@@ -435,3 +431,11 @@ def verify_theorem1(n: int, vertex_cap: int = 500) -> Theorem1Report:
                 witness = g
                 break
     return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
+
+
+def verify_theorem1(n: int, vertex_cap: int = 500) -> Theorem1Report:
+    """`certify_theorem1` on the complement ridge graph for n points."""
+    if n < 4:
+        raise ValueError("need n >= 4")
+    gbar = build_complement(n)
+    return certify_theorem1(gbar, automorphism_group(gbar, vertex_cap))

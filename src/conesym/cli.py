@@ -13,30 +13,28 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from math import comb, factorial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .autgrp import (
-    ResourceLimitError,
-    automorphism_group,
-    verify_theorem1,
-)
+from .autgrp import ResourceLimitError, automorphism_group, certify_theorem1
 from .cones import (
+    _facet_incidence_masks,
     adjacency_agreement,
+    facet_value,
     hypermetric_sweep,
     triangle_incidence_bound,
     triangle_maximality_sweep,
-    _facet_incidence_masks,
 )
-from .core import enumerate_cuts, enumerate_triangle_facets, num_pairs
+from .core import num_pairs
 from .reflections import build_reflection_group, kernel_vector, ray_table
 from .ridge import (
     StructureError,
     bfs_distances,
     build_complement,
-    build_ridge_graph,
     build_triangle_graph,
     edge_list_lines,
     find_triangles,
@@ -47,43 +45,10 @@ from .ridge import (
     verify_distance2_property,
     verify_hexagon_neighborhood,
     verify_johnson_isomorphism,
-    verify_line_graph_k34,
     verify_rook_neighborhood,
 )
 
 SCHEMA_VERSION = 1
-
-CHECK_ORDER = (
-    "cuts",
-    "facets",
-    "incidence",
-    "adjacency",
-    "hexagons",
-    "triangles",
-    "gamma",
-    "johnson",
-    "aut",
-    "theorem1",
-    "reflect4",
-    "hypermetric",
-    "theorem2",
-)
-
-CLAIMS = {
-    "cuts": "nonzero cuts number 2^(n-1)-1 and satisfy every triangle inequality",
-    "facets": "triangle facets number 3*C(n,3) with one +1 and two -1 entries on a 3-set",
-    "incidence": "every triangle facet contains exactly 3*2^(n-3)-1 cuts",
-    "adjacency": "rank-based codimension-2 oracle agrees with the sign-based non-conflicting test",
-    "hexagons": "every complement neighborhood is n-3 hexagons on a shared same-support edge",
-    "triangles": "common-neighbor census (n-2 vs 2) detects exactly the same-support 3-cliques",
-    "gamma": "Triangle quotient: cross-edges in {0,4} as two 2-paths, with the expected regular structure",
-    "johnson": "Triangle quotient is the 2-intersection graph on 3-subsets with rook neighborhoods",
-    "aut": "automorphism groups have the expected exact orders",
-    "theorem1": "ridge-graph automorphisms all come from point permutations (order n!; 144 at n=4)",
-    "reflect4": "five ray-swapping reflections generate an order-144 group with a faithful product action",
-    "hypermetric": "bounded-coefficient inequalities equal sigma*(1-sigma) on every cut, nonpositive",
-    "theorem2": "triangle facets are the unique cut-count maximizers and adjacency is sign-determined",
-}
 
 # Exhaustive rank sweeps over all facet pairs stay cheap only up to n=6;
 # the bounded-coefficient sweeps are sized for n<=7.
@@ -96,60 +61,43 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    n_min: int = 4
-    n_max: int = 6
-    checks: tuple[str, ...] = CHECK_ORDER
-    hypermetric_bound: int = 3
-    aut_vertex_cap: int = 300
-    output_format: str = "text"
-    export_dir: str | None = None
+class Instance:
+    """The objects the checks at one n share, each built on first use and
+    at most once.  `run_verify` keeps one per n and drops it before the
+    next, so memory peaks at the largest single n."""
 
-    def validate(self) -> None:
-        if not 4 <= self.n_min <= self.n_max:
-            raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.hypermetric_bound < 1:
-            raise ConfigError("hypermetric bound must be positive")
-        if self.aut_vertex_cap < 1:
-            raise ConfigError("automorphism vertex cap must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        unknown = [c for c in self.checks if c not in CHECK_ORDER]
-        if unknown:
-            raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+    n: int
+    vertex_cap: int
 
-    def as_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "checks": list(self.checks),
-            "hypermetric_bound": self.hypermetric_bound,
-            "aut_vertex_cap": self.aut_vertex_cap,
-            "output_format": self.output_format,
-            "export_dir": self.export_dir,
-        }
+    incidence = cached_property(lambda self: _facet_incidence_masks(self.n))
+    gbar = cached_property(lambda self: build_complement(self.n))
+    triangles = cached_property(lambda self: find_triangles(self.gbar))
+    gamma = cached_property(lambda self: build_triangle_graph(self.gbar, self.triangles))
+    aut_gbar = cached_property(lambda self: automorphism_group(self.gbar, self.vertex_cap))
+    aut_gamma = cached_property(lambda self: automorphism_group(self.gamma, self.vertex_cap))
+    adjacency = cached_property(lambda self: adjacency_agreement(self.n, self.incidence))
 
 
 # --- check runners ---------------------------------------------------------
 # Each runner returns (outcome, details, witness); outcome is one of
-# "pass", "fail", "skip".  Witness is None unless the check fails.
+# "pass", "fail", "skip".  Witness is None unless the check fails.  A runner
+# is called only at the n its skip rule in CHECKS lets through.
 
 
-def _check_cuts(n: int, cfg: RunConfig):
-    cuts = enumerate_cuts(n)
+def _check_cuts(inst: Instance, cfg: RunConfig):
+    n = inst.n
+    facets, cuts, _, violating = inst.incidence
     details = {"cut_count": len(cuts), "expected": 2 ** (n - 1) - 1}
     if len(cuts) != details["expected"] or len(set(cuts)) != len(cuts):
         return "fail", details, {"reason": "wrong cut count or duplicates"}
-    for f in enumerate_triangle_facets(n):
-        (a, sa), (b, sb), (c, sc) = f.entries()
-        for cut in cuts:
-            value = sa * cut[a] + sb * cut[b] + sc * cut[c]
-            if value > 0:
-                return "fail", details, {
-                    "facet": repr(f),
-                    "cut": sorted(cut.members),
-                    "value": value,
-                }
+    for f, mask in zip(facets, violating):
+        if mask:
+            cut = cuts[(mask & -mask).bit_length() - 1]
+            return "fail", details, {
+                "facet": repr(f),
+                "cut": sorted(cut.members),
+                "value": facet_value(f, cut),
+            }
     if n == 4:
         details["ray_table_match"] = {c.bits for c in cuts} == set(ray_table())
         if not details["ray_table_match"]:
@@ -157,8 +105,9 @@ def _check_cuts(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_facets(n: int, cfg: RunConfig):
-    facets = enumerate_triangle_facets(n)
+def _check_facets(inst: Instance, cfg: RunConfig):
+    n = inst.n
+    facets = inst.incidence.facets
     details = {"facet_count": len(facets), "expected": 3 * comb(n, 3)}
     if len(facets) != details["expected"] or len(set(facets)) != len(facets):
         return "fail", details, {"reason": "wrong facet count or duplicates"}
@@ -171,9 +120,9 @@ def _check_facets(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_incidence(n: int, cfg: RunConfig):
-    facets, cuts, masks = _facet_incidence_masks(n)
-    expected = triangle_incidence_bound(n)
+def _check_incidence(inst: Instance, cfg: RunConfig):
+    facets, _, masks, _ = inst.incidence
+    expected = triangle_incidence_bound(inst.n)
     details = {"facets": len(facets), "cuts_per_facet": expected}
     for f, mask in zip(facets, masks):
         count = mask.bit_count()
@@ -182,14 +131,8 @@ def _check_incidence(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_adjacency(n: int, cfg: RunConfig):
-    if n > ADJACENCY_SWEEP_MAX_N:
-        return (
-            "skip",
-            {"reason": f"exhaustive rank sweep capped at n={ADJACENCY_SWEEP_MAX_N}"},
-            None,
-        )
-    total, mismatches = adjacency_agreement(n)
+def _check_adjacency(inst: Instance, cfg: RunConfig):
+    total, mismatches = inst.adjacency
     details = {"pairs": total, "mismatches": len(mismatches)}
     if mismatches:
         f, g, by_rank, by_sign = mismatches[0]
@@ -202,9 +145,9 @@ def _check_adjacency(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_hexagons(n: int, cfg: RunConfig):
-    gbar = build_complement(n)
-    details = {"vertices": gbar.n, "hexagons_per_vertex": n - 3}
+def _check_hexagons(inst: Instance, cfg: RunConfig):
+    gbar = inst.gbar
+    details = {"vertices": gbar.n, "hexagons_per_vertex": inst.n - 3}
     for u in range(gbar.n):
         try:
             verify_hexagon_neighborhood(gbar, u)
@@ -213,10 +156,10 @@ def _check_hexagons(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_triangles(n: int, cfg: RunConfig):
-    gbar = build_complement(n)
+def _check_triangles(inst: Instance, cfg: RunConfig):
+    n, gbar = inst.n, inst.gbar
     try:
-        detected = find_triangles(gbar)
+        detected = inst.triangles
     except StructureError as exc:
         return "fail", {"vertices": gbar.n}, {"error": str(exc)}
     grouped = group_facets_by_support(gbar)
@@ -243,12 +186,10 @@ def _check_triangles(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_gamma(n: int, cfg: RunConfig):
-    if n < 5:
-        return "skip", {"reason": "Triangle quotient degenerate at n=4"}, None
-    gbar = build_complement(n)
+def _check_gamma(inst: Instance, cfg: RunConfig):
+    n, gbar = inst.n, inst.gbar
     try:
-        gamma = build_triangle_graph(gbar)
+        gamma = inst.gamma
     except StructureError as exc:
         return "fail", {}, {"error": str(exc)}
     details = {"vertices": gamma.n, "degree": 3 * (n - 3)}
@@ -282,8 +223,8 @@ def _check_gamma(n: int, cfg: RunConfig):
                 return "fail", details, {"vertex": v, "reason": "antipodal pairing failed"}
         details["antipodal_pairing"] = True
         if gamma.n <= cfg.aut_vertex_cap and gbar.n <= cfg.aut_vertex_cap:
-            quotient_order = automorphism_group(gamma, cfg.aut_vertex_cap).order
-            base_order = automorphism_group(gbar, cfg.aut_vertex_cap).order
+            quotient_order = inst.aut_gamma.order
+            base_order = inst.aut_gbar.order
             details["aut_gamma6"] = quotient_order
             details["aut_gbar6"] = base_order
             if quotient_order != 1440 or base_order != 720:
@@ -293,10 +234,8 @@ def _check_gamma(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_johnson(n: int, cfg: RunConfig):
-    if n < 5:
-        return "skip", {"reason": "Triangle quotient degenerate at n=4"}, None
-    gamma = build_triangle_graph(build_complement(n))
+def _check_johnson(inst: Instance, cfg: RunConfig):
+    n, gamma = inst.n, inst.gamma
     details = {"vertices": gamma.n}
     if not verify_johnson_isomorphism(gamma, n):
         return "fail", details, {"reason": "label map is not an isomorphism"}
@@ -312,32 +251,23 @@ def _check_johnson(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_aut(n: int, cfg: RunConfig):
-    vertices = 3 * comb(n, 3)
-    if vertices > cfg.aut_vertex_cap:
-        return "skip", {"reason": f"{vertices} vertices above cap {cfg.aut_vertex_cap}"}, None
-    gbar = build_complement(n)
-    aut = automorphism_group(gbar, cfg.aut_vertex_cap)
+def _check_aut(inst: Instance, cfg: RunConfig):
+    n, aut = inst.n, inst.aut_gbar
     expected = 144 if n == 4 else factorial(n)
     details = {"aut_complement": aut.order, "expected": expected, "generators": len(aut.generators)}
     if aut.order != expected:
         return "fail", details, {"reason": "unexpected automorphism group order"}
-    if n >= 5:
-        gamma = build_triangle_graph(gbar)
-        if gamma.n <= cfg.aut_vertex_cap:
-            gamma_order = automorphism_group(gamma, cfg.aut_vertex_cap).order
-            gamma_expected = 1440 if n == 6 else factorial(n)
-            details["aut_quotient"] = gamma_order
-            if gamma_order != gamma_expected:
-                return "fail", details, {"reason": "unexpected quotient automorphism order"}
+    if n >= 5 and inst.gamma.n <= cfg.aut_vertex_cap:
+        gamma_order = inst.aut_gamma.order
+        gamma_expected = 1440 if n == 6 else factorial(n)
+        details["aut_quotient"] = gamma_order
+        if gamma_order != gamma_expected:
+            return "fail", details, {"reason": "unexpected quotient automorphism order"}
     return "pass", details, None
 
 
-def _check_theorem1(n: int, cfg: RunConfig):
-    vertices = 3 * comb(n, 3)
-    if vertices > cfg.aut_vertex_cap:
-        return "skip", {"reason": f"{vertices} vertices above cap {cfg.aut_vertex_cap}"}, None
-    report = verify_theorem1(n, cfg.aut_vertex_cap)
+def _check_theorem1(inst: Instance, cfg: RunConfig):
+    report = certify_theorem1(inst.gbar, inst.aut_gbar)
     details = {
         "aut_order": report.aut_order,
         "induced_order": report.induced_order,
@@ -351,9 +281,7 @@ def _check_theorem1(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_reflect4(n: int, cfg: RunConfig):
-    if n != 4:
-        return "skip", {"reason": "reflection construction is specific to n=4"}, None
+def _check_reflect4(inst: Instance, cfg: RunConfig):
     rays = ray_table()
     others = [rays[k] for k in (0, 1, 2, 5, 6)]
     alpha = kernel_vector(others)
@@ -369,21 +297,17 @@ def _check_reflect4(n: int, cfg: RunConfig):
             "orbit_orders": [report.orbit4_order, report.orbit3_order],
         }
     )
-    aut_order = automorphism_group(build_ridge_graph(4), cfg.aut_vertex_cap).order
+    # A graph and its complement have the same automorphisms on the same
+    # vertex set, so the group of the complement certifies the ridge graph's.
+    aut_order = inst.aut_gbar.order
     details["aut_g4"] = aut_order
     if not report.passed or aut_order != report.matrix_order:
         return "fail", details, {"reason": "reflection certificate failed"}
     return "pass", details, None
 
 
-def _check_hypermetric(n: int, cfg: RunConfig):
-    if n > HYPERMETRIC_SWEEP_MAX_N:
-        return (
-            "skip",
-            {"reason": f"bounded sweep capped at n={HYPERMETRIC_SWEEP_MAX_N}"},
-            None,
-        )
-    sweep = hypermetric_sweep(n, cfg.hypermetric_bound)
+def _check_hypermetric(inst: Instance, cfg: RunConfig):
+    sweep = hypermetric_sweep(inst.n, cfg.hypermetric_bound)
     details = {
         "bound": cfg.hypermetric_bound,
         "coefficient_vectors": sweep.vector_count,
@@ -403,13 +327,8 @@ def _check_hypermetric(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-def _check_theorem2(n: int, cfg: RunConfig):
-    if n > HYPERMETRIC_SWEEP_MAX_N:
-        return (
-            "skip",
-            {"reason": f"bounded sweep capped at n={HYPERMETRIC_SWEEP_MAX_N}"},
-            None,
-        )
+def _check_theorem2(inst: Instance, cfg: RunConfig):
+    n = inst.n
     sweep = triangle_maximality_sweep(n, cfg.hypermetric_bound)
     details = {
         "bound": cfg.hypermetric_bound,
@@ -432,7 +351,7 @@ def _check_theorem2(n: int, cfg: RunConfig):
             "reason": "non-triangle facet-inducing maximizer",
         }
     if n <= ADJACENCY_SWEEP_MAX_N:
-        total, mismatches = adjacency_agreement(n)
+        total, mismatches = inst.adjacency
         details["adjacency_pairs"] = total
         if mismatches:
             f, g, by_rank, by_sign = mismatches[0]
@@ -442,21 +361,97 @@ def _check_theorem2(n: int, cfg: RunConfig):
     return "pass", details, None
 
 
-_RUNNERS = {
-    "cuts": _check_cuts,
-    "facets": _check_facets,
-    "incidence": _check_incidence,
-    "adjacency": _check_adjacency,
-    "hexagons": _check_hexagons,
-    "triangles": _check_triangles,
-    "gamma": _check_gamma,
-    "johnson": _check_johnson,
-    "aut": _check_aut,
-    "theorem1": _check_theorem1,
-    "reflect4": _check_reflect4,
-    "hypermetric": _check_hypermetric,
-    "theorem2": _check_theorem2,
+# --- the check table -------------------------------------------------------
+# CHECKS has one row per check, in report order: id, runner, skip rule and
+# the claim it certifies.  A skip rule maps (n, cfg) to why n is skipped, or None.
+
+
+def _sweep_cap(limit: int, sweep: str):
+    return lambda n, cfg: f"{sweep} capped at n={limit}" if n > limit else None
+
+
+def _needs_triangles(n: int, cfg: RunConfig):
+    return "Triangle quotient degenerate at n=4" if n < 5 else None
+
+
+def _aut_cap(n: int, cfg: RunConfig):
+    vertices = 3 * comb(n, 3)
+    if vertices > cfg.aut_vertex_cap:
+        return f"{vertices} vertices above cap {cfg.aut_vertex_cap}"
+    return None
+
+
+def _only_n4(n: int, cfg: RunConfig):
+    return "reflection construction is specific to n=4" if n != 4 else None
+
+
+class Check(NamedTuple):
+    runner: Callable
+    skip: Callable[[int, RunConfig], str | None] | None
+    claim: str
+
+
+CHECKS = {
+    check: Check(runner, skip, claim)
+    for check, runner, skip, claim in [
+        ("cuts", _check_cuts, None,
+         "nonzero cuts number 2^(n-1)-1 and satisfy every triangle inequality"),
+        ("facets", _check_facets, None,
+         "triangle facets number 3*C(n,3) with one +1 and two -1 entries on a 3-set"),
+        ("incidence", _check_incidence, None,
+         "every triangle facet contains exactly 3*2^(n-3)-1 cuts"),
+        ("adjacency", _check_adjacency, _sweep_cap(ADJACENCY_SWEEP_MAX_N, "exhaustive rank sweep"),
+         "rank-based codimension-2 oracle agrees with the sign-based non-conflicting test"),
+        ("hexagons", _check_hexagons, None,
+         "every complement neighborhood is n-3 hexagons on a shared same-support edge"),
+        ("triangles", _check_triangles, None,
+         "common-neighbor census (n-2 vs 2) detects exactly the same-support 3-cliques"),
+        ("gamma", _check_gamma, _needs_triangles,
+         "Triangle quotient: cross-edges in {0,4} as two 2-paths, with the expected regular structure"),
+        ("johnson", _check_johnson, _needs_triangles,
+         "Triangle quotient is the 2-intersection graph on 3-subsets with rook neighborhoods"),
+        ("aut", _check_aut, _aut_cap,
+         "automorphism groups have the expected exact orders"),
+        ("theorem1", _check_theorem1, _aut_cap,
+         "ridge-graph automorphisms all come from point permutations (order n!; 144 at n=4)"),
+        ("reflect4", _check_reflect4, _only_n4,
+         "five ray-swapping reflections generate an order-144 group with a faithful product action"),
+        ("hypermetric", _check_hypermetric, _sweep_cap(HYPERMETRIC_SWEEP_MAX_N, "bounded sweep"),
+         "bounded-coefficient inequalities equal sigma*(1-sigma) on every cut, nonpositive"),
+        ("theorem2", _check_theorem2, _sweep_cap(HYPERMETRIC_SWEEP_MAX_N, "bounded sweep"),
+         "triangle facets are the unique cut-count maximizers and adjacency is sign-determined"),
+    ]
 }
+CHECK_ORDER = tuple(CHECKS)
+# Dispatch goes through this dict so that a runner can be replaced by id.
+_RUNNERS = {check: spec.runner for check, spec in CHECKS.items()}
+
+
+@dataclass
+class RunConfig:
+    n_min: int = 4
+    n_max: int = 6
+    checks: tuple[str, ...] = CHECK_ORDER
+    hypermetric_bound: int = 3
+    aut_vertex_cap: int = 300
+    output_format: str = "text"
+    export_dir: str | None = None
+
+    def validate(self) -> None:
+        if not 4 <= self.n_min <= self.n_max:
+            raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        if self.hypermetric_bound < 1:
+            raise ConfigError("hypermetric bound must be positive")
+        if self.aut_vertex_cap < 1:
+            raise ConfigError("automorphism vertex cap must be positive")
+        if self.output_format not in ("text", "json"):
+            raise ConfigError(f"unknown output format {self.output_format!r}")
+        unknown = [c for c in self.checks if c not in CHECK_ORDER]
+        if unknown:
+            raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "checks": list(self.checks)}
 
 
 def run_verify(cfg: RunConfig) -> dict:
@@ -466,10 +461,16 @@ def run_verify(cfg: RunConfig) -> dict:
     records = []
     tally = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for n in range(cfg.n_min, cfg.n_max + 1):
+        inst = Instance(n, cfg.aut_vertex_cap)
         for check in selected:
             start = time.perf_counter()
+            skip = CHECKS[check].skip
+            reason = skip(n, cfg) if skip else None
             try:
-                outcome, details, witness = _RUNNERS[check](n, cfg)
+                if reason is None:
+                    outcome, details, witness = _RUNNERS[check](inst, cfg)
+                else:
+                    outcome, details, witness = "skip", {"reason": reason}, None
             except ResourceLimitError as exc:
                 outcome, details, witness = "skip", {"reason": str(exc)}, None
             except Exception as exc:  # surfaced per check, run continues
@@ -480,7 +481,7 @@ def run_verify(cfg: RunConfig) -> dict:
                 {
                     "check": check,
                     "n": n,
-                    "claim": CLAIMS[check],
+                    "claim": CHECKS[check].claim,
                     "outcome": outcome,
                     "details": details,
                     "witness": witness,
@@ -504,12 +505,10 @@ def export_graphs(cfg: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"schema_version": SCHEMA_VERSION, "files": [], "omitted": []}
     for n in range(cfg.n_min, cfg.n_max + 1):
-        graphs = [
-            ("ridge", build_ridge_graph(n)),
-            ("complement", build_complement(n)),
-        ]
+        inst = Instance(n, cfg.aut_vertex_cap)
+        graphs = [("ridge", inst.gbar.complement()), ("complement", inst.gbar)]
         if n >= 5:
-            graphs.append(("gamma", build_triangle_graph(build_complement(n))))
+            graphs.append(("gamma", inst.gamma))
         else:
             manifest["omitted"].append(
                 {"graph": "gamma", "n": n, "reason": "Triangles are degenerate at n=4"}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     num_pairs,
     pair_list,
 )
+from .ridge import _bits, conflicting
 
 __all__ = [
     "facet_value",
@@ -198,30 +199,48 @@ def certify_cutcone_adjacency(f: TriangleFacet, g: TriangleFacet, n: int) -> boo
     return integer_rank([c.bits for c in common]) == num_pairs(n) - 2
 
 
-def _facet_incidence_masks(n: int):
-    """Per facet, the bitmask over the cut list of cuts lying on it."""
+class FacetCutMasks(NamedTuple):
+    """Per facet, bitmasks over the cut list: the cuts lying on the facet
+    and the cuts violating its inequality."""
+
+    facets: list[TriangleFacet]
+    cuts: list[CutVector]
+    on: list[int]
+    violating: list[int]
+
+
+def _facet_incidence_masks(n: int) -> FacetCutMasks:
+    """Evaluate every facet on every cut in one bit-sliced pass.
+
+    col[k] is the bitmask of the cuts with x_k = 1.  A facet has +1 at a and
+    -1 at b and c, so on 0/1 vectors its value A - B - C is 0 exactly when
+    all three are 0 or A is 1 with one of B, C, and positive exactly when A
+    alone is 1.
+    """
     cuts = enumerate_cuts(n)
     facets = enumerate_triangle_facets(n)
-    masks = []
+    col = [0] * num_pairs(n)
+    for idx, cut in enumerate(cuts):
+        for k in _bits(cut.mask):
+            col[k] |= 1 << idx
+    full = (1 << len(cuts)) - 1
+    on, violating = [], []
     for f in facets:
-        (a, sa), (b, sb), (c, sc) = f.entries()
-        mask = 0
-        for idx, cut in enumerate(cuts):
-            if sa * cut[a] + sb * cut[b] + sc * cut[c] == 0:
-                mask |= 1 << idx
-        masks.append(mask)
-    return facets, cuts, masks
+        (a, _), (b, _), (c, _) = f.entries()
+        A, B, C = col[a], col[b], col[c]
+        on.append(full & ~(A | B | C) | A & (B ^ C))
+        violating.append(A & ~B & ~C)
+    return FacetCutMasks(facets, cuts, on, violating)
 
 
-def adjacency_agreement(n: int):
+def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     """Compare the rank oracle with the sign test over every facet pair.
 
+    `incidence` is `_facet_incidence_masks(n)`, computed when not given.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
-    from .ridge import conflicting
-
-    facets, cuts, masks = _facet_incidence_masks(n)
+    facets, cuts, masks, _ = incidence or _facet_incidence_masks(n)
     bit_rows = [c.bits for c in cuts]
     target = num_pairs(n) - 2
     mismatches = []
@@ -229,13 +248,7 @@ def adjacency_agreement(n: int):
     for a in range(len(facets)):
         for b in range(a + 1, len(facets)):
             total += 1
-            common = masks[a] & masks[b]
-            rows = []
-            m = common
-            while m:
-                lsb = m & -m
-                rows.append(bit_rows[lsb.bit_length() - 1])
-                m ^= lsb
+            rows = [bit_rows[i] for i in _bits(masks[a] & masks[b])]
             by_rank = integer_rank(rows) == target
             by_sign = not conflicting(facets[a], facets[b])
             if by_rank != by_sign:

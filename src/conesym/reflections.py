@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .autgrp import group_order
+from .autgrp import group_order, symn_point_generators
 from .cones import integer_rank, kernel_basis
-from .core import Permutation, apply_permutation
+from .core import apply_permutation
 
 __all__ = [
     "RAY_COUNT",
@@ -72,10 +72,7 @@ def symn_orbits(rays: Sequence[Sequence[int]] = _RAYS) -> tuple[tuple[int, ...],
     """Orbits of the rays under the point permutations, as 1-based ray
     numbers, largest orbit first."""
     index = {tuple(r): i for i, r in enumerate(rays)}
-    gens = [
-        Permutation.from_cycles(4, [(1, 2)]),
-        Permutation.from_cycles(4, [(1, 2, 3, 4)]),
-    ]
+    gens = symn_point_generators(4)
     orbits = []
     seen: set[int] = set()
     for start in range(len(rays)):

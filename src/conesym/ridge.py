@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import TriangleFacet, enumerate_triangle_facets
@@ -44,6 +43,20 @@ __all__ = [
 
 class StructureError(RuntimeError):
     """A structural claim failed; the message carries the witness."""
+
+
+def _mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _bits(m: int):
+    while m:
+        lsb = m & -m
+        yield lsb.bit_length() - 1
+        m ^= lsb
 
 
 class Graph:
@@ -83,19 +96,12 @@ class Graph:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int):
-        m = self.adj[v]
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        return _bits(self.adj[v])
 
     def edges(self):
         for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            while m:
-                lsb = m & -m
-                yield (u, u + 1 + lsb.bit_length() - 1)
-                m ^= lsb
+            for w in _bits(self.adj[u] >> (u + 1)):
+                yield (u, u + 1 + w)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -112,13 +118,7 @@ class Graph:
         """Image under a vertex permutation (perm[v] is the new name of v)."""
         adj = [0] * self.n
         for v in range(self.n):
-            m = self.adj[v]
-            row = 0
-            while m:
-                lsb = m & -m
-                row |= 1 << perm[lsb.bit_length() - 1]
-                m ^= lsb
-            adj[perm[v]] = row
+            adj[perm[v]] = _mask_of(perm[w] for w in _bits(self.adj[v]))
         labels = None
         if self.labels is not None:
             labels = [None] * self.n
@@ -149,52 +149,25 @@ def conflicting(f: TriangleFacet, g: TriangleFacet) -> bool:
     return bool(fp & gn or fn & gp)
 
 
-@lru_cache(maxsize=None)
-def _facet_graph_masks(n: int):
-    facets = tuple(enumerate_triangle_facets(n))
-    signed = [_signed_masks(f) for f in facets]
-    v = len(facets)
-    conflict = [0] * v
-    for a in range(v):
-        ap, an = signed[a]
-        for b in range(a + 1, v):
-            bp, bn = signed[b]
-            if ap & bn or an & bp:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-    return facets, tuple(conflict)
-
-
 def build_ridge_graph(n: int) -> Graph:
     """Graph on the triangle facets, adjacent iff non-conflicting."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    facets, conflict = _facet_graph_masks(n)
-    full = (1 << len(facets)) - 1
-    adj = [full & ~conflict[v] & ~(1 << v) for v in range(len(facets))]
-    return Graph.from_adjacency(adj, facets)
+    return build_complement(n).complement()
 
 
 def build_complement(n: int) -> Graph:
     """Complement of the ridge graph: adjacent iff conflicting."""
     if n < 4:
         raise ValueError("need n >= 4")
-    facets, conflict = _facet_graph_masks(n)
-    return Graph.from_adjacency(list(conflict), facets)
-
-
-def _mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(m: int):
-    while m:
-        lsb = m & -m
-        yield lsb.bit_length() - 1
-        m ^= lsb
+    facets = enumerate_triangle_facets(n)
+    signed = [_signed_masks(f) for f in facets]
+    conflict = [0] * len(facets)
+    for a, (ap, an) in enumerate(signed):
+        for b in range(a + 1, len(facets)):
+            bp, bn = signed[b]
+            if ap & bn or an & bp:
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
+    return Graph.from_adjacency(conflict, facets)
 
 
 @dataclass

@@ -82,7 +82,7 @@ def test_criterion_3_incidence_counts_n4_to_n8():
     checked = 0
     for n, count in expected.items():
         assert triangle_incidence_bound(n) == count
-        facets, _, masks = _facet_incidence_masks(n)
+        facets, _, masks, _ = _facet_incidence_masks(n)
         assert len(facets) == 3 * comb(n, 3)
         for mask in masks:
             assert mask.bit_count() == count

@@ -1,10 +1,13 @@
 """End-to-end tests of the verify command, report schema, and graph export."""
 
 import json
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+from conesym.autgrp import automorphism_group
 from conesym.cli import (
     CHECK_ORDER,
     ConfigError,
@@ -15,6 +18,9 @@ from conesym.cli import (
     render_text,
     run_verify,
 )
+from conesym.cones import adjacency_agreement
+
+DATA = Path(__file__).parent / "data"
 
 
 def scrub_timing(report: dict) -> str:
@@ -88,6 +94,59 @@ class TestRunVerify:
         report = run_verify(RunConfig(n_min=4, n_max=4, checks=("cuts",)))
         text = render_text(report)
         assert "summary: 1 pass, 0 fail" in text
+
+
+# Recorded reports with the `seconds` fields removed.  Between them they
+# cover every check, the aut/theorem1 vertex-cap skips, the n=7 adjacency
+# skip with theorem2's note, and reflect4's resource-limit skip.
+GOLDEN = {
+    "default": RunConfig(),
+    "n4_7_cap40": RunConfig(n_min=4, n_max=7, aut_vertex_cap=40),
+    "n4_cap10": RunConfig(n_min=4, n_max=4, aut_vertex_cap=10),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_report_matches_recorded_report(name):
+    report = run_verify(GOLDEN[name])
+    for rec in report["checks"]:
+        del rec["seconds"]
+    expected = json.loads((DATA / f"report_{name}.json").read_text())
+    # Compared as JSON text, so the key order inside `details` counts too.
+    got = [json.dumps(rec) for rec in report["checks"]]
+    assert got == [json.dumps(rec) for rec in expected["checks"]]
+    assert json.dumps(report) == json.dumps(expected)
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap fn in every loaded conesym namespace that binds it; the returned
+    list collects the positional arguments of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conesym":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+class TestSharedWork:
+    def test_each_automorphism_group_computed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, automorphism_group)
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("gamma", "aut", "theorem1")))
+        assert report["summary"]["pass"] == 3
+        assert sorted(graph.n for graph, *_ in calls) == [20, 60]  # Gamma6 and Gbar6
+
+    def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
+        calls = count_calls(monkeypatch, adjacency_agreement)
+        report = run_verify(RunConfig(n_min=5, n_max=5, checks=("adjacency", "theorem2")))
+        assert report["summary"]["pass"] == 2
+        assert len(calls) == 1
 
 
 class TestExitCodes:

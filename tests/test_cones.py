@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesym.cones import (
+    _facet_incidence_masks,
     adjacency_agreement,
     certify_cutcone_adjacency,
     cut_rank,
@@ -29,6 +30,7 @@ from conesym.core import (
     enumerate_triangle_facets,
     num_pairs,
 )
+from conesym.ridge import conflicting
 
 
 class TestFacetValue:
@@ -77,6 +79,14 @@ class TestCutsOnFacet:
                     1 for cut in cuts if sa * cut[a] + sb * cut[b] + sc * cut[c] == 0
                 )
                 assert count == bound
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_bit_sliced_masks_match_direct_evaluation(self, n):
+        facets, cuts, on, violating = _facet_incidence_masks(n)
+        index = {c: i for i, c in enumerate(cuts)}
+        for f, on_mask, bad_mask in zip(facets, on, violating):
+            assert on_mask == sum(1 << index[c] for c in cuts_on_facet(f, n).cuts)
+            assert bad_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) > 0)
 
     def test_requires_n_at_least_4(self):
         with pytest.raises(ValueError):
@@ -190,6 +200,13 @@ class TestAdjacency:
         f = TriangleFacet(1, 2, 3, 5)
         with pytest.raises(ValueError):
             certify_cutcone_adjacency(f, f, 5)
+
+    def test_rank_certificate_matches_sign_test_on_every_pair_n5(self):
+        facets = enumerate_triangle_facets(5)
+        pairs = [(f, g) for a, f in enumerate(facets) for g in facets[a + 1 :]]
+        assert len(pairs) == 435
+        for f, g in pairs:
+            assert certify_cutcone_adjacency(f, g, 5) is (not conflicting(f, g))
 
     def test_exhaustive_agreement_n5(self):
         total, mismatches = adjacency_agreement(5)
