@@ -15,7 +15,11 @@ verified edge-by-edge before use.  Pruning is threefold and sound:
 
 Orders are never counted by element enumeration: every discovered generator
 is sifted into a stabilizer chain whose base is the reference path, and the
-group order is the product of the orbit sizes.
+group order is the product of the orbit sizes.  Each level of the chain stores
+the inverse coset representatives u_x^-1, the only form sifting divides by
+(Seress, *Permutation Group Algorithms*, 2003, section 4.1); a sift through a
+level whose base point the permutation already fixes composes nothing, since
+that representative is the identity.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Permutation, TriangleFacet, permute_facet
@@ -47,13 +52,10 @@ class ResourceLimitError(RuntimeError):
     """The graph exceeds the configured vertex cap."""
 
 
-def _identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def _mult(p, q) -> tuple[int, ...]:
-    """Apply p, then q."""
-    return tuple(q[v] for v in p)
+    """Apply p, then q.  Both have degree at least 2: only chains holding a
+    non-identity permutation compose."""
+    return itemgetter(*p)(q)
 
 
 def _inverse(p) -> tuple[int, ...]:
@@ -65,13 +67,17 @@ def _inverse(p) -> tuple[int, ...]:
 
 class _StabilizerChain:
     """One level of a base-and-strong-generating-set: the base point, the
-    generators tagged at this level, a coset transversal for the orbit of the
-    base point, and the chain stabilizing it."""
+    generators tagged at this level, the inverse coset representatives for
+    the orbit of the base point, and the chain stabilizing it.
 
-    __slots__ = ("degree", "base_point", "gens", "transversal", "sub", "_done")
+    `transversal[x]` is the inverse of the coset representative u_x that
+    maps the base point to x; sifting only ever needs the inverse."""
+
+    __slots__ = ("degree", "identity", "base_point", "gens", "transversal", "sub", "_done")
 
     def __init__(self, degree: int, base_hint: Sequence[int] = ()):
         self.degree = degree
+        self.identity = tuple(range(degree))
         self.base_point = None
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] | None = None
@@ -79,7 +85,7 @@ class _StabilizerChain:
         self._done: set = set()
         if base_hint:
             self.base_point = base_hint[0]
-            self.transversal = {base_hint[0]: _identity(degree)}
+            self.transversal = {base_hint[0]: self.identity}
             self.sub = _StabilizerChain(degree, base_hint[1:])
 
     def order(self) -> int:
@@ -101,20 +107,25 @@ class _StabilizerChain:
         return chain
 
     def sift(self, p):
-        if self.base_point is None:
-            return p
-        x = p[self.base_point]
-        if x not in self.transversal:
-            return p
-        return self.sub.sift(_mult(p, _inverse(self.transversal[x])))
+        chain = self
+        while chain.base_point is not None:
+            x = p[chain.base_point]
+            # u_x is the identity at the base point itself: nothing to divide.
+            if x != chain.base_point:
+                inv = chain.transversal.get(x)
+                if inv is None:
+                    return p
+                p = _mult(p, inv)
+            chain = chain.sub
+        return p
 
     def contains(self, p) -> bool:
-        return self.sift(p) == _identity(self.degree)
+        return self.sift(p) == self.identity
 
     def add(self, p) -> bool:
         """Sift p in; returns True when the group grew."""
         residue = self.sift(p)
-        if residue == _identity(self.degree):
+        if residue == self.identity:
             return False
         self._insert(residue)
         return True
@@ -123,7 +134,7 @@ class _StabilizerChain:
         # gen is a non-member fixing every base point above this level
         if self.base_point is None:
             self.base_point = next(i for i, img in enumerate(gen) if img != i)
-            self.transversal = {self.base_point: _identity(self.degree)}
+            self.transversal = {self.base_point: self.identity}
             self.sub = _StabilizerChain(self.degree)
         if gen[self.base_point] == self.base_point:
             self.sub._insert(gen)
@@ -133,32 +144,36 @@ class _StabilizerChain:
 
     def _close(self):
         """Re-close the orbit with the enlarged generator set and push the
-        new Schreier generators down the chain.
+        new Schreier generators u_x g u_{xg}^-1 down the chain.
 
         Existing transversal entries are kept, so a (point, generator) pair
         yields the same Schreier generator on every pass and processed pairs
         can be skipped: the subchain only ever grows.
         """
         gens = self.generators()
-        trans = self.transversal
-        queue = deque(sorted(trans))
+        pairs = [(g, _inverse(g)) for g in gens]
+        inv = self.transversal
+        queue = deque(sorted(inv))
         while queue:
             x = queue.popleft()
-            for g in gens:
+            for g, g_inv in pairs:
                 y = g[x]
-                if y not in trans:
-                    trans[y] = _mult(trans[x], g)
+                if y not in inv:
+                    # (u_x g)^-1 = g^-1 u_x^-1
+                    inv[y] = _mult(g_inv, inv[x])
                     queue.append(y)
-        ident = _identity(self.degree)
-        for x in sorted(trans):
-            ux = trans[x]
+        done = self._done
+        for x in sorted(inv):
+            ux = None
             for g in gens:
                 key = (x, g)
-                if key in self._done:
+                if key in done:
                     continue
-                self._done.add(key)
-                schreier = _mult(_mult(ux, g), _inverse(trans[g[x]]))
-                if schreier != ident:
+                done.add(key)
+                if ux is None:
+                    ux = _inverse(inv[x])
+                schreier = _mult(_mult(ux, g), inv[g[x]])
+                if schreier != self.identity:
                     self.sub.add(schreier)
 
 
@@ -226,27 +241,48 @@ class _AutomorphismSearch:
     def _refine(self, cells, splitters):
         """Equitable refinement: split cells by neighbor counts into queued
         splitter sets until stable.  Fragments are ordered by count, so the
-        procedure commutes with graph automorphisms."""
+        procedure commutes with graph automorphisms.
+
+        Only a non-singleton cell meeting the splitter's neighborhood can
+        split: every other cell keeps one count and stays whole uncounted."""
         adj = self.adj
+        cells = list(cells)
+        masks = [_mask_of(cell) for cell in cells]
+        live = 0
+        for cell, cmask in zip(cells, masks):
+            if len(cell) > 1:
+                live |= cmask
         queue = deque(splitters)
-        while queue:
+        while queue and live:
             smask = queue.popleft()
-            out = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
+            reach = 0
+            m = smask
+            while m:
+                lsb = m & -m
+                reach |= adj[lsb.bit_length() - 1]
+                m ^= lsb
+            reach &= live
+            if not reach:
+                continue
+            splits = []
+            for i in [i for i, cmask in enumerate(masks) if cmask & reach]:
+                cell = cells[i]
+                counts = [(adj[v] & smask).bit_count() for v in cell]
+                if counts.count(counts[0]) == len(counts):
                     continue
                 buckets: dict[int, list[int]] = {}
-                for v in cell:
-                    buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(buckets) == 1:
-                    out.append(cell)
-                else:
-                    for key in sorted(buckets):
-                        frag = buckets[key]
-                        out.append(frag)
-                        queue.append(_mask_of(frag))
-            cells = out
+                for v, c in zip(cell, counts):
+                    buckets.setdefault(c, []).append(v)
+                frags = [buckets[key] for key in sorted(buckets)]
+                frag_masks = [_mask_of(frag) for frag in frags]
+                for frag, fmask in zip(frags, frag_masks):
+                    if len(frag) == 1:
+                        live ^= fmask
+                queue.extend(frag_masks)
+                splits.append((i, frags, frag_masks))
+            for i, frags, frag_masks in reversed(splits):
+                cells[i : i + 1] = frags
+                masks[i : i + 1] = frag_masks
         return cells
 
     def _individualize(self, cells, pos, v):
@@ -300,7 +336,7 @@ class _AutomorphismSearch:
         for a, b in zip(self.first_leaf, leaf):
             g[a] = b
         g = tuple(g)
-        if g != _identity(self.n) and _preserves_adjacency(self.adj, g):
+        if g != self.chain.identity and _preserves_adjacency(self.adj, g):
             if self.chain.add(g):
                 self.generators.append(g)
             common = 0

@@ -587,27 +587,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run the certification checks")
-    verify.add_argument("--n-min", type=int, default=4, help="smallest point count (>= 4)")
-    verify.add_argument("--n-max", type=int, default=6, help="largest point count")
+    verify.add_argument(
+        "--n-min", type=int, default=RunConfig.n_min, help="smallest point count (>= 4)"
+    )
+    verify.add_argument(
+        "--n-max", type=int, default=RunConfig.n_max, help="largest point count"
+    )
     verify.add_argument(
         "--checks",
-        default=",".join(CHECK_ORDER),
+        default=",".join(RunConfig.checks),
         help="comma-separated check ids: " + ", ".join(CHECK_ORDER),
     )
     verify.add_argument(
         "--hypermetric-bound",
         type=int,
-        default=3,
+        default=RunConfig.hypermetric_bound,
         help="coefficient bound for the bounded inequality sweeps",
     )
     verify.add_argument(
         "--aut-vertex-cap",
         type=int,
-        default=300,
+        default=RunConfig.aut_vertex_cap,
         help="skip automorphism computations on graphs above this many vertices",
     )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--export", metavar="DIR", default=None, help="export graphs to DIR")
+    verify.add_argument("--format", choices=("text", "json"), default=RunConfig.output_format)
+    verify.add_argument(
+        "--export", metavar="DIR", default=RunConfig.export_dir, help="export graphs to DIR"
+    )
     return parser
 
 

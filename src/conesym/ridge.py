@@ -466,14 +466,20 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
     diameter = max(max(row) for row in all_dist)
     bs: list[int | None] = [None] * diameter
     cs: list[int | None] = [None] * diameter
+    adj = gamma.adj
     for v in range(gamma.n):
         dist = all_dist[v]
+        # layer[d] is the set of vertices at distance d from v; the extra
+        # empty layer past the diameter keeps layer[d + 1] in range.
+        layer = [0] * (diameter + 2)
+        for w, d in enumerate(dist):
+            layer[d] |= 1 << w
         for w in range(gamma.n):
             d = dist[w]
             if w == v:
                 continue
-            nearer = sum(1 for x in _bits(gamma.adj[w]) if dist[x] == d - 1)
-            farther = sum(1 for x in _bits(gamma.adj[w]) if dist[x] == d + 1)
+            nearer = (adj[w] & layer[d - 1]).bit_count()
+            farther = (adj[w] & layer[d + 1]).bit_count()
             if cs[d - 1] is None:
                 cs[d - 1] = nearer
             elif cs[d - 1] != nearer:

@@ -1,14 +1,25 @@
 """Tests for the automorphism engine and the stabilizer-chain order oracle."""
 
+import hashlib
 import itertools
+import json
 import random
+import re
+from collections import deque
 from math import factorial
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from conesym.autgrp import (
     PermGroup,
     ResourceLimitError,
+    _AutomorphismSearch,
+    _StabilizerChain,
     automorphism_group,
     group_order,
     induced_facet_permutation,
@@ -17,7 +28,17 @@ from conesym.autgrp import (
     symn_point_generators,
     verify_theorem1,
 )
-from conesym.ridge import Graph, build_complement, build_ridge_graph, build_triangle_graph
+from conesym.ridge import (
+    Graph,
+    _mask_of,
+    build_complement,
+    build_ridge_graph,
+    build_triangle_graph,
+)
+
+from graph_strategies import random_graphs
+
+DATA = Path(__file__).parent / "data"
 
 
 def kneser_petersen() -> Graph:
@@ -167,11 +188,147 @@ class TestTheorem1:
                 tuple(index[frozenset(sigma(p) for p in s)] for s in gamma6.labels)
             )
         assert group_order(induced, gamma6.n) == 720
-        from conesym.autgrp import _StabilizerChain
-
         chain = _StabilizerChain(gamma6.n)
         for g in induced:
             chain.add(g)
         outside = [g for g in aut.generators if not chain.contains(g)]
         assert outside, "expected an automorphism outside the induced image"
         assert all(is_graph_automorphism(gamma6, g) for g in outside)
+
+
+def graph_by_key(key: str) -> Graph:
+    """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""
+    kind, n = re.fullmatch(r"(gbar|gamma)(\d+)", key).groups()
+    gbar = build_complement(int(n))
+    return gbar if kind == "gbar" else build_triangle_graph(gbar)
+
+
+class TestPinnedSearchTree:
+    # The recorded generators pin the search tree itself: the same graph
+    # must give the same generators in the same order, not only the same
+    # group.
+    PINNED = json.loads((DATA / "aut_generators.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_generators_match_recorded(self, key):
+        graph = graph_by_key(key)
+        aut = automorphism_group(graph)
+        expected = self.PINNED[key]
+        assert graph.n == expected["vertices"]
+        assert aut.order == expected["order"]
+        assert len(aut.generators) == expected["generators"]
+        digest = hashlib.sha256(repr(aut.generators).encode()).hexdigest()
+        assert digest == expected["sha256"]
+
+
+def refine_reference(adj, cells, splitters):
+    """Per-cell bucket refinement, kept as the oracle for `_refine`: every
+    vertex of every non-singleton cell is counted against every splitter."""
+    queue = deque(splitters)
+    while queue:
+        smask = queue.popleft()
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                for key in sorted(buckets):
+                    frag = buckets[key]
+                    out.append(frag)
+                    queue.append(_mask_of(frag))
+        cells = out
+    return cells
+
+
+@st.composite
+def ordered_partitions(draw, n):
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestRefinementAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_ordered_cells(self, data):
+        graph = data.draw(random_graphs())
+        cells = data.draw(ordered_partitions(graph.n))
+        splitters = data.draw(
+            st.lists(st.integers(0, (1 << graph.n) - 1), min_size=1, max_size=4)
+        )
+        expected = refine_reference(graph.adj, [list(c) for c in cells], splitters)
+        assert _AutomorphismSearch(graph)._refine(cells, splitters) == expected
+
+
+def closure(gens, degree):
+    """Every element of the group, by breadth-first multiplication."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    queue = deque([identity])
+    while queue:
+        p = queue.popleft()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+@st.composite
+def generator_sets(draw, max_degree=7):
+    degree = draw(st.integers(1, max_degree))
+    perms = st.permutations(range(degree)).map(tuple)
+    return degree, draw(st.lists(perms, max_size=4))
+
+
+class TestChainAgainstClosure:
+    @settings(max_examples=80, deadline=None)
+    @given(generator_sets())
+    def test_order_is_closure_size(self, case):
+        degree, gens = case
+        assert group_order(gens, degree) == len(closure(gens, degree))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_membership_matches_closure(self, data):
+        degree, gens = data.draw(generator_sets())
+        hint_order = data.draw(st.permutations(range(degree)))
+        hint = tuple(hint_order[: data.draw(st.integers(0, degree))])
+        members = closure(gens, degree)
+        probes = data.draw(
+            st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=10)
+        )
+        probes += sorted(members)[:: max(1, len(members) // 50)]
+        for base_hint in ((), hint):
+            chain = _StabilizerChain(degree, base_hint)
+            for g in gens:
+                chain.add(g)
+            assert chain.order() == len(members)
+            for p in probes:
+                assert chain.contains(p) == (p in members)
+
+
+def vf2_automorphism_count(graph: Graph) -> int:
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges())
+    return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
+
+
+class TestAgainstNetworkxVF2:
+    # VF2 lists every automorphism, an independent count of the order.
+    @pytest.mark.parametrize(
+        "key, order", [("gbar4", 144), ("gbar5", 120), ("gamma5", 120)]
+    )
+    def test_order_matches_vf2_count(self, key, order):
+        graph = graph_by_key(key)
+        assert vf2_automorphism_count(graph) == order
+        assert automorphism_group(graph).order == order

@@ -12,6 +12,7 @@ from conesym.cli import (
     CHECK_ORDER,
     ConfigError,
     RunConfig,
+    build_parser,
     exit_code,
     export_graphs,
     main,
@@ -44,6 +45,21 @@ class TestConfig:
     def test_bound_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(hypermetric_bound=0).validate()
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        # The recorded default report pins RunConfig's values; the CLI must
+        # give the same configuration when no flag is passed.
+        args = build_parser().parse_args(["verify"])
+        cli = [
+            args.n_min,
+            args.n_max,
+            args.checks.split(","),
+            args.hypermetric_bound,
+            args.aut_vertex_cap,
+            args.format,
+            args.export,
+        ]
+        assert cli == list(RunConfig().as_dict().values())
 
 
 class TestRunVerify:

@@ -4,6 +4,8 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesym.core import (
     Permutation,
@@ -13,7 +15,9 @@ from conesym.core import (
 )
 from conesym.ridge import (
     Graph,
+    IntersectionArray,
     StructureError,
+    _bits,
     bfs_distances,
     build_complement,
     build_ridge_graph,
@@ -31,6 +35,8 @@ from conesym.ridge import (
     verify_line_graph_k34,
     verify_rook_neighborhood,
 )
+
+from graph_strategies import random_graphs
 
 
 class TestConflicting:
@@ -255,6 +261,87 @@ class TestIntersectionArray:
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureError):
             intersection_array(path)
+
+
+def intersection_array_reference(gamma: Graph) -> IntersectionArray:
+    """The per-neighbor distance census, kept as the oracle for
+    `intersection_array`: each neighbor's distance is looked up one by one."""
+    all_dist = [bfs_distances(gamma, v) for v in range(gamma.n)]
+    if any(-1 in row for row in all_dist):
+        raise StructureError("graph is not connected")
+    diameter = max(max(row) for row in all_dist)
+    bs = [None] * diameter
+    cs = [None] * diameter
+    for v in range(gamma.n):
+        dist = all_dist[v]
+        for w in range(gamma.n):
+            d = dist[w]
+            if w == v:
+                continue
+            nearer = sum(1 for x in _bits(gamma.adj[w]) if dist[x] == d - 1)
+            farther = sum(1 for x in _bits(gamma.adj[w]) if dist[x] == d + 1)
+            if cs[d - 1] is None:
+                cs[d - 1] = nearer
+            elif cs[d - 1] != nearer:
+                raise StructureError(
+                    f"not distance-regular: c_{d} differs at pair ({v}, {w})"
+                )
+            if d < diameter:
+                if bs[d] is None:
+                    bs[d] = farther
+                elif bs[d] != farther:
+                    raise StructureError(
+                        f"not distance-regular: b_{d} differs at pair ({v}, {w})"
+                    )
+            elif farther:
+                raise StructureError(f"distance census overflow at ({v}, {w})")
+    degree = gamma.degree(0)
+    if any(gamma.degree(v) != degree for v in range(gamma.n)):
+        raise StructureError("not regular")
+    return IntersectionArray((degree, *bs[1:]), tuple(cs))
+
+
+def census_outcome(census, graph):
+    """The array, or the StructureError message, a census gives."""
+    try:
+        return census(graph)
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+
+
+@st.composite
+def census_graphs(draw, max_vertices=24):
+    """Arbitrary graphs, which mostly fail the census, and distance-regular
+    families (cycles, complete and complete bipartite graphs, cubes) that
+    pass it."""
+    kind = draw(st.sampled_from(["random", "cycle", "complete", "bipartite", "cube"]))
+    if kind == "cycle":
+        n = draw(st.integers(3, max_vertices))
+        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "complete":
+        n = draw(st.integers(2, max_vertices))
+        return Graph(n, itertools.combinations(range(n), 2))
+    if kind == "bipartite":
+        m = draw(st.integers(1, max_vertices // 2))
+        return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+    if kind == "cube":
+        d = draw(st.integers(1, 4))
+        edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
+        return Graph(1 << d, edges)
+    return draw(random_graphs(max_vertices))
+
+
+class TestIntersectionArrayAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(census_graphs())
+    def test_same_array_or_error(self, graph):
+        expected = census_outcome(intersection_array_reference, graph)
+        assert census_outcome(intersection_array, graph) == expected
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_same_array_on_gamma(self, n):
+        gamma = build_triangle_graph(build_complement(n))
+        assert intersection_array(gamma) == intersection_array_reference(gamma)
 
 
 class TestExport:
