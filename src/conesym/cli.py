@@ -187,7 +187,7 @@ def _check_triangles(inst: Instance, cfg: RunConfig):
 
 
 def _check_gamma(inst: Instance, cfg: RunConfig):
-    n, gbar = inst.n, inst.gbar
+    n = inst.n
     try:
         gamma = inst.gamma
     except StructureError as exc:
@@ -222,7 +222,7 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
             if len(far) != 1 or gamma.labels[far[0]] != frozenset(range(1, 7)) - gamma.labels[v]:
                 return "fail", details, {"vertex": v, "reason": "antipodal pairing failed"}
         details["antipodal_pairing"] = True
-        if gamma.n <= cfg.aut_vertex_cap and gbar.n <= cfg.aut_vertex_cap:
+        if _aut_cap(n, cfg) is None:
             quotient_order = inst.aut_gamma.order
             base_order = inst.aut_gbar.order
             details["aut_gamma6"] = quotient_order
@@ -257,7 +257,7 @@ def _check_aut(inst: Instance, cfg: RunConfig):
     details = {"aut_complement": aut.order, "expected": expected, "generators": len(aut.generators)}
     if aut.order != expected:
         return "fail", details, {"reason": "unexpected automorphism group order"}
-    if n >= 5 and inst.gamma.n <= cfg.aut_vertex_cap:
+    if n >= 5:
         gamma_order = inst.aut_gamma.order
         gamma_expected = 1440 if n == 6 else factorial(n)
         details["aut_quotient"] = gamma_order

@@ -256,15 +256,20 @@ def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     return total, mismatches
 
 
-def _cut_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 0/1 cut coordinates and point-membership matrices."""
+def _sweep_family(n: int, bound: int):
+    """The set-up both sweeps share: the bounded coefficient family, the
+    nonzero cuts, the family as a numpy matrix and sigma * (1 - sigma) for
+    every (vector, cut) pair, sigma being the coefficient sum over the cut's
+    generating set."""
+    coeffs = enumerate_hypermetric_coeffs(n, bound)
     cuts = enumerate_cuts(n)
-    bits = np.array([c.bits for c in cuts], dtype=np.int64)
     member = np.array(
         [[1 if p in c.members else 0 for p in range(1, n + 1)] for c in cuts],
         dtype=np.int64,
     )
-    return bits, member
+    vecs = np.array(coeffs, dtype=np.int64)
+    sigma = vecs @ member.T
+    return coeffs, cuts, vecs, sigma * (1 - sigma)
 
 
 @dataclass
@@ -289,15 +294,15 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     where sigma is the coefficient sum over the generating set, and must be
     nonpositive.  The two sides are computed independently.
     """
-    coeffs = enumerate_hypermetric_coeffs(n, bound)
-    cuts = enumerate_cuts(n)
-    bits, member = _cut_matrix(n)
-    vecs = np.array(coeffs, dtype=np.int64)
+    coeffs, cuts, vecs, closed = _sweep_family(n, bound)
+    bits = np.array([c.bits for c in cuts], dtype=np.int64)
     idx_i = np.array([i - 1 for i, _ in pair_list(n)])
     idx_j = np.array([j - 1 for _, j in pair_list(n)])
-    direct = (vecs[:, idx_i] * vecs[:, idx_j]) @ bits.T
-    sigma = vecs @ member.T
-    closed = sigma * (1 - sigma)
+    # Fancy indexing copies, so the pair products are formed in place, one
+    # vectors x pairs temporary fewer.
+    products = vecs[:, idx_i]
+    products *= vecs[:, idx_j]
+    direct = products @ bits.T
 
     mismatch = None
     neq = np.argwhere(direct != closed)
@@ -348,12 +353,7 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     certificate.  Vectors with a single nonzero coefficient induce the
     identically-zero functional (the trivial inequality) and are excluded.
     """
-    coeffs = enumerate_hypermetric_coeffs(n, bound)
-    cuts = enumerate_cuts(n)
-    bits, member = _cut_matrix(n)
-    vecs = np.array(coeffs, dtype=np.int64)
-    sigma = vecs @ member.T
-    values = sigma * (1 - sigma)
+    coeffs, cuts, vecs, values = _sweep_family(n, bound)
     zero_counts = (values == 0).sum(axis=1)
     proper = (vecs != 0).sum(axis=1) >= 2
     limit = triangle_incidence_bound(n)

@@ -1,20 +1,25 @@
 """Exact reconstruction of the order-144 isometry group of the 4-point cone
 as a reflection group acting on its 7 extreme rays.
 
-Everything here is exact rational arithmetic.  Each generator is the
-reflection through the hyperplane spanned by 5 of the 7 rays; its normal
-vector comes from the kernel of the corresponding 5 x 6 matrix, and the
-resulting map must permute the ray set, swapping the omitted two rays.  The
-group closes by breadth-first matrix multiplication, certified to have order
-144 with a faithful product action: the full symmetric group on the 4-ray
-orbit times the full symmetric group on the 3-ray orbit.
+Everything here is exact.  A matrix has one form, (den, entries): a positive
+integer denominator and the row-major integer entries, in lowest terms, so
+equal matrices have equal forms.  Each generator is the reflection through
+the hyperplane spanned by 5 of the 7 rays; its normal vector comes from the
+kernel of the corresponding 5 x 6 matrix, and the resulting map must permute
+the ray set, swapping the omitted two rays.  It must also be an orthogonal
+involution, whose determinant then follows from its trace, and that
+determinant must be -1.  The group closes by breadth-first matrix
+multiplication, certified to have order 144 with a faithful product action:
+the full symmetric group on the 4-ray orbit times the full symmetric group
+on the 3-ray orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .autgrp import group_order, symn_point_generators
@@ -29,7 +34,6 @@ __all__ = [
     "kernel_vector",
     "reflection",
     "mat_vec",
-    "mat_mul",
     "attempt_ray_swap",
     "GENERATOR_PAIRS",
     "RayActionError",
@@ -105,60 +109,69 @@ def kernel_vector(rays: Sequence[Sequence]) -> tuple[int, ...]:
         raise DegenerateRaysError("the 5 rays are linearly dependent")
     basis = kernel_basis(rows)
     assert len(basis) == 1
-    vec = basis[0]
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    leading = next(v for v in ints if v != 0)
-    if leading < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    scale = lcm(*(v.denominator for v in basis[0]))
+    ints = [int(v * scale) for v in basis[0]]
+    content = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        content = -content
+    return tuple(v // content for v in ints)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+def _reduced(den: int, entries) -> tuple[int, tuple[int, ...]]:
+    """(den, entries) in lowest terms; den must be positive."""
+    g = gcd(den, *entries)
+    return den // g, tuple(v // g for v in entries)
 
 
-def reflection(alpha: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the reflection fixing the hyperplane orthogonal to alpha:
-    v - 2 <v, alpha> / <alpha, alpha> * alpha."""
-    if all(a == 0 for a in alpha):
+def reflection(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Matrix of the reflection fixing the hyperplane orthogonal to the
+    integer vector alpha, v - 2 <v, alpha> / <alpha, alpha> * alpha."""
+    if not any(alpha):
         raise ValueError("alpha must be nonzero")
-    norm = _dot(alpha, alpha)
-    rows = []
-    for r in range(len(alpha)):
-        row = []
-        for c in range(len(alpha)):
-            entry = Fraction(1 if r == c else 0) - 2 * Fraction(alpha[r]) * alpha[c] / norm
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+    norm = sum(a * a for a in alpha)
+    entries = [norm * (r == c) - 2 * ar * ac
+               for r, ar in enumerate(alpha) for c, ac in enumerate(alpha)]
+    return _reduced(norm, entries)
+
+
+def _rows(entries) -> list:
+    n = isqrt(len(entries))
+    return [entries[k:k + n] for k in range(0, n * n, n)]
 
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
-    return tuple(_dot(row, v) for row in m)
+    """The image of the vector v under the matrix m, as exact Fractions."""
+    den, entries = m
+    return tuple(Fraction(sum(map(mul, row, v)), den) for row in _rows(entries))
 
 
-def mat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    cols = list(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+def _mul(a, b) -> tuple[int, tuple[int, ...]]:
+    (da, ea), (db, eb) = a, b
+    cols = list(zip(*_rows(eb)))
+    return _reduced(da * db, [sum(map(mul, row, col)) for row in _rows(ea) for col in cols])
 
 
-def _identity_matrix(n: int):
-    return tuple(
-        tuple(Fraction(1 if r == c else 0) for c in range(n)) for r in range(n)
-    )
+def _transpose(m) -> tuple[int, tuple[int, ...]]:
+    den, entries = m
+    return den, tuple(v for col in zip(*_rows(entries)) for v in col)
+
+
+def _involution_det(m) -> int:
+    """Determinant of a matrix already checked to be an orthogonal
+    involution.  Such a matrix is symmetric with eigenvalues +1 and -1, so
+    with k eigenvalues -1 its trace is dim - 2k and its determinant (-1)^k."""
+    den, entries = m
+    dim = isqrt(len(entries))
+    k, rem = divmod(dim * den - sum(entries[::dim + 1]), 2 * den)
+    assert rem == 0, "the trace of an orthogonal involution has the parity of its dimension"
+    return (-1) ** k
 
 
 def _ray_permutation(m, rays) -> tuple[int, ...] | None:
     """0-based permutation of the ray list induced by the matrix, or None
     when some image is not a ray."""
-    index = {tuple(map(Fraction, r)): i for i, r in enumerate(rays)}
+    # A Fraction equals, and hashes like, the int of the same value.
+    index = {tuple(r): i for i, r in enumerate(rays)}
     images = []
     for r in rays:
         img = mat_vec(m, r)
@@ -211,38 +224,6 @@ class ReflectionGroupReport:
         )
 
 
-def _scaled(m) -> tuple[int, tuple[int, ...]]:
-    """Canonical (denominator, flat integer entries) form with content 1."""
-    den = 1
-    for row in m:
-        for v in row:
-            v = Fraction(v)
-            den = den * v.denominator // gcd(den, v.denominator)
-    flat = tuple(int(Fraction(v) * den) for row in m for v in row)
-    g = den
-    for v in flat:
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
-    return den // g, tuple(v // g for v in flat)
-
-
-def _scaled_mul(a, b) -> tuple[int, tuple[int, ...]]:
-    da, ea = a
-    db, eb = b
-    out = []
-    for r in range(0, 36, 6):
-        for c in range(6):
-            out.append(sum(ea[r + k] * eb[6 * k + c] for k in range(6)))
-    den = da * db
-    g = den
-    for v in out:
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
-    return den // g, tuple(v // g for v in out)
-
-
 def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
     """Construct the five ray-swapping reflections and certify the group.
 
@@ -251,14 +232,14 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
     closure must reach order 144 with a permutation action that is faithful
     and restricts to the full symmetric group on each ray orbit.
 
-    The closure multiplies canonical scaled-integer forms of the matrices,
-    which is exact; each product's ray permutation is the composition of its
-    factors' permutations (products of ray-permuting maps permute the rays).
+    Matrices stay in lowest terms, so equal matrices have equal forms and
+    the closure keys on them exactly; each product's ray permutation is the
+    composition of its factors' permutations (products of ray-permuting maps
+    permute the rays).
     """
-    ident = _identity_matrix(6)
+    ident = (1, tuple(int(r == c) for r in range(6) for c in range(6)))
     alphas = []
-    matrices = []
-    perms = []
+    gens = []
     for i, j in GENERATOR_PAIRS:
         alpha, m, perm = attempt_ray_swap(i, j)
         if perm is None:
@@ -269,17 +250,15 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
             raise RayActionError(
                 f"reflection for rays ({i}, {j}) acts as {perm}, not the transposition"
             )
-        transpose = tuple(zip(*m))
-        if mat_mul(transpose, m) != ident or mat_mul(m, m) != ident:
+        if _mul(_transpose(m), m) != ident or _mul(m, m) != ident:
             raise RayActionError(f"reflection for rays ({i}, {j}) is not an orthogonal involution")
-        if _det(m) != -1:
-            raise RayActionError(f"reflection for rays ({i}, {j}) has determinant {_det(m)}")
+        det = _involution_det(m)
+        if det != -1:
+            raise RayActionError(f"reflection for rays ({i}, {j}) has determinant {det}")
         alphas.append(alpha)
-        matrices.append(m)
-        perms.append(perm)
+        gens.append((m, perm))
 
-    scaled_gens = [(_scaled(m), perm) for m, perm in zip(matrices, perms)]
-    elements = {_scaled(ident): tuple(range(RAY_COUNT))}
+    elements = {ident: tuple(range(RAY_COUNT))}
     frontier = list(elements)
     while frontier:
         if len(elements) > closure_cap:
@@ -287,8 +266,8 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
         nxt = []
         for key in frontier:
             perm_m = elements[key]
-            for g_key, g_perm in scaled_gens:
-                prod = _scaled_mul(key, g_key)
+            for g, g_perm in gens:
+                prod = _mul(key, g)
                 if prod not in elements:
                     # the matrix product m*g applies g first, so ray i goes
                     # through g_perm and then perm_m
@@ -296,8 +275,8 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
                     nxt.append(prod)
         frontier = nxt
 
-    all_perms = list(elements.values())
-    faithful = len(set(all_perms)) == len(elements)
+    perms = [perm for _, perm in gens]
+    faithful = len(set(elements.values())) == len(elements)
     orbit4, orbit3 = symn_orbits()
     return ReflectionGroupReport(
         GENERATOR_PAIRS,
@@ -309,23 +288,3 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
         _restriction_order(perms, [p - 1 for p in orbit4]),
         _restriction_order(perms, [p - 1 for p in orbit3]),
     )
-
-
-def _det(m) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in m]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det

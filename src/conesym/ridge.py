@@ -469,9 +469,8 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
     adj = gamma.adj
     for v in range(gamma.n):
         dist = all_dist[v]
-        # layer[d] is the set of vertices at distance d from v; the extra
-        # empty layer past the diameter keeps layer[d + 1] in range.
-        layer = [0] * (diameter + 2)
+        # layer[d] is the set of vertices at distance d from v.
+        layer = [0] * (diameter + 1)
         for w, d in enumerate(dist):
             layer[d] |= 1 << w
         for w in range(gamma.n):
@@ -479,7 +478,6 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
             if w == v:
                 continue
             nearer = (adj[w] & layer[d - 1]).bit_count()
-            farther = (adj[w] & layer[d + 1]).bit_count()
             if cs[d - 1] is None:
                 cs[d - 1] = nearer
             elif cs[d - 1] != nearer:
@@ -487,14 +485,13 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
                     f"not distance-regular: c_{d} differs at pair ({v}, {w})"
                 )
             if d < diameter:
+                farther = (adj[w] & layer[d + 1]).bit_count()
                 if bs[d] is None:
                     bs[d] = farther
                 elif bs[d] != farther:
                     raise StructureError(
                         f"not distance-regular: b_{d} differs at pair ({v}, {w})"
                     )
-            elif farther:
-                raise StructureError(f"distance census overflow at ({v}, {w})")
     degree = gamma.degree(0)
     if any(gamma.degree(v) != degree for v in range(gamma.n)):
         raise StructureError("not regular")

@@ -114,11 +114,15 @@ class TestRunVerify:
 
 # Recorded reports with the `seconds` fields removed.  Between them they
 # cover every check, the aut/theorem1 vertex-cap skips, the n=7 adjacency
-# skip with theorem2's note, and reflect4's resource-limit skip.
+# skip with theorem2's note, and reflect4's resource-limit skip; `symmetry`
+# pins the automorphism orders and the Triangle quotient at n = 9..10.
 GOLDEN = {
     "default": RunConfig(),
     "n4_7_cap40": RunConfig(n_min=4, n_max=7, aut_vertex_cap=40),
     "n4_cap10": RunConfig(n_min=4, n_max=4, aut_vertex_cap=10),
+    "symmetry": RunConfig(
+        n_min=9, n_max=10, checks=("aut", "theorem1", "gamma", "johnson"), aut_vertex_cap=495
+    ),
 }
 
 

@@ -1,8 +1,12 @@
 """Tests for the exact reflection-group reconstruction on the 7 rays."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesym.cones import cut_rank
 from conesym.core import enumerate_cuts
@@ -10,10 +14,12 @@ from conesym.reflections import (
     GENERATOR_PAIRS,
     DegenerateRaysError,
     RayActionError,
+    _involution_det,
+    _mul,
+    _transpose,
     attempt_ray_swap,
     build_reflection_group,
     kernel_vector,
-    mat_mul,
     mat_vec,
     ray_table,
     reflection,
@@ -21,6 +27,103 @@ from conesym.reflections import (
 )
 
 RAYS = ray_table()
+
+
+# Fraction-row reference implementations of the reflection matrix, the
+# matrix product and the determinant by elimination: the oracles for
+# `reflection`, `_mul` and the trace determinant.
+def _dot_reference(u, v) -> Fraction:
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reflection_reference(alpha):
+    norm = _dot_reference(alpha, alpha)
+    rows = []
+    for r in range(len(alpha)):
+        row = []
+        for c in range(len(alpha)):
+            entry = Fraction(1 if r == c else 0) - 2 * Fraction(alpha[r]) * alpha[c] / norm
+            row.append(entry)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def mat_mul_reference(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(_dot_reference(row, col) for col in cols) for row in a)
+
+
+def _det_reference(m) -> Fraction:
+    rows = [list(map(Fraction, r)) for r in m]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+IDENTITY = (1, tuple(int(r == c) for r in range(6) for c in range(6)))
+GENERATORS = [attempt_ray_swap(i, j)[1] for i, j in GENERATOR_PAIRS]
+words = st.lists(st.integers(0, len(GENERATORS) - 1), max_size=8)
+
+
+def as_rows(m):
+    """The (den, entries) form as Fraction rows."""
+    den, entries = m
+    return tuple(tuple(Fraction(v, den) for v in entries[r : r + 6]) for r in range(0, 36, 6))
+
+
+IDENTITY_ROWS = as_rows(IDENTITY)
+
+
+def product(word):
+    return reduce(_mul, (GENERATORS[k] for k in word), IDENTITY)
+
+
+def product_reference(word):
+    return reduce(mat_mul_reference, (as_rows(GENERATORS[k]) for k in word), IDENTITY_ROWS)
+
+
+class TestIntegerFormAgainstFractions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6).filter(any))
+    def test_reflection_matches_reference(self, alpha):
+        m = reflection(alpha)
+        den, entries = m
+        assert den > 0 and gcd(den, *entries) == 1
+        assert as_rows(m) == reflection_reference(alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words)
+    def test_products_match_reference(self, word):
+        m = product(word)
+        expected = product_reference(word)
+        assert gcd(m[0], *m[1]) == 1
+        assert as_rows(m) == expected
+        assert as_rows(_transpose(m)) == tuple(zip(*expected))
+
+    def test_generator_determinants_match_reference(self):
+        for g in GENERATORS:
+            assert _involution_det(g) == _det_reference(as_rows(g)) == -1
+
+    @settings(max_examples=200, deadline=None)
+    @given(words, st.integers(0, len(GENERATORS) - 1))
+    def test_conjugate_determinants_match_reference(self, word, k):
+        # The generators are involutions, so the reversed word is w^-1.
+        conjugate = product(word + [k] + word[::-1])
+        assert _mul(conjugate, conjugate) == IDENTITY
+        assert _involution_det(conjugate) == _det_reference(as_rows(conjugate))
 
 
 class TestRayTable:
@@ -127,10 +230,8 @@ class TestReflectionGroup:
         rep = build_reflection_group()
         for alpha in rep.alphas:
             m = reflection(alpha)
-            prod = mat_mul(m, m)
-            for r in range(6):
-                for c in range(6):
-                    assert prod[r][c] == (1 if r == c else 0)
+            for unit in IDENTITY_ROWS:
+                assert mat_vec(m, mat_vec(m, unit)) == unit
 
     def test_matches_graph_automorphism_count(self):
         from conesym.autgrp import automorphism_group
