@@ -82,7 +82,7 @@ class _StabilizerChain:
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] | None = None
         self.sub: _StabilizerChain | None = None
-        self._done: set = set()
+        self._done: dict[tuple[int, ...], bytearray] = {}
         if base_hint:
             self.base_point = base_hint[0]
             self.transversal = {base_hint[0]: self.identity}
@@ -148,28 +148,31 @@ class _StabilizerChain:
 
         Existing transversal entries are kept, so a (point, generator) pair
         yields the same Schreier generator on every pass and processed pairs
-        can be skipped: the subchain only ever grows.
+        can be skipped: the subchain only ever grows.  `_done` maps each
+        generator to a flag per point, so a generator is hashed once per pass,
+        not once per pair.  The pair that defines u_{xg} = u_x g is
+        marked processed at once, its Schreier generator being the identity.
         """
         gens = self.generators()
-        pairs = [(g, _inverse(g)) for g in gens]
+        done = self._done
+        pairs = [(g, _inverse(g), done.setdefault(g, bytearray(self.degree))) for g in gens]
         inv = self.transversal
         queue = deque(sorted(inv))
         while queue:
             x = queue.popleft()
-            for g, g_inv in pairs:
+            for g, g_inv, seen in pairs:
                 y = g[x]
                 if y not in inv:
                     # (u_x g)^-1 = g^-1 u_x^-1
                     inv[y] = _mult(g_inv, inv[x])
+                    seen[x] = 1
                     queue.append(y)
-        done = self._done
         for x in sorted(inv):
             ux = None
-            for g in gens:
-                key = (x, g)
-                if key in done:
+            for g, _, seen in pairs:
+                if seen[x]:
                     continue
-                done.add(key)
+                seen[x] = 1
                 if ux is None:
                     ux = _inverse(inv[x])
                 schreier = _mult(_mult(ux, g), inv[g[x]])

@@ -3,10 +3,11 @@ counting, and exact integer rank certificates for cone face dimensions.
 
 All certification arithmetic is exact: ranks come from fraction-free Bareiss
 elimination over Python integers, kernels from rational row reduction.  The
-exhaustive sweeps over the bounded hypermetric family are vectorized with
-64-bit integer numpy arrays; every quantity involved is tiny (coefficients
-bounded by the cube of the configured bound times the pair count), so those
-sweeps are exact as well.
+sweeps over the bounded hypermetric family evaluate one sorted representative
+per orbit of the point permutations, vectorized with 64-bit integer numpy
+arrays; every quantity involved is tiny (coefficients bounded by the cube of
+the configured bound times the pair count), so those sweeps are exact as
+well.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -108,7 +110,11 @@ def integer_rank(rows) -> int:
     """Exact rank of an integer matrix via fraction-free Bareiss elimination.
 
     Intermediate entries stay integral (divisions are exact by the Sylvester
-    identity), so the result is certified, not floating-point.
+    identity), so the result is certified, not floating-point.  The rank does
+    not depend on the pivot chosen, so a row whose pivot-column entry equals
+    the previous pivot is preferred: the step's division by the previous
+    pivot then cancels its multiplication by the new one, rows with a zero in
+    the pivot column stay as they are, and the others become x - f * p // prev.
     """
     m = [list(map(int, r)) for r in rows]
     if not m or not m[0]:
@@ -119,17 +125,33 @@ def integer_rank(rows) -> int:
     rank = 0
     prev = 1
     for col in range(n_cols):
-        piv_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        piv_row = None
+        for r in range(rank, n_rows):
+            x = m[r][col]
+            if x:
+                if x == prev:
+                    piv_row = r
+                    break
+                if piv_row is None:
+                    piv_row = r
         if piv_row is None:
             continue
+        row_p = m[piv_row]
         if piv_row != rank:
-            m[rank], m[piv_row] = m[piv_row], m[rank]
-        piv = m[rank][col]
+            m[rank], m[piv_row] = row_p, m[rank]
+        piv = row_p[col]
+        cols = range(col + 1, n_cols)
         for r in range(rank + 1, n_rows):
-            f = m[r][col]
-            row_r, row_p = m[r], m[rank]
-            for c in range(col + 1, n_cols):
-                row_r[c] = (piv * row_r[c] - f * row_p[c]) // prev
+            row_r = m[r]
+            f = row_r[col]
+            if piv == prev:
+                if not f:
+                    continue
+                for c in cols:
+                    row_r[c] -= f * row_p[c] // prev
+            else:
+                for c in cols:
+                    row_r[c] = (piv * row_r[c] - f * row_p[c]) // prev
             row_r[col] = 0
         prev = piv
         rank += 1
@@ -257,19 +279,40 @@ def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
 
 
 def _sweep_family(n: int, bound: int):
-    """The set-up both sweeps share: the bounded coefficient family, the
-    nonzero cuts, the family as a numpy matrix and sigma * (1 - sigma) for
-    every (vector, cut) pair, sigma being the coefficient sum over the cut's
-    generating set."""
-    coeffs = enumerate_hypermetric_coeffs(n, bound)
+    """The set-up both sweeps share, reduced by the point permutations.
+
+    The bounded coefficient family is a union of Sym(n) orbits, and each
+    orbit holds exactly one sorted vector, so the family is given by its
+    sorted representatives, each with its orbit size n! / prod(m_v!) over the
+    value multiplicities m_v.  A permutation pi maps the pair (b, S) to
+    (b o pi^-1, pi S): this keeps the direct pair sum, sigma * (1 - sigma)
+    and the number of zero cuts, and permutes the coordinates of the
+    zero-cut rows, so their rank is kept too.  The nonzero cuts are closed
+    under pi, so evaluating each representative on every cut decides its
+    whole orbit.
+
+    Returns the representatives, their orbit sizes, the nonzero cuts, the
+    representatives as a numpy matrix and sigma * (1 - sigma) for every
+    (representative, cut) pair, sigma being the coefficient sum over the
+    cut's generating set.
+    """
+    reps = [
+        b
+        for b in itertools.combinations_with_replacement(range(-bound, bound + 1), n)
+        if sum(b) == 1
+    ]
+    sizes = [
+        factorial(n) // prod(factorial(len(list(run))) for _, run in itertools.groupby(b))
+        for b in reps
+    ]
     cuts = enumerate_cuts(n)
     member = np.array(
         [[1 if p in c.members else 0 for p in range(1, n + 1)] for c in cuts],
         dtype=np.int64,
     )
-    vecs = np.array(coeffs, dtype=np.int64)
+    vecs = np.array(reps, dtype=np.int64).reshape(len(reps), n)
     sigma = vecs @ member.T
-    return coeffs, cuts, vecs, sigma * (1 - sigma)
+    return reps, np.array(sizes, dtype=np.int64), cuts, vecs, sigma * (1 - sigma)
 
 
 @dataclass
@@ -287,14 +330,16 @@ class HypermetricSweep:
 
 
 def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
-    """Exhaustive identity check over the bounded coefficient family.
+    """Identity check over the bounded coefficient family.
 
     For every integer vector b with |b_i| <= bound and sum 1 and every
     nonzero cut, the direct pair summation must equal sigma * (1 - sigma)
     where sigma is the coefficient sum over the generating set, and must be
-    nonpositive.  The two sides are computed independently.
+    nonpositive.  The two sides are computed independently.  One sorted
+    representative per Sym(n) orbit is evaluated (see `_sweep_family`);
+    `vector_count` counts the whole family and a witness is a representative.
     """
-    coeffs, cuts, vecs, closed = _sweep_family(n, bound)
+    reps, sizes, cuts, vecs, closed = _sweep_family(n, bound)
     bits = np.array([c.bits for c in cuts], dtype=np.int64)
     idx_i = np.array([i - 1 for i, _ in pair_list(n)])
     idx_j = np.array([j - 1 for _, j in pair_list(n)])
@@ -308,13 +353,13 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     neq = np.argwhere(direct != closed)
     if neq.size:
         v, c = map(int, neq[0])
-        mismatch = (coeffs[v], sorted(cuts[c].members), int(direct[v, c]), int(closed[v, c]))
+        mismatch = (reps[v], sorted(cuts[c].members), int(direct[v, c]), int(closed[v, c]))
     positive = None
     pos = np.argwhere(direct > 0)
     if pos.size:
         v, c = map(int, pos[0])
-        positive = (coeffs[v], sorted(cuts[c].members), int(direct[v, c]))
-    return HypermetricSweep(n, bound, len(coeffs), len(cuts), mismatch, positive)
+        positive = (reps[v], sorted(cuts[c].members), int(direct[v, c]))
+    return HypermetricSweep(n, bound, int(sizes.sum()), len(cuts), mismatch, positive)
 
 
 def _is_triangle_coeffs(b: Sequence[int]) -> bool:
@@ -352,8 +397,11 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     certificate); any other vector attaining the bound must fail that rank
     certificate.  Vectors with a single nonzero coefficient induce the
     identically-zero functional (the trivial inequality) and are excluded.
+    One sorted representative per Sym(n) orbit is certified (see
+    `_sweep_family`), so one rank certificate covers an orbit; the counts
+    are weighted by orbit size and a witness is a representative.
     """
-    coeffs, cuts, vecs, values = _sweep_family(n, bound)
+    reps, sizes, cuts, vecs, values = _sweep_family(n, bound)
     zero_counts = (values == 0).sum(axis=1)
     proper = (vecs != 0).sum(axis=1) >= 2
     limit = triangle_incidence_bound(n)
@@ -363,19 +411,19 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     over_bound = None
     if over.size:
         v = int(over[0][0])
-        over_bound = (coeffs[v], int(zero_counts[v]))
+        over_bound = (reps[v], int(zero_counts[v]))
 
     triangle_failure = None
     rogue_maximizer = None
     triangle_count = 0
     bit_rows = [c.bits for c in cuts]
-    for v, b in enumerate(coeffs):
+    for v, b in enumerate(reps):
         if not proper[v]:
             continue
         is_triangle = _is_triangle_coeffs(b)
         count = int(zero_counts[v])
         if is_triangle:
-            triangle_count += 1
+            triangle_count += int(sizes[v])
         if count != limit and not is_triangle:
             continue
         rows = [bit_rows[c] for c in np.nonzero(values[v] == 0)[0]]
@@ -388,8 +436,8 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     return TriangleMaximalitySweep(
         n,
         bound,
-        len(coeffs),
-        int((~proper).sum()),
+        int(sizes.sum()),
+        int(sizes[~proper].sum()),
         limit,
         triangle_count,
         over_bound,

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from .autgrp import group_order, symn_point_generators
-from .cones import integer_rank, kernel_basis
+from .cones import kernel_basis
 from .core import apply_permutation
 
 __all__ = [
@@ -105,10 +105,10 @@ def kernel_vector(rays: Sequence[Sequence]) -> tuple[int, ...]:
     rows = [list(r) for r in rays]
     if len(rows) != 5 or any(len(r) != 6 for r in rows):
         raise ValueError("need exactly 5 rays of dimension 6")
-    if integer_rank(rows) != 5:
-        raise DegenerateRaysError("the 5 rays are linearly dependent")
+    # 5 rows in 6 columns have rank 5 exactly when the kernel is a line.
     basis = kernel_basis(rows)
-    assert len(basis) == 1
+    if len(basis) != 1:
+        raise DegenerateRaysError("the 5 rays are linearly dependent")
     scale = lcm(*(v.denominator for v in basis[0]))
     ints = [int(v * scale) for v in basis[0]]
     content = gcd(*ints)

@@ -1,13 +1,17 @@
 """Tests for inequality evaluation, incidence counting, and rank certificates."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conesym import cones
 from conesym.cones import (
     _facet_incidence_masks,
+    _sweep_family,
     adjacency_agreement,
     certify_cutcone_adjacency,
     cut_rank,
@@ -29,8 +33,84 @@ from conesym.core import (
     enumerate_cuts,
     enumerate_triangle_facets,
     num_pairs,
+    pair_list,
 )
 from conesym.ridge import conflicting
+
+
+def integer_rank_reference(rows) -> int:
+    """Bareiss elimination taking the first nonzero pivot, updating every row."""
+    m = [list(map(int, r)) for r in rows]
+    if not m or not m[0]:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(n_cols):
+        piv_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        if piv_row is None:
+            continue
+        m[rank], m[piv_row] = m[piv_row], m[rank]
+        piv = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            for c in range(col + 1, n_cols):
+                m[r][c] = (piv * m[r][c] - f * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = piv
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _exhaustive_family(n, bound):
+    """Every coefficient vector of the family, the nonzero cuts and
+    sigma * (1 - sigma) for every (vector, cut) pair."""
+    coeffs = enumerate_hypermetric_coeffs(n, bound)
+    cuts = enumerate_cuts(n)
+    member = np.array([[int(p in c.members) for p in range(1, n + 1)] for c in cuts])
+    vecs = np.array(coeffs, dtype=np.int64)
+    sigma = vecs @ member.T
+    return coeffs, cuts, vecs, sigma * (1 - sigma)
+
+
+def hypermetric_sweep_reference(n, bound):
+    """Every vector of the family against every cut; (ok, vector count, cut count)."""
+    coeffs, cuts, vecs, closed = _exhaustive_family(n, bound)
+    pairs = pair_list(n)
+    products = np.stack([vecs[:, i - 1] * vecs[:, j - 1] for i, j in pairs], axis=1)
+    direct = products @ np.array([c.bits for c in cuts]).T
+    ok = bool((direct == closed).all() and (direct <= 0).all())
+    return ok, len(coeffs), len(cuts)
+
+
+def triangle_maximality_sweep_reference(n, bound):
+    """One rank certificate per triangle or bound-attaining vector of the
+    whole family; (ok, vector count, degenerate count, max count, triangle
+    count)."""
+    coeffs, cuts, vecs, values = _exhaustive_family(n, bound)
+    limit = triangle_incidence_bound(n)
+    facet_rank = num_pairs(n) - 1
+    triangle = sorted([-1] + [0] * (n - 3) + [1, 1])
+    ok = True
+    degenerate = triangles = 0
+    for b, row in zip(coeffs, values):
+        if sum(1 for v in b if v) < 2:
+            degenerate += 1
+            continue
+        count = int((row == 0).sum())
+        is_triangle = sorted(b) == triangle
+        triangles += is_triangle
+        if count > limit:
+            ok = False
+        if count == limit or is_triangle:
+            rank = integer_rank_reference([cuts[c].bits for c in np.nonzero(row == 0)[0]])
+            if is_triangle:
+                ok = ok and count == limit and rank == facet_rank
+            elif rank == facet_rank:
+                ok = False
+    return ok, len(coeffs), degenerate, limit, triangles
 
 
 class TestFacetValue:
@@ -171,6 +251,31 @@ class TestRank:
         moved = [apply_permutation(sigma, c.bits) for c in chosen]
         assert integer_rank(moved) == integer_rank([c.bits for c in chosen])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bareiss_matches_kernel_nullity_and_reference(self, data):
+        n_rows = data.draw(st.integers(1, 8))
+        n_cols = data.draw(st.integers(1, 8))
+        # Small entries make equal successive pivots common; large ones make
+        # the exact divisions carry big intermediates.
+        entries = data.draw(st.sampled_from([st.integers(-3, 3), st.integers(-10**9, 10**9)]))
+        rows = data.draw(
+            st.lists(
+                st.lists(entries, min_size=n_cols, max_size=n_cols),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        # Make rows dependent: copy or scale one row onto another.
+        for _ in range(data.draw(st.integers(0, n_rows - 1))):
+            src = data.draw(st.integers(0, n_rows - 1))
+            dst = data.draw(st.integers(0, n_rows - 1))
+            k = data.draw(st.sampled_from([1, -1, 2, 10**9]))
+            rows[dst] = [k * v for v in rows[src]]
+        rank = integer_rank(rows)
+        assert rank == n_cols - len(kernel_basis(rows))
+        assert rank == integer_rank_reference(rows)
+
 
 class TestKernel:
     def test_kernel_vectors_annihilate_rows(self):
@@ -235,3 +340,52 @@ class TestSweeps:
         assert sweep.max_count == 11
         # 3 * C(5, 3) arrangements of (1, 1, -1, 0, 0).
         assert sweep.triangle_count == 30
+
+    @pytest.mark.parametrize(
+        "n, bound", [(n, b) for n in (4, 5, 6) for b in (1, 2, 3)] + [(7, 1), (7, 2)]
+    )
+    def test_orbit_sweeps_match_exhaustive_reference(self, n, bound):
+        hyper = hypermetric_sweep(n, bound)
+        assert (hyper.ok, hyper.vector_count, hyper.cut_count) == hypermetric_sweep_reference(
+            n, bound
+        )
+        tri = triangle_maximality_sweep(n, bound)
+        assert (
+            tri.ok,
+            tri.vector_count,
+            tri.degenerate_count,
+            tri.max_count,
+            tri.triangle_count,
+        ) == triangle_maximality_sweep_reference(n, bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 3))
+    def test_representatives_cover_the_family_once(self, n, bound):
+        reps, sizes, *_ = _sweep_family(n, bound)
+        family = enumerate_hypermetric_coeffs(n, bound)
+        assert int(sizes.sum()) == len(family)
+        assert reps == sorted({tuple(sorted(b)) for b in family})
+        for b, size in zip(reps, sizes):
+            assert size == len(set(itertools.permutations(b)))
+
+    def test_faulty_closed_form_yields_mismatch_witness(self, monkeypatch):
+        def faulty(n, bound):
+            reps, sizes, cuts, vecs, closed = _sweep_family(n, bound)
+            closed = closed.copy()
+            closed[-1, -1] += 1
+            return reps, sizes, cuts, vecs, closed
+
+        monkeypatch.setattr(cones, "_sweep_family", faulty)
+        sweep = hypermetric_sweep(5, 2)
+        assert not sweep.ok
+        b, members, direct, closed = sweep.mismatch
+        cut = enumerate_cuts(5)[-1]
+        assert b == (0, 0, 0, 0, 1)
+        assert members == sorted(cut.members)
+        assert direct == hypermetric_value(b, cut.bits)
+        assert closed == direct + 1
+
+    def test_faulty_rank_yields_triangle_failure(self, monkeypatch):
+        monkeypatch.setattr(cones, "integer_rank", lambda rows: 0)
+        sweep = triangle_maximality_sweep(5, 2)
+        assert sweep.triangle_failure == ((-1, 0, 0, 1, 1), 11, 0)

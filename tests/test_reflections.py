@@ -173,6 +173,21 @@ class TestKernelVector:
         with pytest.raises(DegenerateRaysError):
             kernel_vector(rows + [doubled_first])
 
+    @pytest.mark.parametrize(
+        "fifth",
+        [
+            RAYS[2],  # a repeated ray
+            tuple(a + b - c for a, b, c in zip(RAYS[0], RAYS[1], RAYS[3])),
+            (0,) * 6,
+        ],
+    )
+    def test_five_dependent_rows_rejected(self, fifth):
+        # Every 5 of the 7 rays are independent, so the degenerate case needs
+        # a fifth row in the span of four rays.
+        rows = [RAYS[0], RAYS[1], RAYS[2], RAYS[3]]
+        with pytest.raises(DegenerateRaysError):
+            kernel_vector(rows + [fifth])
+
     def test_normalization(self):
         others = [RAYS[k] for k in (0, 1, 2, 5, 6)]
         vec = kernel_vector(others)
