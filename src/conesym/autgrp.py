@@ -4,14 +4,18 @@ and exact permutation-group orders via a stabilizer chain.
 The search keeps the leftmost root-to-leaf path of the individualization tree
 as the reference: a leaf discretizes the partition, and the positional map
 from the reference leaf to another leaf is an automorphism candidate that is
-verified edge-by-edge before use.  Pruning is threefold and sound:
+verified edge-by-edge before use.  Pruning is fourfold and sound:
 
 * nodes whose refined cell-size trace differs from the reference path cannot
   lead to a matching leaf (refinement is equivariant);
 * siblings along the reference path are skipped when a known automorphism
   fixing the individualized prefix maps an explored sibling onto them;
 * once a subtree has produced an automorphism the search returns to the
-  deepest ancestor on the reference path.
+  deepest ancestor on the reference path;
+* automorphisms known in advance, each checked edge by edge, are sifted into
+  the chain at the reference leaf, so the sibling pruning above uses them
+  from the start and the search only looks for what they do not generate
+  (McKay & Piperno, *Practical graph isomorphism II*, 2014).
 
 Orders are never counted by element enumeration: every discovered generator
 is sifted into a stabilizer chain whose base is the reference path, and the
@@ -34,6 +38,7 @@ from .core import Permutation, TriangleFacet, permute_facet
 from .ridge import Graph, _mask_of, build_complement
 
 __all__ = [
+    "AUT_VERTEX_CAP",
     "PermGroup",
     "ResourceLimitError",
     "group_order",
@@ -41,11 +46,18 @@ __all__ = [
     "is_graph_automorphism",
     "symn_point_generators",
     "induced_facet_permutation",
+    "induced_point_generators",
     "is_faithful_symn_action",
     "Theorem1Report",
     "certify_theorem1",
     "verify_theorem1",
 ]
+
+
+# Graphs above this many vertices are refused, by default in the library and
+# on the command line.  It admits the complement ridge graph up to n = 11
+# (495 vertices).
+AUT_VERTEX_CAP = 500
 
 
 class ResourceLimitError(RuntimeError):
@@ -223,9 +235,10 @@ def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
 
 
 class _AutomorphismSearch:
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, known: Sequence[tuple[int, ...]] = ()):
         self.adj = graph.adj
         self.n = graph.n
+        self.known = known
         self.generators: list[tuple[int, ...]] = []
         self.first_shapes: list[tuple[int, ...]] = []
         self.first_branch: list[int] = []
@@ -334,14 +347,15 @@ class _AutomorphismSearch:
         if on_first:
             self.first_leaf = leaf
             self.chain = _StabilizerChain(self.n, tuple(self.first_branch))
+            for g in self.known:
+                self._add(g)
             return depth
         g = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
             g[a] = b
         g = tuple(g)
         if g != self.chain.identity and _preserves_adjacency(self.adj, g):
-            if self.chain.add(g):
-                self.generators.append(g)
+            self._add(g)
             common = 0
             for a, b in zip(self.first_branch, self.branch):
                 if a != b:
@@ -349,6 +363,11 @@ class _AutomorphismSearch:
                 common += 1
             return common
         return depth
+
+    def _add(self, g):
+        """Keep g as a generator when it enlarges the known group."""
+        if self.chain.add(g):
+            self.generators.append(g)
 
     def _orbit_closure(self, seeds, depth) -> int:
         """Bitmask of the orbit of the explored siblings under the known
@@ -370,20 +389,31 @@ class _AutomorphismSearch:
         return mask
 
 
-def automorphism_group(graph: Graph, vertex_cap: int = 500) -> PermGroup:
+def automorphism_group(
+    graph: Graph, vertex_cap: int = AUT_VERTEX_CAP, known: Sequence[Sequence[int]] = ()
+) -> PermGroup:
     """Generators and exact order of the full automorphism group.
 
-    Every emitted generator is re-verified by a direct edge-set check.
-    Raises ResourceLimitError above the vertex cap.
+    `known` lists automorphisms known in advance; they seed the search and
+    come first among the generators, less any that the ones before them
+    already generate.  Raises ValueError when one of them is not an
+    automorphism.  Every emitted generator is re-verified by a direct
+    edge-set check.  Raises ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
         raise ResourceLimitError(
             f"graph has {graph.n} vertices, above the cap of {vertex_cap}"
         )
-    search = _AutomorphismSearch(graph)
+    known = [tuple(g) for g in known]
+    identity = list(range(graph.n))
+    for i, g in enumerate(known):
+        if sorted(g) != identity or not is_graph_automorphism(graph, g):
+            raise ValueError(f"known[{i}] is not an automorphism of the graph")
+    search = _AutomorphismSearch(graph, known)
     gens, order = search.run()
     for g in gens:
-        if not is_graph_automorphism(graph, g):
+        # The known ones were checked above.
+        if g not in known and not is_graph_automorphism(graph, g):
             raise RuntimeError(f"internal error: emitted non-automorphism {g}")
     return PermGroup(graph.n, tuple(gens), order)
 
@@ -404,16 +434,26 @@ def induced_facet_permutation(
     return tuple(index[permute_facet(sigma, f)] for f in facets)
 
 
+def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
+    """`symn_point_generators(n)` as permutations of the vertices of a graph
+    labelled by triangle facets (the ridge graph and its complement) or by
+    3-sets (the Triangle quotient)."""
+    if graph.labels is None:
+        raise ValueError("graph must carry vertex labels")
+    if isinstance(graph.labels[0], TriangleFacet):
+        return [induced_facet_permutation(s, graph.labels) for s in symn_point_generators(n)]
+    index = {s: i for i, s in enumerate(graph.labels)}
+    return [
+        tuple(index[frozenset(map(sigma, s))] for s in graph.labels)
+        for sigma in symn_point_generators(n)
+    ]
+
+
 def _induced_action(graph: Graph, n: int):
     """The point-permutation generators induced on the facet vertices and the
     exact order they generate, or None when one of them is not an
     automorphism (checked edge by edge)."""
-    if graph.labels is None:
-        raise ValueError("graph must carry facet labels")
-    induced = [
-        induced_facet_permutation(sigma, graph.labels)
-        for sigma in symn_point_generators(n)
-    ]
+    induced = induced_point_generators(graph, n)
     if not all(is_graph_automorphism(graph, p) for p in induced):
         return None
     return induced, group_order(induced, graph.n)
@@ -472,7 +512,7 @@ def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
     return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
 
 
-def verify_theorem1(n: int, vertex_cap: int = 500) -> Theorem1Report:
+def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     """`certify_theorem1` on the complement ridge graph for n points."""
     if n < 4:
         raise ValueError("need n >= 4")

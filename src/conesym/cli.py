@@ -20,7 +20,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .autgrp import ResourceLimitError, automorphism_group, certify_theorem1
+from .autgrp import (
+    AUT_VERTEX_CAP,
+    ResourceLimitError,
+    automorphism_group,
+    certify_theorem1,
+    induced_point_generators,
+)
 from .cones import (
     _facet_incidence_masks,
     adjacency_agreement,
@@ -73,9 +79,15 @@ class Instance:
     gbar = cached_property(lambda self: build_complement(self.n))
     triangles = cached_property(lambda self: find_triangles(self.gbar))
     gamma = cached_property(lambda self: build_triangle_graph(self.gbar, self.triangles))
-    aut_gbar = cached_property(lambda self: automorphism_group(self.gbar, self.vertex_cap))
-    aut_gamma = cached_property(lambda self: automorphism_group(self.gamma, self.vertex_cap))
+    aut_gbar = cached_property(lambda self: self._aut(self.gbar))
+    aut_gamma = cached_property(lambda self: self._aut(self.gamma))
     adjacency = cached_property(lambda self: adjacency_agreement(self.n, self.incidence))
+
+    def _aut(self, graph):
+        # The point permutations act on both graphs by relabelling their
+        # facets or 3-sets; the search starts from the group they generate.
+        known = induced_point_generators(graph, self.n)
+        return automorphism_group(graph, self.vertex_cap, known)
 
 
 # --- check runners ---------------------------------------------------------
@@ -433,7 +445,7 @@ class RunConfig:
     n_max: int = 6
     checks: tuple[str, ...] = CHECK_ORDER
     hypermetric_bound: int = 3
-    aut_vertex_cap: int = 300
+    aut_vertex_cap: int = AUT_VERTEX_CAP
     output_format: str = "text"
     export_dir: str | None = None
 

@@ -13,6 +13,7 @@ well.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -115,8 +116,10 @@ def integer_rank(rows) -> int:
     the previous pivot is preferred: the step's division by the previous
     pivot then cancels its multiplication by the new one, rows with a zero in
     the pivot column stay as they are, and the others become x - f * p // prev.
+    Entries must be integers (`int`, `bool` or a numpy integer); any other
+    entry, a `Fraction` or a float among them, raises TypeError.
     """
-    m = [list(map(int, r)) for r in rows]
+    m = [list(map(operator.index, r)) for r in rows]
     if not m or not m[0]:
         return 0
     n_rows, n_cols = len(m), len(m[0])

@@ -317,21 +317,29 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
     """Quotient graph on Triangles, adjacent when joined by complement edges.
 
     Asserts that adjacent Triangles are joined by exactly 4 cross edges
-    forming two disjoint 2-paths, and non-adjacent ones by none.
+    forming two disjoint 2-paths, and non-adjacent ones by none.  Only the
+    pairs that some complement edge joins are visited; the Triangles must be
+    disjoint, as `find_triangles` returns them.
     """
     if triangles is None:
         triangles = find_triangles(gbar)
     masks = [_mask_of(t.vertices) for t in triangles]
+    owner = [-1] * gbar.n
+    for i, t in enumerate(triangles):
+        for v in t.vertices:
+            owner[v] = i
     edges = []
     for a in range(len(triangles)):
-        for b in range(a + 1, len(triangles)):
+        reach = 0
+        for u in triangles[a].vertices:
+            reach |= gbar.adj[u]
+        joined = {owner[w] for w in _bits(reach)}
+        for b in sorted(b for b in joined if b > a):
             cross = [
                 (u, w)
                 for u in triangles[a].vertices
                 for w in _bits(gbar.adj[u] & masks[b])
             ]
-            if not cross:
-                continue
             if len(cross) != 4:
                 raise StructureError(
                     f"Triangles {a} and {b} joined by {len(cross)} edges, expected 0 or 4"
@@ -492,10 +500,10 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
                     raise StructureError(
                         f"not distance-regular: b_{d} differs at pair ({v}, {w})"
                     )
-    degree = gamma.degree(0)
-    if any(gamma.degree(v) != degree for v in range(gamma.n)):
-        raise StructureError("not regular")
-    return IntersectionArray((degree, *bs[1:]), tuple(cs))
+    # A graph that passes the census is regular.  At diameter 1 it is
+    # complete.  At diameter 2 or more, an edge vw gives
+    # deg w = 1 + |N(v) & N(w)| + b_1 = deg v, and the graph is connected.
+    return IntersectionArray((gamma.degree(0), *bs[1:]), tuple(cs))
 
 
 _K34_PAIR_CLASS = {

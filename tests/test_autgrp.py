@@ -23,6 +23,7 @@ from conesym.autgrp import (
     automorphism_group,
     group_order,
     induced_facet_permutation,
+    induced_point_generators,
     is_faithful_symn_action,
     is_graph_automorphism,
     symn_point_generators,
@@ -316,6 +317,49 @@ class TestChainAgainstClosure:
                 assert chain.contains(p) == (p in members)
 
 
+def point_seeds(key: str, graph: Graph):
+    return induced_point_generators(graph, int(re.search(r"\d+", key).group()))
+
+
+class TestSeededSearch:
+    # The seeds are automorphisms, so they may prune the search but never
+    # change the group it finds.
+    @pytest.mark.parametrize(
+        "key", [f"gbar{n}" for n in range(4, 11)] + [f"gamma{n}" for n in range(5, 11)]
+    )
+    def test_seeded_order_is_the_unseeded_order(self, key):
+        graph = graph_by_key(key)
+        seeds = point_seeds(key, graph)
+        seeded = automorphism_group(graph, known=seeds)
+        assert seeded.order == automorphism_group(graph).order
+        assert list(seeded.generators[:2]) == seeds
+        assert group_order(seeded.generators, graph.n) == seeded.order
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_products_of_generators_as_seeds(self, data):
+        graph = data.draw(random_graphs(max_vertices=12))
+        unseeded = automorphism_group(graph)
+        identity = tuple(range(graph.n))
+        letters = st.sampled_from(unseeded.generators or (identity,))
+        seeds = []
+        for word in data.draw(st.lists(st.lists(letters, max_size=4), max_size=3)):
+            g = identity
+            for h in word:
+                g = tuple(h[i] for i in g)
+            seeds.append(g)
+        seeded = automorphism_group(graph, known=seeds)
+        assert seeded.order == unseeded.order
+        assert all(is_graph_automorphism(graph, g) for g in seeded.generators)
+
+    def test_non_automorphism_seed_rejected(self):
+        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError):
+            automorphism_group(graph, known=[(1, 0, 2, 3)])
+        with pytest.raises(ValueError):
+            automorphism_group(Graph(3), known=[(0, 0, 0)])
+
+
 def vf2_automorphism_count(graph: Graph) -> int:
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
@@ -332,3 +376,4 @@ class TestAgainstNetworkxVF2:
         graph = graph_by_key(key)
         assert vf2_automorphism_count(graph) == order
         assert automorphism_group(graph).order == order
+        assert automorphism_group(graph, known=point_seeds(key, graph)).order == order

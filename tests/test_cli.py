@@ -1,5 +1,6 @@
 """End-to-end tests of the verify command, report schema, and graph export."""
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from conesym.autgrp import automorphism_group
+from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group
 from conesym.cli import (
     CHECK_ORDER,
     ConfigError,
@@ -136,6 +137,43 @@ def test_report_matches_recorded_report(name):
     got = [json.dumps(rec) for rec in report["checks"]]
     assert got == [json.dumps(rec) for rec in expected["checks"]]
     assert json.dumps(report) == json.dumps(expected)
+
+
+# Before the automorphism search was seeded with the point permutations, the
+# recorded reports differed only in these fields: the generator count of each
+# `aut` record, by n, and the default vertex cap.  The sha256 is that of the
+# earlier file.
+UNSEEDED = {
+    "default": ({4: 4, 5: 4, 6: 5}, 300,
+                "85be1585812ea39832d82d94ec76cc0abbf78090454b03417fd2d60b140057a8"),
+    "n4_7_cap40": ({4: 4, 5: 4}, 40,
+                   "6d38a6a9b5dd853cca0b06374945201c7126f43b3d45b3b91b432c6a68c5a81d"),
+    "n4_cap10": ({}, 10,
+                 "2cbd5745cf663a91495869649e5ed3e957d6bf9629c4e88cfa4842dc6efb7c7d"),
+    "symmetry": ({9: 8, 10: 9}, 495,
+                 "5de89dc419e09501c5a28972513d698c65bcc8aa3cd417c2f071e946c048e9c3"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_recorded_report_moved_only_in_seeded_fields(name):
+    generators, cap, digest = UNSEEDED[name]
+    report = json.loads((DATA / f"report_{name}.json").read_text())
+    report["config"]["aut_vertex_cap"] = cap
+    for rec in report["checks"]:
+        if "generators" in rec["details"]:
+            rec["details"]["generators"] = generators.pop(rec["n"])
+    assert generators == {}
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_default_cap_admits_n11():
+    # One cap, 500 vertices, for the library and the command line; the
+    # complement ridge graph at n = 11 has 495.
+    assert RunConfig().aut_vertex_cap == AUT_VERTEX_CAP == 500
+    report = run_verify(RunConfig(n_min=11, n_max=11, checks=("aut", "theorem1")))
+    assert [rec["outcome"] for rec in report["checks"]] == ["pass", "pass"]
 
 
 def count_calls(monkeypatch, fn):

@@ -241,6 +241,16 @@ class TestRank:
         ]
         assert integer_rank(rows) == 4 - len(kernel_basis(rows))
 
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5])
+    def test_non_integral_entry_refused(self, entry):
+        # Truncating 1/2 to 0 would report rank 0.
+        with pytest.raises(TypeError):
+            integer_rank([[entry]])
+
+    def test_bool_and_numpy_integer_entries_accepted(self):
+        assert integer_rank([[True, False], [False, True]]) == 2
+        assert integer_rank(np.array([[2, 4], [1, 2]], dtype=np.int64)) == 1
+
     @settings(max_examples=40)
     @given(st.data())
     def test_rank_invariant_under_permutation(self, data):

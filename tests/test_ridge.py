@@ -17,7 +17,9 @@ from conesym.ridge import (
     Graph,
     IntersectionArray,
     StructureError,
+    _assert_two_disjoint_2paths,
     _bits,
+    _mask_of,
     bfs_distances,
     build_complement,
     build_ridge_graph,
@@ -237,6 +239,61 @@ class TestTriangleGraph:
                     assert gamma.has_edge(perm[a], perm[b])
 
 
+def build_triangle_graph_reference(gbar: Graph, triangles) -> Graph:
+    """Every pair of Triangles scanned for cross edges, kept as the oracle
+    for `build_triangle_graph`, which visits only the pairs some edge joins."""
+    masks = [_mask_of(t.vertices) for t in triangles]
+    edges = []
+    for a in range(len(triangles)):
+        for b in range(a + 1, len(triangles)):
+            cross = [
+                (u, w)
+                for u in triangles[a].vertices
+                for w in _bits(gbar.adj[u] & masks[b])
+            ]
+            if not cross:
+                continue
+            if len(cross) != 4:
+                raise StructureError(
+                    f"Triangles {a} and {b} joined by {len(cross)} edges, expected 0 or 4"
+                )
+            _assert_two_disjoint_2paths(triangles[a].vertices, triangles[b].vertices, cross)
+            edges.append((a, b))
+    return Graph(len(triangles), edges, [t.support for t in triangles])
+
+
+def quotient_outcome(build, gbar, triangles):
+    """The quotient's edges and labels, or the StructureError message."""
+    try:
+        gamma = build(gbar, triangles)
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+    return list(gamma.edges()), gamma.labels
+
+
+class TestTriangleGraphAgainstReference:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_same_quotient(self, n):
+        gbar = build_complement(n)
+        triangles = find_triangles(gbar)
+        expected = quotient_outcome(build_triangle_graph_reference, gbar, triangles)
+        assert quotient_outcome(build_triangle_graph, gbar, triangles) == expected
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_same_error_without_one_cross_edge(self, n):
+        gbar = build_complement(n)
+        triangles = find_triangles(gbar)
+        owner = {v: i for i, t in enumerate(triangles) for v in t.vertices}
+        u, w = next((u, w) for u, w in gbar.edges() if owner[u] != owner[w])
+        adj = list(gbar.adj)
+        adj[u] &= ~(1 << w)
+        adj[w] &= ~(1 << u)
+        broken = Graph.from_adjacency(adj, gbar.labels)
+        expected = quotient_outcome(build_triangle_graph_reference, broken, triangles)
+        assert expected.startswith("StructureError: Triangles")
+        assert quotient_outcome(build_triangle_graph, broken, triangles) == expected
+
+
 class TestIntersectionArray:
     def test_gamma5_diameter_2(self):
         gamma = build_triangle_graph(build_complement(5))
@@ -261,6 +318,16 @@ class TestIntersectionArray:
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureError):
             intersection_array(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs())
+    def test_returns_only_on_regular_graphs(self, graph):
+        # The census leaves no need for a separate regularity check.
+        try:
+            arr = intersection_array(graph)
+        except StructureError:
+            return
+        assert {graph.degree(v) for v in range(graph.n)} == {arr.bs[0]}
 
 
 def intersection_array_reference(gamma: Graph) -> IntersectionArray:
