@@ -47,7 +47,6 @@ __all__ = [
     "symn_point_generators",
     "induced_facet_permutation",
     "induced_point_generators",
-    "is_faithful_symn_action",
     "Theorem1Report",
     "certify_theorem1",
     "verify_theorem1",
@@ -83,7 +82,9 @@ class _StabilizerChain:
     the orbit of the base point, and the chain stabilizing it.
 
     `transversal[x]` is the inverse of the coset representative u_x that
-    maps the base point to x; sifting only ever needs the inverse."""
+    maps the base point to x; sifting only ever needs the inverse.  `_done`
+    maps each generator acting at this level to its inverse and the points
+    whose Schreier generator has been pushed down."""
 
     __slots__ = ("degree", "identity", "base_point", "gens", "transversal", "sub", "_done")
 
@@ -94,7 +95,7 @@ class _StabilizerChain:
         self.gens: list[tuple[int, ...]] = []
         self.transversal: dict[int, tuple[int, ...]] | None = None
         self.sub: _StabilizerChain | None = None
-        self._done: dict[tuple[int, ...], bytearray] = {}
+        self._done: dict[tuple[int, ...], tuple[tuple[int, ...], bytearray]] = {}
         if base_hint:
             self.base_point = base_hint[0]
             self.transversal = {base_hint[0]: self.identity}
@@ -160,14 +161,18 @@ class _StabilizerChain:
 
         Existing transversal entries are kept, so a (point, generator) pair
         yields the same Schreier generator on every pass and processed pairs
-        can be skipped: the subchain only ever grows.  `_done` maps each
-        generator to a flag per point, so a generator is hashed once per pass,
-        not once per pair.  The pair that defines u_{xg} = u_x g is
-        marked processed at once, its Schreier generator being the identity.
+        can be skipped: the subchain only ever grows.  A generator is hashed
+        once per pass, not once per pair, and inverted once per level.  The
+        pair that defines u_{xg} = u_x g is marked processed at once, its
+        Schreier generator being the identity.
         """
-        gens = self.generators()
         done = self._done
-        pairs = [(g, _inverse(g), done.setdefault(g, bytearray(self.degree))) for g in gens]
+        pairs = []
+        for g in self.generators():
+            entry = done.get(g)
+            if entry is None:
+                entry = done[g] = (_inverse(g), bytearray(self.degree))
+            pairs.append((g, *entry))
         inv = self.transversal
         queue = deque(sorted(inv))
         while queue:
@@ -194,11 +199,17 @@ class _StabilizerChain:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by generators, with its exact order."""
+    """A permutation group given by generators, with its exact order.
+
+    The first `seeds` generators are automorphisms the search was given in
+    advance, and `seed_order` is the exact order of the group they generate
+    (1 for an unseeded search)."""
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
     order: int
+    seeds: int = 0
+    seed_order: int = 1
 
 
 def group_order(gens: Sequence[Sequence[int]], degree: int | None = None) -> int:
@@ -230,7 +241,11 @@ def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
 
 
 def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
-    """Direct edge-set check that perm preserves adjacency."""
+    """True when perm is a bijection of the vertices that preserves
+    adjacency, checked edge set against edge set."""
+    n = graph.n
+    if len(perm) != n or set(perm) != set(range(n)):
+        return False
     return _preserves_adjacency(graph.adj, perm)
 
 
@@ -240,17 +255,19 @@ class _AutomorphismSearch:
         self.n = graph.n
         self.known = known
         self.generators: list[tuple[int, ...]] = []
+        self.seeds = 0
+        self.seed_order = 1
         self.first_shapes: list[tuple[int, ...]] = []
         self.first_branch: list[int] = []
         self.first_leaf: tuple[int, ...] | None = None
         self.chain: _StabilizerChain | None = None
         self.branch: list[int] = []
 
-    def run(self):
+    def run(self) -> PermGroup:
         cells = self._refine([list(range(self.n))], [(1 << self.n) - 1])
         self._explore(cells, 0, True)
         order = self.chain.order() if self.chain is not None else 1
-        return self.generators, order
+        return PermGroup(self.n, tuple(self.generators), order, self.seeds, self.seed_order)
 
     # partition machinery ---------------------------------------------------
 
@@ -349,6 +366,8 @@ class _AutomorphismSearch:
             self.chain = _StabilizerChain(self.n, tuple(self.first_branch))
             for g in self.known:
                 self._add(g)
+            self.seeds = len(self.generators)
+            self.seed_order = self.chain.order()
             return depth
         g = [0] * self.n
         for a, b in zip(self.first_leaf, leaf):
@@ -396,8 +415,9 @@ def automorphism_group(
 
     `known` lists automorphisms known in advance; they seed the search and
     come first among the generators, less any that the ones before them
-    already generate.  Raises ValueError when one of them is not an
-    automorphism.  Every emitted generator is re-verified by a direct
+    already generate.  The group records how many came first and the order
+    they generate.  Raises ValueError when one of them is not an
+    automorphism.  Every other emitted generator is verified by a direct
     edge-set check.  Raises ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
@@ -405,17 +425,14 @@ def automorphism_group(
             f"graph has {graph.n} vertices, above the cap of {vertex_cap}"
         )
     known = [tuple(g) for g in known]
-    identity = list(range(graph.n))
     for i, g in enumerate(known):
-        if sorted(g) != identity or not is_graph_automorphism(graph, g):
+        if not is_graph_automorphism(graph, g):
             raise ValueError(f"known[{i}] is not an automorphism of the graph")
-    search = _AutomorphismSearch(graph, known)
-    gens, order = search.run()
-    for g in gens:
-        # The known ones were checked above.
-        if g not in known and not is_graph_automorphism(graph, g):
+    group = _AutomorphismSearch(graph, known).run()
+    for g in group.generators[group.seeds :]:
+        if not is_graph_automorphism(graph, g):
             raise RuntimeError(f"internal error: emitted non-automorphism {g}")
-    return PermGroup(graph.n, tuple(gens), order)
+    return group
 
 
 def symn_point_generators(n: int) -> list[Permutation]:
@@ -449,23 +466,6 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _induced_action(graph: Graph, n: int):
-    """The point-permutation generators induced on the facet vertices and the
-    exact order they generate, or None when one of them is not an
-    automorphism (checked edge by edge)."""
-    induced = induced_point_generators(graph, n)
-    if not all(is_graph_automorphism(graph, p) for p in induced):
-        return None
-    return induced, group_order(induced, graph.n)
-
-
-def is_faithful_symn_action(graph: Graph, n: int) -> bool:
-    """True when the induced point-permutation action on the facet vertices
-    consists of automorphisms and has full order n! (hence is injective)."""
-    action = _induced_action(graph, n)
-    return action is not None and action[1] == factorial(n)
-
-
 @dataclass
 class Theorem1Report:
     n: int
@@ -481,17 +481,21 @@ def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
     """Certify the symmetry-group identification on the complement ridge
     graph `gbar`, given its automorphism group `aut`.
 
-    For n >= 5 the automorphism group must have order n! and coincide with
-    the induced point-permutation image; for n = 4 the order must be 144
-    (realized geometrically by the reflection construction, checked
-    elsewhere) while the induced image has order 24.  On failure the witness
-    is an automorphism generator outside the induced image.
+    `aut` must come from `automorphism_group(gbar, known=...)` seeded with
+    `induced_point_generators(gbar, n)`, else ValueError: the search has
+    then checked those generators edge by edge and recorded the exact order
+    of the induced image.  For n >= 5 the automorphism group must have
+    order n! and coincide with the induced point-permutation image; for
+    n = 4 the order must be 144 (realized geometrically by the reflection
+    construction, checked elsewhere) while the induced image has order 24.
+    On failure the witness is an automorphism generator outside the induced
+    image: the first one after the seeds, since each of those enlarged the
+    group.
     """
     n = gbar.labels[0].n
-    action = _induced_action(gbar, n)
-    if action is None:
-        raise RuntimeError("induced point permutations failed the automorphism check")
-    induced_gens, induced_order = action
+    if aut.generators[: aut.seeds] != tuple(induced_point_generators(gbar, n)):
+        raise ValueError("aut was not seeded with the induced point generators")
+    induced_order = aut.seed_order
 
     if n >= 5:
         expected = factorial(n)
@@ -502,13 +506,7 @@ def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
 
     witness = None
     if n >= 5 and aut.order > induced_order:
-        chain = _StabilizerChain(gbar.n)
-        for g in induced_gens:
-            chain.add(g)
-        for g in aut.generators:
-            if not chain.contains(g):
-                witness = g
-                break
+        witness = aut.generators[aut.seeds]
     return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
 
 
@@ -517,4 +515,5 @@ def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     if n < 4:
         raise ValueError("need n >= 4")
     gbar = build_complement(n)
-    return certify_theorem1(gbar, automorphism_group(gbar, vertex_cap))
+    known = induced_point_generators(gbar, n)
+    return certify_theorem1(gbar, automorphism_group(gbar, vertex_cap, known))

@@ -155,18 +155,26 @@ def build_ridge_graph(n: int) -> Graph:
 
 
 def build_complement(n: int) -> Graph:
-    """Complement of the ridge graph: adjacent iff conflicting."""
+    """Complement of the ridge graph: adjacent iff conflicting.
+
+    A facet's row is the OR, over its three coordinates, of the facets
+    carrying the opposite sign there; a facet has one sign per coordinate,
+    so it never meets its own row."""
     if n < 4:
         raise ValueError("need n >= 4")
     facets = enumerate_triangle_facets(n)
-    signed = [_signed_masks(f) for f in facets]
-    conflict = [0] * len(facets)
-    for a, (ap, an) in enumerate(signed):
-        for b in range(a + 1, len(facets)):
-            bp, bn = signed[b]
-            if ap & bn or an & bp:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
+    entries = [f.entries() for f in facets]
+    # opposed[idx, sign]: the facets carrying -sign at coordinate idx
+    opposed: dict[tuple[int, int], int] = {}
+    for v, ent in enumerate(entries):
+        for idx, sign in ent:
+            opposed[idx, -sign] = opposed.get((idx, -sign), 0) | (1 << v)
+    conflict = []
+    for ent in entries:
+        row = 0
+        for e in ent:
+            row |= opposed.get(e, 0)
+        conflict.append(row)
     return Graph.from_adjacency(conflict, facets)
 
 
@@ -402,24 +410,27 @@ def verify_johnson_isomorphism(gamma: Graph, n: int) -> bool:
 
 def verify_rook_neighborhood(gamma: Graph, v: int) -> bool:
     """The neighborhood of v is the 3 x (n-3) rook graph under the coordinate
-    map w -> (dropped point of v, added point)."""
+    map w -> (dropped point of v, added point).
+
+    A neighbour's row within N(v) must be the neighbours sharing exactly
+    one coordinate with it: the symmetric difference of its row and its
+    column."""
     base = gamma.labels[v]
     coords = {}
+    same_dropped: dict[int, int] = {}
+    same_added: dict[int, int] = {}
     for w in gamma.neighbors(v):
         dropped = base - gamma.labels[w]
         added = gamma.labels[w] - base
         if len(dropped) != 1 or len(added) != 1:
             return False
-        coords[w] = (next(iter(dropped)), next(iter(added)))
-    neighbors = list(coords)
-    for a_idx in range(len(neighbors)):
-        for b_idx in range(a_idx + 1, len(neighbors)):
-            a, b = neighbors[a_idx], neighbors[b_idx]
-            (p1, q1), (p2, q2) = coords[a], coords[b]
-            expected = (p1 == p2) != (q1 == q2)
-            if gamma.has_edge(a, b) != expected:
-                return False
-    return True
+        p, q = coords[w] = (next(iter(dropped)), next(iter(added)))
+        same_dropped[p] = same_dropped.get(p, 0) | (1 << w)
+        same_added[q] = same_added.get(q, 0) | (1 << w)
+    nb = gamma.adj[v]
+    return all(
+        gamma.adj[w] & nb == same_dropped[p] ^ same_added[q] for w, (p, q) in coords.items()
+    )
 
 
 def bfs_distances(graph: Graph, source: int) -> list[int]:
@@ -443,13 +454,15 @@ def bfs_distances(graph: Graph, source: int) -> list[int]:
 
 def verify_distance2_property(gamma: Graph, v: int) -> bool:
     """Each vertex at distance 2 from v meets the neighborhood of v in
-    exactly 4 vertices, and those 4-sets are pairwise distinct."""
-    dist = bfs_distances(gamma, v)
+    exactly 4 vertices, and those 4-sets are pairwise distinct.  The vertices
+    at distance 2 are those the neighbours reach, less v and its neighbours."""
+    adj = gamma.adj
+    reach = 0
+    for u in _bits(adj[v]):
+        reach |= adj[u]
     foursets = []
-    for w in range(gamma.n):
-        if dist[w] != 2:
-            continue
-        common = gamma.adj[w] & gamma.adj[v]
+    for w in _bits(reach & ~adj[v] & ~(1 << v)):
+        common = adj[w] & adj[v]
         if common.bit_count() != 4:
             return False
         foursets.append(common)

@@ -18,13 +18,14 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from conesym.autgrp import (
     PermGroup,
     ResourceLimitError,
+    Theorem1Report,
     _AutomorphismSearch,
     _StabilizerChain,
     automorphism_group,
+    certify_theorem1,
     group_order,
     induced_facet_permutation,
     induced_point_generators,
-    is_faithful_symn_action,
     is_graph_automorphism,
     symn_point_generators,
     verify_theorem1,
@@ -114,6 +115,27 @@ class TestAutomorphismGroupKnownGraphs:
             automorphism_group(Graph(20), vertex_cap=10)
 
 
+class TestIsGraphAutomorphism:
+    @pytest.mark.parametrize(
+        "graph, perm",
+        [
+            (Graph(3), (0, 0, 0)),
+            (Graph(4, [(0, 1), (2, 3)]), (1, 0, 1, 0)),
+            (Graph(4, [(0, 1), (2, 3)]), (1, 0)),
+            (Graph(3), (0, 1, 2, 3)),
+            (Graph(3), (0, 1, 3)),
+            (Graph(3), ()),
+        ],
+    )
+    def test_non_bijections_are_refused(self, graph, perm):
+        assert is_graph_automorphism(graph, perm) is False
+
+    def test_permutations_are_checked_edge_by_edge(self):
+        graph = Graph(4, [(0, 1), (2, 3)])
+        assert is_graph_automorphism(graph, (1, 0, 3, 2)) is True
+        assert is_graph_automorphism(graph, (0, 2, 1, 3)) is False
+
+
 class TestRidgeGraphOrders:
     def test_g4_order_144(self):
         assert automorphism_group(build_ridge_graph(4)).order == 144
@@ -149,10 +171,56 @@ class TestRidgeGraphOrders:
                 assert automorphism_group(graph.relabeled(perm)).order == expected
 
 
+def induced_action_reference(graph: Graph, n: int):
+    """The point-permutation generators induced on the facet vertices and the
+    exact order they generate, or None when one of them is not an
+    automorphism (checked edge by edge)."""
+    induced = induced_point_generators(graph, n)
+    if not all(is_graph_automorphism(graph, p) for p in induced):
+        return None
+    return induced, group_order(induced, graph.n)
+
+
+def is_faithful_symn_action_reference(graph: Graph, n: int) -> bool:
+    """True when the induced point-permutation action on the facet vertices
+    consists of automorphisms and has full order n! (hence is injective)."""
+    action = induced_action_reference(graph, n)
+    return action is not None and action[1] == factorial(n)
+
+
+def certify_theorem1_reference(gbar: Graph, aut: PermGroup) -> Theorem1Report:
+    """`certify_theorem1` with the induced image rebuilt, edge-checked and
+    ordered by a chain of its own, kept as the oracle for the certificate
+    that reads the seeded search."""
+    n = gbar.labels[0].n
+    action = induced_action_reference(gbar, n)
+    if action is None:
+        raise RuntimeError("induced point permutations failed the automorphism check")
+    induced_gens, induced_order = action
+
+    if n >= 5:
+        expected = factorial(n)
+        passed = aut.order == expected and induced_order == expected
+    else:
+        expected = 144
+        passed = aut.order == 144 and induced_order == 24
+
+    witness = None
+    if n >= 5 and aut.order > induced_order:
+        chain = _StabilizerChain(gbar.n)
+        for g in induced_gens:
+            chain.add(g)
+        for g in aut.generators:
+            if not chain.contains(g):
+                witness = g
+                break
+    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
+
+
 class TestSymnAction:
     def test_faithful_for_small_n(self):
         for n in (5, 6, 7):
-            assert is_faithful_symn_action(build_complement(n), n) is True
+            assert is_faithful_symn_action_reference(build_complement(n), n) is True
 
     def test_induced_permutations_are_automorphisms_up_to_n9(self):
         for n in range(4, 10):
@@ -196,6 +264,46 @@ class TestTheorem1:
         assert outside, "expected an automorphism outside the induced image"
         assert all(is_graph_automorphism(gamma6, g) for g in outside)
 
+    def test_seeded_gamma6_records_the_induced_image(self):
+        gamma6 = build_triangle_graph(build_complement(6))
+        induced = induced_point_generators(gamma6, 6)
+        aut = automorphism_group(gamma6, known=induced)
+        assert (aut.order, aut.seeds, aut.seed_order) == (1440, 2, 720)
+        assert aut.generators[: aut.seeds] == tuple(induced)
+        first_other = aut.generators[aut.seeds]
+        assert is_graph_automorphism(gamma6, first_other)
+        chain = _StabilizerChain(gamma6.n)
+        for g in induced:
+            chain.add(g)
+        assert not chain.contains(first_other)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_same_report_as_the_reference(self, n):
+        gbar = build_complement(n)
+        aut = automorphism_group(gbar, known=induced_point_generators(gbar, n))
+        report = certify_theorem1(gbar, aut)
+        assert report == certify_theorem1_reference(gbar, aut)
+        assert report.passed and report.induced_order == (24 if n == 4 else factorial(n))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_same_witness_as_the_reference_on_a_larger_group(self, n):
+        # Only the edges inside the Triangles kept: a facet-labelled graph
+        # whose group, S3 wr Sym(C(n, 3)), is far larger than the image.
+        gbar = build_complement(n)
+        labels = gbar.labels
+        inside = [(u, w) for u, w in gbar.edges() if labels[u].support == labels[w].support]
+        graph = Graph(gbar.n, inside, labels)
+        aut = automorphism_group(graph, known=induced_point_generators(graph, n))
+        report = certify_theorem1(graph, aut)
+        assert not report.passed and report.witness is not None
+        assert report == certify_theorem1_reference(graph, aut)
+
+    def test_unseeded_group_refused(self):
+        gbar = build_complement(5)
+        induced = induced_point_generators(gbar, 5)
+        for known in ([], induced[:1], induced[::-1]):
+            with pytest.raises(ValueError):
+                certify_theorem1(gbar, automorphism_group(gbar, known=known))
 
 def graph_by_key(key: str) -> Graph:
     """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""
@@ -334,6 +442,8 @@ class TestSeededSearch:
         assert seeded.order == automorphism_group(graph).order
         assert list(seeded.generators[:2]) == seeds
         assert group_order(seeded.generators, graph.n) == seeded.order
+        assert seeded.seeds == 2
+        assert seeded.seed_order == group_order(seeds, graph.n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -351,6 +461,9 @@ class TestSeededSearch:
         seeded = automorphism_group(graph, known=seeds)
         assert seeded.order == unseeded.order
         assert all(is_graph_automorphism(graph, g) for g in seeded.generators)
+        assert (unseeded.seeds, unseeded.seed_order) == (0, 1)
+        assert set(seeded.generators[: seeded.seeds]) <= set(seeds)
+        assert seeded.seed_order == group_order(seeds, graph.n)
 
     def test_non_automorphism_seed_rejected(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -358,6 +471,10 @@ class TestSeededSearch:
             automorphism_group(graph, known=[(1, 0, 2, 3)])
         with pytest.raises(ValueError):
             automorphism_group(Graph(3), known=[(0, 0, 0)])
+        with pytest.raises(ValueError):
+            automorphism_group(Graph(4, [(0, 1), (2, 3)]), known=[(1, 0, 1, 0)])
+        with pytest.raises(ValueError):
+            automorphism_group(Graph(3), known=[(1, 0)])
 
 
 def vf2_automorphism_count(graph: Graph) -> int:

@@ -20,6 +20,7 @@ from conesym.ridge import (
     _assert_two_disjoint_2paths,
     _bits,
     _mask_of,
+    _signed_masks,
     bfs_distances,
     build_complement,
     build_ridge_graph,
@@ -409,6 +410,99 @@ class TestIntersectionArrayAgainstReference:
     def test_same_array_on_gamma(self, n):
         gamma = build_triangle_graph(build_complement(n))
         assert intersection_array(gamma) == intersection_array_reference(gamma)
+
+
+def build_complement_reference(n: int) -> Graph:
+    """Every facet pair tested for opposite signs, kept as the oracle for
+    `build_complement`, which ORs per-coordinate sign masks."""
+    facets = enumerate_triangle_facets(n)
+    signed = [_signed_masks(f) for f in facets]
+    conflict = [0] * len(facets)
+    for a, (ap, an) in enumerate(signed):
+        for b in range(a + 1, len(facets)):
+            bp, bn = signed[b]
+            if ap & bn or an & bp:
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
+    return Graph.from_adjacency(conflict, facets)
+
+
+def verify_rook_neighborhood_reference(gamma: Graph, v: int) -> bool:
+    """Every pair of neighbours compared with the rook rule, kept as the
+    oracle for `verify_rook_neighborhood`, which compares whole rows."""
+    base = gamma.labels[v]
+    coords = {}
+    for w in gamma.neighbors(v):
+        dropped = base - gamma.labels[w]
+        added = gamma.labels[w] - base
+        if len(dropped) != 1 or len(added) != 1:
+            return False
+        coords[w] = (next(iter(dropped)), next(iter(added)))
+    neighbors = list(coords)
+    for a_idx in range(len(neighbors)):
+        for b_idx in range(a_idx + 1, len(neighbors)):
+            a, b = neighbors[a_idx], neighbors[b_idx]
+            (p1, q1), (p2, q2) = coords[a], coords[b]
+            expected = (p1 == p2) != (q1 == q2)
+            if gamma.has_edge(a, b) != expected:
+                return False
+    return True
+
+
+def verify_distance2_property_reference(gamma: Graph, v: int) -> bool:
+    """The distance-2 layer read off a BFS, kept as the oracle for
+    `verify_distance2_property`, which ORs the neighbours' rows."""
+    dist = bfs_distances(gamma, v)
+    foursets = []
+    for w in range(gamma.n):
+        if dist[w] != 2:
+            continue
+        common = gamma.adj[w] & gamma.adj[v]
+        if common.bit_count() != 4:
+            return False
+        foursets.append(common)
+    return len(set(foursets)) == len(foursets)
+
+
+def quotient_verdicts(gamma: Graph, rook, distance2):
+    return [(rook(gamma, v), distance2(gamma, v)) for v in range(gamma.n)]
+
+
+@st.composite
+def gamma_with_a_toggled_edge(draw):
+    """A Triangle quotient with one edge added or removed between two
+    neighbours of a vertex v; returns the graph and v."""
+    gamma = build_triangle_graph(build_complement(draw(st.integers(5, 7))))
+    v = draw(st.integers(0, gamma.n - 1))
+    a, b = draw(st.lists(st.sampled_from(list(gamma.neighbors(v))), min_size=2, max_size=2, unique=True))
+    edges = set(gamma.edges()) ^ {(min(a, b), max(a, b))}
+    return Graph(gamma.n, sorted(edges), gamma.labels), v
+
+
+class TestQuotientChecksAgainstReference:
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_same_complement(self, n):
+        gbar, expected = build_complement(n), build_complement_reference(n)
+        assert gbar.adj == expected.adj and gbar.labels == expected.labels
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_same_verdicts_on_gamma(self, n):
+        gamma = build_triangle_graph(build_complement(n))
+        expected = quotient_verdicts(
+            gamma, verify_rook_neighborhood_reference, verify_distance2_property_reference
+        )
+        assert quotient_verdicts(gamma, verify_rook_neighborhood, verify_distance2_property) == expected
+        assert all(rook and d2 for rook, d2 in expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma_with_a_toggled_edge())
+    def test_same_verdicts_with_one_edge_toggled(self, case):
+        gamma, v = case
+        expected = quotient_verdicts(
+            gamma, verify_rook_neighborhood_reference, verify_distance2_property_reference
+        )
+        assert quotient_verdicts(gamma, verify_rook_neighborhood, verify_distance2_property) == expected
+        assert expected[v][0] is False
 
 
 class TestExport:
