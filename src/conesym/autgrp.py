@@ -45,7 +45,6 @@ __all__ = [
     "automorphism_group",
     "is_graph_automorphism",
     "symn_point_generators",
-    "induced_facet_permutation",
     "induced_point_generators",
     "Theorem1Report",
     "certify_theorem1",
@@ -443,14 +442,6 @@ def symn_point_generators(n: int) -> list[Permutation]:
     ]
 
 
-def induced_facet_permutation(
-    sigma: Permutation, facets: Sequence[TriangleFacet]
-) -> tuple[int, ...]:
-    """The permutation of facet indices induced by a point permutation."""
-    index = {f: i for i, f in enumerate(facets)}
-    return tuple(index[permute_facet(sigma, f)] for f in facets)
-
-
 def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     """`symn_point_generators(n)` as permutations of the vertices of a graph
     labelled by triangle facets (the ridge graph and its complement) or by
@@ -458,10 +449,13 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     if graph.labels is None:
         raise ValueError("graph must carry vertex labels")
     if isinstance(graph.labels[0], TriangleFacet):
-        return [induced_facet_permutation(s, graph.labels) for s in symn_point_generators(n)]
-    index = {s: i for i, s in enumerate(graph.labels)}
+        move = permute_facet
+    else:
+        def move(sigma, s):
+            return frozenset(map(sigma, s))
+    index = {label: i for i, label in enumerate(graph.labels)}
     return [
-        tuple(index[frozenset(map(sigma, s))] for s in graph.labels)
+        tuple(index[move(sigma, label)] for label in graph.labels)
         for sigma in symn_point_generators(n)
     ]
 

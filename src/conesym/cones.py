@@ -1,13 +1,10 @@
 """Evaluation of triangle and hypermetric inequalities on cuts, incidence
 counting, and exact integer rank certificates for cone face dimensions.
 
-All certification arithmetic is exact: ranks come from fraction-free Bareiss
-elimination over Python integers, kernels from rational row reduction.  The
-sweeps over the bounded hypermetric family evaluate one sorted representative
-per orbit of the point permutations, vectorized with 64-bit integer numpy
-arrays; every quantity involved is tiny (coefficients bounded by the cube of
-the configured bound times the pair count), so those sweeps are exact as
-well.
+All certification arithmetic is exact and runs on Python integers: ranks
+come from fraction-free Bareiss elimination, kernels from rational row
+reduction, and the sweeps over the bounded hypermetric family evaluate one
+sorted representative per orbit of the point permutations.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .core import (
     CutVector,
@@ -33,14 +28,11 @@ from .ridge import _bits, conflicting
 
 __all__ = [
     "facet_value",
-    "IncidenceReport",
-    "cuts_on_facet",
     "triangle_incidence_bound",
     "hypermetric_value",
     "enumerate_hypermetric_coeffs",
     "integer_rank",
     "kernel_basis",
-    "cut_rank",
     "certify_cutcone_adjacency",
     "adjacency_agreement",
     "HypermetricSweep",
@@ -61,23 +53,6 @@ def facet_value(facet: TriangleFacet, x: Sequence):
 def triangle_incidence_bound(n: int) -> int:
     """Largest number of cuts any facet can contain: 3 * 2**(n-3) - 1."""
     return 3 * 2 ** (n - 3) - 1
-
-
-@dataclass
-class IncidenceReport:
-    facet: TriangleFacet
-    cuts: list[CutVector]
-    count: int
-
-
-def cuts_on_facet(facet: TriangleFacet, n: int) -> IncidenceReport:
-    """All nonzero cuts lying on the facet, i.e. evaluating to exactly 0."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    if facet.n != n:
-        raise ValueError("facet dimension does not match n")
-    on = [c for c in enumerate_cuts(n) if facet_value(facet, c) == 0]
-    return IncidenceReport(facet, on, len(on))
 
 
 def hypermetric_value(b: Sequence[int], x: Sequence):
@@ -197,16 +172,6 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def cut_rank(cuts: Sequence[CutVector]) -> int:
-    """Exact rank over the rationals of the matrix whose rows are the cuts."""
-    if not cuts:
-        return 0
-    dim = len(cuts[0])
-    if any(len(c) != dim for c in cuts):
-        raise ValueError("cuts of mixed dimension")
-    return integer_rank([c.bits for c in cuts])
-
-
 def certify_cutcone_adjacency(f: TriangleFacet, g: TriangleFacet, n: int) -> bool:
     """Rank certificate that two triangle facets meet in a codimension-2 face.
 
@@ -294,10 +259,9 @@ def _sweep_family(n: int, bound: int):
     under pi, so evaluating each representative on every cut decides its
     whole orbit.
 
-    Returns the representatives, their orbit sizes, the nonzero cuts, the
-    representatives as a numpy matrix and sigma * (1 - sigma) for every
-    (representative, cut) pair, sigma being the coefficient sum over the
-    cut's generating set.
+    Returns the representatives, their orbit sizes, the nonzero cuts and
+    `closed[v][c] = sigma * (1 - sigma)` for every (representative, cut)
+    pair, sigma being the coefficient sum over the cut's generating set.
     """
     reps = [
         b
@@ -309,13 +273,12 @@ def _sweep_family(n: int, bound: int):
         for b in reps
     ]
     cuts = enumerate_cuts(n)
-    member = np.array(
-        [[1 if p in c.members else 0 for p in range(1, n + 1)] for c in cuts],
-        dtype=np.int64,
-    )
-    vecs = np.array(reps, dtype=np.int64).reshape(len(reps), n)
-    sigma = vecs @ member.T
-    return reps, np.array(sizes, dtype=np.int64), cuts, vecs, sigma * (1 - sigma)
+    members = [[p - 1 for p in c.members] for c in cuts]
+    closed = []
+    for b in reps:
+        sigmas = [sum(map(b.__getitem__, m)) for m in members]
+        closed.append([s * (1 - s) for s in sigmas])
+    return reps, sizes, cuts, closed
 
 
 @dataclass
@@ -340,29 +303,22 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     where sigma is the coefficient sum over the generating set, and must be
     nonpositive.  The two sides are computed independently.  One sorted
     representative per Sym(n) orbit is evaluated (see `_sweep_family`);
-    `vector_count` counts the whole family and a witness is a representative.
+    `vector_count` counts the whole family and a witness is the first
+    failing (representative, cut) pair in row-major order.
     """
-    reps, sizes, cuts, vecs, closed = _sweep_family(n, bound)
-    bits = np.array([c.bits for c in cuts], dtype=np.int64)
-    idx_i = np.array([i - 1 for i, _ in pair_list(n)])
-    idx_j = np.array([j - 1 for _, j in pair_list(n)])
-    # Fancy indexing copies, so the pair products are formed in place, one
-    # vectors x pairs temporary fewer.
-    products = vecs[:, idx_i]
-    products *= vecs[:, idx_j]
-    direct = products @ bits.T
-
-    mismatch = None
-    neq = np.argwhere(direct != closed)
-    if neq.size:
-        v, c = map(int, neq[0])
-        mismatch = (reps[v], sorted(cuts[c].members), int(direct[v, c]), int(closed[v, c]))
-    positive = None
-    pos = np.argwhere(direct > 0)
-    if pos.size:
-        v, c = map(int, pos[0])
-        positive = (reps[v], sorted(cuts[c].members), int(direct[v, c]))
-    return HypermetricSweep(n, bound, int(sizes.sum()), len(cuts), mismatch, positive)
+    reps, sizes, cuts, closed = _sweep_family(n, bound)
+    pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
+    cut_pairs = [list(_bits(c.mask)) for c in cuts]
+    mismatch = positive = None
+    for b, row in zip(reps, closed):
+        products = [b[i] * b[j] for i, j in pairs]
+        for cut, ks, value in zip(cuts, cut_pairs, row):
+            direct = sum(map(products.__getitem__, ks))
+            if mismatch is None and direct != value:
+                mismatch = (b, sorted(cut.members), direct, value)
+            if positive is None and direct > 0:
+                positive = (b, sorted(cut.members), direct)
+    return HypermetricSweep(n, bound, sum(sizes), len(cuts), mismatch, positive)
 
 
 def _is_triangle_coeffs(b: Sequence[int]) -> bool:
@@ -402,35 +358,28 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     identically-zero functional (the trivial inequality) and are excluded.
     One sorted representative per Sym(n) orbit is certified (see
     `_sweep_family`), so one rank certificate covers an orbit; the counts
-    are weighted by orbit size and a witness is a representative.
+    are weighted by orbit size and a witness is the first failing
+    representative.
     """
-    reps, sizes, cuts, vecs, values = _sweep_family(n, bound)
-    zero_counts = (values == 0).sum(axis=1)
-    proper = (vecs != 0).sum(axis=1) >= 2
+    reps, sizes, cuts, values = _sweep_family(n, bound)
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
-
-    over = np.argwhere(proper & (zero_counts > limit))
-    over_bound = None
-    if over.size:
-        v = int(over[0][0])
-        over_bound = (reps[v], int(zero_counts[v]))
-
-    triangle_failure = None
-    rogue_maximizer = None
-    triangle_count = 0
-    bit_rows = [c.bits for c in cuts]
-    for v, b in enumerate(reps):
-        if not proper[v]:
+    degenerate_count = triangle_count = 0
+    over_bound = triangle_failure = rogue_maximizer = None
+    for b, size, row in zip(reps, sizes, values):
+        if len(b) - b.count(0) < 2:
+            degenerate_count += size
             continue
+        zeros = [c for c, value in enumerate(row) if value == 0]
+        count = len(zeros)
+        if count > limit:
+            over_bound = over_bound or (b, count)
         is_triangle = _is_triangle_coeffs(b)
-        count = int(zero_counts[v])
         if is_triangle:
-            triangle_count += int(sizes[v])
+            triangle_count += size
         if count != limit and not is_triangle:
             continue
-        rows = [bit_rows[c] for c in np.nonzero(values[v] == 0)[0]]
-        rank = integer_rank(rows)
+        rank = integer_rank([cuts[c].bits for c in zeros])
         if is_triangle:
             if count != limit or rank != facet_rank:
                 triangle_failure = triangle_failure or (b, count, rank)
@@ -439,8 +388,8 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
     return TriangleMaximalitySweep(
         n,
         bound,
-        int(sizes.sum()),
-        int(sizes[~proper].sum()),
+        sum(sizes),
+        degenerate_count,
         limit,
         triangle_count,
         over_bound,

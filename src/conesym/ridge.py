@@ -83,8 +83,23 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj: Sequence[int], labels=None) -> "Graph":
+        """The graph whose row v is the bitmask of v's neighbours.
+
+        The rows must describe a simple undirected graph: ValueError on a
+        self-loop, a bit past the last vertex, or an edge missing from the
+        other endpoint's row.
+        """
+        n = len(adj)
+        for u, row in enumerate(adj):
+            if row >> u & 1:
+                raise ValueError(f"bad edge ({u}, {u})")
+            if row >> n:
+                raise ValueError(f"row {u} names a vertex past {n - 1}")
+            for v in _bits(row):
+                if not adj[v] >> u & 1:
+                    raise ValueError(f"bad edge ({u}, {v}): missing from row {v}")
         g = cls.__new__(cls)
-        g.n = len(adj)
+        g.n = n
         g.adj = list(adj)
         g.labels = tuple(labels) if labels is not None else None
         return g

@@ -24,12 +24,12 @@ from conesym.autgrp import (
     automorphism_group,
     certify_theorem1,
     group_order,
-    induced_facet_permutation,
     induced_point_generators,
     is_graph_automorphism,
     symn_point_generators,
     verify_theorem1,
 )
+from conesym.core import permute_facet
 from conesym.ridge import (
     Graph,
     _mask_of,
@@ -41,6 +41,13 @@ from conesym.ridge import (
 from graph_strategies import random_graphs
 
 DATA = Path(__file__).parent / "data"
+
+
+def induced_facet_permutation_reference(sigma, facets):
+    """The facet-index permutation induced by one point permutation, from
+    its own facet index; the oracle for `induced_point_generators`."""
+    index = {f: i for i, f in enumerate(facets)}
+    return tuple(index[permute_facet(sigma, f)] for f in facets)
 
 
 def kneser_petersen() -> Graph:
@@ -67,7 +74,7 @@ class TestGroupOrder:
     def test_induced_action_on_met5_facets(self):
         gbar = build_complement(5)
         gens = [
-            induced_facet_permutation(sigma, gbar.labels)
+            induced_facet_permutation_reference(sigma, gbar.labels)
             for sigma in symn_point_generators(5)
         ]
         assert group_order(gens, gbar.n) == 120
@@ -225,9 +232,12 @@ class TestSymnAction:
     def test_induced_permutations_are_automorphisms_up_to_n9(self):
         for n in range(4, 10):
             gbar = build_complement(n)
-            for sigma in symn_point_generators(n):
-                perm = induced_facet_permutation(sigma, gbar.labels)
-                assert is_graph_automorphism(gbar, perm)
+            expected = [
+                induced_facet_permutation_reference(sigma, gbar.labels)
+                for sigma in symn_point_generators(n)
+            ]
+            assert induced_point_generators(gbar, n) == expected
+            assert all(is_graph_automorphism(gbar, perm) for perm in expected)
 
 
 class TestTheorem1:

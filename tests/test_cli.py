@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import conesym
 from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group
 from conesym.cli import (
     CHECK_ORDER,
@@ -111,6 +114,40 @@ class TestRunVerify:
         report = run_verify(RunConfig(n_min=4, n_max=4, checks=("cuts",)))
         text = render_text(report)
         assert "summary: 1 pass, 0 fail" in text
+
+
+def run_python(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's conesym."""
+    src = str(Path(conesym.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return proc.stdout
+
+
+class TestWithoutNumpy:
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, conesym.cli; print('numpy' in sys.modules)"
+        assert run_python(code).strip() == "False"
+
+    def test_verify_runs_with_numpy_blocked(self):
+        # A None entry in sys.modules makes every `import numpy` raise
+        # ImportError, so a check that needs numpy would report an error.
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from conesym.cli import RunConfig, run_verify\n"
+            "print(json.dumps(run_verify(RunConfig(n_min=4, n_max=5))))\n"
+        )
+        blocked = json.loads(run_python(code))
+        assert {rec["outcome"] for rec in blocked["checks"]} == {"pass", "skip"}
+        assert scrub_timing(blocked) == scrub_timing(run_verify(RunConfig(n_min=4, n_max=5)))
 
 
 # Recorded reports with the `seconds` fields removed.  Between them they

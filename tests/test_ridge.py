@@ -113,6 +113,33 @@ class TestRidgeGraphs:
         assert (same_class, same_third) == (18, 12)
 
 
+def gamma5_with_self_loop():
+    """Γ5 with a self-loop on a neighbour w of vertex 0: as a graph it read
+    degree 7 at w and failed `verify_rook_neighborhood` at 0, while the
+    pairwise reference passed."""
+    gamma = build_triangle_graph(build_complement(5))
+    w = next(gamma.neighbors(0))
+    adj = list(gamma.adj)
+    adj[w] |= 1 << w
+    return adj
+
+
+class TestFromAdjacency:
+    def test_rows_of_a_built_graph_accepted(self):
+        gamma = build_triangle_graph(build_complement(5))
+        rebuilt = Graph.from_adjacency(gamma.adj, gamma.labels)
+        assert (rebuilt.n, rebuilt.adj, rebuilt.labels) == (gamma.n, gamma.adj, gamma.labels)
+
+    @pytest.mark.parametrize(
+        "adj",
+        [gamma5_with_self_loop(), [0b10, 0b00], [0b00, 0b01], [0b100, 0b000], [-1, 0]],
+        ids=["gamma5-self-loop", "one-sided-upper", "one-sided-lower", "past-last-vertex", "negative"],
+    )
+    def test_non_simple_rows_refused(self, adj):
+        with pytest.raises(ValueError):
+            Graph.from_adjacency(adj)
+
+
 class TestHexagons:
     @pytest.mark.parametrize("n,size", [(4, 6), (5, 10), (6, 14)])
     def test_neighborhood_decomposition_all_vertices(self, n, size):
