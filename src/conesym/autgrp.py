@@ -263,7 +263,8 @@ class _AutomorphismSearch:
         self.branch: list[int] = []
 
     def run(self) -> PermGroup:
-        cells = self._refine([list(range(self.n))], [(1 << self.n) - 1])
+        # The empty vertex set is partitioned into no cells.
+        cells = self._refine([list(range(self.n))] if self.n else [], [(1 << self.n) - 1])
         self._explore(cells, 0, True)
         order = self.chain.order() if self.chain is not None else 1
         return PermGroup(self.n, tuple(self.generators), order, self.seeds, self.seed_order)

@@ -36,7 +36,7 @@ from .cones import (
     triangle_maximality_sweep,
 )
 from .core import num_pairs
-from .reflections import build_reflection_group, kernel_vector, ray_table
+from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
     bfs_distances,
@@ -294,13 +294,12 @@ def _check_theorem1(inst: Instance, cfg: RunConfig):
 
 
 def _check_reflect4(inst: Instance, cfg: RunConfig):
-    rays = ray_table()
-    others = [rays[k] for k in (0, 1, 2, 5, 6)]
-    alpha = kernel_vector(others)
+    report = build_reflection_group()
+    # The normal of the hyperplane through the rays other than r4 and r5.
+    alpha = report.alphas[report.generator_pairs.index((4, 5))]
     details = {"kernel_vector": list(alpha)}
     if alpha not in ((0, -1, 1, 1, -1, 0), (0, 1, -1, -1, 1, 0)):
         return "fail", details, {"reason": "kernel vector differs from the reference"}
-    report = build_reflection_group()
     details.update(
         {
             "matrix_order": report.matrix_order,
@@ -458,6 +457,8 @@ class RunConfig:
             raise ConfigError("automorphism vertex cap must be positive")
         if self.output_format not in ("text", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        if not self.checks:
+            raise ConfigError("no checks selected; a run that certifies nothing cannot pass")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")

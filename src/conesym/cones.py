@@ -29,11 +29,9 @@ from .ridge import _bits, conflicting
 __all__ = [
     "facet_value",
     "triangle_incidence_bound",
-    "hypermetric_value",
     "enumerate_hypermetric_coeffs",
     "integer_rank",
     "kernel_basis",
-    "certify_cutcone_adjacency",
     "adjacency_agreement",
     "HypermetricSweep",
     "hypermetric_sweep",
@@ -53,25 +51,6 @@ def facet_value(facet: TriangleFacet, x: Sequence):
 def triangle_incidence_bound(n: int) -> int:
     """Largest number of cuts any facet can contain: 3 * 2**(n-3) - 1."""
     return 3 * 2 ** (n - 3) - 1
-
-
-def hypermetric_value(b: Sequence[int], x: Sequence):
-    """The inequality left-hand side sum_{i<j} b_i b_j x_ij.
-
-    Requires integer coefficients summing to 1; the triangle inequalities are
-    the special case b with two entries +1 and one entry -1.
-    """
-    n = len(b)
-    if any(int(v) != v for v in b):
-        raise ValueError("coefficients must be integers")
-    if sum(b) != 1:
-        raise ValueError("coefficients must sum to 1")
-    if len(x) != num_pairs(n):
-        raise ValueError(f"vector length {len(x)} does not match n={n}")
-    total = 0
-    for k, (i, j) in enumerate(pair_list(n)):
-        total += b[i - 1] * b[j - 1] * x[k]
-    return total
 
 
 def enumerate_hypermetric_coeffs(n: int, bound: int) -> list[tuple[int, ...]]:
@@ -170,23 +149,6 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
             vec[piv_col] = -m[r][free]
         basis.append(tuple(vec))
     return basis
-
-
-def certify_cutcone_adjacency(f: TriangleFacet, g: TriangleFacet, n: int) -> bool:
-    """Rank certificate that two triangle facets meet in a codimension-2 face.
-
-    True exactly when the cuts lying on both facets span a space of dimension
-    C(n, 2) - 2; this is the oracle checked against the sign-based
-    non-conflicting test.
-    """
-    if f == g:
-        raise ValueError("facets must be distinct")
-    common = [
-        c
-        for c in enumerate_cuts(n)
-        if facet_value(f, c) == 0 and facet_value(g, c) == 0
-    ]
-    return integer_rank([c.bits for c in common]) == num_pairs(n) - 2
 
 
 class FacetCutMasks(NamedTuple):

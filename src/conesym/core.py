@@ -24,7 +24,6 @@ __all__ = [
     "enumerate_triangle_facets",
     "Permutation",
     "apply_permutation",
-    "permute_cut",
     "permute_facet",
     "switching_reflection",
 ]
@@ -283,13 +282,6 @@ def apply_permutation(sigma: Permutation, v: Sequence) -> tuple:
             a, b = b, a
         out.append(v[pair_index(a, b, n)])
     return tuple(out)
-
-
-def permute_cut(sigma: Permutation, cut: CutVector) -> CutVector:
-    """The cut generated by the image point set."""
-    if sigma.n != cut.n:
-        raise ValueError("degree mismatch")
-    return CutVector(cut.n, (sigma(p) for p in cut.members))
 
 
 def permute_facet(sigma: Permutation, facet: TriangleFacet) -> TriangleFacet:

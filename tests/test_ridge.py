@@ -35,7 +35,6 @@ from conesym.ridge import (
     verify_distance2_property,
     verify_hexagon_neighborhood,
     verify_johnson_isomorphism,
-    verify_line_graph_k34,
     verify_rook_neighborhood,
 )
 
@@ -68,6 +67,35 @@ class TestConflicting:
                         assert len(supports[a] & supports[b]) in (1, 3)
 
 
+# The three perfect matchings of the 4 points, one class per apex pair.
+K34_PAIR_CLASS = {
+    frozenset({1, 2}): 0,
+    frozenset({3, 4}): 0,
+    frozenset({1, 3}): 1,
+    frozenset({2, 4}): 1,
+    frozenset({1, 4}): 2,
+    frozenset({2, 3}): 2,
+}
+
+
+def verify_line_graph_k34_reference(ridge4: Graph) -> bool:
+    """Explicit isomorphism of the 12-vertex ridge graph onto the line graph
+    of K_{3,4}: apex pair -> its perfect-matching class, third point -> the
+    4-side vertex; adjacency must match 'share exactly one coordinate'."""
+    if ridge4.labels is None or ridge4.n != 12:
+        return False
+    coords = [(K34_PAIR_CLASS[frozenset(f.apex)], f.k) for f in ridge4.labels]
+    if len(set(coords)) != 12:
+        return False
+    for a in range(12):
+        for b in range(a + 1, 12):
+            (m1, k1), (m2, k2) = coords[a], coords[b]
+            expected = (m1 == m2) != (k1 == k2)
+            if ridge4.has_edge(a, b) != expected:
+                return False
+    return True
+
+
 class TestRidgeGraphs:
     def test_vertex_counts(self):
         for n in range(4, 8):
@@ -93,7 +121,7 @@ class TestRidgeGraphs:
         assert g4.n == 12
         assert all(g4.degree(v) == 5 for v in range(12))
         assert g4.edge_count() == 30
-        assert verify_line_graph_k34(g4) is True
+        assert verify_line_graph_k34_reference(g4) is True
 
     def test_n4_two_edge_families(self):
         # 18 edges share the apex matching class, 12 share the third point.
