@@ -4,7 +4,8 @@ and optionally exports the graphs.
 Reports are deterministic for a fixed configuration (byte-identical JSON
 apart from the timing fields).  Exit status: 0 when every executed check
 passes, 1 on any falsification, 2 on configuration, resource, or export
-errors.
+errors, and 2 when every selected check was skipped, since such a run
+certifies nothing.
 """
 
 from __future__ import annotations
@@ -586,9 +587,10 @@ def render_text(report: dict) -> str:
 
 
 def exit_code(report: dict, export_failed: bool = False) -> int:
-    if report["summary"]["fail"]:
+    summary = report["summary"]
+    if summary["fail"]:
         return 1
-    if report["summary"]["error"] or export_failed:
+    if summary["error"] or export_failed or not summary["pass"]:
         return 2
     return 0
 
@@ -661,6 +663,8 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(render_text(report))
+    if report["summary"]["skip"] == len(report["checks"]):
+        print("nothing certified: every selected check was skipped", file=sys.stderr)
     return exit_code(report, export_failed)
 
 

@@ -4,7 +4,10 @@ counting, and exact integer rank certificates for cone face dimensions.
 All certification arithmetic is exact and runs on Python integers: ranks
 come from fraction-free Bareiss elimination, kernels from rational row
 reduction, and the sweeps over the bounded hypermetric family evaluate one
-sorted representative per orbit of the point permutations.
+sorted representative per orbit of the point permutations.  A set of cuts
+is ranked on its correlation rows (`CutVector.correlation`), the image of
+the cut vectors under an integral linear bijection, so the rank is the same
+and the rows are sparser.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ def integer_rank(rows) -> int:
     not depend on the pivot chosen, so a row whose pivot-column entry equals
     the previous pivot is preferred: the step's division by the previous
     pivot then cancels its multiplication by the new one, rows with a zero in
-    the pivot column stay as they are, and the others become x - f * p // prev.
+    the pivot column stay as they are, and the others become x - f * p // prev,
+    which changes only the columns where the pivot row p is nonzero; those
+    are listed once per pivot.
     Entries must be integers (`int`, `bool` or a numpy integer); any other
     entry, a `Fraction` or a float among them, raises TypeError.
     """
@@ -97,19 +102,23 @@ def integer_rank(rows) -> int:
         if piv_row != rank:
             m[rank], m[piv_row] = row_p, m[rank]
         piv = row_p[col]
-        cols = range(col + 1, n_cols)
-        for r in range(rank + 1, n_rows):
-            row_r = m[r]
-            f = row_r[col]
-            if piv == prev:
-                if not f:
-                    continue
-                for c in cols:
-                    row_r[c] -= f * row_p[c] // prev
-            else:
+        if piv == prev:
+            nonzero = [(c, v) for c in range(col + 1, n_cols) if (v := row_p[c])]
+            for r in range(rank + 1, n_rows):
+                row_r = m[r]
+                f = row_r[col]
+                if f:
+                    for c, v in nonzero:
+                        row_r[c] -= f * v // prev
+                    row_r[col] = 0
+        else:
+            cols = range(col + 1, n_cols)
+            for r in range(rank + 1, n_rows):
+                row_r = m[r]
+                f = row_r[col]
                 for c in cols:
                     row_r[c] = (piv * row_r[c] - f * row_p[c]) // prev
-            row_r[col] = 0
+                row_r[col] = 0
         prev = piv
         rank += 1
         if rank == n_rows:
@@ -189,18 +198,19 @@ def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     """Compare the rank oracle with the sign test over every facet pair.
 
     `incidence` is `_facet_incidence_masks(n)`, computed when not given.
+    The common cuts of a pair are ranked on their correlation rows.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
     facets, cuts, masks, _ = incidence or _facet_incidence_masks(n)
-    bit_rows = [c.bits for c in cuts]
+    corr_rows = [c.correlation for c in cuts]
     target = num_pairs(n) - 2
     mismatches = []
     total = 0
     for a in range(len(facets)):
         for b in range(a + 1, len(facets)):
             total += 1
-            rows = [bit_rows[i] for i in _bits(masks[a] & masks[b])]
+            rows = [corr_rows[i] for i in _bits(masks[a] & masks[b])]
             by_rank = integer_rank(rows) == target
             by_sign = not conflicting(facets[a], facets[b])
             if by_rank != by_sign:
@@ -341,7 +351,7 @@ def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
             triangle_count += size
         if count != limit and not is_triangle:
             continue
-        rank = integer_rank([cuts[c].bits for c in zeros])
+        rank = integer_rank([cuts[c].correlation for c in zeros])
         if is_triangle:
             if count != limit or rank != facet_rank:
                 triangle_failure = triangle_failure or (b, count, rank)

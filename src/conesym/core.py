@@ -96,6 +96,23 @@ class CutVector:
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> k) & 1 for k in range(num_pairs(self.n)))
 
+    @property
+    def correlation(self) -> tuple[int, ...]:
+        """The cut's 0/1 correlation row p, rooted at the point n.
+
+        With s the incidence vector of the generating set (s_n = 0), p is
+        s_i * s_j at the pair (i, j), j < n, and s_i at (i, n), in coordinate
+        order.  It is xi(x) for the covariance map xi of Deza and Laurent
+        (Geometry of Cuts and Metrics, 1997, section 5.2), with
+        xi(x)_in = x_in and xi(x)_ij = (x_in + x_jn - x_ij) / 2.  Its inverse
+        x_in = p_in, x_ij = p_in + p_jn - 2 * p_ij is integral, so xi is a
+        linear bijection and every set of cuts has the same rank in either
+        coordinates.  A cut with k generating points has C(k + 1, 2)
+        nonzeros here against k * (n - k) in `bits`.
+        """
+        n, s = self.n, self.members
+        return tuple(int(i in s and (j == n or j in s)) for i, j in pair_list(n))
+
     def is_zero(self) -> bool:
         return self.mask == 0
 

@@ -4,14 +4,13 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete.  Runtime budgets are asserted where the criterion states one.
 """
 
-import itertools
 import time
 from fractions import Fraction
 from math import comb, factorial
 
 from conesym.autgrp import automorphism_group, verify_theorem1
 from conesym.cones import adjacency_agreement, hypermetric_sweep, triangle_incidence_bound
-from conesym.core import cut_vector, enumerate_triangle_facets, num_pairs, switching_reflection
+from conesym.core import cut_vector, switching_reflection
 from conesym.cones import _facet_incidence_masks
 from conesym.reflections import (
     attempt_ray_swap,

@@ -13,7 +13,6 @@ import pytest
 import conesym
 from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group
 from conesym.cli import (
-    CHECK_ORDER,
     ConfigError,
     RunConfig,
     build_parser,
@@ -108,7 +107,8 @@ class TestRunVerify:
         rec = report["checks"][0]
         assert rec["outcome"] == "skip"
         assert "cap" in rec["details"]["reason"]
-        assert exit_code(report) == 0
+        # The only selected check was skipped, so nothing was certified.
+        assert exit_code(report) == 2
 
     def test_deterministic_apart_from_timing(self):
         cfg = RunConfig(n_min=4, n_max=5)
@@ -261,6 +261,14 @@ class TestExitCodes:
         report = {"summary": {"pass": 1, "fail": 0, "skip": 0, "error": 0}}
         assert exit_code(report, export_failed=True) == 2
 
+    def test_all_skipped_maps_to_2(self):
+        report = {"summary": {"pass": 0, "fail": 0, "skip": 3, "error": 0}}
+        assert exit_code(report) == 2
+
+    def test_one_pass_among_skips_maps_to_0(self):
+        report = {"summary": {"pass": 1, "fail": 0, "skip": 3, "error": 0}}
+        assert exit_code(report) == 0
+
 
 class TestMain:
     def test_text_run(self, capsys):
@@ -287,6 +295,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert "no checks selected" in captured.err
         assert "summary" not in captured.out
+
+    def test_all_skipped_run_exits_2(self, capsys):
+        code = main(["verify", "--n-min", "5", "--n-max", "5", "--checks", "reflect4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "summary: 0 pass, 0 fail, 1 skip, 0 error" in captured.out
+        assert "every selected check was skipped" in captured.err
+
+    def test_partly_skipped_run_exits_0(self, capsys):
+        code = main(["verify", "--n-min", "4", "--n-max", "5", "--checks", "reflect4"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "1 pass, 0 fail, 1 skip" in captured.out
+        assert captured.err == ""
 
     def test_unwritable_export_exits_2_but_checks_run(self, capsys):
         code = main(

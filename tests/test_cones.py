@@ -22,6 +22,7 @@ from conesym.cones import (
     triangle_maximality_sweep,
 )
 from conesym.core import (
+    CutVector,
     Permutation,
     TriangleFacet,
     apply_permutation,
@@ -31,7 +32,7 @@ from conesym.core import (
     num_pairs,
     pair_list,
 )
-from conesym.ridge import conflicting
+from conesym.ridge import _bits, conflicting
 
 
 def integer_rank_reference(rows) -> int:
@@ -301,6 +302,16 @@ class TestRank:
         assert rank == n_cols - len(kernel_basis(rows))
         assert rank == integer_rank_reference(rows)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_correlation_rank_matches_cut_rank(self, data):
+        n = data.draw(st.integers(4, 7))
+        cuts = enumerate_cuts(n)
+        chosen = data.draw(st.lists(st.sampled_from(cuts), min_size=1, max_size=3 * num_pairs(n)))
+        assert integer_rank([c.correlation for c in chosen]) == integer_rank_reference(
+            [c.bits for c in chosen]
+        )
+
 
 class TestKernel:
     def test_kernel_vectors_annihilate_rows(self):
@@ -355,6 +366,52 @@ class TestAdjacency:
         total, mismatches = adjacency_agreement(5)
         assert total == 435
         assert mismatches == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_pair_ranked_as_on_its_cut_rows(self, n, monkeypatch):
+        # Each rank call of the sweep gets the correlation rows of the pair's
+        # common cuts and returns the reference rank of their cut rows.
+        calls = []
+
+        def recording(rows):
+            calls.append(rows)
+            return integer_rank(rows)
+
+        monkeypatch.setattr(cones, "integer_rank", recording)
+        total, mismatches = adjacency_agreement(n)
+        assert mismatches == []
+        facets, cuts, on, _ = _facet_incidence_masks(n)
+        target = num_pairs(n) - 2
+        expected = []
+        for a, b in itertools.combinations(range(len(facets)), 2):
+            common = [cuts[i] for i in _bits(on[a] & on[b])]
+            rows = [c.correlation for c in common]
+            expected.append(rows)
+            reference = integer_rank_reference([c.bits for c in common])
+            assert integer_rank(rows) == reference
+            assert (reference == target) is not conflicting(facets[a], facets[b])
+        assert calls == expected
+        assert total == len(expected)
+
+    @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1"])
+    def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):
+        right = CutVector.correlation.fget
+
+        def no_diagonal(cut):
+            pairs = pair_list(cut.n)
+            return tuple(0 if j == cut.n else p for (_, j), p in zip(pairs, right(cut)))
+
+        def rooted_at_1(cut):
+            s = cut.members
+            return tuple(int(j in s and (i == 1 or i in s)) for i, j in pair_list(cut.n))
+
+        wrong = {"no_diagonal": no_diagonal, "rooted_at_1": rooted_at_1}[mutant]
+        monkeypatch.setattr(CutVector, "correlation", property(wrong))
+        total, mismatches = adjacency_agreement(5)
+        # Every adjacent pair (435 less the 150 conflicting ones) is missed.
+        assert total == 435
+        assert len(mismatches) == 285
+        assert all(by_sign and not by_rank for _, _, by_rank, by_sign in mismatches)
 
 
 class TestSweeps:

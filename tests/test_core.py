@@ -1,11 +1,13 @@
 """Tests for coordinate indexing, cuts, facets, permutations, and switching."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conesym.cones import integer_rank
 from conesym.core import (
     CutVector,
     Permutation,
@@ -115,6 +117,44 @@ class TestCutVector:
             cut_vector({0}, 4)
         with pytest.raises(ValueError):
             cut_vector({5}, 4)
+
+
+def covariance_map_reference(x, n):
+    """xi(x) rooted at n: xi_in = x_in and xi_ij = (x_in + x_jn - x_ij) / 2."""
+    return tuple(
+        x[pair_index(i, n, n)]
+        if j == n
+        else Fraction(x[pair_index(i, n, n)] + x[pair_index(j, n, n)] - x[pair_index(i, j, n)], 2)
+        for i, j in pair_list(n)
+    )
+
+
+def covariance_map_inverse_reference(p, n):
+    """x_in = p_in and x_ij = p_in + p_jn - 2 * p_ij."""
+    return tuple(
+        p[pair_index(i, n, n)]
+        if j == n
+        else p[pair_index(i, n, n)] + p[pair_index(j, n, n)] - 2 * p[pair_index(i, j, n)]
+        for i, j in pair_list(n)
+    )
+
+
+class TestCorrelation:
+    def test_pair_cut_n4(self):
+        # s = (1, 1, 0, 0): p_12 = 1, p_14 = s_1 = 1, p_24 = s_2 = 1.
+        assert cut_vector({1, 2}, 4).correlation == (1, 0, 1, 0, 1, 0)
+        assert cut_vector({3, 4}, 4).correlation == (1, 0, 1, 0, 1, 0)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_is_the_covariance_map_of_every_cut(self, n):
+        rows = []
+        for cut in enumerate_cuts(n):
+            p = cut.correlation
+            assert set(p) <= {0, 1}
+            assert p == covariance_map_reference(cut.bits, n)
+            assert covariance_map_inverse_reference(p, n) == cut.bits
+            rows.append(p)
+        assert integer_rank(rows) == num_pairs(n)
 
 
 class TestEnumerateCuts:

@@ -11,7 +11,6 @@ from conesym.core import (
     Permutation,
     TriangleFacet,
     enumerate_triangle_facets,
-    permute_facet,
 )
 from conesym.ridge import (
     Graph,
