@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from math import comb, factorial
 from pathlib import Path
@@ -517,6 +518,9 @@ def export_graphs(cfg: RunConfig) -> dict:
     graph6 and edge-list form with label sidecars, plus a manifest."""
     out_dir = Path(cfg.export_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A manifest marks a complete export: drop a stale one before the first
+    # graph file changes, and move the new one into place after the last.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     manifest = {"schema_version": SCHEMA_VERSION, "files": [], "omitted": []}
     for n in range(cfg.n_min, cfg.n_max + 1):
         inst = Instance(n, cfg.aut_vertex_cap)
@@ -548,7 +552,9 @@ def export_graphs(cfg: RunConfig) -> dict:
         "complement": "vertex, support i j k, apex pair a b (facet +1 at (a,b))",
         "gamma": "vertex, Triangle support i j k",
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    partial = out_dir / "manifest.json.partial"
+    partial.write_text(json.dumps(manifest, indent=2) + "\n")
+    os.replace(partial, out_dir / "manifest.json")
     return manifest
 
 
@@ -610,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--checks",
+        type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
         default=",".join(RunConfig.checks),
         help="comma-separated check ids: " + ", ".join(CHECK_ORDER),
     )
@@ -625,24 +632,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=RunConfig.aut_vertex_cap,
         help="skip automorphism computations on graphs above this many vertices",
     )
-    verify.add_argument("--format", choices=("text", "json"), default=RunConfig.output_format)
     verify.add_argument(
-        "--export", metavar="DIR", default=RunConfig.export_dir, help="export graphs to DIR"
+        "--format",
+        dest="output_format",
+        choices=("text", "json"),
+        default=RunConfig.output_format,
+    )
+    verify.add_argument(
+        "--export",
+        dest="export_dir",
+        metavar="DIR",
+        default=RunConfig.export_dir,
+        help="export graphs to DIR",
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
-        hypermetric_bound=args.hypermetric_bound,
-        aut_vertex_cap=args.aut_vertex_cap,
-        output_format=args.format,
-        export_dir=args.export,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     try:
         cfg.validate()
     except ConfigError as exc:

@@ -143,23 +143,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-def _signed_masks(f: TriangleFacet) -> tuple[int, int]:
-    pos = neg = 0
-    for idx, sign in f.entries():
-        if sign > 0:
-            pos |= 1 << idx
-        else:
-            neg |= 1 << idx
-    return pos, neg
-
-
 def conflicting(f: TriangleFacet, g: TriangleFacet) -> bool:
-    """True when some coordinate carries nonzero entries of opposite sign."""
+    """True when some coordinate carries nonzero entries of opposite sign.
+
+    A facet's only +1 sits on its apex pair {i, j} and its only -1s on its
+    two side pairs {i, k} and {j, k}.  So f and g conflict exactly when one
+    facet's apex pair is a side pair of the other: a pair holding the
+    other's third point k whose remaining point lies in the other's apex.
+    """
     if f.n != g.n:
         raise ValueError("facet dimensions differ")
-    fp, fn = _signed_masks(f)
-    gp, gn = _signed_masks(g)
-    return bool(fp & gn or fn & gp)
+    fa, ga = (f.i, f.j), (g.i, g.j)
+    return (g.k in fa and f.i + f.j - g.k in ga) or (f.k in ga and g.i + g.j - f.k in fa)
 
 
 def build_ridge_graph(n: int) -> Graph:
@@ -338,70 +333,56 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
     """Quotient graph on Triangles, adjacent when joined by complement edges.
 
     Asserts that adjacent Triangles are joined by exactly 4 cross edges
-    forming two disjoint 2-paths, and non-adjacent ones by none.  Only the
-    pairs that some complement edge joins are visited; the Triangles must be
-    disjoint, as `find_triangles` returns them.
+    forming two disjoint 2-paths, and non-adjacent ones by none.  The cross
+    edges of A and B are read off popcounts: u in A has |adj[u] & B| of
+    them.  Two disjoint 2-paths on the 3 + 3 vertices of a bipartite graph
+    have one centre on each side, so each side's popcounts are {2, 1, 1}
+    and the centres are not adjacent.  Conversely, with those popcounts and
+    non-adjacent centres, each centre reaches the other side's two
+    degree-1 vertices, which uses all 4 edges.  The popcounts alone also
+    admit a 3-edge path through both centres plus one disjoint edge.
+    Only the pairs that some complement edge joins are visited; the
+    Triangles must be disjoint, as `find_triangles` returns them.
     """
     if triangles is None:
         triangles = find_triangles(gbar)
+    adj = gbar.adj
     masks = [_mask_of(t.vertices) for t in triangles]
     owner = [-1] * gbar.n
     for i, t in enumerate(triangles):
         for v in t.vertices:
             owner[v] = i
-    edges = []
-    for a in range(len(triangles)):
+    rows = [0] * len(triangles)
+    for a, ta in enumerate(triangles):
         reach = 0
-        for u in triangles[a].vertices:
-            reach |= gbar.adj[u]
+        for u in ta.vertices:
+            reach |= adj[u]
         joined = {owner[w] for w in _bits(reach)}
         for b in sorted(b for b in joined if b > a):
-            cross = [
-                (u, w)
-                for u in triangles[a].vertices
-                for w in _bits(gbar.adj[u] & masks[b])
-            ]
-            if len(cross) != 4:
+            tb = triangles[b].vertices
+            deg_a = [(adj[u] & masks[b]).bit_count() for u in ta.vertices]
+            if sum(deg_a) != 4:
                 raise StructureError(
-                    f"Triangles {a} and {b} joined by {len(cross)} edges, expected 0 or 4"
+                    f"Triangles {a} and {b} joined by {sum(deg_a)} edges, expected 0 or 4"
                 )
-            _assert_two_disjoint_2paths(triangles[a].vertices, triangles[b].vertices, cross)
-            edges.append((a, b))
+            deg_b = [(adj[w] & masks[a]).bit_count() for w in tb]
+            if sorted(deg_a) != [1, 1, 2] or sorted(deg_b) != [1, 1, 2]:
+                raise StructureError(
+                    f"Triangles {a} and {b}: cross degrees {deg_a} and {deg_b}"
+                    " are not those of two disjoint 2-paths"
+                )
+            centre_a, centre_b = ta.vertices[deg_a.index(2)], tb[deg_b.index(2)]
+            if adj[centre_a] >> centre_b & 1:
+                raise StructureError(
+                    f"Triangles {a} and {b}: centres {centre_a} and {centre_b} are adjacent,"
+                    " so the cross edges are a 3-path and an edge"
+                )
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
     labels = None
     if all(t.support is not None for t in triangles):
         labels = [t.support for t in triangles]
-    return Graph(len(triangles), edges, labels)
-
-
-def _assert_two_disjoint_2paths(va, vb, cross):
-    deg: dict[int, int] = {}
-    for u, w in cross:
-        deg[u] = deg.get(u, 0) + 1
-        deg[w] = deg.get(w, 0) + 1
-    if len(deg) != 6 or sorted(deg.values()) != [1, 1, 1, 1, 2, 2]:
-        raise StructureError(f"cross edges {cross} are not two disjoint 2-paths")
-    adj: dict[int, set[int]] = {v: set() for v in deg}
-    for u, w in cross:
-        adj[u].add(w)
-        adj[w].add(u)
-    seen: set[int] = set()
-    comps = 0
-    for v in deg:
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comps += 1
-        if len(comp) != 3:
-            raise StructureError(f"cross component {sorted(comp)} is not a 2-path")
-    if comps != 2:
-        raise StructureError(f"cross edges {cross} form {comps} components, expected 2")
+    return Graph.from_adjacency(rows, labels)
 
 
 def verify_johnson_isomorphism(gamma: Graph, n: int) -> bool:

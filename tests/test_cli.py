@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import networkx as nx
@@ -56,17 +57,18 @@ class TestConfig:
     def test_cli_defaults_are_the_config_defaults(self):
         # The recorded default report pins RunConfig's values; the CLI must
         # give the same configuration when no flag is passed.
-        args = build_parser().parse_args(["verify"])
-        cli = [
-            args.n_min,
-            args.n_max,
-            args.checks.split(","),
-            args.hypermetric_bound,
-            args.aut_vertex_cap,
-            args.format,
-            args.export,
-        ]
-        assert cli == list(RunConfig().as_dict().values())
+        args = vars(build_parser().parse_args(["verify"]))
+        assert {f.name: args[f.name] for f in fields(RunConfig)} == asdict(RunConfig())
+
+    def test_every_flag_lands_in_its_config_field(self):
+        args = build_parser().parse_args(
+            ["verify", "--n-min", "5", "--n-max", "7", "--checks", " cuts, aut ,,",
+             "--hypermetric-bound", "2", "--aut-vertex-cap", "40",
+             "--format", "json", "--export", "out"]
+        )
+        assert {f.name: getattr(args, f.name) for f in fields(RunConfig)} == asdict(
+            RunConfig(5, 7, ("cuts", "aut"), 2, 40, "json", "out")
+        )
 
 
 class TestRunVerify:
@@ -322,6 +324,41 @@ class TestMain:
 
 
 class TestExport:
+    def test_interrupted_reexport_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        argv = ["verify", "--n-min", "4", "--n-max", "5", "--checks", "cuts",
+                "--export", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "manifest.json").exists()
+        write_text = Path.write_text
+        writes = []
+
+        def fail_on_the_fourth(path, *args, **kwargs):
+            writes.append(path.name)
+            if len(writes) == 4:
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_on_the_fourth)
+        assert main(argv) == 2
+        assert "disk full" in capsys.readouterr().err
+        # Three graph files were rewritten before the failure, beside the
+        # earlier export's others; no manifest may vouch for the mixture.
+        assert writes[:3] == ["ridge_n4.g6", "ridge_n4.edges", "ridge_n4.labels"]
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_manifest_moves_into_place(self, tmp_path, monkeypatch):
+        written = []
+        replace = os.replace
+        monkeypatch.setattr(
+            "conesym.cli.os.replace",
+            lambda src, dst: written.append(Path(dst).name) or replace(src, dst),
+        )
+        export_graphs(RunConfig(n_min=5, n_max=5, export_dir=str(tmp_path)))
+        assert written == ["manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir() if "manifest" in p.name) == [
+            "manifest.json"
+        ]
+
     def test_n5_exports_three_graphs_and_manifest(self, tmp_path):
         cfg = RunConfig(n_min=5, n_max=5, export_dir=str(tmp_path))
         manifest = export_graphs(cfg)

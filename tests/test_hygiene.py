@@ -1,10 +1,12 @@
-"""Static checks over the package and its tests: no unused imports."""
+"""Static checks over the package and its tests: no unused imports, and no
+private helper in the package that only the tests use."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted([*(ROOT / "src" / "conesym").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "conesym").glob("*.py"))
+SCANNED = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +63,49 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    """Module-level functions and classes named `_name` that no source
+    reads, by name, attribute or import.  A helper that only the tests
+    need belongs in the tests, as a `*_reference`."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name: node.lineno
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
+def test_private_scanner_flags_only_unread_helpers():
+    sources = [
+        "\n".join(
+            [
+                "def _used(x): return x",
+                "def _imported(): pass",
+                "def _via_attribute(): pass",
+                "class _Orphan: pass",
+                "def __getattr__(name): pass",
+                "def public(): return _used(1)",
+            ]
+        ),
+        "from .a import _imported\nimport a\na._via_attribute()\n_imported()",
+    ]
+    assert unreferenced_private_definitions(sources) == ["_Orphan (line 4)"]
+
+
+def test_no_private_helper_only_the_tests_use():
+    assert unreferenced_private_definitions([path.read_text() for path in PACKAGE]) == []

@@ -16,10 +16,9 @@ from conesym.ridge import (
     Graph,
     IntersectionArray,
     StructureError,
-    _assert_two_disjoint_2paths,
+    Triangle,
     _bits,
     _mask_of,
-    _signed_masks,
     bfs_distances,
     build_complement,
     build_ridge_graph,
@@ -40,7 +39,26 @@ from conesym.ridge import (
 from graph_strategies import random_graphs
 
 
+def signed_masks_reference(f: TriangleFacet) -> tuple[int, int]:
+    """The coordinates where f carries +1 and -1, as bitmasks: the oracle
+    for `conflicting`, which compares apex and side pairs instead."""
+    pos = neg = 0
+    for idx, sign in f.entries():
+        if sign > 0:
+            pos |= 1 << idx
+        else:
+            neg |= 1 << idx
+    return pos, neg
+
+
 class TestConflicting:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_every_pair_matches_the_signed_masks(self, n):
+        facets = enumerate_triangle_facets(n)
+        signed = [signed_masks_reference(f) for f in facets]
+        for (f, (fp, fn)), (g, (gp, gn)) in itertools.product(zip(facets, signed), repeat=2):
+            assert conflicting(f, g) is bool(fp & gn or fn & gp), (f, g)
+
     def test_opposite_sign_at_shared_apex(self):
         f = TriangleFacet(1, 2, 3, 5)
         g = TriangleFacet(1, 3, 2, 5)
@@ -312,9 +330,42 @@ def build_triangle_graph_reference(gbar: Graph, triangles) -> Graph:
                 raise StructureError(
                     f"Triangles {a} and {b} joined by {len(cross)} edges, expected 0 or 4"
                 )
-            _assert_two_disjoint_2paths(triangles[a].vertices, triangles[b].vertices, cross)
+            two_disjoint_2paths_reference(cross)
             edges.append((a, b))
     return Graph(len(triangles), edges, [t.support for t in triangles])
+
+
+def two_disjoint_2paths_reference(cross):
+    """Walk the cross edges' components: the oracle for the popcount and
+    centre test in `build_triangle_graph`."""
+    deg: dict[int, int] = {}
+    for u, w in cross:
+        deg[u] = deg.get(u, 0) + 1
+        deg[w] = deg.get(w, 0) + 1
+    if len(deg) != 6 or sorted(deg.values()) != [1, 1, 1, 1, 2, 2]:
+        raise StructureError(f"cross edges {cross} are not two disjoint 2-paths")
+    adj: dict[int, set[int]] = {v: set() for v in deg}
+    for u, w in cross:
+        adj[u].add(w)
+        adj[w].add(u)
+    seen: set[int] = set()
+    comps = 0
+    for v in deg:
+        if v in seen:
+            continue
+        stack, comp = [v], set()
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x] - comp)
+        seen |= comp
+        comps += 1
+        if len(comp) != 3:
+            raise StructureError(f"cross component {sorted(comp)} is not a 2-path")
+    if comps != 2:
+        raise StructureError(f"cross edges {cross} form {comps} components, expected 2")
 
 
 def quotient_outcome(build, gbar, triangles):
@@ -347,6 +398,45 @@ class TestTriangleGraphAgainstReference:
         expected = quotient_outcome(build_triangle_graph_reference, broken, triangles)
         assert expected.startswith("StructureError: Triangles")
         assert quotient_outcome(build_triangle_graph, broken, triangles) == expected
+
+
+# Two 3-cliques, {0, 1, 2} and {3, 4, 5}, and the nine pairs between them.
+TWO_CLIQUES = (Triangle((0, 1, 2), None), Triangle((3, 4, 5), None))
+CROSS_PAIRS = tuple(itertools.product((0, 1, 2), (3, 4, 5)))
+
+
+def two_cliques_with(cross) -> Graph:
+    return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *cross])
+
+
+class TestCrossEdgesAgainstReference:
+    def test_every_subset_of_cross_pairs(self):
+        accepted = 0
+        for chosen in range(1 << len(CROSS_PAIRS)):
+            cross = [p for i, p in enumerate(CROSS_PAIRS) if chosen >> i & 1]
+            gbar = two_cliques_with(cross)
+            expected = quotient_outcome(build_triangle_graph_reference, gbar, TWO_CLIQUES)
+            outcome = quotient_outcome(build_triangle_graph, gbar, TWO_CLIQUES)
+            if isinstance(expected, str):
+                assert isinstance(outcome, str), cross
+                if "joined by" in expected:
+                    assert outcome == expected
+            else:
+                accepted += len(cross) == 4
+                # The reference labels by support even when there is none.
+                assert outcome[0] == expected[0], cross
+        # One centre on each side (3 x 3), each reaching the other side's
+        # two non-centres; the empty subset is accepted as well.
+        assert accepted == 9
+
+    def test_three_edge_path_plus_an_edge_is_refused(self):
+        # Popcounts {2, 1, 1} on both sides, but the centres 0 and 3 meet:
+        # the path 4-0-3-1 and the edge 2-5.
+        gbar = two_cliques_with([(0, 3), (0, 4), (1, 3), (2, 5)])
+        with pytest.raises(StructureError, match="centres 0 and 3 are adjacent"):
+            build_triangle_graph(gbar, TWO_CLIQUES)
+        with pytest.raises(StructureError):
+            build_triangle_graph_reference(gbar, TWO_CLIQUES)
 
 
 class TestIntersectionArray:
@@ -470,7 +560,7 @@ def build_complement_reference(n: int) -> Graph:
     """Every facet pair tested for opposite signs, kept as the oracle for
     `build_complement`, which ORs per-coordinate sign masks."""
     facets = enumerate_triangle_facets(n)
-    signed = [_signed_masks(f) for f in facets]
+    signed = [signed_masks_reference(f) for f in facets]
     conflict = [0] * len(facets)
     for a, (ap, an) in enumerate(signed):
         for b in range(a + 1, len(facets)):
