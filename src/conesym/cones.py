@@ -1,10 +1,11 @@
 """Evaluation of triangle and hypermetric inequalities on cuts, incidence
 counting, and exact integer rank certificates for cone face dimensions.
 
-All certification arithmetic is exact and runs on Python integers: ranks
-come from fraction-free Bareiss elimination, kernels from rational row
-reduction, and the sweeps over the bounded hypermetric family evaluate one
-sorted representative per orbit of the point permutations.  A set of cuts
+All certification arithmetic is exact and runs on Python integers: a rank
+is the rank over GF(2) when that is full and comes from fraction-free
+Bareiss elimination otherwise, kernels come from rational row reduction,
+and the sweeps over the bounded hypermetric family evaluate one sorted
+representative per orbit of the point permutations.  A set of cuts
 is ranked on its correlation rows (`CutVector.correlation`), the image of
 the cut vectors under an integral linear bijection, so the rank is the same
 and the rows are sparser.
@@ -64,26 +65,77 @@ def enumerate_hypermetric_coeffs(n: int, bound: int) -> list[tuple[int, ...]]:
     return [b for b in itertools.product(rng, repeat=n) if sum(b) == 1]
 
 
+def _gf2_rank(m: list, n_cols: int, full: int) -> int:
+    """Rank over GF(2) of an integer matrix, stopping once it reaches `full`.
+
+    Each row, a tuple or list, is packed into one int, one byte per entry,
+    and masked to the low bit of every byte: the entry's parity.  The bytes
+    come from the entries' values, never from a row's buffer; a row with an
+    entry outside 0..255 is packed from its entries mod 2.  Every row is
+    packed before any is reduced, so a non-integral entry raises TypeError.
+    A row is reduced against the basis row with the same leading bit, kept
+    in a list indexed by bit length.
+    """
+    low_bits = int.from_bytes(b"\1" * n_cols, "little")
+    packed = []
+    for row in m:
+        try:
+            parities = bytes(row)
+        except ValueError:
+            parities = bytes([x & 1 for x in row])
+        packed.append(int.from_bytes(parities, "little") & low_bits)
+    basis = [0] * (8 * n_cols)
+    rank = 0
+    for v in packed:
+        while v:
+            lead = v.bit_length()
+            b = basis[lead]
+            if not b:
+                basis[lead] = v
+                rank += 1
+                if rank == full:
+                    return rank
+                break
+            v ^= b
+    return rank
+
+
 def integer_rank(rows) -> int:
-    """Exact rank of an integer matrix via fraction-free Bareiss elimination.
+    """Exact rank of an integer matrix.
+
+    The rank over GF(2) comes first (`_gf2_rank`).  An odd minor is a nonzero
+    minor, so it is a lower bound on the rank over Q, and when it reaches
+    min(rows, columns) it is the rank.  Otherwise fraction-free Bareiss
+    elimination decides (`_bareiss_rank`).
+    Entries must be integers (`int`, `bool` or a numpy integer); any other
+    entry, a `Fraction` or a float among them, raises TypeError.
+    """
+    m = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    n_cols = len(m[0])
+    if any(len(r) != n_cols for r in m):
+        raise ValueError("ragged matrix")
+    full = min(len(m), n_cols)
+    if _gf2_rank(m, n_cols, full) == full:
+        return full
+    return _bareiss_rank([list(map(operator.index, r)) for r in m])
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of a nonempty integer matrix by fraction-free Bareiss elimination,
+    which overwrites `m`.
 
     Intermediate entries stay integral (divisions are exact by the Sylvester
     identity), so the result is certified, not floating-point.  The rank does
     not depend on the pivot chosen, so a row whose pivot-column entry equals
     the previous pivot is preferred: the step's division by the previous
     pivot then cancels its multiplication by the new one, rows with a zero in
-    the pivot column stay as they are, and the others become x - f * p // prev,
-    which changes only the columns where the pivot row p is nonzero; those
-    are listed once per pivot.
-    Entries must be integers (`int`, `bool` or a numpy integer); any other
-    entry, a `Fraction` or a float among them, raises TypeError.
+    the pivot column stay as they are, and the others become
+    x - f * p // prev, which changes only the columns where the pivot row p
+    is nonzero; those are listed once per pivot.
     """
-    m = [list(map(operator.index, r)) for r in rows]
-    if not m or not m[0]:
-        return 0
     n_rows, n_cols = len(m), len(m[0])
-    if any(len(r) != n_cols for r in m):
-        raise ValueError("ragged matrix")
     rank = 0
     prev = 1
     for col in range(n_cols):
@@ -194,24 +246,47 @@ def _facet_incidence_masks(n: int) -> FacetCutMasks:
     return FacetCutMasks(facets, cuts, on, violating)
 
 
+def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
+    """Coordinates u in supp f and v in supp g where the 2x2 minor of the
+    correlation functionals f and g is +-1.
+
+    u avoids supp g and v avoids supp f where they can.  Distinct supports
+    leave at most one of the two differences empty, so g_u or f_v is 0 and
+    the minor f_u * g_v - f_v * g_u is f_u * g_v, a product of two +-1s.
+    """
+    return min(f_support - g_support or f_support), min(g_support - f_support or g_support)
+
+
 def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     """Compare the rank oracle with the sign test over every facet pair.
 
     `incidence` is `_facet_incidence_masks(n)`, computed when not given.
-    The common cuts of a pair are ranked on their correlation rows.
+    Two facets f and g are adjacent when their common cuts have rank
+    C(n, 2) - 2.  Those cuts lie in ker f and ker g, so their correlation
+    rows are ranked together with two unit rows e_u and e_v
+    (`_unit_coordinates`) at which the 2x2 minor of f and g, taken from
+    `TriangleFacet.correlation`, is +-1.  No nonzero combination of e_u and
+    e_v then lies in both kernels, over Q or over GF(2), so the rank is that
+    of the common cuts plus 2, and the pair is adjacent exactly when it is
+    C(n, 2), the column count.  The GF(2) pass of `integer_rank` certifies
+    that full rank on its own for every adjacent pair at n = 4..8; the
+    conflicting pairs, of lower rank, go on to Bareiss elimination.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
     facets, cuts, masks, _ = incidence or _facet_incidence_masks(n)
     corr_rows = [c.correlation for c in cuts]
-    target = num_pairs(n) - 2
+    dim = num_pairs(n)
+    units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
+    supports = [{k for k, v in enumerate(f.correlation) if v} for f in facets]
     mismatches = []
     total = 0
     for a in range(len(facets)):
         for b in range(a + 1, len(facets)):
             total += 1
-            rows = [corr_rows[i] for i in _bits(masks[a] & masks[b])]
-            by_rank = integer_rank(rows) == target
+            u, v = _unit_coordinates(supports[a], supports[b])
+            rows = [units[u], units[v], *(corr_rows[i] for i in _bits(masks[a] & masks[b]))]
+            by_rank = integer_rank(rows) == dim
             by_sign = not conflicting(facets[a], facets[b])
             if by_rank != by_sign:
                 mismatches.append((facets[a], facets[b], by_rank, by_sign))

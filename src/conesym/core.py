@@ -202,6 +202,30 @@ class TriangleFacet:
             out[idx] = sign
         return tuple(out)
 
+    @property
+    def correlation(self) -> tuple[int, ...]:
+        """The facet's functional in correlation coordinates, halved.
+
+        Substituting x_in = p_in and x_ij = p_in + p_jn - 2 * p_ij (see
+        `CutVector.correlation`) into x_ij - x_ik - x_jk gives twice this
+        vector, so facet_value(f, x) == 2 * <f.correlation, p> for every x
+        and its correlation row p.  It is -p_ij + p_ik + p_jk - p_kn for
+        i, j, k < n, p_ik - p_kn for the apex (i, n) and -p_ij for the
+        third point n.  Its entries are +-1, and distinct facets have
+        distinct supports.
+        """
+        i, j, k, n = self.i, self.j, self.k, self.n
+        if k == n:
+            terms = (((i, j), -1),)
+        elif j == n:
+            terms = (((i, k), 1), ((k, n), -1))
+        else:
+            terms = (((i, j), -1), ((i, k), 1), ((j, k), 1), ((k, n), -1))
+        out = [0] * num_pairs(n)
+        for (a, b), sign in terms:
+            out[pair_index(min(a, b), max(a, b), n)] = sign
+        return tuple(out)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, TriangleFacet):
             return NotImplemented

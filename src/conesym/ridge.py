@@ -58,6 +58,15 @@ def _bits(m: int):
         m ^= lsb
 
 
+def _checked_labels(labels, n: int) -> tuple | None:
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError("label count does not match vertex count")
+    return labels
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency rows.
 
@@ -76,9 +85,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = adj
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("label count does not match vertex count")
+        self.labels = _checked_labels(labels, n)
 
     @classmethod
     def from_adjacency(cls, adj: Sequence[int], labels=None) -> "Graph":
@@ -111,7 +118,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = n
         g.adj = list(adj)
-        g.labels = tuple(labels) if labels is not None else None
+        g.labels = _checked_labels(labels, n)
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

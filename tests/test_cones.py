@@ -263,9 +263,48 @@ class TestRank:
         with pytest.raises(TypeError):
             integer_rank([[entry]])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Full rank mod 2 is reached before the last row is read.
+            [[1, 0], [0, 1], [Fraction(1, 2), 0]],
+            [[1, 0], [0, 1], [300, 0.5]],
+            [(Fraction(2), 1)],
+            np.array([[1.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_non_integral_row_refused(self, rows):
+        with pytest.raises(TypeError):
+            integer_rank(rows)
+
     def test_bool_and_numpy_integer_entries_accepted(self):
         assert integer_rank([[True, False], [False, True]]) == 2
         assert integer_rank(np.array([[2, 4], [1, 2]], dtype=np.int64)) == 1
+
+    def test_parities_come_from_values_not_buffers(self):
+        # The int64 buffer of 256 holds the bytes 0, 1, 0, ...: a parity read
+        # from it would see [[0, 1], [1, 0]] and report rank 2.
+        assert integer_rank([[256, 0], [1, 0]]) == 1
+        assert integer_rank(np.array([[256, 0], [1, 0]], dtype=np.int64)) == 1
+        assert integer_rank(list(np.array([[256, 0], [1, 0]], dtype=np.int64))) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_small_and_wide_entries(self, data):
+        n_rows = data.draw(st.integers(1, 12))
+        n_cols = data.draw(st.integers(1, 12))
+        entries = data.draw(st.sampled_from([st.integers(0, 1), st.integers(-3, 300)]))
+        rows = data.draw(
+            st.lists(
+                st.lists(entries, min_size=n_cols, max_size=n_cols),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        expected = integer_rank_reference(rows)
+        assert integer_rank(rows) == expected
+        assert integer_rank(np.array(rows, dtype=np.int64)) == expected
+        assert integer_rank([tuple(r) for r in rows]) == expected
 
     @settings(max_examples=40)
     @given(st.data())
@@ -339,6 +378,11 @@ def certify_cutcone_adjacency_reference(f, g, n) -> bool:
     return integer_rank([c.bits for c in common]) == num_pairs(n) - 2
 
 
+def support_reference(facet):
+    """Coordinates where the facet's correlation functional is nonzero."""
+    return {k for k, x in enumerate(facet.correlation) if x != 0}
+
+
 class TestAdjacency:
     def test_conflicting_pair_not_adjacent(self):
         f = TriangleFacet(1, 2, 3, 5)
@@ -369,8 +413,9 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_pair_ranked_as_on_its_cut_rows(self, n, monkeypatch):
-        # Each rank call of the sweep gets the correlation rows of the pair's
-        # common cuts and returns the reference rank of their cut rows.
+        # Each rank call of the sweep gets e_u, e_v and the correlation rows
+        # of the pair's common cuts, and its rank less 2 is the reference
+        # rank of their cut rows.
         calls = []
 
         def recording(rows):
@@ -381,17 +426,56 @@ class TestAdjacency:
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
         facets, cuts, on, _ = _facet_incidence_masks(n)
-        target = num_pairs(n) - 2
+        dim = num_pairs(n)
         expected = []
         for a, b in itertools.combinations(range(len(facets)), 2):
+            sf, sg = (support_reference(facets[c]) for c in (a, b))
+            u = min(sf - sg) if sf - sg else min(sf)
+            v = min(sg - sf) if sg - sf else min(sg)
+            units = [tuple(int(k == w) for k in range(dim)) for w in (u, v)]
             common = [cuts[i] for i in _bits(on[a] & on[b])]
-            rows = [c.correlation for c in common]
+            rows = units + [c.correlation for c in common]
             expected.append(rows)
             reference = integer_rank_reference([c.bits for c in common])
-            assert integer_rank(rows) == reference
-            assert (reference == target) is not conflicting(facets[a], facets[b])
+            assert integer_rank(rows) - 2 == reference
+            assert (reference == dim - 2) is not conflicting(facets[a], facets[b])
         assert calls == expected
         assert total == len(expected)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_bareiss_runs_on_no_adjacent_pair(self, n, monkeypatch):
+        # Adjacent pairs reach full column rank mod 2; only conflicting ones,
+        # of lower rank, may fall back to Bareiss.
+        fell_back = []
+        bareiss = cones._bareiss_rank
+
+        def recording_rank(rows):
+            fell_back.append(False)
+            return integer_rank(rows)
+
+        def recording_bareiss(m):
+            fell_back[-1] = True
+            return bareiss(m)
+
+        monkeypatch.setattr(cones, "integer_rank", recording_rank)
+        monkeypatch.setattr(cones, "_bareiss_rank", recording_bareiss)
+        total, mismatches = adjacency_agreement(n)
+        assert mismatches == []
+        pairs = itertools.combinations(enumerate_triangle_facets(n), 2)
+        adjacent = [fb for fb, (f, g) in zip(fell_back, pairs) if not conflicting(f, g)]
+        assert len(fell_back) == total
+        assert len(adjacent) == {4: 30, 5: 285, 6: 1350, 7: 4515}[n]
+        assert not any(adjacent)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_unit_coordinates_give_a_unit_minor(self, n):
+        facets = enumerate_triangle_facets(n)
+        supports = [support_reference(f) for f in facets]
+        corr = [f.correlation for f in facets]
+        for a, b in itertools.combinations(range(len(facets)), 2):
+            u, v = cones._unit_coordinates(supports[a], supports[b])
+            f, g = corr[a], corr[b]
+            assert f[u] * g[v] - f[v] * g[u] in (1, -1)
 
     @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1"])
     def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):

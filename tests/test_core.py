@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesym.cones import integer_rank
+from conesym.cones import facet_value, integer_rank
 from conesym.core import (
     CutVector,
     Permutation,
@@ -155,6 +155,30 @@ class TestCorrelation:
             assert covariance_map_inverse_reference(p, n) == cut.bits
             rows.append(p)
         assert integer_rank(rows) == num_pairs(n)
+
+
+class TestFacetCorrelation:
+    def test_the_three_shapes_n5(self):
+        # Coordinates at n = 5: 12 13 14 15 23 24 25 34 35 45.
+        assert TriangleFacet(1, 2, 3, 5).correlation == (-1, 1, 0, 0, 1, 0, 0, 0, -1, 0)
+        assert TriangleFacet(2, 5, 4, 5).correlation == (0, 0, 0, 0, 0, 1, 0, 0, 0, -1)
+        assert TriangleFacet(3, 4, 5, 5).correlation == (0, 0, 0, 0, 0, 0, 0, -1, 0, 0)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_halves_the_facet_value_on_every_cut(self, n):
+        # The cuts span the space, so the identity holds for every x.
+        cuts = enumerate_cuts(n)
+        for f in enumerate_triangle_facets(n):
+            h = f.correlation
+            assert set(h) <= {-1, 0, 1}
+            for cut in cuts:
+                assert facet_value(f, cut) == 2 * sum(a * b for a, b in zip(h, cut.correlation))
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_supports_are_distinct(self, n):
+        facets = enumerate_triangle_facets(n)
+        supports = {frozenset(k for k, x in enumerate(f.correlation) if x) for f in facets}
+        assert len(supports) == len(facets)
 
 
 class TestEnumerateCuts:

@@ -184,6 +184,13 @@ class TestFromAdjacency:
         with pytest.raises(ValueError):
             Graph.from_adjacency(adj)
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_label_count_must_match_row_count(self, labels):
+        with pytest.raises(ValueError, match="label count does not match vertex count"):
+            Graph.from_adjacency([0, 0], labels=labels)
+        with pytest.raises(ValueError, match="label count does not match vertex count"):
+            Graph(2, [], labels=labels)
+
 
 class TestHexagons:
     @pytest.mark.parametrize("n,size", [(4, 6), (5, 10), (6, 14)])
