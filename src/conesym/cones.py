@@ -111,11 +111,11 @@ def integer_rank(rows) -> int:
     entry, a `Fraction` or a float among them, raises TypeError.
     """
     m = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    n_cols = len(m[0])
+    n_cols = len(m[0]) if m else 0
     if any(len(r) != n_cols for r in m):
         raise ValueError("ragged matrix")
+    if not n_cols:
+        return 0
     full = min(len(m), n_cols)
     if _gf2_rank(m, n_cols, full) == full:
         return full

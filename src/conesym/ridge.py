@@ -204,67 +204,49 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
     """Check that the neighborhood of u decomposes as n-3 hexagons sharing
     one edge whose endpoints carry the same support 3-set as u.
 
+    The shared edge is read off the labels: u's two same-support
+    neighbours u1 < u2 must be adjacent.  The other 4(n-3) neighbours must
+    fall into 4-vertex paths, one end adjacent to u1 alone, the other to u2
+    alone, and no interior vertex adjacent to either; so there are n-3
+    paths.  Then u1 and u2 have n-2 neighbours inside N(u) and every other
+    neighbour has 2, so for n >= 5 the shared edge is also the unique edge
+    of top induced degree, the one a census of N(u) would pick out.
+
     Raises StructureError with a witness when the decomposition fails.
     """
     if gbar.labels is None:
         raise ValueError("complement graph must carry facet labels")
     n = gbar.labels[0].n
-    nb = list(gbar.neighbors(u))
-    nb_mask = _mask_of(nb)
+    adj = gbar.adj
+    nb = adj[u]
     expected = 2 + 4 * (n - 3)
-    if len(nb) != expected:
-        raise StructureError(f"vertex {u}: neighborhood size {len(nb)} != {expected}")
+    if nb.bit_count() != expected:
+        raise StructureError(f"vertex {u}: neighborhood size {nb.bit_count()} != {expected}")
 
-    ind_deg = {v: (gbar.adj[v] & nb_mask).bit_count() for v in nb}
-    if n >= 5:
-        heavy = [v for v in nb if ind_deg[v] == n - 2]
-        if len(heavy) != 2 or not gbar.has_edge(*heavy):
-            raise StructureError(
-                f"vertex {u}: no unique max-degree edge in neighborhood (candidates {heavy})"
-            )
-    else:
-        # All induced degrees tie at 2 for n=4; fall back to the support labels.
-        support = gbar.labels[u].support
-        heavy = [v for v in nb if gbar.labels[v].support == support]
-        if len(heavy) != 2 or not gbar.has_edge(*heavy):
-            raise StructureError(f"vertex {u}: same-support edge missing at n=4")
-    u1, u2 = sorted(heavy)
+    support = gbar.labels[u].support
+    pair = [v for v in _bits(nb) if gbar.labels[v].support == support]
+    if len(pair) != 2 or not gbar.has_edge(*pair):
+        raise StructureError(f"vertex {u}: same-support neighbours {pair} are not an edge")
+    u1, u2 = pair
 
-    if not (gbar.labels[u].support == gbar.labels[u1].support == gbar.labels[u2].support):
-        raise StructureError(
-            f"vertex {u}: distinguished edge ({u1}, {u2}) does not share the support 3-set"
-        )
-
-    rest_mask = nb_mask & ~(1 << u1) & ~(1 << u2)
-    components = []
-    seen = 0
-    for start in _bits(rest_mask):
-        if (seen >> start) & 1:
-            continue
+    rest = nb & ~(1 << u1) & ~(1 << u2)
+    hexagons = []
+    while rest:
+        # The component of the lowest vertex left.
         comp = 0
-        frontier = 1 << start
+        frontier = rest & -rest
         while frontier:
             comp |= frontier
             nxt = 0
             for v in _bits(frontier):
-                nxt |= gbar.adj[v] & rest_mask & ~comp
-            frontier = nxt
-        seen |= comp
-        components.append(comp)
-    if len(components) != n - 3:
-        raise StructureError(
-            f"vertex {u}: {len(components)} path components, expected {n - 3}"
-        )
-
-    hexagons = []
-    for comp in components:
+                nxt |= adj[v]
+            frontier = nxt & rest & ~comp
+        rest &= ~comp
         verts = list(_bits(comp))
-        if len(verts) != 4:
-            raise StructureError(f"vertex {u}: component size {len(verts)} != 4")
-        degs = {v: (gbar.adj[v] & comp).bit_count() for v in verts}
-        ends = sorted(v for v in verts if degs[v] == 1)
-        if sorted(degs.values()) != [1, 1, 2, 2]:
+        degs = [(adj[v] & comp).bit_count() for v in verts]
+        if sorted(degs) != [1, 1, 2, 2]:
             raise StructureError(f"vertex {u}: component {verts} is not a 4-path")
+        ends = [v for v, deg in zip(verts, degs) if deg == 1]
         a_end = [v for v in ends if gbar.has_edge(v, u1) and not gbar.has_edge(v, u2)]
         d_end = [v for v in ends if gbar.has_edge(v, u2) and not gbar.has_edge(v, u1)]
         if len(a_end) != 1 or len(d_end) != 1:
@@ -272,11 +254,10 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
                 f"vertex {u}: path endpoints {ends} do not close a hexagon over ({u1}, {u2})"
             )
         a, d = a_end[0], d_end[0]
-        interior = [v for v in verts if v not in (a, d)]
-        if any(gbar.has_edge(v, u1) or gbar.has_edge(v, u2) for v in interior):
+        if comp & ~(1 << a) & ~(1 << d) & (adj[u1] | adj[u2]):
             raise StructureError(f"vertex {u}: chord from path interior to ({u1}, {u2})")
-        b = next(w for w in _bits(gbar.adj[a] & comp))
-        c = next(w for w in _bits(gbar.adj[d] & comp))
+        b = next(_bits(adj[a] & comp))
+        c = next(_bits(adj[d] & comp))
         hexagons.append((u1, a, b, c, d, u2))
     return HexagonNeighborhood(u, (u1, u2), tuple(hexagons))
 

@@ -159,13 +159,19 @@ class TestWithoutNumpy:
 # Recorded reports with the `seconds` fields removed.  Between them they
 # cover every check, the aut/theorem1 vertex-cap skips, the n=7 adjacency
 # skip with theorem2's note, and reflect4's resource-limit skip; `symmetry`
-# pins the automorphism orders and the Triangle quotient at n = 9..10.
+# pins the automorphism orders and the Triangle quotient at n = 9..10,
+# `n4_8` every check up to n = 8, and `sweeps_b4` the bounded sweeps at
+# coefficient bound 4.
 GOLDEN = {
     "default": RunConfig(),
     "n4_7_cap40": RunConfig(n_min=4, n_max=7, aut_vertex_cap=40),
     "n4_cap10": RunConfig(n_min=4, n_max=4, aut_vertex_cap=10),
     "symmetry": RunConfig(
         n_min=9, n_max=10, checks=("aut", "theorem1", "gamma", "johnson"), aut_vertex_cap=495
+    ),
+    "n4_8": RunConfig(n_min=4, n_max=8),
+    "sweeps_b4": RunConfig(
+        n_min=5, n_max=7, checks=("hypermetric", "theorem2"), hypermetric_bound=4
     ),
 }
 
@@ -185,7 +191,7 @@ def test_report_matches_recorded_report(name):
 # Before the automorphism search was seeded with the point permutations, the
 # recorded reports differed only in these fields: the generator count of each
 # `aut` record, by n, and the default vertex cap.  The sha256 is that of the
-# earlier file.
+# earlier file.  The reports recorded since seeding have no such entry.
 UNSEEDED = {
     "default": ({4: 4, 5: 4, 6: 5}, 300,
                 "85be1585812ea39832d82d94ec76cc0abbf78090454b03417fd2d60b140057a8"),
@@ -198,7 +204,7 @@ UNSEEDED = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
+@pytest.mark.parametrize("name", UNSEEDED)
 def test_recorded_report_moved_only_in_seeded_fields(name):
     generators, cap, digest = UNSEEDED[name]
     report = json.loads((DATA / f"report_{name}.json").read_text())

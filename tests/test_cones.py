@@ -243,6 +243,17 @@ class TestRank:
 
     def test_empty_list(self):
         assert integer_rank([]) == 0
+        assert integer_rank([[], []]) == 0
+        assert integer_rank([(), ()]) == 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2], [3]], [[], [1, 2]], [(), (1,)]],
+        ids=["short-last", "empty-first", "empty-first-tuple"],
+    )
+    def test_ragged_matrix_refused(self, rows):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            integer_rank(rows)
 
     def test_full_rank_at_n5(self):
         assert integer_rank([c.bits for c in enumerate_cuts(5)]) == 10

@@ -12,3 +12,28 @@ def test_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block, "README has no python block under 'Library example'"
     exec(compile(block.group(1), f"{README}:library-example", "exec"), {})
+
+
+def test_check_ids_are_the_cli_order():
+    from conesym.cli import CHECK_ORDER
+
+    listed = README.read_text().split("Check ids:", 1)[1].split(".", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == CHECK_ORDER
+
+
+def test_quoted_caps_are_the_code_caps():
+    from conesym.autgrp import AUT_VERTEX_CAP
+    from conesym.cli import ADJACENCY_SWEEP_MAX_N, HYPERMETRIC_SWEEP_MAX_N
+
+    text = " ".join(README.read_text().split())
+    quoted = re.search(
+        r"rank sweep over facet pairs runs for `n <= (\d+)`, the bounded inequality"
+        r" sweeps for `n <= (\d+)`.*?\(default (\d+) vertices, `autgrp.AUT_VERTEX_CAP`",
+        text,
+    )
+    assert quoted, "README no longer quotes the resource caps"
+    assert tuple(map(int, quoted.groups())) == (
+        ADJACENCY_SWEEP_MAX_N,
+        HYPERMETRIC_SWEEP_MAX_N,
+        AUT_VERTEX_CAP,
+    )

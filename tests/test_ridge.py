@@ -14,6 +14,7 @@ from conesym.core import (
 )
 from conesym.ridge import (
     Graph,
+    HexagonNeighborhood,
     IntersectionArray,
     StructureError,
     Triangle,
@@ -221,6 +222,165 @@ class TestHexagons:
         ring = Graph(6, [(i, (i + 1) % 6) for i in range(6)], facets)
         with pytest.raises(StructureError):
             verify_hexagon_neighborhood(ring, 0)
+
+
+def verify_hexagon_neighborhood_reference(gbar: Graph, u: int) -> HexagonNeighborhood:
+    """The hexagon certificate with the shared edge found by a census of
+    induced degrees for n >= 5 and by the support labels at n = 4, kept as
+    the oracle for `verify_hexagon_neighborhood`, which reads it off the
+    labels at every n."""
+    if gbar.labels is None:
+        raise ValueError("complement graph must carry facet labels")
+    n = gbar.labels[0].n
+    nb = list(gbar.neighbors(u))
+    nb_mask = _mask_of(nb)
+    expected = 2 + 4 * (n - 3)
+    if len(nb) != expected:
+        raise StructureError(f"vertex {u}: neighborhood size {len(nb)} != {expected}")
+
+    ind_deg = {v: (gbar.adj[v] & nb_mask).bit_count() for v in nb}
+    if n >= 5:
+        heavy = [v for v in nb if ind_deg[v] == n - 2]
+        if len(heavy) != 2 or not gbar.has_edge(*heavy):
+            raise StructureError(
+                f"vertex {u}: no unique max-degree edge in neighborhood (candidates {heavy})"
+            )
+    else:
+        # All induced degrees tie at 2 for n=4; fall back to the support labels.
+        support = gbar.labels[u].support
+        heavy = [v for v in nb if gbar.labels[v].support == support]
+        if len(heavy) != 2 or not gbar.has_edge(*heavy):
+            raise StructureError(f"vertex {u}: same-support edge missing at n=4")
+    u1, u2 = sorted(heavy)
+
+    if not (gbar.labels[u].support == gbar.labels[u1].support == gbar.labels[u2].support):
+        raise StructureError(
+            f"vertex {u}: distinguished edge ({u1}, {u2}) does not share the support 3-set"
+        )
+
+    rest_mask = nb_mask & ~(1 << u1) & ~(1 << u2)
+    components = []
+    seen = 0
+    for start in _bits(rest_mask):
+        if (seen >> start) & 1:
+            continue
+        comp = 0
+        frontier = 1 << start
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= gbar.adj[v] & rest_mask & ~comp
+            frontier = nxt
+        seen |= comp
+        components.append(comp)
+    if len(components) != n - 3:
+        raise StructureError(
+            f"vertex {u}: {len(components)} path components, expected {n - 3}"
+        )
+
+    hexagons = []
+    for comp in components:
+        verts = list(_bits(comp))
+        if len(verts) != 4:
+            raise StructureError(f"vertex {u}: component size {len(verts)} != 4")
+        degs = {v: (gbar.adj[v] & comp).bit_count() for v in verts}
+        ends = sorted(v for v in verts if degs[v] == 1)
+        if sorted(degs.values()) != [1, 1, 2, 2]:
+            raise StructureError(f"vertex {u}: component {verts} is not a 4-path")
+        a_end = [v for v in ends if gbar.has_edge(v, u1) and not gbar.has_edge(v, u2)]
+        d_end = [v for v in ends if gbar.has_edge(v, u2) and not gbar.has_edge(v, u1)]
+        if len(a_end) != 1 or len(d_end) != 1:
+            raise StructureError(
+                f"vertex {u}: path endpoints {ends} do not close a hexagon over ({u1}, {u2})"
+            )
+        a, d = a_end[0], d_end[0]
+        interior = [v for v in verts if v not in (a, d)]
+        if any(gbar.has_edge(v, u1) or gbar.has_edge(v, u2) for v in interior):
+            raise StructureError(f"vertex {u}: chord from path interior to ({u1}, {u2})")
+        b = next(w for w in _bits(gbar.adj[a] & comp))
+        c = next(w for w in _bits(gbar.adj[d] & comp))
+        hexagons.append((u1, a, b, c, d, u2))
+    return HexagonNeighborhood(u, (u1, u2), tuple(hexagons))
+
+
+def hexagon_outcome(verify, gbar: Graph, u: int):
+    """The certificate, or StructureError when the decomposition fails."""
+    try:
+        return verify(gbar, u)
+    except StructureError:
+        return StructureError
+
+
+def toggled(gbar: Graph, pairs) -> Graph:
+    adj = list(gbar.adj)
+    for v, w in pairs:
+        adj[v] ^= 1 << w
+        adj[w] ^= 1 << v
+    return Graph.from_adjacency(adj, gbar.labels)
+
+
+@st.composite
+def complement_with_toggled_edges(draw):
+    """Ḡ5 or Ḡ6 with one to three edges added or removed among a vertex u
+    and its neighbours; returns the graph and u."""
+    gbar = build_complement(draw(st.sampled_from((5, 6))))
+    u = draw(st.integers(0, gbar.n - 1))
+    closed = sorted((u, *gbar.neighbors(u)))
+    pairs = draw(
+        st.lists(
+            st.sampled_from(list(itertools.combinations(closed, 2))),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    return toggled(gbar, pairs), u
+
+
+class TestHexagonsAgainstReference:
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_same_certificate_at_every_vertex(self, n):
+        gbar = build_complement(n)
+        for u in range(gbar.n):
+            assert verify_hexagon_neighborhood(gbar, u) == verify_hexagon_neighborhood_reference(gbar, u)
+
+    @settings(max_examples=80, deadline=None)
+    @given(complement_with_toggled_edges())
+    def test_same_outcome_with_edges_toggled(self, case):
+        gbar, u = case
+        expected = hexagon_outcome(verify_hexagon_neighborhood_reference, gbar, u)
+        assert hexagon_outcome(verify_hexagon_neighborhood, gbar, u) == expected
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_shared_edge_and_every_hexagon_required(self, n):
+        gbar = build_complement(n)
+        rep = verify_hexagon_neighborhood(gbar, 0)
+        u1, a, b, c, d, u2 = rep.hexagons[0]
+        for pairs in [[rep.distinguished_edge], [(0, v) for v in (a, b, c, d)]]:
+            broken = toggled(gbar, pairs)
+            assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
+            with pytest.raises(StructureError):
+                verify_hexagon_neighborhood(broken, 0)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chord_from_path_interior_refused(self, n):
+        gbar = build_complement(n)
+        u1, a, b, c, d, u2 = verify_hexagon_neighborhood(gbar, 0).hexagons[0]
+        for chord in [(b, u1), (c, u2)]:
+            broken = toggled(gbar, [chord])
+            assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
+            with pytest.raises(StructureError, match="chord from path interior"):
+                verify_hexagon_neighborhood(broken, 0)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("change", ["a-u2", "d-u1", "a-u1 to d-u1"])
+    def test_path_end_must_reach_one_side_alone(self, n, change):
+        gbar = build_complement(n)
+        u1, a, b, c, d, u2 = verify_hexagon_neighborhood(gbar, 0).hexagons[0]
+        pairs = {"a-u2": [(a, u2)], "d-u1": [(d, u1)], "a-u1 to d-u1": [(a, u1), (d, u1)]}
+        broken = toggled(gbar, pairs[change])
+        assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
+        with pytest.raises(StructureError, match="do not close a hexagon"):
+            verify_hexagon_neighborhood(broken, 0)
 
 
 class TestTriangles:
