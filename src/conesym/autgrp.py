@@ -469,27 +469,26 @@ class Theorem1Report:
     induced_order: int
     expected_order: int
     passed: bool
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+    group: PermGroup
 
 
-def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
+def certify_theorem1(gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     """Certify the symmetry-group identification on the complement ridge
-    graph `gbar`, given its automorphism group `aut`.
+    graph `gbar`, whose automorphism group the report carries as `group`.
 
-    `aut` must come from `automorphism_group(gbar, known=...)` seeded with
-    `induced_point_generators(gbar, n)`, else ValueError: the search has
-    then checked those generators edge by edge and recorded the exact order
-    of the induced image.  For n >= 5 the automorphism group must have
-    order n! and coincide with the induced point-permutation image; for
-    n = 4 the order must be 144 (realized geometrically by the reflection
-    construction, checked elsewhere) while the induced image has order 24.
-    On failure the witness is an automorphism generator outside the induced
-    image: the first one after the seeds, since each of those enlarged the
-    group.
+    The search is seeded with `induced_point_generators(gbar, n)`, so it
+    checks them edge by edge and records the exact order of the induced
+    image.  For n >= 5 the automorphism group must have order n! and
+    coincide with the induced point-permutation image; for n = 4 the order
+    must be 144 (realized geometrically by the reflection construction,
+    checked elsewhere) while the induced image has order 24.  On failure
+    the witness is an automorphism generator outside the induced image:
+    the first one after the seeds, since each of those enlarged the group.
+    Raises ResourceLimitError above the vertex cap.
     """
     n = gbar.labels[0].n
-    if aut.generators[: aut.seeds] != tuple(induced_point_generators(gbar, n)):
-        raise ValueError("aut was not seeded with the induced point generators")
+    aut = automorphism_group(gbar, vertex_cap, induced_point_generators(gbar, n))
     induced_order = aut.seed_order
 
     if n >= 5:
@@ -502,13 +501,11 @@ def certify_theorem1(gbar: Graph, aut: PermGroup) -> Theorem1Report:
     witness = None
     if n >= 5 and aut.order > induced_order:
         witness = aut.generators[aut.seeds]
-    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
+    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness, aut)
 
 
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     """`certify_theorem1` on the complement ridge graph for n points."""
     if n < 4:
         raise ValueError("need n >= 4")
-    gbar = build_complement(n)
-    known = induced_point_generators(gbar, n)
-    return certify_theorem1(gbar, automorphism_group(gbar, vertex_cap, known))
+    return certify_theorem1(build_complement(n), vertex_cap)

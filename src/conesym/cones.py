@@ -309,7 +309,11 @@ def _sweep_family(n: int, bound: int):
     Returns the representatives, their orbit sizes, the nonzero cuts and
     `closed[v][c] = sigma * (1 - sigma)` for every (representative, cut)
     pair, sigma being the coefficient sum over the cut's generating set.
+    A bound below 1 leaves the family empty, which would make either sweep
+    pass vacuously, so it raises ValueError.
     """
+    if bound < 1:
+        raise ValueError("hypermetric bound must be positive")
     reps = [
         b
         for b in itertools.combinations_with_replacement(range(-bound, bound + 1), n)

@@ -287,20 +287,26 @@ def group_facets_by_support(gbar: Graph) -> list[Triangle]:
 def find_triangles(gbar: Graph) -> list[Triangle]:
     """Detect Triangles purely from adjacency via the common-neighbor census.
 
-    Edges inside a Triangle have the strictly largest number of common
-    neighbors; the top-count edges must decompose into disjoint 3-cliques.
-    At n=4 the census is non-discriminating (both counts equal 2), so the
-    support grouping is used instead.
+    For n >= 5 an edge inside a Triangle has n - 2 common neighbors and
+    every other edge has 2; any other count is refused, naming the edge.
+    The (n - 2)-count edges must decompose into disjoint 3-cliques.  At
+    n = 4 both counts equal 2, so the support grouping is used instead.
     """
-    if gbar.labels is not None and gbar.labels[0].n == 4:
+    if gbar.labels is None:
+        raise ValueError("complement graph must carry facet labels")
+    n = gbar.labels[0].n
+    if n == 4:
         return group_facets_by_support(gbar)
-    edge_counts = {e: gbar.common_neighbor_count(*e) for e in gbar.edges()}
-    top = max(edge_counts.values())
     partner = [0] * gbar.n
-    for (a, b), cnt in edge_counts.items():
-        if cnt == top:
+    for a, b in gbar.edges():
+        count = gbar.common_neighbor_count(a, b)
+        if count == n - 2:
             partner[a] |= 1 << b
             partner[b] |= 1 << a
+        elif count != 2:
+            raise StructureError(
+                f"edge ({a}, {b}) has {count} common neighbors, expected {n - 2} or 2"
+            )
     triangles = []
     seen = 0
     for v in range(gbar.n):
@@ -309,11 +315,10 @@ def find_triangles(gbar: Graph) -> list[Triangle]:
         cell = (1 << v) | partner[v]
         verts = tuple(sorted(_bits(cell)))
         if len(verts) != 3 or any(partner[w] | (1 << w) != cell for w in verts):
-            raise StructureError(f"top-count edges at vertex {v} do not form a 3-clique")
+            raise StructureError(f"{n - 2}-count edges at vertex {v} do not form a 3-clique")
         seen |= cell
-        support = gbar.labels[v].support if gbar.labels is not None else None
-        triangles.append(Triangle(verts, support))
-    triangles.sort(key=lambda t: sorted(t.support) if t.support else t.vertices)
+        triangles.append(Triangle(verts, gbar.labels[v].support))
+    triangles.sort(key=lambda t: sorted(t.support))
     return triangles
 
 

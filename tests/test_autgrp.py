@@ -233,7 +233,7 @@ def certify_theorem1_reference(gbar: Graph, aut: PermGroup) -> Theorem1Report:
             if not chain.contains(g):
                 witness = g
                 break
-    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness)
+    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness, aut)
 
 
 class TestSymnAction:
@@ -302,9 +302,8 @@ class TestTheorem1:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_same_report_as_the_reference(self, n):
         gbar = build_complement(n)
-        aut = automorphism_group(gbar, known=induced_point_generators(gbar, n))
-        report = certify_theorem1(gbar, aut)
-        assert report == certify_theorem1_reference(gbar, aut)
+        report = certify_theorem1(gbar)
+        assert report == certify_theorem1_reference(gbar, report.group)
         assert report.passed and report.induced_order == (24 if n == 4 else factorial(n))
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -315,17 +314,15 @@ class TestTheorem1:
         labels = gbar.labels
         inside = [(u, w) for u, w in gbar.edges() if labels[u].support == labels[w].support]
         graph = Graph(gbar.n, inside, labels)
-        aut = automorphism_group(graph, known=induced_point_generators(graph, n))
-        report = certify_theorem1(graph, aut)
+        report = certify_theorem1(graph)
         assert not report.passed and report.witness is not None
-        assert report == certify_theorem1_reference(graph, aut)
+        assert report == certify_theorem1_reference(graph, report.group)
 
-    def test_unseeded_group_refused(self):
-        gbar = build_complement(5)
-        induced = induced_point_generators(gbar, 5)
-        for known in ([], induced[:1], induced[::-1]):
-            with pytest.raises(ValueError):
-                certify_theorem1(gbar, automorphism_group(gbar, known=known))
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_search_seeded_with_the_induced_generators(self, n):
+        gbar = build_complement(n)
+        group = certify_theorem1(gbar).group
+        assert group.generators[: group.seeds] == tuple(induced_point_generators(gbar, n))
 
 def graph_by_key(key: str) -> Graph:
     """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""

@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 
 import conesym
-from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group
+from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group, induced_point_generators
 from conesym.cli import (
     ConfigError,
     RunConfig,
@@ -24,6 +24,7 @@ from conesym.cli import (
     run_verify,
 )
 from conesym.cones import adjacency_agreement
+from conesym.ridge import Graph, build_complement
 
 DATA = Path(__file__).parent / "data"
 
@@ -255,6 +256,22 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 2
         assert len(calls) == 1
 
+    def test_point_seeds_built_once_per_graph(self, monkeypatch):
+        calls = count_calls(monkeypatch, induced_point_generators)
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("gamma", "aut", "theorem1")))
+        assert report["summary"]["pass"] == 3
+        assert sorted(graph.n for graph, _ in calls) == [20, 60]  # Gamma6 and Gbar6
+
+    def test_common_neighbor_census_taken_once(self, monkeypatch):
+        calls = []
+        count = Graph.common_neighbor_count
+        monkeypatch.setattr(
+            Graph, "common_neighbor_count", lambda g, u, v: calls.append((u, v)) or count(g, u, v)
+        )
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("triangles", "gamma")))
+        assert report["summary"]["pass"] == 2
+        assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
+
 
 class TestExitCodes:
     def test_failure_maps_to_1(self):
@@ -318,6 +335,22 @@ class TestMain:
         assert "1 pass, 0 fail, 1 skip" in captured.out
         assert captured.err == ""
 
+    def test_off_census_complement_fails_triangles_and_gamma(self, monkeypatch, capsys):
+        gbar = build_complement(5)
+        labels = gbar.labels
+        u, w = next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
+        adj = list(gbar.adj)
+        adj[u] ^= 1 << w
+        adj[w] ^= 1 << u
+        monkeypatch.setattr("conesym.cli.build_complement", lambda n: Graph.from_adjacency(adj, labels))
+        code = main(["verify", "--n-min", "5", "--n-max", "5", "--checks", "triangles,gamma",
+                     "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [rec["outcome"] for rec in report["checks"]] == ["fail", "fail"]
+        for rec in report["checks"]:
+            assert "1 common neighbors" in rec["witness"]["error"]
+
     def test_unwritable_export_exits_2_but_checks_run(self, capsys):
         code = main(
             ["verify", "--n-min", "4", "--n-max", "4", "--checks", "cuts",
@@ -364,6 +397,11 @@ class TestExport:
         assert sorted(p.name for p in tmp_path.iterdir() if "manifest" in p.name) == [
             "manifest.json"
         ]
+
+    def test_n4_7_files_match_recorded_digests(self, tmp_path):
+        export_graphs(RunConfig(n_min=4, n_max=7, export_dir=str(tmp_path)))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == json.loads((DATA / "export_n4_7.json").read_text())
 
     def test_n5_exports_three_graphs_and_manifest(self, tmp_path):
         cfg = RunConfig(n_min=5, n_max=5, export_dir=str(tmp_path))

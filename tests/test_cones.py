@@ -548,8 +548,15 @@ class TestSweeps:
             tri.triangle_count,
         ) == triangle_maximality_sweep_reference(n, bound)
 
+    @pytest.mark.parametrize("sweep", [hypermetric_sweep, triangle_maximality_sweep])
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_refused(self, sweep, bound):
+        # The family would be empty and the sweep would pass over nothing.
+        with pytest.raises(ValueError, match="hypermetric bound must be positive"):
+            sweep(5, bound)
+
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(3, 6), st.integers(0, 3))
+    @given(st.integers(3, 6), st.integers(1, 3))
     def test_representatives_cover_the_family_once(self, n, bound):
         reps, sizes, _, _ = _sweep_family(n, bound)
         family = enumerate_hypermetric_coeffs(n, bound)

@@ -336,6 +336,20 @@ def complement_with_toggled_edges(draw):
     return toggled(gbar, pairs), u
 
 
+@st.composite
+def relabelled_complement(draw):
+    """Ḡ5 or Ḡ6 under a random vertex permutation, its rows and facet
+    labels moved together; returns the graph and a vertex."""
+    gbar = build_complement(draw(st.sampled_from((5, 6))))
+    perm = draw(st.permutations(range(gbar.n)))
+    adj = [0] * gbar.n
+    labels = [None] * gbar.n
+    for v in range(gbar.n):
+        adj[perm[v]] = _mask_of(perm[w] for w in gbar.neighbors(v))
+        labels[perm[v]] = gbar.labels[v]
+    return Graph.from_adjacency(adj, labels), draw(st.integers(0, gbar.n - 1))
+
+
 class TestHexagonsAgainstReference:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_same_certificate_at_every_vertex(self, n):
@@ -349,6 +363,13 @@ class TestHexagonsAgainstReference:
         gbar, u = case
         expected = hexagon_outcome(verify_hexagon_neighborhood_reference, gbar, u)
         assert hexagon_outcome(verify_hexagon_neighborhood, gbar, u) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_complement())
+    def test_same_certificate_after_relabelling(self, case):
+        # Every drawn graph is isomorphic to Ḡn, so both must pass.
+        gbar, u = case
+        assert verify_hexagon_neighborhood(gbar, u) == verify_hexagon_neighborhood_reference(gbar, u)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_shared_edge_and_every_hexagon_required(self, n):
@@ -415,6 +436,26 @@ class TestTriangles:
         triangles = find_triangles(gbar)
         assert len(triangles) == 4
         assert triangles == group_facets_by_support(gbar)
+
+    def test_off_census_edge_refused(self):
+        # Dropping an edge between two Triangles leaves its endpoints' two
+        # common neighbours with one common neighbour fewer; at least one
+        # of those edges leaves the census {2, n - 2}.
+        gbar = build_complement(5)
+        labels = gbar.labels
+        u, w = next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
+        with pytest.raises(StructureError, match=r"edge \(\d+, \d+\) has 1 common neighbors"):
+            find_triangles(toggled(gbar, [(u, w)]))
+
+    def test_edgeless_graph_refused(self):
+        gbar = build_complement(5)
+        with pytest.raises(StructureError, match="vertex 0 do not form a 3-clique"):
+            find_triangles(Graph(gbar.n, [], gbar.labels))
+
+    def test_unlabelled_graph_refused(self):
+        gbar = build_complement(5)
+        with pytest.raises(ValueError, match="facet labels"):
+            find_triangles(Graph(gbar.n, gbar.edges()))
 
 
 class TestTriangleGraph:
