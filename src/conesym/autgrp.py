@@ -463,10 +463,9 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class Theorem1Report:
+    """`group.order` is |Aut(gbar)| and `group.seed_order` the induced image's."""
+
     n: int
-    vertices: int
-    aut_order: int
-    induced_order: int
     expected_order: int
     passed: bool
     witness: tuple[int, ...] | None
@@ -501,7 +500,7 @@ def certify_theorem1(gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1R
     witness = None
     if n >= 5 and aut.order > induced_order:
         witness = aut.generators[aut.seeds]
-    return Theorem1Report(n, gbar.n, aut.order, induced_order, expected, passed, witness, aut)
+    return Theorem1Report(n, expected, passed, witness, aut)
 
 
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:

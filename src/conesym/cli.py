@@ -35,7 +35,6 @@ from .cones import (
     facet_value,
     hypermetric_sweep,
     triangle_incidence_bound,
-    triangle_maximality_sweep,
 )
 from .core import num_pairs
 from .reflections import build_reflection_group, ray_table
@@ -59,7 +58,7 @@ from .ridge import (
 SCHEMA_VERSION = 1
 
 # The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
-# 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweeps grow
+# 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
 # like (orbit representatives) x 2^(n-1).  Raising a cap turns recorded
 # skips into passes (tests/data), so the caps stay until that is intended.
 ADJACENCY_SWEEP_MAX_N = 6
@@ -78,6 +77,7 @@ class Instance:
 
     n: int
     vertex_cap: int
+    bound: int  # of the bounded coefficient family
 
     incidence = cached_property(lambda self: _facet_incidence_masks(self.n))
     gbar = cached_property(lambda self: build_complement(self.n))
@@ -93,6 +93,7 @@ class Instance:
         )
     )
     adjacency = cached_property(lambda self: adjacency_agreement(self.n, self.incidence))
+    sweep = cached_property(lambda self: hypermetric_sweep(self.n, self.bound))
 
 
 # --- check runners ---------------------------------------------------------
@@ -278,8 +279,8 @@ def _check_aut(inst: Instance, cfg: RunConfig):
 def _check_theorem1(inst: Instance, cfg: RunConfig):
     report = inst.theorem1
     details = {
-        "aut_order": report.aut_order,
-        "induced_order": report.induced_order,
+        "aut_order": report.group.order,
+        "induced_order": report.group.seed_order,
         "expected": report.expected_order,
     }
     if not report.passed:
@@ -315,9 +316,9 @@ def _check_reflect4(inst: Instance, cfg: RunConfig):
 
 
 def _check_hypermetric(inst: Instance, cfg: RunConfig):
-    sweep = hypermetric_sweep(inst.n, cfg.hypermetric_bound)
+    sweep = inst.sweep
     details = {
-        "bound": cfg.hypermetric_bound,
+        "bound": sweep.bound,
         "coefficient_vectors": sweep.vector_count,
         "cuts": sweep.cut_count,
     }
@@ -336,10 +337,9 @@ def _check_hypermetric(inst: Instance, cfg: RunConfig):
 
 
 def _check_theorem2(inst: Instance, cfg: RunConfig):
-    n = inst.n
-    sweep = triangle_maximality_sweep(n, cfg.hypermetric_bound)
+    n, sweep = inst.n, inst.sweep
     details = {
-        "bound": cfg.hypermetric_bound,
+        "bound": sweep.bound,
         "coefficient_vectors": sweep.vector_count,
         "max_cut_count": sweep.max_count,
         "triangle_vectors": sweep.triangle_count,
@@ -365,7 +365,7 @@ def _check_theorem2(inst: Instance, cfg: RunConfig):
             f, g, by_rank, by_sign = mismatches[0]
             return "fail", details, {"facet_a": repr(f), "facet_b": repr(g)}
     else:
-        details["adjacency_note"] = "rank sweep covered for n<=6"
+        details["adjacency_note"] = f"rank sweep covered for n<={ADJACENCY_SWEEP_MAX_N}"
     return "pass", details, None
 
 
@@ -471,7 +471,7 @@ def run_verify(cfg: RunConfig) -> dict:
     records = []
     tally = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for n in range(cfg.n_min, cfg.n_max + 1):
-        inst = Instance(n, cfg.aut_vertex_cap)
+        inst = Instance(n, cfg.aut_vertex_cap, cfg.hypermetric_bound)
         for check in selected:
             start = time.perf_counter()
             skip = CHECKS[check].skip
@@ -518,7 +518,7 @@ def export_graphs(cfg: RunConfig) -> dict:
     (out_dir / "manifest.json").unlink(missing_ok=True)
     manifest = {"schema_version": SCHEMA_VERSION, "files": [], "omitted": []}
     for n in range(cfg.n_min, cfg.n_max + 1):
-        inst = Instance(n, cfg.aut_vertex_cap)
+        inst = Instance(n, cfg.aut_vertex_cap, cfg.hypermetric_bound)
         graphs = [("ridge", inst.gbar.complement()), ("complement", inst.gbar)]
         if n >= 5:
             graphs.append(("gamma", inst.gamma))

@@ -4,7 +4,7 @@ counting, and exact integer rank certificates for cone face dimensions.
 All certification arithmetic is exact and runs on Python integers: a rank
 is the rank over GF(2) when that is full and comes from fraction-free
 Bareiss elimination otherwise, kernels come from rational row reduction,
-and the sweeps over the bounded hypermetric family evaluate one sorted
+and the one pass over the bounded hypermetric family evaluates one sorted
 representative per orbit of the point permutations.  A set of cuts
 is ranked on its correlation rows (`CutVector.correlation`), the image of
 the cut vectors under an integral linear bijection, so the rank is the same
@@ -39,8 +39,6 @@ __all__ = [
     "adjacency_agreement",
     "HypermetricSweep",
     "hypermetric_sweep",
-    "TriangleMaximalitySweep",
-    "triangle_maximality_sweep",
 ]
 
 
@@ -293,43 +291,25 @@ def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     return total, mismatches
 
 
-def _sweep_family(n: int, bound: int):
-    """The set-up both sweeps share, reduced by the point permutations.
+def _orbit_representatives(n: int, bound: int):
+    """The bounded coefficient family, reduced by the point permutations.
 
-    The bounded coefficient family is a union of Sym(n) orbits, and each
-    orbit holds exactly one sorted vector, so the family is given by its
-    sorted representatives, each with its orbit size n! / prod(m_v!) over the
-    value multiplicities m_v.  A permutation pi maps the pair (b, S) to
-    (b o pi^-1, pi S): this keeps the direct pair sum, sigma * (1 - sigma)
-    and the number of zero cuts, and permutes the coordinates of the
-    zero-cut rows, so their rank is kept too.  The nonzero cuts are closed
-    under pi, so evaluating each representative on every cut decides its
-    whole orbit.
-
-    Returns the representatives, their orbit sizes, the nonzero cuts and
-    `closed[v][c] = sigma * (1 - sigma)` for every (representative, cut)
-    pair, sigma being the coefficient sum over the cut's generating set.
-    A bound below 1 leaves the family empty, which would make either sweep
-    pass vacuously, so it raises ValueError.
+    The family is a union of Sym(n) orbits, and each orbit holds exactly one
+    sorted vector, so the family is given by its sorted representatives,
+    each yielded with its orbit size n! / prod(m_v!) over the value
+    multiplicities m_v.
     """
-    if bound < 1:
-        raise ValueError("hypermetric bound must be positive")
-    reps = [
-        b
-        for b in itertools.combinations_with_replacement(range(-bound, bound + 1), n)
-        if sum(b) == 1
-    ]
-    sizes = [
-        factorial(n) // prod(factorial(len(list(run))) for _, run in itertools.groupby(b))
-        for b in reps
-    ]
-    cuts = enumerate_cuts(n)
-    members = [[p - 1 for p in c.members] for c in cuts]
-    closed = []
-    for b in reps:
-        sigmas = [sum(map(b.__getitem__, m)) for m in members]
-        closed.append([s * (1 - s) for s in sigmas])
-    return reps, sizes, cuts, closed
+    for b in itertools.combinations_with_replacement(range(-bound, bound + 1), n):
+        if sum(b) == 1:
+            yield b, factorial(n) // prod(
+                factorial(len(list(run))) for _, run in itertools.groupby(b)
+            )
+
+
+def _closed_forms(b: Sequence[int], members: list[list[int]]) -> list[int]:
+    """sigma * (1 - sigma) per cut, sigma being the sum of b over the cut's
+    generating set, given as 0-based points."""
+    return [s * (1 - s) for s in (sum(map(b.__getitem__, m)) for m in members)]
 
 
 @dataclass
@@ -338,112 +318,88 @@ class HypermetricSweep:
     bound: int
     vector_count: int
     cut_count: int
-    mismatch: tuple | None  # (b, cut members, direct, closed) on first failure
-    positive: tuple | None  # (b, cut members, value) on first failure
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatch is None and self.positive is None
-
-
-def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
-    """Identity check over the bounded coefficient family.
-
-    For every integer vector b with |b_i| <= bound and sum 1 and every
-    nonzero cut, the direct pair summation must equal sigma * (1 - sigma)
-    where sigma is the coefficient sum over the generating set, and must be
-    nonpositive.  The two sides are computed independently.  One sorted
-    representative per Sym(n) orbit is evaluated (see `_sweep_family`);
-    `vector_count` counts the whole family and a witness is the first
-    failing (representative, cut) pair in row-major order.
-    """
-    reps, sizes, cuts, closed = _sweep_family(n, bound)
-    pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
-    cut_pairs = [list(_bits(c.mask)) for c in cuts]
-    mismatch = positive = None
-    for b, row in zip(reps, closed):
-        products = [b[i] * b[j] for i, j in pairs]
-        for cut, ks, value in zip(cuts, cut_pairs, row):
-            direct = sum(map(products.__getitem__, ks))
-            if mismatch is None and direct != value:
-                mismatch = (b, sorted(cut.members), direct, value)
-            if positive is None and direct > 0:
-                positive = (b, sorted(cut.members), direct)
-    return HypermetricSweep(n, bound, sum(sizes), len(cuts), mismatch, positive)
-
-
-def _is_triangle_coeffs(b: Sequence[int]) -> bool:
-    return sorted(b) == [-1] + [0] * (len(b) - 3) + [1, 1]
-
-
-@dataclass
-class TriangleMaximalitySweep:
-    n: int
-    bound: int
-    vector_count: int
     degenerate_count: int  # vectors inducing the identically-zero functional
     max_count: int
     triangle_count: int
-    over_bound: tuple | None  # b exceeding the incidence bound
-    triangle_failure: tuple | None  # triangle b missing the bound or facet rank
-    rogue_maximizer: tuple | None  # facet-inducing non-triangle b at the bound
+    mismatch: tuple | None  # (b, cut members, direct, closed) on first failure
+    positive: tuple | None  # (b, cut members, value) on first failure
+    over_bound: tuple | None  # (b, count): more zero cuts than the incidence bound
+    triangle_failure: tuple | None  # (b, count, rank): a triangle b off the bound or facet rank
+    rogue_maximizer: tuple | None  # (b, count, rank): a facet-inducing non-triangle b at the bound
 
     @property
     def ok(self) -> bool:
-        return (
-            self.over_bound is None
-            and self.triangle_failure is None
-            and self.rogue_maximizer is None
+        return not any(
+            (self.mismatch, self.positive, self.over_bound, self.triangle_failure, self.rogue_maximizer)
         )
 
 
-def triangle_maximality_sweep(n: int, bound: int) -> TriangleMaximalitySweep:
-    """Certify that triangle facets are the unique cut-count maximizers among
-    the bounded coefficient family.
+def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
+    """Certify both claims about the bounded coefficient family in one pass.
 
-    Every vector inducing a nonzero functional must contain at most
-    3 * 2**(n-3) - 1 cuts; each triangle vector must attain the bound with
-    its zero cuts spanning a hyperplane (rank C(n, 2) - 1, the facet
-    certificate); any other vector attaining the bound must fail that rank
-    certificate.  Vectors with a single nonzero coefficient induce the
-    identically-zero functional (the trivial inequality) and are excluded.
-    One sorted representative per Sym(n) orbit is certified (see
-    `_sweep_family`), so one rank certificate covers an orbit; the counts
-    are weighted by orbit size and a witness is the first failing
-    representative.
+    For every integer vector b with |b_i| <= bound and sum 1 and every
+    nonzero cut, the direct pair sum must equal sigma * (1 - sigma), sigma
+    being the coefficient sum over the cut's generating set, and must be
+    nonpositive; the two sides are computed independently.  The zero cuts
+    are those whose direct pair sum is 0.  Every vector inducing a nonzero
+    functional must have at most 3 * 2**(n-3) - 1 of them; each triangle
+    vector must attain that bound with its zero cuts spanning a hyperplane
+    (rank C(n, 2) - 1 on their correlation rows, the facet certificate); any
+    other vector attaining the bound must fail that rank certificate.
+    Vectors with a single nonzero coefficient induce the identically-zero
+    functional (the trivial inequality) and are left out of the second
+    claim.
+
+    One sorted representative per Sym(n) orbit is evaluated
+    (`_orbit_representatives`).  A permutation pi maps the pair (b, S) to
+    (b o pi^-1, pi S): this keeps the direct pair sum, sigma * (1 - sigma)
+    and the number of zero cuts, and permutes the coordinates of the
+    zero-cut rows, so their rank is kept too.  The nonzero cuts are closed
+    under pi, so one representative decides its whole orbit.  The counts
+    are weighted by orbit size, and a witness is the first failing
+    representative, with its first failing cut.  A bound below 1 leaves the
+    family empty, which would pass vacuously, so it raises ValueError.
     """
-    reps, sizes, cuts, values = _sweep_family(n, bound)
+    if bound < 1:
+        raise ValueError("hypermetric bound must be positive")
+    cuts = enumerate_cuts(n)
+    members = [[p - 1 for p in c.members] for c in cuts]
+    cut_pairs = [list(_bits(c.mask)) for c in cuts]
+    pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
-    degenerate_count = triangle_count = 0
-    over_bound = triangle_failure = rogue_maximizer = None
-    for b, size, row in zip(reps, sizes, values):
+    triangle = (-1, *[0] * (n - 3), 1, 1)
+    vector_count = degenerate_count = triangle_count = 0
+    mismatch = positive = over_bound = triangle_failure = rogue_maximizer = None
+    for b, size in _orbit_representatives(n, bound):
+        vector_count += size
+        products = [b[i] * b[j] for i, j in pairs]
+        direct = [sum(map(products.__getitem__, ks)) for ks in cut_pairs]
+        closed = _closed_forms(b, members)
+        if mismatch is None and direct != closed:
+            c = next(c for c, (d, v) in enumerate(zip(direct, closed)) if d != v)
+            mismatch = (b, sorted(cuts[c].members), direct[c], closed[c])
+        if positive is None and max(direct) > 0:
+            c = next(c for c, d in enumerate(direct) if d > 0)
+            positive = (b, sorted(cuts[c].members), direct[c])
         if len(b) - b.count(0) < 2:
             degenerate_count += size
             continue
-        zeros = [c for c, value in enumerate(row) if value == 0]
-        count = len(zeros)
+        count = direct.count(0)
         if count > limit:
             over_bound = over_bound or (b, count)
-        is_triangle = _is_triangle_coeffs(b)
+        is_triangle = b == triangle
         if is_triangle:
             triangle_count += size
         if count != limit and not is_triangle:
             continue
-        rank = integer_rank([cuts[c].correlation for c in zeros])
+        rank = integer_rank([cut.correlation for cut, d in zip(cuts, direct) if d == 0])
         if is_triangle:
             if count != limit or rank != facet_rank:
                 triangle_failure = triangle_failure or (b, count, rank)
         elif rank == facet_rank:
             rogue_maximizer = rogue_maximizer or (b, count, rank)
-    return TriangleMaximalitySweep(
-        n,
-        bound,
-        sum(sizes),
-        degenerate_count,
-        limit,
-        triangle_count,
-        over_bound,
-        triangle_failure,
-        rogue_maximizer,
+    return HypermetricSweep(
+        n, bound, vector_count, len(cuts), degenerate_count, limit, triangle_count,
+        mismatch, positive, over_bound, triangle_failure, rogue_maximizer,
     )

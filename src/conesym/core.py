@@ -271,6 +271,8 @@ class Permutation:
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 raise ValueError(f"repeated point in cycle {cycle}")
+            if not all(1 <= p <= n for p in cycle):
+                raise ValueError(f"cycle {cycle} has a point outside 1..{n}")
             for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
                 images[a - 1] = b
         return cls(images)

@@ -12,6 +12,7 @@ import networkx as nx
 import pytest
 
 import conesym
+from conesym import cli, cones
 from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group, induced_point_generators
 from conesym.cli import (
     ConfigError,
@@ -24,6 +25,7 @@ from conesym.cli import (
     run_verify,
 )
 from conesym.cones import adjacency_agreement
+from conesym.core import enumerate_cuts
 from conesym.ridge import Graph, build_complement
 
 DATA = Path(__file__).parent / "data"
@@ -271,6 +273,39 @@ class TestSharedWork:
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=("triangles", "gamma")))
         assert report["summary"]["pass"] == 2
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
+
+    # Up to the adjacency cap, theorem2 also reads the adjacency sweep, whose
+    # incidence masks list the cuts once more.
+    @pytest.mark.parametrize("n, cut_lists", [(6, 2), (7, 1)])
+    def test_bounded_family_swept_once(self, monkeypatch, n, cut_lists):
+        calls = count_calls(monkeypatch, enumerate_cuts)
+        report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
+        assert report["summary"]["pass"] == 2
+        assert len(calls) == cut_lists
+
+
+class TestBoundedFamily:
+    CONFIG = RunConfig(n_min=5, n_max=5, checks=("hypermetric", "theorem2"), hypermetric_bound=2)
+
+    def test_wrong_closed_form_fails_only_hypermetric(self, monkeypatch):
+        # theorem2 reads the zero cuts off the direct pair sums, so a wrong
+        # closed form leaves its counts and verdict as they were.
+        honest = run_verify(self.CONFIG)["checks"]
+        right = cones._closed_forms
+        monkeypatch.setattr(cones, "_closed_forms", lambda b, m: [v - 1 for v in right(b, m)])
+        hypermetric, theorem2 = run_verify(self.CONFIG)["checks"]
+        assert hypermetric["outcome"] == "fail"
+        witness = hypermetric["witness"]
+        assert witness["closed_form"] == witness["direct"] - 1
+        assert theorem2["outcome"] == "pass"
+        assert theorem2["details"] == honest[1]["details"]
+
+    def test_adjacency_note_names_the_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "ADJACENCY_SWEEP_MAX_N", 5)
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("theorem2",)))
+        (record,) = report["checks"]
+        assert record["outcome"] == "pass"
+        assert record["details"]["adjacency_note"] == "rank sweep covered for n<=5"
 
 
 class TestExitCodes:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conesym import cones
 from conesym.cones import (
     _facet_incidence_masks,
-    _sweep_family,
+    _orbit_representatives,
     adjacency_agreement,
     enumerate_hypermetric_coeffs,
     facet_value,
@@ -19,7 +19,6 @@ from conesym.cones import (
     integer_rank,
     kernel_basis,
     triangle_incidence_bound,
-    triangle_maximality_sweep,
 )
 from conesym.core import (
     CutVector,
@@ -525,7 +524,7 @@ class TestSweeps:
                 assert hypermetric_value_reference(b, cut.bits) <= 0
 
     def test_triangle_maximality_n5(self):
-        sweep = triangle_maximality_sweep(5, 2)
+        sweep = hypermetric_sweep(5, 2)
         assert sweep.ok
         assert sweep.max_count == 11
         # 3 * C(5, 3) arrangements of (1, 1, -1, 0, 0).
@@ -535,20 +534,25 @@ class TestSweeps:
         "n, bound", [(n, b) for n in (4, 5, 6) for b in (1, 2, 3)] + [(7, 1), (7, 2)]
     )
     def test_orbit_sweeps_match_exhaustive_reference(self, n, bound):
-        hyper = hypermetric_sweep(n, bound)
-        assert (hyper.ok, hyper.vector_count, hyper.cut_count) == hypermetric_sweep_reference(
+        sweep = hypermetric_sweep(n, bound)
+        identity_ok = sweep.mismatch is None and sweep.positive is None
+        assert (identity_ok, sweep.vector_count, sweep.cut_count) == hypermetric_sweep_reference(
             n, bound
         )
-        tri = triangle_maximality_sweep(n, bound)
+        maximality_ok = (
+            sweep.over_bound is None
+            and sweep.triangle_failure is None
+            and sweep.rogue_maximizer is None
+        )
         assert (
-            tri.ok,
-            tri.vector_count,
-            tri.degenerate_count,
-            tri.max_count,
-            tri.triangle_count,
+            maximality_ok,
+            sweep.vector_count,
+            sweep.degenerate_count,
+            sweep.max_count,
+            sweep.triangle_count,
         ) == triangle_maximality_sweep_reference(n, bound)
 
-    @pytest.mark.parametrize("sweep", [hypermetric_sweep, triangle_maximality_sweep])
+    @pytest.mark.parametrize("sweep", [hypermetric_sweep])
     @pytest.mark.parametrize("bound", [0, -1])
     def test_bound_below_one_refused(self, sweep, bound):
         # The family would be empty and the sweep would pass over nothing.
@@ -558,20 +562,23 @@ class TestSweeps:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 6), st.integers(1, 3))
     def test_representatives_cover_the_family_once(self, n, bound):
-        reps, sizes, _, _ = _sweep_family(n, bound)
+        reps, sizes = zip(*_orbit_representatives(n, bound))
         family = enumerate_hypermetric_coeffs(n, bound)
         assert sum(sizes) == len(family)
-        assert reps == sorted({tuple(sorted(b)) for b in family})
+        assert list(reps) == sorted({tuple(sorted(b)) for b in family})
         for b, size in zip(reps, sizes):
             assert size == len(set(itertools.permutations(b)))
 
     def test_faulty_closed_form_yields_mismatch_witness(self, monkeypatch):
-        def faulty(n, bound):
-            reps, sizes, cuts, closed = _sweep_family(n, bound)
-            closed[-1][-1] += 1
-            return reps, sizes, cuts, closed
+        right = cones._closed_forms
 
-        monkeypatch.setattr(cones, "_sweep_family", faulty)
+        def faulty(b, members):
+            closed = right(b, members)
+            if b == (0, 0, 0, 0, 1):  # the last representative
+                closed[-1] += 1
+            return closed
+
+        monkeypatch.setattr(cones, "_closed_forms", faulty)
         sweep = hypermetric_sweep(5, 2)
         assert not sweep.ok
         b, members, direct, closed = sweep.mismatch
@@ -583,5 +590,6 @@ class TestSweeps:
 
     def test_faulty_rank_yields_triangle_failure(self, monkeypatch):
         monkeypatch.setattr(cones, "integer_rank", lambda rows: 0)
-        sweep = triangle_maximality_sweep(5, 2)
+        sweep = hypermetric_sweep(5, 2)
         assert sweep.triangle_failure == ((-1, 0, 0, 1, 1), 11, 0)
+        assert sweep.mismatch is None and sweep.positive is None

@@ -251,6 +251,13 @@ class TestPermutationAction:
         with pytest.raises(ValueError):
             apply_permutation(Permutation.identity(4), (0, 1, 2))
 
+    @pytest.mark.parametrize("cycle", [(3, 0), (4, 1)])
+    def test_cycle_point_outside_range_refused(self, cycle):
+        # Point 0 would write images[-1] and (3, 0) would give the identity;
+        # point 4 would index past the end.
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            Permutation.from_cycles(3, [cycle])
+
     @settings(max_examples=60)
     @given(st.data())
     def test_group_action_composition(self, data):

@@ -1,7 +1,9 @@
-"""Static checks over the package and its tests: no unused imports, and no
-private helper in the package that only the tests use."""
+"""Static checks over the package and its tests: no unused imports, no
+private helper in the package that only the tests use, and no stale
+`__all__` entry."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,3 +111,14 @@ def test_private_scanner_flags_only_unread_helpers():
 
 def test_no_private_helper_only_the_tests_use():
     assert unreferenced_private_definitions([path.read_text() for path in PACKAGE]) == []
+
+
+def test_every_exported_name_is_bound():
+    # perfbench's tracer looks each `__all__` name up with getattr, so a
+    # stale entry would crash a traced run.
+    unbound = []
+    for path in PACKAGE:
+        name = "conesym" if path.stem == "__init__" else f"conesym.{path.stem}"
+        module = importlib.import_module(name)
+        unbound += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+    assert unbound == []

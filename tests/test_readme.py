@@ -37,3 +37,16 @@ def test_quoted_caps_are_the_code_caps():
         HYPERMETRIC_SWEEP_MAX_N,
         AUT_VERTEX_CAP,
     )
+
+
+def test_quoted_sweep_figures_are_the_sweep():
+    from conesym.cones import _orbit_representatives, hypermetric_sweep
+
+    text = " ".join(README.read_text().split())
+    quoted = re.search(
+        r"At `n = 6`, bound 3, that is (\d+) representatives for ([\d,]+) coefficient vectors", text
+    )
+    assert quoted, "README no longer quotes the sweep's figures at n = 6, bound 3"
+    reps, vectors = quoted.groups()
+    assert len(list(_orbit_representatives(6, 3))) == int(reps)
+    assert hypermetric_sweep(6, 3).vector_count == int(vectors.replace(",", ""))
