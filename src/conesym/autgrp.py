@@ -250,7 +250,7 @@ def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
 
 class _AutomorphismSearch:
     def __init__(self, graph: Graph, known: Sequence[tuple[int, ...]] = ()):
-        self.adj = graph.adj
+        self.graph = graph
         self.n = graph.n
         self.known = known
         self.generators: list[tuple[int, ...]] = []
@@ -278,7 +278,7 @@ class _AutomorphismSearch:
 
         Only a non-singleton cell meeting the splitter's neighborhood can
         split: every other cell keeps one count and stays whole uncounted."""
-        adj = self.adj
+        adj = self.graph.adj
         cells = list(cells)
         masks = [_mask_of(cell) for cell in cells]
         live = 0
@@ -288,13 +288,7 @@ class _AutomorphismSearch:
         queue = deque(splitters)
         while queue and live:
             smask = queue.popleft()
-            reach = 0
-            m = smask
-            while m:
-                lsb = m & -m
-                reach |= adj[lsb.bit_length() - 1]
-                m ^= lsb
-            reach &= live
+            reach = self.graph.reach(smask) & live
             if not reach:
                 continue
             splits = []
@@ -373,7 +367,7 @@ class _AutomorphismSearch:
         for a, b in zip(self.first_leaf, leaf):
             g[a] = b
         g = tuple(g)
-        if g != self.chain.identity and _preserves_adjacency(self.adj, g):
+        if g != self.chain.identity and _preserves_adjacency(self.graph.adj, g):
             self._add(g)
             common = 0
             for a, b in zip(self.first_branch, self.branch):

@@ -40,7 +40,6 @@ from .core import num_pairs
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
-    bfs_distances,
     build_complement,
     build_triangle_graph,
     edge_list_lines,
@@ -226,10 +225,10 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
     if n >= 6 and diameter != 3:
         return "fail", details, {"reason": f"diameter {diameter}, expected 3"}
     if n == 6:
-        for v in range(gamma.n):
-            dist = bfs_distances(gamma, v)
-            far = [w for w in range(gamma.n) if dist[w] == 3]
-            if len(far) != 1 or gamma.labels[far[0]] != frozenset(range(1, 7)) - gamma.labels[v]:
+        # The census gave every vertex eccentricity 3, so layer 3 exists.
+        for v, label in enumerate(gamma.labels):
+            far = gamma.layers(v)[3]
+            if far.bit_count() != 1 or gamma.labels[far.bit_length() - 1] != frozenset(range(1, 7)) - label:
                 return "fail", details, {"vertex": v, "reason": "antipodal pairing failed"}
         details["antipodal_pairing"] = True
         if _aut_cap(n, cfg) is None:

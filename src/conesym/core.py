@@ -8,6 +8,7 @@ so for n = 4 the coordinates are (1,2), (1,3), (1,4), (2,3), (2,4), (3,4).
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
@@ -60,6 +61,17 @@ def pair_unindex(k: int, n: int) -> tuple[int, int]:
     return pairs[k]
 
 
+def _points(points, n: int, error: str) -> tuple[int, ...]:
+    """The points as ints; ValueError(error) unless they are distinct integers in 1..n."""
+    try:
+        points = tuple(map(operator.index, points))
+    except TypeError:
+        raise ValueError(error) from None
+    if len(set(points)) != len(points) or not all(1 <= p <= n for p in points):
+        raise ValueError(error)
+    return points
+
+
 def _n_from_len(m: int) -> int:
     n = (1 + isqrt(1 + 8 * m)) // 2
     if num_pairs(n) != m:
@@ -79,9 +91,7 @@ class CutVector:
     __slots__ = ("n", "members", "mask")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
-        members = frozenset(members)
-        if any(not (1 <= p <= n) for p in members):
-            raise ValueError(f"members must lie in 1..{n}")
+        members = frozenset(_points(set(members), n, f"members must be integers in 1..{n}"))
         if n in members:
             members = frozenset(range(1, n + 1)) - members
         mask = 0
@@ -169,8 +179,7 @@ class TriangleFacet:
     __slots__ = ("n", "i", "j", "k")
 
     def __init__(self, i: int, j: int, k: int, n: int):
-        if len({i, j, k}) != 3 or not all(1 <= p <= n for p in (i, j, k)):
-            raise ValueError(f"({i}, {j}, {k}) is not a 3-set inside 1..{n}")
+        i, j, k = _points((i, j, k), n, f"({i}, {j}, {k}) is not a 3-set inside 1..{n}")
         if i > j:
             i, j = j, i
         self.n = n
@@ -257,9 +266,8 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a permutation of 1..n")
-        self.images = images
+        n = len(images)
+        self.images = _points(images, n, f"{images} is not a permutation of 1..{n}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -269,11 +277,11 @@ class Permutation:
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(1, n + 1))
         for cycle in cycles:
-            if len(set(cycle)) != len(cycle):
-                raise ValueError(f"repeated point in cycle {cycle}")
-            if not all(1 <= p <= n for p in cycle):
-                raise ValueError(f"cycle {cycle} has a point outside 1..{n}")
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+            error = f"cycle {cycle} is empty, repeats a point or has one outside 1..{n}"
+            points = _points(cycle, n, error)
+            if not points:
+                raise ValueError(error)
+            for a, b in zip(points, points[1:] + points[:1]):
                 images[a - 1] = b
         return cls(images)
 
@@ -282,6 +290,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, p: int) -> int:
+        if not 1 <= p <= len(self.images):
+            raise ValueError(f"point {p} outside 1..{len(self.images)}")
         return self.images[p - 1]
 
     def inverse(self) -> "Permutation":

@@ -31,7 +31,6 @@ __all__ = [
     "verify_johnson_isomorphism",
     "verify_rook_neighborhood",
     "verify_distance2_property",
-    "bfs_distances",
     "IntersectionArray",
     "intersection_array",
     "to_graph6",
@@ -141,6 +140,27 @@ class Graph:
     def common_neighbor_count(self, u: int, v: int) -> int:
         return (self.adj[u] & self.adj[v]).bit_count()
 
+    def reach(self, mask: int) -> int:
+        """The union of the neighbourhood rows of the vertices in mask."""
+        adj = self.adj
+        out = 0
+        while mask:
+            lsb = mask & -mask
+            out |= adj[lsb.bit_length() - 1]
+            mask ^= lsb
+        return out
+
+    def layers(self, v: int) -> list[int]:
+        """The vertices at distance 0, 1, ... from v, as masks, up to the
+        eccentricity of v; a vertex v cannot reach is in no layer."""
+        out = []
+        frontier = seen = 1 << v
+        while frontier:
+            out.append(frontier)
+            frontier = self.reach(frontier) & ~seen
+            seen |= frontier
+        return out
+
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
@@ -237,10 +257,7 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
         frontier = rest & -rest
         while frontier:
             comp |= frontier
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & rest & ~comp
+            frontier = gbar.reach(frontier) & rest & ~comp
         rest &= ~comp
         verts = list(_bits(comp))
         degs = [(adj[v] & comp).bit_count() for v in verts]
@@ -347,10 +364,7 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
             owner[v] = i
     rows = [0] * len(triangles)
     for a, ta in enumerate(triangles):
-        reach = 0
-        for u in ta.vertices:
-            reach |= adj[u]
-        joined = {owner[w] for w in _bits(reach)}
+        joined = {owner[w] for w in _bits(gbar.reach(masks[a]))}
         for b in sorted(b for b in joined if b > a):
             tb = triangles[b].vertices
             deg_a = [(adj[u] & masks[b]).bit_count() for u in ta.vertices]
@@ -420,35 +434,13 @@ def verify_rook_neighborhood(gamma: Graph, v: int) -> bool:
     )
 
 
-def bfs_distances(graph: Graph, source: int) -> list[int]:
-    dist = [-1] * graph.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= graph.adj[v]
-        nxt &= ~seen
-        for v in _bits(nxt):
-            dist[v]= d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
 def verify_distance2_property(gamma: Graph, v: int) -> bool:
     """Each vertex at distance 2 from v meets the neighborhood of v in
     exactly 4 vertices, and those 4-sets are pairwise distinct.  The vertices
     at distance 2 are those the neighbours reach, less v and its neighbours."""
     adj = gamma.adj
-    reach = 0
-    for u in _bits(adj[v]):
-        reach |= adj[u]
     foursets = []
-    for w in _bits(reach & ~adj[v] & ~(1 << v)):
+    for w in _bits(gamma.reach(adj[v]) & ~adj[v] & ~(1 << v)):
         common = adj[w] & adj[v]
         if common.bit_count() != 4:
             return False
@@ -468,19 +460,21 @@ class IntersectionArray:
 def intersection_array(gamma: Graph) -> IntersectionArray:
     """Verify distance-regularity by exhaustive distance census and return
     the parameters; raises StructureError when the census is inconsistent."""
-    all_dist = [bfs_distances(gamma, v) for v in range(gamma.n)]
-    if any(-1 in row for row in all_dist):
+    if not gamma.n:
+        raise StructureError("the empty graph has no intersection array")
+    all_layers = [gamma.layers(v) for v in range(gamma.n)]
+    # The layers are disjoint, so their sum is the set vertex 0 reaches.
+    if sum(all_layers[0]) != (1 << gamma.n) - 1:
         raise StructureError("graph is not connected")
-    diameter = max(max(row) for row in all_dist)
+    diameter = max(map(len, all_layers)) - 1
     bs: list[int | None] = [None] * diameter
     cs: list[int | None] = [None] * diameter
     adj = gamma.adj
-    for v in range(gamma.n):
-        dist = all_dist[v]
-        # layer[d] is the set of vertices at distance d from v.
-        layer = [0] * (diameter + 1)
-        for w, d in enumerate(dist):
-            layer[d] |= 1 << w
+    for v, layer in enumerate(all_layers):
+        # layer[d] is the set of vertices at distance d from v.  The empty layer
+        # appended is read where the eccentricity of v is below the diameter.
+        dist = {w: d for d, mask in enumerate(layer) for w in _bits(mask)}
+        layer.append(0)
         for w in range(gamma.n):
             d = dist[w]
             if w == v:

@@ -1,7 +1,9 @@
-"""Hypothesis strategies shared by the graph tests."""
+"""Hypothesis strategies and the networkx distance oracle shared by the
+graph tests."""
 
 import itertools
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from conesym.ridge import Graph
@@ -14,3 +16,13 @@ def random_graphs(draw, max_vertices=24):
     pairs = list(itertools.combinations(range(n), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+def networkx_distances(graph, source):
+    """Distances from source by networkx's BFS, -1 where source cannot
+    reach: an oracle that shares no code with `Graph.layers`."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges())
+    lengths = nx.single_source_shortest_path_length(g, source)
+    return [lengths.get(w, -1) for w in range(graph.n)]

@@ -20,7 +20,6 @@ from conesym.reflections import (
     ray_table,
 )
 from conesym.ridge import (
-    bfs_distances,
     build_complement,
     build_ridge_graph,
     build_triangle_graph,
@@ -28,6 +27,8 @@ from conesym.ridge import (
     verify_hexagon_neighborhood,
     verify_johnson_isomorphism,
 )
+
+from graph_strategies import networkx_distances
 
 
 def record(criterion: int, passed: bool, detail: str) -> None:
@@ -137,7 +138,7 @@ def test_criterion_6_n6_exception():
     aut_gbar = automorphism_group(gbar6).order
     antipodal = True
     for v in range(gamma6.n):
-        dist = bfs_distances(gamma6, v)
+        dist = networkx_distances(gamma6, v)
         far = [w for w in range(gamma6.n) if dist[w] == 3]
         if len(far) != 1 or gamma6.labels[far[0]] != frozenset(range(1, 7)) - gamma6.labels[v]:
             antipodal = False

@@ -397,6 +397,20 @@ class TestMain:
         assert "cuts" in captured.out  # verification itself still reported
 
 
+class TestGammaCheck:
+    def test_relabelled_gamma6_fails_the_antipodal_pairing(self):
+        # Swapping two labels keeps the census, but the vertex at distance 3
+        # from vertex 0 no longer carries the complement of its label.
+        inst = cli.Instance(6, AUT_VERTEX_CAP, RunConfig.hypermetric_bound)
+        labels = list(inst.gamma.labels)
+        labels[0], labels[1] = labels[1], labels[0]
+        inst.gamma = Graph.from_adjacency(inst.gamma.adj, labels)
+        outcome, details, witness = cli._check_gamma(inst, RunConfig(n_min=6, n_max=6))
+        assert outcome == "fail"
+        assert details["diameter"] == 3
+        assert witness == {"vertex": 0, "reason": "antipodal pairing failed"}
+
+
 class TestExport:
     def test_interrupted_reexport_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
         argv = ["verify", "--n-min", "4", "--n-max", "5", "--checks", "cuts",

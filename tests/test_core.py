@@ -1,6 +1,7 @@
 """Tests for coordinate indexing, cuts, facets, permutations, and switching."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,10 @@ class TestCutVector:
         with pytest.raises(ValueError):
             cut_vector({5}, 4)
 
+    def test_non_integer_member_refused(self):
+        with pytest.raises(ValueError, match=r"integers in 1\.\.4"):
+            CutVector(4, [1.0])
+
 
 def covariance_map_reference(x, n):
     """xi(x) rooted at n: xi_in = x_in and xi_ij = (x_in + x_jn - x_ij) / 2."""
@@ -219,6 +224,10 @@ class TestTriangleFacets:
         facets = enumerate_triangle_facets(6)
         assert len(set(facets)) == len(facets)
 
+    def test_non_integer_point_refused(self):
+        with pytest.raises(ValueError, match=r"\(1\.0, 2, 3\) is not a 3-set"):
+            TriangleFacet(1.0, 2, 3, 4)
+
     def test_facets_nonpositive_on_cuts_up_to_n8(self):
         # Cuts satisfy every triangle inequality.
         for n in range(4, 9):
@@ -257,6 +266,23 @@ class TestPermutationAction:
         # point 4 would index past the end.
         with pytest.raises(ValueError, match=r"outside 1\.\.3"):
             Permutation.from_cycles(3, [cycle])
+
+    @pytest.mark.parametrize("cycle", [(), (1.5, 2)])
+    def test_malformed_cycle_refused_by_name(self, cycle):
+        # () would read cycle[0]; 1.5 would index the image list.
+        with pytest.raises(ValueError, match=re.escape(f"cycle {cycle} ")):
+            Permutation.from_cycles(3, [cycle])
+
+    def test_non_integer_image_refused(self):
+        # 1.0 == 1, so a sorted comparison would take this for the identity.
+        with pytest.raises(ValueError, match=r"\(1\.0, 2, 3\) is not a permutation"):
+            Permutation([1.0, 2, 3])
+
+    @pytest.mark.parametrize("point", [0, 4])
+    def test_call_outside_range_refused(self, point):
+        # Point 0 would read images[-1].
+        with pytest.raises(ValueError, match=f"point {point} outside 1\\.\\.3"):
+            Permutation([1, 2, 3])(point)
 
     @settings(max_examples=60)
     @given(st.data())

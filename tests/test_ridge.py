@@ -20,7 +20,6 @@ from conesym.ridge import (
     Triangle,
     _bits,
     _mask_of,
-    bfs_distances,
     build_complement,
     build_ridge_graph,
     build_triangle_graph,
@@ -37,7 +36,7 @@ from conesym.ridge import (
     verify_rook_neighborhood,
 )
 
-from graph_strategies import random_graphs
+from graph_strategies import networkx_distances, random_graphs
 
 
 def signed_masks_reference(f: TriangleFacet) -> tuple[int, int]:
@@ -191,6 +190,30 @@ class TestFromAdjacency:
             Graph.from_adjacency([0, 0], labels=labels)
         with pytest.raises(ValueError, match="label count does not match vertex count"):
             Graph(2, [], labels=labels)
+
+
+class TestWalks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reach_is_the_union_of_neighbourhoods(self, data):
+        graph = data.draw(random_graphs())
+        chosen = data.draw(st.sets(st.integers(0, graph.n - 1)))
+        expected = set().union(*(graph.neighbors(v) for v in chosen))
+        assert set(_bits(graph.reach(_mask_of(chosen)))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_layers_match_networkx_distances(self, data):
+        graph = data.draw(random_graphs())
+        v = data.draw(st.integers(0, graph.n - 1))
+        dist = networkx_distances(graph, v)
+        expected = [_mask_of(w for w, dw in enumerate(dist) if dw == d) for d in range(max(dist) + 1)]
+        assert graph.layers(v) == expected
+
+    def test_unreachable_vertices_are_in_no_layer(self):
+        graph = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert graph.layers(0) == [0b1, 0b10, 0b100]
+        assert graph.layers(4) == [0b10000, 0b1000]
 
 
 class TestHexagons:
@@ -502,7 +525,7 @@ class TestTriangleGraph:
     def test_gamma6_antipodal_pairing(self):
         gamma = build_triangle_graph(build_complement(6))
         for v in range(gamma.n):
-            dist = bfs_distances(gamma, v)
+            dist = networkx_distances(gamma, v)
             far = [w for w in range(gamma.n) if dist[w] == 3]
             assert len(far) == 1
             assert gamma.labels[far[0]] == frozenset(range(1, 7)) - gamma.labels[v]
@@ -667,6 +690,10 @@ class TestIntersectionArray:
         assert arr.bs == (12, 6, 2)
         assert arr.cs == (1, 4, 9)
 
+    def test_empty_graph_refused_by_name(self):
+        with pytest.raises(StructureError, match="empty graph"):
+            intersection_array(Graph(0))
+
     def test_non_distance_regular_graph_rejected(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureError):
@@ -686,7 +713,7 @@ class TestIntersectionArray:
 def intersection_array_reference(gamma: Graph) -> IntersectionArray:
     """The per-neighbor distance census, kept as the oracle for
     `intersection_array`: each neighbor's distance is looked up one by one."""
-    all_dist = [bfs_distances(gamma, v) for v in range(gamma.n)]
+    all_dist = [networkx_distances(gamma, v) for v in range(gamma.n)]
     if any(-1 in row for row in all_dist):
         raise StructureError("graph is not connected")
     diameter = max(max(row) for row in all_dist)
@@ -804,7 +831,7 @@ def verify_rook_neighborhood_reference(gamma: Graph, v: int) -> bool:
 def verify_distance2_property_reference(gamma: Graph, v: int) -> bool:
     """The distance-2 layer read off a BFS, kept as the oracle for
     `verify_distance2_property`, which ORs the neighbours' rows."""
-    dist = bfs_distances(gamma, v)
+    dist = networkx_distances(gamma, v)
     foursets = []
     for w in range(gamma.n):
         if dist[w] != 2:
