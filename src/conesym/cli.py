@@ -36,7 +36,7 @@ from .cones import (
     hypermetric_sweep,
     triangle_incidence_bound,
 )
-from .core import num_pairs
+from .core import enumerate_cuts, num_pairs, pair_index
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
@@ -91,7 +91,7 @@ class Instance:
             self.gamma, self.vertex_cap, induced_point_generators(self.gamma, self.n)
         )
     )
-    adjacency = cached_property(lambda self: adjacency_agreement(self.n, self.incidence))
+    adjacency = cached_property(lambda self: adjacency_agreement(self.n))
     sweep = cached_property(lambda self: hypermetric_sweep(self.n, self.bound))
 
 
@@ -102,21 +102,24 @@ class Instance:
 
 
 def _check_cuts(inst: Instance, cfg: RunConfig):
+    # Columns (i, n) that read bit i - 1 of c + 1 at bit c keep every cut c nonzero and distinct.
     n = inst.n
-    facets, cuts, _, violating = inst.incidence
-    details = {"cut_count": len(cuts), "expected": 2 ** (n - 1) - 1}
-    if len(cuts) != details["expected"] or len(set(cuts)) != len(cuts):
+    facets, columns, _, violating = inst.incidence
+    details = {"cut_count": max(columns).bit_length(), "expected": 2 ** (n - 1) - 1}
+    stars = [columns[pair_index(p, n, n)] for p in range(1, n)]
+    patterns = [int(("1" * 2 ** i + "0" * 2 ** i) * 2 ** (n - 2 - i), 2) >> 1 for i in range(n - 1)]
+    if details["cut_count"] != details["expected"] or stars != patterns:
         return "fail", details, {"reason": "wrong cut count or duplicates"}
     for f, mask in zip(facets, violating):
         if mask:
-            cut = cuts[(mask & -mask).bit_length() - 1]
+            c = (mask & -mask).bit_length() - 1
             return "fail", details, {
                 "facet": repr(f),
-                "cut": sorted(cut.members),
-                "value": facet_value(f, cut),
+                "cut": [p for p in range(1, n) if (c + 1) >> (p - 1) & 1],
+                "value": facet_value(f, [col >> c & 1 for col in columns]),
             }
     if n == 4:
-        details["ray_table_match"] = {c.bits for c in cuts} == set(ray_table())
+        details["ray_table_match"] = {c.bits for c in enumerate_cuts(4)} == set(ray_table())
         if not details["ray_table_match"]:
             return "fail", details, {"reason": "cut set differs from the reference rays"}
     return "pass", details, None

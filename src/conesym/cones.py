@@ -21,8 +21,8 @@ from math import factorial, prod
 from typing import NamedTuple, Sequence
 
 from .core import (
-    CutVector,
     TriangleFacet,
+    cut_columns,
     enumerate_cuts,
     enumerate_triangle_facets,
     num_pairs,
@@ -211,11 +211,11 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
 
 
 class FacetCutMasks(NamedTuple):
-    """Per facet, bitmasks over the cut list: the cuts lying on the facet
-    and the cuts violating its inequality."""
+    """Per facet, bitmasks over the cut order: the cuts lying on the facet
+    and the cuts violating its inequality.  `columns` is `cut_columns(n)`."""
 
     facets: list[TriangleFacet]
-    cuts: list[CutVector]
+    columns: list[int]
     on: list[int]
     violating: list[int]
 
@@ -223,25 +223,20 @@ class FacetCutMasks(NamedTuple):
 def _facet_incidence_masks(n: int) -> FacetCutMasks:
     """Evaluate every facet on every cut in one bit-sliced pass.
 
-    col[k] is the bitmask of the cuts with x_k = 1.  A facet has +1 at a and
-    -1 at b and c, so on 0/1 vectors its value A - B - C is 0 exactly when
-    all three are 0 or A is 1 with one of B, C, and positive exactly when A
-    alone is 1.
+    A facet has +1 at a and -1 at b and c, so on 0/1 vectors its value
+    A - B - C is 0 exactly when all three are 0 or A is 1 with one of B, C,
+    and positive exactly when A alone is 1.
     """
-    cuts = enumerate_cuts(n)
     facets = enumerate_triangle_facets(n)
-    col = [0] * num_pairs(n)
-    for idx, cut in enumerate(cuts):
-        for k in _bits(cut.mask):
-            col[k] |= 1 << idx
-    full = (1 << len(cuts)) - 1
+    col = cut_columns(n)
+    full = (1 << 2 ** (n - 1) - 1) - 1
     on, violating = [], []
     for f in facets:
         (a, _), (b, _), (c, _) = f.entries()
         A, B, C = col[a], col[b], col[c]
         on.append(full & ~(A | B | C) | A & (B ^ C))
         violating.append(A & ~B & ~C)
-    return FacetCutMasks(facets, cuts, on, violating)
+    return FacetCutMasks(facets, col, on, violating)
 
 
 def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
@@ -255,10 +250,9 @@ def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, in
     return min(f_support - g_support or f_support), min(g_support - f_support or g_support)
 
 
-def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
+def adjacency_agreement(n: int):
     """Compare the rank oracle with the sign test over every facet pair.
 
-    `incidence` is `_facet_incidence_masks(n)`, computed when not given.
     Two facets f and g are adjacent when their common cuts have rank
     C(n, 2) - 2.  Those cuts lie in ker f and ker g, so their correlation
     rows are ranked together with two unit rows e_u and e_v
@@ -272,8 +266,8 @@ def adjacency_agreement(n: int, incidence: FacetCutMasks | None = None):
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
-    facets, cuts, masks, _ = incidence or _facet_incidence_masks(n)
-    corr_rows = [c.correlation for c in cuts]
+    facets, _, masks, _ = _facet_incidence_masks(n)
+    corr_rows = [c.correlation for c in enumerate_cuts(n)]
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
     supports = [{k for k, v in enumerate(f.correlation) if v} for f in facets]

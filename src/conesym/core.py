@@ -21,6 +21,7 @@ __all__ = [
     "CutVector",
     "cut_vector",
     "enumerate_cuts",
+    "cut_columns",
     "TriangleFacet",
     "enumerate_triangle_facets",
     "Permutation",
@@ -38,7 +39,7 @@ def num_pairs(n: int) -> int:
 @lru_cache(maxsize=None)
 def _pair_table(n: int):
     pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return pairs, {p: k for k, p in enumerate(pairs)}
+    return pairs, {p: k for k, p in enumerate(pairs)}, dict(enumerate(pairs))
 
 
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
@@ -47,18 +48,19 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def pair_index(i: int, j: int, n: int) -> int:
-    """Coordinate of the pair (i, j); requires 1 <= i < j <= n."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
-    return _pair_table(n)[1][(i, j)]
+    """Coordinate of the pair (i, j); requires integers 1 <= i < j <= n."""
+    try:
+        return _pair_table(n)[1][operator.index(i), operator.index(j)]
+    except (TypeError, KeyError):
+        raise ValueError(f"invalid pair ({i}, {j}) for n={n}") from None
 
 
 def pair_unindex(k: int, n: int) -> tuple[int, int]:
     """Inverse of pair_index."""
-    pairs = _pair_table(n)[0]
-    if not 0 <= k < len(pairs):
-        raise ValueError(f"coordinate {k} out of range for n={n}")
-    return pairs[k]
+    try:
+        return _pair_table(n)[2][operator.index(k)]
+    except (TypeError, KeyError):
+        raise ValueError(f"coordinate {k} out of range for n={n}") from None
 
 
 def _points(points, n: int, error: str) -> tuple[int, ...]:
@@ -157,8 +159,9 @@ def cut_vector(members: Iterable[int], n: int) -> CutVector:
 def enumerate_cuts(n: int) -> list[CutVector]:
     """All 2**(n-1) - 1 distinct nonzero cuts, one per complement pair.
 
-    Deterministic order: generating subsets of {1, .., n-1} by increasing
-    bitmask, which keeps the representative free of the point n.
+    Deterministic order: cut c is generated by the points whose bits are set
+    in c + 1, point p at bit p - 1, which keeps the representative free of
+    the point n.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -167,6 +170,23 @@ def enumerate_cuts(n: int) -> list[CutVector]:
         members = [p + 1 for p in range(n - 1) if (m >> p) & 1]
         cuts.append(CutVector(n, members))
     return cuts
+
+
+def cut_columns(n: int) -> list[int]:
+    """Per coordinate, the bitmask over `enumerate_cuts(n)` of the cuts cutting its pair.
+
+    Column (i, n) is M_(i-1) >> 1, M_k being the mask of the m = c + 1 with
+    bit k set: M_(n-2) is the upper half of 2**(n-1) bits and M_(k-1) is
+    M_k ^ M_k >> 2**(k-1), as adding 2**(k-1) to m flips bit k exactly when
+    bit k - 1 is set.  Column (i, j) is the XOR of columns (i, n) and (j, n).
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    star = [0] * (n + 1)  # star[n] stays 0: n is in no generating set
+    star[n - 1] = (1 << 2 ** (n - 1)) - (1 << 2 ** (n - 2))
+    for i in range(n - 1, 1, -1):
+        star[i - 1] = star[i] ^ star[i] >> 2 ** (i - 2)
+    return [(star[i] ^ star[j]) >> 1 for i, j in pair_list(n)]
 
 
 class TriangleFacet:
@@ -290,9 +310,12 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, p: int) -> int:
-        if not 1 <= p <= len(self.images):
-            raise ValueError(f"point {p} outside 1..{len(self.images)}")
-        return self.images[p - 1]
+        try:
+            if 1 <= p <= len(self.images):
+                return self.images[operator.index(p) - 1]
+        except TypeError:
+            pass
+        raise ValueError(f"point {p} outside 1..{len(self.images)}")
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n

@@ -9,8 +9,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from conesym.autgrp import automorphism_group, verify_theorem1
+from conesym.cli import RunConfig, run_verify
 from conesym.cones import adjacency_agreement, hypermetric_sweep, triangle_incidence_bound
-from conesym.core import cut_vector, switching_reflection
+from conesym.core import cut_vector, enumerate_cuts, switching_reflection
 from conesym.cones import _facet_incidence_masks
 from conesym.reflections import (
     attempt_ray_swap,
@@ -29,6 +30,7 @@ from conesym.ridge import (
 )
 
 from graph_strategies import networkx_distances
+from test_cli import count_calls
 
 
 def record(criterion: int, passed: bool, detail: str) -> None:
@@ -189,3 +191,24 @@ def test_criterion_9_switching_identity_exhaustive():
                 assert got == cut_vector(s ^ t, n).bits
                 checked += 1
     record(9, True, f"{checked} subset pairs over n=4..6, exact")
+
+
+def test_criterion_10_cut_incidence_from_the_cut_order(monkeypatch):
+    checks = ("cuts", "facets", "incidence")
+    start = time.perf_counter()
+    report = run_verify(RunConfig(n_min=16, n_max=16, checks=checks))
+    elapsed = time.perf_counter() - start
+    calls = count_calls(monkeypatch, enumerate_cuts)
+    small = run_verify(RunConfig(n_min=5, n_max=7, checks=checks))
+    ok = (
+        report["summary"]["pass"] == 3
+        and small["summary"]["pass"] == 9
+        and not calls
+        and elapsed < 1.0
+    )
+    record(
+        10,
+        ok,
+        f"cuts, facets and incidence pass at n=16 in {elapsed:.2f}s < 1s; "
+        f"{len(calls)} cut lists built for them at n=5..7",
+    )

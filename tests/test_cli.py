@@ -24,8 +24,8 @@ from conesym.cli import (
     render_text,
     run_verify,
 )
-from conesym.cones import adjacency_agreement
-from conesym.core import enumerate_cuts
+from conesym.cones import _facet_incidence_masks, adjacency_agreement
+from conesym.core import cut_columns, enumerate_cuts, pair_index
 from conesym.ridge import Graph, build_complement
 
 DATA = Path(__file__).parent / "data"
@@ -275,7 +275,7 @@ class TestSharedWork:
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
 
     # Up to the adjacency cap, theorem2 also reads the adjacency sweep, whose
-    # incidence masks list the cuts once more.
+    # correlation rows list the cuts once more.
     @pytest.mark.parametrize("n, cut_lists", [(6, 2), (7, 1)])
     def test_bounded_family_swept_once(self, monkeypatch, n, cut_lists):
         calls = count_calls(monkeypatch, enumerate_cuts)
@@ -395,6 +395,63 @@ class TestMain:
         assert code == 2
         assert "export error" in captured.err
         assert "cuts" in captured.out  # verification itself still reported
+
+
+class TestCutsCheck:
+    def run_cuts(self, monkeypatch, n, mutate):
+        """The cuts check at n on masks built from mutated cut columns."""
+        monkeypatch.setattr(cones, "cut_columns", lambda n: mutate(cut_columns(n)))
+        return cli._check_cuts(cli.Instance(n, AUT_VERTEX_CAP, 3), RunConfig(n_min=n, n_max=n))
+
+    def test_zeroed_star_column_fails_the_count(self, monkeypatch):
+        # Without point 2's column, cuts {1} and {1, 2} read the same.
+        def zero(columns):
+            columns[pair_index(2, 5, 5)] = 0
+            return columns
+
+        outcome, details, witness = self.run_cuts(monkeypatch, 5, zero)
+        assert outcome == "fail"
+        assert witness == {"reason": "wrong cut count or duplicates"}
+
+    def test_swapped_columns_give_the_violation_the_masks_claim(self, monkeypatch):
+        # The star columns stay right, so the cuts stay distinct; the masks
+        # now put x_34 = 1 on cuts that miss (3, 5) and (4, 5).
+        def swap(columns):
+            a, b = pair_index(1, 2, 5), pair_index(3, 4, 5)
+            columns[a], columns[b] = columns[b], columns[a]
+            return columns
+
+        outcome, _, witness = self.run_cuts(monkeypatch, 5, swap)
+        assert outcome == "fail"
+        assert set(witness) == {"facet", "cut", "value"}
+        assert witness["value"] == 1
+        facets, _, _, violating = _facet_incidence_masks(5)
+        f, mask = next((f, mask) for f, mask in zip(facets, violating) if mask)
+        assert witness["facet"] == repr(f)
+        c = (mask & -mask).bit_length() - 1
+        assert witness["cut"] == sorted(enumerate_cuts(5)[c].members)
+
+    def test_missing_reference_ray_fails_n4(self, monkeypatch):
+        rays = cli.ray_table()
+        monkeypatch.setattr(cli, "ray_table", lambda: rays[:-1])
+        outcome, details, witness = self.run_cuts(monkeypatch, 4, lambda columns: columns)
+        assert outcome == "fail"
+        assert details["ray_table_match"] is False
+        assert witness == {"reason": "cut set differs from the reference rays"}
+
+
+class TestEntrypoint:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--n-min", "4", "--n-max", "4", "--checks", "cuts"], 0),
+         (["--n-min", "5", "--n-max", "5", "--checks", "reflect4"], 2)],
+    )
+    def test_exit_status(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["conesym", "verify", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == code
+        assert "summary:" in capsys.readouterr().out
 
 
 class TestGammaCheck:

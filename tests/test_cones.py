@@ -162,7 +162,8 @@ class TestCutsOnFacet:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bit_sliced_masks_match_direct_evaluation(self, n):
-        facets, cuts, on, violating = _facet_incidence_masks(n)
+        facets, _, on, violating = _facet_incidence_masks(n)
+        cuts = enumerate_cuts(n)
         index = {c: i for i, c in enumerate(cuts)}
         for f, on_mask, bad_mask in zip(facets, on, violating):
             assert on_mask == sum(1 << index[c] for c in cuts_on_facet_reference(f, n))
@@ -435,7 +436,8 @@ class TestAdjacency:
         monkeypatch.setattr(cones, "integer_rank", recording)
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
-        facets, cuts, on, _ = _facet_incidence_masks(n)
+        facets, _, on, _ = _facet_incidence_masks(n)
+        cuts = enumerate_cuts(n)
         dim = num_pairs(n)
         expected = []
         for a, b in itertools.combinations(range(len(facets)), 2):

@@ -14,6 +14,7 @@ from conesym.core import (
     Permutation,
     TriangleFacet,
     apply_permutation,
+    cut_columns,
     cut_vector,
     enumerate_cuts,
     enumerate_triangle_facets,
@@ -81,6 +82,21 @@ class TestPairIndexing:
             pair_index(1, 5, 4)
         with pytest.raises(ValueError):
             pair_unindex(6, 4)
+
+    def test_integral_float_point_refused_by_name(self):
+        # 1.0 == 1, so the pair table would answer for (1, 2).
+        with pytest.raises(ValueError, match=r"invalid pair \(1\.0, 2\) for n=4"):
+            pair_index(1.0, 2, 4)
+
+    def test_fractional_point_refused_by_name(self):
+        # (1.5, 2) would miss the pair table with a bare KeyError.
+        with pytest.raises(ValueError, match=r"invalid pair \(1\.5, 2\) for n=4"):
+            pair_index(1.5, 2, 4)
+
+    def test_float_coordinate_refused_by_name(self):
+        # 1.0 is in range but would index the pair tuple.
+        with pytest.raises(ValueError, match=r"coordinate 1\.0 out of range for n=4"):
+            pair_unindex(1.0, 4)
 
 
 class TestCutVector:
@@ -206,6 +222,21 @@ class TestEnumerateCuts:
         assert all(sum(c.bits) == 2 for c in enumerate_cuts(3))
 
 
+class TestCutColumns:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_transpose_of_the_cut_masks(self, n):
+        masks = [c.mask for c in enumerate_cuts(n)]
+        transpose = [
+            sum((mask >> k & 1) << c for c, mask in enumerate(masks)) for k in range(num_pairs(n))
+        ]
+        assert cut_columns(n) == transpose
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_points_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            cut_columns(n)
+
+
 class TestTriangleFacets:
     def test_counts(self):
         assert len(enumerate_triangle_facets(4)) == 12
@@ -283,6 +314,11 @@ class TestPermutationAction:
         # Point 0 would read images[-1].
         with pytest.raises(ValueError, match=f"point {point} outside 1\\.\\.3"):
             Permutation([1, 2, 3])(point)
+
+    def test_call_at_fractional_point_refused(self):
+        # 1.5 lies between 1 and 3 but would index the image tuple.
+        with pytest.raises(ValueError, match=r"point 1\.5 outside 1\.\.3"):
+            Permutation([1, 2, 3])(1.5)
 
     @settings(max_examples=60)
     @given(st.data())
