@@ -29,10 +29,9 @@ that representative is the identity.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import factorial
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Permutation, TriangleFacet, permute_facet
 from .ridge import Graph, _mask_of, build_complement
@@ -196,8 +195,7 @@ class _StabilizerChain:
                     self.sub.add(schreier)
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(NamedTuple):
     """A permutation group given by generators, with its exact order.
 
     The first `seeds` generators are automorphisms the search was given in
@@ -455,8 +453,7 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     """`group.order` is |Aut(gbar)| and `group.seed_order` the induced image's."""
 
     n: int

@@ -10,12 +10,10 @@ certifies nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from math import comb, factorial
 from pathlib import Path
@@ -36,7 +34,7 @@ from .cones import (
     hypermetric_sweep,
     triangle_incidence_bound,
 )
-from .core import enumerate_cuts, num_pairs, pair_index
+from .core import enumerate_cuts, enumerate_triangle_facets, num_pairs, pair_index
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
@@ -58,26 +56,29 @@ SCHEMA_VERSION = 1
 
 # The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
 # 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
-# like (orbit representatives) x 2^(n-1).  Raising a cap turns recorded
-# skips into passes (tests/data), so the caps stay until that is intended.
+# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` read two
+# masks of up to 2^(n-1) bits per facet: about 260 MiB at n=20, doubling with
+# each n.  Raising a cap turns recorded skips into passes (tests/data), so
+# the caps stay until that is intended.
 ADJACENCY_SWEEP_MAX_N = 6
 HYPERMETRIC_SWEEP_MAX_N = 7
+INCIDENCE_MAX_N = 20
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Instance:
     """The objects the checks at one n share, each built on first use and
     at most once.  `run_verify` keeps one per n and drops it before the
     next, so memory peaks at the largest single n."""
 
-    n: int
-    vertex_cap: int
-    bound: int  # of the bounded coefficient family
+    def __init__(self, n: int, vertex_cap: int, bound: int):
+        # bound is the coefficient bound of the bounded family.
+        self.n, self.vertex_cap, self.bound = n, vertex_cap, bound
 
+    facets = cached_property(lambda self: enumerate_triangle_facets(self.n))
     incidence = cached_property(lambda self: _facet_incidence_masks(self.n))
     gbar = cached_property(lambda self: build_complement(self.n))
     triangles = cached_property(lambda self: find_triangles(self.gbar))
@@ -127,7 +128,7 @@ def _check_cuts(inst: Instance, cfg: RunConfig):
 
 def _check_facets(inst: Instance, cfg: RunConfig):
     n = inst.n
-    facets = inst.incidence.facets
+    facets = inst.facets
     details = {"facet_count": len(facets), "expected": 3 * comb(n, 3)}
     if len(facets) != details["expected"] or len(set(facets)) != len(facets):
         return "fail", details, {"reason": "wrong facet count or duplicates"}
@@ -404,11 +405,11 @@ class Check(NamedTuple):
 CHECKS = {
     check: Check(runner, skip, claim)
     for check, runner, skip, claim in [
-        ("cuts", _check_cuts, None,
+        ("cuts", _check_cuts, _sweep_cap(INCIDENCE_MAX_N, "incidence masks"),
          "nonzero cuts number 2^(n-1)-1 and satisfy every triangle inequality"),
         ("facets", _check_facets, None,
          "triangle facets number 3*C(n,3) with one +1 and two -1 entries on a 3-set"),
-        ("incidence", _check_incidence, None,
+        ("incidence", _check_incidence, _sweep_cap(INCIDENCE_MAX_N, "incidence masks"),
          "every triangle facet contains exactly 3*2^(n-3)-1 cuts"),
         ("adjacency", _check_adjacency, _sweep_cap(ADJACENCY_SWEEP_MAX_N, "exhaustive rank sweep"),
          "rank-based codimension-2 oracle agrees with the sign-based non-conflicting test"),
@@ -437,8 +438,7 @@ CHECK_ORDER = tuple(CHECKS)
 _RUNNERS = {check: spec.runner for check, spec in CHECKS.items()}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     n_min: int = 4
     n_max: int = 6
     checks: tuple[str, ...] = CHECK_ORDER
@@ -463,7 +463,7 @@ class RunConfig:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "checks": list(self.checks)}
+        return {**self._asdict(), "checks": list(self.checks)}
 
 
 def run_verify(cfg: RunConfig) -> dict:
@@ -599,6 +599,9 @@ def exit_code(report: dict, export_failed: bool = False) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the command line parses arguments; library callers skip the import
+
+    defaults = RunConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="conesym",
         description="Certify the combinatorial symmetry structure of cut and metric cones.",
@@ -606,40 +609,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run the certification checks")
     verify.add_argument(
-        "--n-min", type=int, default=RunConfig.n_min, help="smallest point count (>= 4)"
+        "--n-min", type=int, default=defaults["n_min"], help="smallest point count (>= 4)"
     )
     verify.add_argument(
-        "--n-max", type=int, default=RunConfig.n_max, help="largest point count"
+        "--n-max", type=int, default=defaults["n_max"], help="largest point count"
     )
     verify.add_argument(
         "--checks",
         type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
-        default=",".join(RunConfig.checks),
+        default=",".join(defaults["checks"]),
         help="comma-separated check ids: " + ", ".join(CHECK_ORDER),
     )
     verify.add_argument(
         "--hypermetric-bound",
         type=int,
-        default=RunConfig.hypermetric_bound,
+        default=defaults["hypermetric_bound"],
         help="coefficient bound for the bounded inequality sweeps",
     )
     verify.add_argument(
         "--aut-vertex-cap",
         type=int,
-        default=RunConfig.aut_vertex_cap,
+        default=defaults["aut_vertex_cap"],
         help="skip automorphism computations on graphs above this many vertices",
     )
     verify.add_argument(
         "--format",
         dest="output_format",
         choices=("text", "json"),
-        default=RunConfig.output_format,
+        default=defaults["output_format"],
     )
     verify.add_argument(
         "--export",
         dest="export_dir",
         metavar="DIR",
-        default=RunConfig.export_dir,
+        default=defaults["export_dir"],
         help="export graphs to DIR",
     )
     return parser
@@ -647,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    cfg = RunConfig(**{name: getattr(args, name) for name in RunConfig._fields})
     try:
         cfg.validate()
     except ConfigError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple, Sequence
@@ -23,6 +22,7 @@ from typing import NamedTuple, Sequence
 from .core import (
     TriangleFacet,
     cut_columns,
+    cut_correlations,
     enumerate_cuts,
     enumerate_triangle_facets,
     num_pairs,
@@ -267,7 +267,7 @@ def adjacency_agreement(n: int):
     pair and the two verdicts.
     """
     facets, _, masks, _ = _facet_incidence_masks(n)
-    corr_rows = [c.correlation for c in enumerate_cuts(n)]
+    corr_rows = cut_correlations(n)
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
     supports = [{k for k, v in enumerate(f.correlation) if v} for f in facets]
@@ -306,8 +306,7 @@ def _closed_forms(b: Sequence[int], members: list[list[int]]) -> list[int]:
     return [s * (1 - s) for s in (sum(map(b.__getitem__, m)) for m in members)]
 
 
-@dataclass
-class HypermetricSweep:
+class HypermetricSweep(NamedTuple):
     n: int
     bound: int
     vector_count: int

@@ -22,6 +22,7 @@ __all__ = [
     "cut_vector",
     "enumerate_cuts",
     "cut_columns",
+    "cut_correlations",
     "TriangleFacet",
     "enumerate_triangle_facets",
     "Permutation",
@@ -187,6 +188,23 @@ def cut_columns(n: int) -> list[int]:
     for i in range(n - 1, 1, -1):
         star[i - 1] = star[i] ^ star[i] >> 2 ** (i - 2)
     return [(star[i] ^ star[j]) >> 1 for i, j in pair_list(n)]
+
+
+def cut_correlations(n: int) -> list[tuple[int, ...]]:
+    """`CutVector.correlation` of every cut, in the order of `enumerate_cuts(n)`.
+
+    Cut c is generated by the points at the set bits of c + 1.  With s_p = 1
+    for those points, the row is s_i * s_j at (i, j), j < n, and s_i at
+    (i, n), so taking s_n = 1 makes every entry the product s_i * s_j.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    pairs = pair_list(n)
+    rows = []
+    for m in range(1, 1 << (n - 1)):
+        s = [0, *(m >> p & 1 for p in range(n - 1)), 1]  # s[p] for p = 1..n
+        rows.append(tuple(s[i] & s[j] for i, j in pairs))
+    return rows
 
 
 class TriangleFacet:

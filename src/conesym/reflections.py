@@ -17,11 +17,10 @@ symmetric group on the 3-ray orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .autgrp import group_order, symn_point_generators
 from .cones import integer_rank, kernel_basis
@@ -203,8 +202,7 @@ def _restriction_order(perms, positions) -> int:
     return group_order(restricted, len(positions))
 
 
-@dataclass
-class ReflectionGroupReport:
+class ReflectionGroupReport(NamedTuple):
     generator_pairs: tuple[tuple[int, int], ...]
     alphas: tuple[tuple[int, ...], ...]
     generator_perms: tuple[tuple[int, ...], ...]

@@ -11,8 +11,7 @@ the quotient on Triangles is the 2-intersection graph on 3-subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import TriangleFacet, enumerate_triangle_facets
 
@@ -213,8 +212,7 @@ def build_complement(n: int) -> Graph:
     return Graph.from_adjacency(conflict, facets)
 
 
-@dataclass
-class HexagonNeighborhood:
+class HexagonNeighborhood(NamedTuple):
     vertex: int
     distinguished_edge: tuple[int, int]
     hexagons: tuple[tuple[int, ...], ...]  # each (u1, a, b, c, d, u2)
@@ -279,8 +277,7 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
     return HexagonNeighborhood(u, (u1, u2), tuple(hexagons))
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """The 3-clique of same-support facets in the complement graph."""
 
     vertices: tuple[int, int, int]
@@ -448,8 +445,7 @@ def verify_distance2_property(gamma: Graph, v: int) -> bool:
     return len(set(foursets)) == len(foursets)
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class IntersectionArray(NamedTuple):
     bs: tuple[int, ...]
     cs: tuple[int, ...]
 

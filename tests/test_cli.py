@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -61,7 +61,7 @@ class TestConfig:
         # The recorded default report pins RunConfig's values; the CLI must
         # give the same configuration when no flag is passed.
         args = vars(build_parser().parse_args(["verify"]))
-        assert {f.name: args[f.name] for f in fields(RunConfig)} == asdict(RunConfig())
+        assert {name: args[name] for name in RunConfig._fields} == RunConfig()._asdict()
 
     def test_every_flag_lands_in_its_config_field(self):
         args = build_parser().parse_args(
@@ -69,9 +69,9 @@ class TestConfig:
              "--hypermetric-bound", "2", "--aut-vertex-cap", "40",
              "--format", "json", "--export", "out"]
         )
-        assert {f.name: getattr(args, f.name) for f in fields(RunConfig)} == asdict(
-            RunConfig(5, 7, ("cuts", "aut"), 2, 40, "json", "out")
-        )
+        assert {name: getattr(args, name) for name in RunConfig._fields} == RunConfig(
+            5, 7, ("cuts", "aut"), 2, 40, "json", "out"
+        )._asdict()
 
 
 class TestRunVerify:
@@ -138,6 +138,24 @@ def run_python(code: str) -> str:
         check=True,
     )
     return proc.stdout
+
+
+class TestColdImport:
+    def test_import_loads_no_dataclasses_inspect_or_argparse(self):
+        # -S keeps `site` from importing modules of its own first.
+        src = str(Path(conesym.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import conesym.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestWithoutNumpy:
@@ -275,8 +293,8 @@ class TestSharedWork:
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
 
     # Up to the adjacency cap, theorem2 also reads the adjacency sweep, whose
-    # correlation rows list the cuts once more.
-    @pytest.mark.parametrize("n, cut_lists", [(6, 2), (7, 1)])
+    # correlation rows come from the cut order without a cut list.
+    @pytest.mark.parametrize("n, cut_lists", [(6, 1), (7, 1)])
     def test_bounded_family_swept_once(self, monkeypatch, n, cut_lists):
         calls = count_calls(monkeypatch, enumerate_cuts)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
@@ -440,6 +458,32 @@ class TestCutsCheck:
         assert witness == {"reason": "cut set differs from the reference rays"}
 
 
+class TestFacetsCheck:
+    def test_builds_no_incidence_masks(self, monkeypatch):
+        calls = count_calls(monkeypatch, _facet_incidence_masks)
+        start = time.perf_counter()
+        report = run_verify(RunConfig(n_min=24, n_max=24, checks=("facets",)))
+        elapsed = time.perf_counter() - start
+        assert report["checks"][0]["outcome"] == "pass"
+        assert report["checks"][0]["details"]["facet_count"] == 3 * 2024
+        assert calls == []
+        assert elapsed < 1.0
+
+
+class TestIncidenceCap:
+    def test_masks_skipped_above_the_cap(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, cut_columns)
+        n = cli.INCIDENCE_MAX_N + 1
+        code = main(["verify", "--n-min", str(n), "--n-max", str(n), "--checks", "cuts,incidence",
+                     "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert [(rec["outcome"], rec["details"]) for rec in report["checks"]] == [
+            ("skip", {"reason": f"incidence masks capped at n={cli.INCIDENCE_MAX_N}"})
+        ] * 2
+        assert calls == []
+
+
 class TestEntrypoint:
     @pytest.mark.parametrize(
         "argv, code",
@@ -458,7 +502,7 @@ class TestGammaCheck:
     def test_relabelled_gamma6_fails_the_antipodal_pairing(self):
         # Swapping two labels keeps the census, but the vertex at distance 3
         # from vertex 0 no longer carries the complement of its label.
-        inst = cli.Instance(6, AUT_VERTEX_CAP, RunConfig.hypermetric_bound)
+        inst = cli.Instance(6, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
         labels = list(inst.gamma.labels)
         labels[0], labels[1] = labels[1], labels[0]
         inst.gamma = Graph.from_adjacency(inst.gamma.adj, labels)

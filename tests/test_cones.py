@@ -502,7 +502,8 @@ class TestAdjacency:
             return tuple(int(j in s and (i == 1 or i in s)) for i, j in pair_list(cut.n))
 
         wrong = {"no_diagonal": no_diagonal, "rooted_at_1": rooted_at_1}[mutant]
-        monkeypatch.setattr(CutVector, "correlation", property(wrong))
+        rows = [wrong(c) for c in enumerate_cuts(5)]
+        monkeypatch.setattr(cones, "cut_correlations", lambda n: rows)
         total, mismatches = adjacency_agreement(5)
         # Every adjacent pair (435 less the 150 conflicting ones) is missed.
         assert total == 435

@@ -15,6 +15,7 @@ from conesym.core import (
     TriangleFacet,
     apply_permutation,
     cut_columns,
+    cut_correlations,
     cut_vector,
     enumerate_cuts,
     enumerate_triangle_facets,
@@ -235,6 +236,17 @@ class TestCutColumns:
     def test_fewer_than_three_points_refused(self, n):
         with pytest.raises(ValueError, match="need n >= 3"):
             cut_columns(n)
+
+
+class TestCutCorrelations:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rows_of_the_cut_order(self, n):
+        assert cut_correlations(n) == [c.correlation for c in enumerate_cuts(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_points_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            cut_correlations(n)
 
 
 class TestTriangleFacets:

@@ -23,18 +23,20 @@ def test_check_ids_are_the_cli_order():
 
 def test_quoted_caps_are_the_code_caps():
     from conesym.autgrp import AUT_VERTEX_CAP
-    from conesym.cli import ADJACENCY_SWEEP_MAX_N, HYPERMETRIC_SWEEP_MAX_N
+    from conesym.cli import ADJACENCY_SWEEP_MAX_N, HYPERMETRIC_SWEEP_MAX_N, INCIDENCE_MAX_N
 
     text = " ".join(README.read_text().split())
     quoted = re.search(
         r"rank sweep over facet pairs runs for `n <= (\d+)`, the bounded inequality"
-        r" sweeps for `n <= (\d+)`.*?\(default (\d+) vertices, `autgrp.AUT_VERTEX_CAP`",
+        r" sweeps for `n <= (\d+)`, the facet-by-cut incidence masks of `cuts` and"
+        r" `incidence` for `n <= (\d+)`.*?\(default (\d+) vertices, `autgrp.AUT_VERTEX_CAP`",
         text,
     )
     assert quoted, "README no longer quotes the resource caps"
     assert tuple(map(int, quoted.groups())) == (
         ADJACENCY_SWEEP_MAX_N,
         HYPERMETRIC_SWEEP_MAX_N,
+        INCIDENCE_MAX_N,
         AUT_VERTEX_CAP,
     )
 
