@@ -34,7 +34,7 @@ from .cones import (
     hypermetric_sweep,
     triangle_incidence_bound,
 )
-from .core import enumerate_cuts, enumerate_triangle_facets, num_pairs, pair_index
+from .core import cut_columns, enumerate_triangle_facets, num_pairs, pair_index
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
@@ -56,9 +56,11 @@ SCHEMA_VERSION = 1
 
 # The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
 # 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
-# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` read two
-# masks of up to 2^(n-1) bits per facet: about 260 MiB at n=20, doubling with
-# each n.  Raising a cap turns recorded skips into passes (tests/data), so
+# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` evaluate
+# every facet on every cut, one facet at a time, from C(n,2) cut columns of
+# 2^(n-1) bits, so their cap bounds that time (about 1 s at n=20) and the
+# column memory (31 MiB peak RSS at n=20), which doubles with each n.
+# Raising a cap turns recorded skips into passes (tests/data), so
 # the caps stay until that is intended.
 ADJACENCY_SWEEP_MAX_N = 6
 HYPERMETRIC_SWEEP_MAX_N = 7
@@ -79,7 +81,7 @@ class Instance:
         self.n, self.vertex_cap, self.bound = n, vertex_cap, bound
 
     facets = cached_property(lambda self: enumerate_triangle_facets(self.n))
-    incidence = cached_property(lambda self: _facet_incidence_masks(self.n))
+    columns = cached_property(lambda self: cut_columns(self.n))
     gbar = cached_property(lambda self: build_complement(self.n))
     triangles = cached_property(lambda self: find_triangles(self.gbar))
     gamma = cached_property(lambda self: build_triangle_graph(self.gbar, self.triangles))
@@ -104,23 +106,26 @@ class Instance:
 
 def _check_cuts(inst: Instance, cfg: RunConfig):
     # Columns (i, n) that read bit i - 1 of c + 1 at bit c keep every cut c nonzero and distinct.
-    n = inst.n
-    facets, columns, _, violating = inst.incidence
+    n, columns = inst.n, inst.columns
     details = {"cut_count": max(columns).bit_length(), "expected": 2 ** (n - 1) - 1}
     stars = [columns[pair_index(p, n, n)] for p in range(1, n)]
     patterns = [int(("1" * 2 ** i + "0" * 2 ** i) * 2 ** (n - 2 - i), 2) >> 1 for i in range(n - 1)]
     if details["cut_count"] != details["expected"] or stars != patterns:
         return "fail", details, {"reason": "wrong cut count or duplicates"}
-    for f, mask in zip(facets, violating):
-        if mask:
-            c = (mask & -mask).bit_length() - 1
+    for f in inst.facets:
+        (a, _), (b, _), (c, _) = f.entries()
+        # A - B - C is positive on 0/1 vectors exactly when A alone is 1.
+        violating = columns[a] & ~(columns[b] | columns[c])
+        if violating:
+            cut = (violating & -violating).bit_length() - 1
             return "fail", details, {
                 "facet": repr(f),
-                "cut": [p for p in range(1, n) if (c + 1) >> (p - 1) & 1],
-                "value": facet_value(f, [col >> c & 1 for col in columns]),
+                "cut": [p for p in range(1, n) if (cut + 1) >> (p - 1) & 1],
+                "value": facet_value(f, [col >> cut & 1 for col in columns]),
             }
     if n == 4:
-        details["ray_table_match"] = {c.bits for c in enumerate_cuts(4)} == set(ray_table())
+        rays = {tuple(col >> c & 1 for col in columns) for c in range(details["cut_count"])}
+        details["ray_table_match"] = rays == set(ray_table())
         if not details["ray_table_match"]:
             return "fail", details, {"reason": "cut set differs from the reference rays"}
     return "pass", details, None
@@ -142,11 +147,11 @@ def _check_facets(inst: Instance, cfg: RunConfig):
 
 
 def _check_incidence(inst: Instance, cfg: RunConfig):
-    facets, _, masks, _ = inst.incidence
+    facets, columns = inst.facets, inst.columns
     expected = triangle_incidence_bound(inst.n)
     details = {"facets": len(facets), "cuts_per_facet": expected}
-    for f, mask in zip(facets, masks):
-        count = mask.bit_count()
+    for f in facets:
+        count = _facet_incidence_masks(f, columns).bit_count()
         if count != expected:
             return "fail", details, {"facet": repr(f), "count": count, "expected": expected}
     return "pass", details, None

@@ -6,7 +6,7 @@ is the rank over GF(2) when that is full and comes from fraction-free
 Bareiss elimination otherwise, kernels come from rational row reduction,
 and the one pass over the bounded hypermetric family evaluates one sorted
 representative per orbit of the point permutations.  A set of cuts
-is ranked on its correlation rows (`CutVector.correlation`), the image of
+is ranked on its correlation rows (`core.cut_correlations`), the image of
 the cut vectors under an integral linear bijection, so the rank is the same
 and the rows are sparser.
 """
@@ -23,7 +23,7 @@ from .core import (
     TriangleFacet,
     cut_columns,
     cut_correlations,
-    enumerate_cuts,
+    cut_members,
     enumerate_triangle_facets,
     num_pairs,
     pair_list,
@@ -210,33 +210,17 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-class FacetCutMasks(NamedTuple):
-    """Per facet, bitmasks over the cut order: the cuts lying on the facet
-    and the cuts violating its inequality.  `columns` is `cut_columns(n)`."""
+def _facet_incidence_masks(facet: TriangleFacet, columns: list[int]) -> int:
+    """The bitmask over the cut order of the cuts lying on the facet.
 
-    facets: list[TriangleFacet]
-    columns: list[int]
-    on: list[int]
-    violating: list[int]
-
-
-def _facet_incidence_masks(n: int) -> FacetCutMasks:
-    """Evaluate every facet on every cut in one bit-sliced pass.
-
-    A facet has +1 at a and -1 at b and c, so on 0/1 vectors its value
-    A - B - C is 0 exactly when all three are 0 or A is 1 with one of B, C,
-    and positive exactly when A alone is 1.
+    `columns` is `cut_columns(facet.n)`.  The facet has +1 at a and -1 at b
+    and c, so on 0/1 vectors its value A - B - C is 0 exactly when all three
+    are 0 or A is 1 with one of B, C.
     """
-    facets = enumerate_triangle_facets(n)
-    col = cut_columns(n)
-    full = (1 << 2 ** (n - 1) - 1) - 1
-    on, violating = [], []
-    for f in facets:
-        (a, _), (b, _), (c, _) = f.entries()
-        A, B, C = col[a], col[b], col[c]
-        on.append(full & ~(A | B | C) | A & (B ^ C))
-        violating.append(A & ~B & ~C)
-    return FacetCutMasks(facets, col, on, violating)
+    (a, _), (b, _), (c, _) = facet.entries()
+    A, B, C = columns[a], columns[b], columns[c]
+    full = (1 << 2 ** (facet.n - 1) - 1) - 1
+    return full & ~(A | B | C) | A & (B ^ C)
 
 
 def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
@@ -266,7 +250,9 @@ def adjacency_agreement(n: int):
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
-    facets, _, masks, _ = _facet_incidence_masks(n)
+    facets = enumerate_triangle_facets(n)
+    columns = cut_columns(n)
+    masks = [_facet_incidence_masks(f, columns) for f in facets]
     corr_rows = cut_correlations(n)
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
@@ -355,10 +341,12 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     """
     if bound < 1:
         raise ValueError("hypermetric bound must be positive")
-    cuts = enumerate_cuts(n)
-    members = [[p - 1 for p in c.members] for c in cuts]
-    cut_pairs = [list(_bits(c.mask)) for c in cuts]
+    members = [[p - 1 for p in m] for m in cut_members(n)]
     pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
+    cut_pairs = [
+        [k for k, (i, j) in enumerate(pairs) if (i in m) != (j in m)] for m in map(set, members)
+    ]
+    corr_rows = cut_correlations(n)
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
     triangle = (-1, *[0] * (n - 3), 1, 1)
@@ -371,10 +359,10 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
         closed = _closed_forms(b, members)
         if mismatch is None and direct != closed:
             c = next(c for c, (d, v) in enumerate(zip(direct, closed)) if d != v)
-            mismatch = (b, sorted(cuts[c].members), direct[c], closed[c])
+            mismatch = (b, [p + 1 for p in members[c]], direct[c], closed[c])
         if positive is None and max(direct) > 0:
             c = next(c for c, d in enumerate(direct) if d > 0)
-            positive = (b, sorted(cuts[c].members), direct[c])
+            positive = (b, [p + 1 for p in members[c]], direct[c])
         if len(b) - b.count(0) < 2:
             degenerate_count += size
             continue
@@ -386,13 +374,13 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
             triangle_count += size
         if count != limit and not is_triangle:
             continue
-        rank = integer_rank([cut.correlation for cut, d in zip(cuts, direct) if d == 0])
+        rank = integer_rank([row for row, d in zip(corr_rows, direct) if d == 0])
         if is_triangle:
             if count != limit or rank != facet_rank:
                 triangle_failure = triangle_failure or (b, count, rank)
         elif rank == facet_rank:
             rogue_maximizer = rogue_maximizer or (b, count, rank)
     return HypermetricSweep(
-        n, bound, vector_count, len(cuts), degenerate_count, limit, triangle_count,
+        n, bound, vector_count, len(members), degenerate_count, limit, triangle_count,
         mismatch, positive, over_bound, triangle_failure, rogue_maximizer,
     )

@@ -20,6 +20,7 @@ __all__ = [
     "pair_unindex",
     "CutVector",
     "cut_vector",
+    "cut_members",
     "enumerate_cuts",
     "cut_columns",
     "cut_correlations",
@@ -157,27 +158,29 @@ def cut_vector(members: Iterable[int], n: int) -> CutVector:
     return CutVector(n, members)
 
 
-def enumerate_cuts(n: int) -> list[CutVector]:
-    """All 2**(n-1) - 1 distinct nonzero cuts, one per complement pair.
+def cut_members(n: int) -> list[list[int]]:
+    """The generating set of every nonzero cut, 1-based and ascending, in cut order.
 
-    Deterministic order: cut c is generated by the points whose bits are set
-    in c + 1, point p at bit p - 1, which keeps the representative free of
-    the point n.
+    Cut c is generated by the points whose bits are set in c + 1, point p at
+    bit p - 1, which keeps the point n out of every set.  There are
+    2**(n-1) - 1 of them, one per complement pair.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    cuts = []
-    for m in range(1, 1 << (n - 1)):
-        members = [p + 1 for p in range(n - 1) if (m >> p) & 1]
-        cuts.append(CutVector(n, members))
-    return cuts
+    return [[p + 1 for p in range(n - 1) if m >> p & 1] for m in range(1, 1 << (n - 1))]
+
+
+def enumerate_cuts(n: int) -> list[CutVector]:
+    """All 2**(n-1) - 1 distinct nonzero cuts, in the order of `cut_members(n)`."""
+    return [CutVector(n, members) for members in cut_members(n)]
 
 
 def cut_columns(n: int) -> list[int]:
-    """Per coordinate, the bitmask over `enumerate_cuts(n)` of the cuts cutting its pair.
+    """Per coordinate, the bitmask over the cut order of the cuts cutting its pair.
 
-    Column (i, n) is M_(i-1) >> 1, M_k being the mask of the m = c + 1 with
-    bit k set: M_(n-2) is the upper half of 2**(n-1) bits and M_(k-1) is
+    Bit c stands for cut c of `cut_members(n)`.  Column (i, n) is
+    M_(i-1) >> 1, M_k being the mask of the m = c + 1 with bit k set:
+    M_(n-2) is the upper half of 2**(n-1) bits and M_(k-1) is
     M_k ^ M_k >> 2**(k-1), as adding 2**(k-1) to m flips bit k exactly when
     bit k - 1 is set.  Column (i, j) is the XOR of columns (i, n) and (j, n).
     """
@@ -191,19 +194,17 @@ def cut_columns(n: int) -> list[int]:
 
 
 def cut_correlations(n: int) -> list[tuple[int, ...]]:
-    """`CutVector.correlation` of every cut, in the order of `enumerate_cuts(n)`.
+    """`CutVector.correlation` of every cut, in the order of `cut_members(n)`.
 
-    Cut c is generated by the points at the set bits of c + 1.  With s_p = 1
-    for those points, the row is s_i * s_j at (i, j), j < n, and s_i at
-    (i, n), so taking s_n = 1 makes every entry the product s_i * s_j.
+    With s_p = 1 for the points of the generating set, the row is s_i * s_j
+    at (i, j), j < n, and s_i at (i, n), so taking s_n = 1 makes every entry
+    the product s_i * s_j.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
     pairs = pair_list(n)
     rows = []
-    for m in range(1, 1 << (n - 1)):
-        s = [0, *(m >> p & 1 for p in range(n - 1)), 1]  # s[p] for p = 1..n
-        rows.append(tuple(s[i] & s[j] for i, j in pairs))
+    for members in cut_members(n):
+        s = {*members, n}
+        rows.append(tuple(int(i in s and j in s) for i, j in pairs))
     return rows
 
 

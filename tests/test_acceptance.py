@@ -11,7 +11,13 @@ from math import comb, factorial
 from conesym.autgrp import automorphism_group, verify_theorem1
 from conesym.cli import RunConfig, run_verify
 from conesym.cones import adjacency_agreement, hypermetric_sweep, triangle_incidence_bound
-from conesym.core import cut_vector, enumerate_cuts, switching_reflection
+from conesym.core import (
+    cut_columns,
+    cut_vector,
+    enumerate_cuts,
+    enumerate_triangle_facets,
+    switching_reflection,
+)
 from conesym.cones import _facet_incidence_masks
 from conesym.reflections import (
     attempt_ray_swap,
@@ -84,10 +90,10 @@ def test_criterion_3_incidence_counts_n4_to_n8():
     checked = 0
     for n, count in expected.items():
         assert triangle_incidence_bound(n) == count
-        facets, _, masks, _ = _facet_incidence_masks(n)
+        facets, columns = enumerate_triangle_facets(n), cut_columns(n)
         assert len(facets) == 3 * comb(n, 3)
-        for mask in masks:
-            assert mask.bit_count() == count
+        for f in facets:
+            assert _facet_incidence_masks(f, columns).bit_count() == count
             checked += 1
     record(3, True, f"{checked} facets across n=4..8, counts 5/11/23/47/95 exact")
 

@@ -24,8 +24,8 @@ from conesym.cli import (
     render_text,
     run_verify,
 )
-from conesym.cones import _facet_incidence_masks, adjacency_agreement
-from conesym.core import cut_columns, enumerate_cuts, pair_index
+from conesym.cones import _facet_incidence_masks, adjacency_agreement, facet_value
+from conesym.core import cut_columns, enumerate_cuts, enumerate_triangle_facets, pair_index
 from conesym.ridge import Graph, build_complement
 
 DATA = Path(__file__).parent / "data"
@@ -292,9 +292,9 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 2
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
 
-    # Up to the adjacency cap, theorem2 also reads the adjacency sweep, whose
-    # correlation rows come from the cut order without a cut list.
-    @pytest.mark.parametrize("n, cut_lists", [(6, 1), (7, 1)])
+    # The sweep and, up to the adjacency cap, the adjacency sweep that
+    # theorem2 also reads take their cuts from the cut order, not a cut list.
+    @pytest.mark.parametrize("n, cut_lists", [(6, 0), (7, 0)])
     def test_bounded_family_swept_once(self, monkeypatch, n, cut_lists):
         calls = count_calls(monkeypatch, enumerate_cuts)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
@@ -417,8 +417,8 @@ class TestMain:
 
 class TestCutsCheck:
     def run_cuts(self, monkeypatch, n, mutate):
-        """The cuts check at n on masks built from mutated cut columns."""
-        monkeypatch.setattr(cones, "cut_columns", lambda n: mutate(cut_columns(n)))
+        """The cuts check at n on mutated cut columns."""
+        monkeypatch.setattr(cli, "cut_columns", lambda n: mutate(cut_columns(n)))
         return cli._check_cuts(cli.Instance(n, AUT_VERTEX_CAP, 3), RunConfig(n_min=n, n_max=n))
 
     def test_zeroed_star_column_fails_the_count(self, monkeypatch):
@@ -431,23 +431,26 @@ class TestCutsCheck:
         assert outcome == "fail"
         assert witness == {"reason": "wrong cut count or duplicates"}
 
-    def test_swapped_columns_give_the_violation_the_masks_claim(self, monkeypatch):
-        # The star columns stay right, so the cuts stay distinct; the masks
-        # now put x_34 = 1 on cuts that miss (3, 5) and (4, 5).
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_swapped_columns_fail_at_the_first_direct_violation(self, monkeypatch, n):
+        # The star columns stay right, so the cuts stay distinct; the
+        # columns of (1, 2) and (2, 3) now read each other's cuts.
         def swap(columns):
-            a, b = pair_index(1, 2, 5), pair_index(3, 4, 5)
+            a, b = pair_index(1, 2, n), pair_index(2, 3, n)
             columns[a], columns[b] = columns[b], columns[a]
             return columns
 
-        outcome, _, witness = self.run_cuts(monkeypatch, 5, swap)
+        mutated = swap(cut_columns(n))
+        cuts = enumerate_cuts(n)
+        f, c, value = next(
+            (f, c, value)
+            for f in enumerate_triangle_facets(n)
+            for c in range(len(cuts))
+            if (value := facet_value(f, [col >> c & 1 for col in mutated])) > 0
+        )
+        outcome, _, witness = self.run_cuts(monkeypatch, n, swap)
         assert outcome == "fail"
-        assert set(witness) == {"facet", "cut", "value"}
-        assert witness["value"] == 1
-        facets, _, _, violating = _facet_incidence_masks(5)
-        f, mask = next((f, mask) for f, mask in zip(facets, violating) if mask)
-        assert witness["facet"] == repr(f)
-        c = (mask & -mask).bit_length() - 1
-        assert witness["cut"] == sorted(enumerate_cuts(5)[c].members)
+        assert witness == {"facet": repr(f), "cut": sorted(cuts[c].members), "value": value}
 
     def test_missing_reference_ray_fails_n4(self, monkeypatch):
         rays = cli.ray_table()
@@ -482,6 +485,22 @@ class TestIncidenceCap:
             ("skip", {"reason": f"incidence masks capped at n={cli.INCIDENCE_MAX_N}"})
         ] * 2
         assert calls == []
+
+    def test_largest_n_under_the_cap_fits_in_100_mib(self):
+        # Masks are evaluated one facet at a time, so the C(n, 2) cut columns
+        # of 2^(n-1) bits set the peak: about 31 MiB at n = 20, where masks
+        # kept for every facet took about 260 MiB.
+        n = cli.INCIDENCE_MAX_N
+        code = (
+            "import json, resource\n"
+            "from conesym.cli import RunConfig, run_verify\n"
+            f"report = run_verify(RunConfig(n_min={n}, n_max={n}, checks=('cuts', 'facets', 'incidence')))\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps([report['summary'], peak]))"
+        )
+        summary, peak_mib = json.loads(run_python(code))
+        assert summary == {"pass": 3, "fail": 0, "skip": 0, "error": 0}
+        assert peak_mib < 100
 
 
 class TestEntrypoint:

@@ -25,6 +25,7 @@ from conesym.core import (
     Permutation,
     TriangleFacet,
     apply_permutation,
+    cut_columns,
     cut_vector,
     enumerate_cuts,
     enumerate_triangle_facets,
@@ -145,8 +146,9 @@ class TestCutsOnFacet:
 
     def test_every_facet_n8_by_exhaustive_evaluation(self):
         n = 8
-        facets, _, on, _ = _facet_incidence_masks(n)
-        for f, on_mask in zip(facets, on):
+        columns = cut_columns(n)
+        for f in enumerate_triangle_facets(n):
+            on_mask = _facet_incidence_masks(f, columns)
             assert len(cuts_on_facet_reference(f, n)) == on_mask.bit_count() == 95
 
     def test_count_invariant_up_to_n10(self):
@@ -162,12 +164,13 @@ class TestCutsOnFacet:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bit_sliced_masks_match_direct_evaluation(self, n):
-        facets, _, on, violating = _facet_incidence_masks(n)
-        cuts = enumerate_cuts(n)
-        index = {c: i for i, c in enumerate(cuts)}
-        for f, on_mask, bad_mask in zip(facets, on, violating):
+        # The cuts check's violating masks are tested against direct
+        # evaluation in test_cli.TestCutsCheck.
+        columns = cut_columns(n)
+        index = {c: i for i, c in enumerate(enumerate_cuts(n))}
+        for f in enumerate_triangle_facets(n):
+            on_mask = _facet_incidence_masks(f, columns)
             assert on_mask == sum(1 << index[c] for c in cuts_on_facet_reference(f, n))
-            assert bad_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) > 0)
 
 
 def hypermetric_value_reference(b, x):
@@ -436,7 +439,8 @@ class TestAdjacency:
         monkeypatch.setattr(cones, "integer_rank", recording)
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
-        facets, _, on, _ = _facet_incidence_masks(n)
+        facets, columns = enumerate_triangle_facets(n), cut_columns(n)
+        on = [_facet_incidence_masks(f, columns) for f in facets]
         cuts = enumerate_cuts(n)
         dim = num_pairs(n)
         expected = []

@@ -16,6 +16,7 @@ from conesym.core import (
     apply_permutation,
     cut_columns,
     cut_correlations,
+    cut_members,
     cut_vector,
     enumerate_cuts,
     enumerate_triangle_facets,
@@ -221,6 +222,17 @@ class TestEnumerateCuts:
         expected = {brute_force_cut_bits(s, 3) for s in ({1}, {2}, {3})}
         assert {c.bits for c in enumerate_cuts(3)} == expected
         assert all(sum(c.bits) == 2 for c in enumerate_cuts(3))
+
+
+class TestCutMembers:
+    def test_order_n4(self):
+        # Cut c is generated by the set bits of c + 1.
+        assert cut_members(4) == [[1], [2], [1, 2], [3], [1, 3], [2, 3], [1, 2, 3]]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_points_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            cut_members(n)
 
 
 class TestCutColumns:
