@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .core import Permutation, TriangleFacet, permute_facet
-from .ridge import Graph, _mask_of, build_complement
+from .ridge import Graph, StructureError, _mask_of, build_complement
 
 __all__ = [
     "AUT_VERTEX_CAP",
@@ -408,8 +408,8 @@ def automorphism_group(
     `known` lists automorphisms known in advance; they seed the search and
     come first among the generators, less any that the ones before them
     already generate.  The group records how many came first and the order
-    they generate.  Raises ValueError when one of them is not an
-    automorphism.  Every other emitted generator is verified by a direct
+    they generate.  Raises StructureError, a ValueError, when one of them is
+    not an automorphism.  Every other emitted generator is verified by a direct
     edge-set check.  Raises ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
@@ -419,7 +419,7 @@ def automorphism_group(
     known = [tuple(g) for g in known]
     for i, g in enumerate(known):
         if not is_graph_automorphism(graph, g):
-            raise ValueError(f"known[{i}] is not an automorphism of the graph")
+            raise StructureError(f"known[{i}] is not an automorphism of the graph")
     group = _AutomorphismSearch(graph, known).run()
     for g in group.generators[group.seeds :]:
         if not is_graph_automorphism(graph, g):
@@ -475,7 +475,8 @@ def certify_theorem1(gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1R
     checked elsewhere) while the induced image has order 24.  On failure
     the witness is an automorphism generator outside the induced image:
     the first one after the seeds, since each of those enlarged the group.
-    Raises ResourceLimitError above the vertex cap.
+    Raises StructureError when a point permutation is not an automorphism
+    of `gbar`, and ResourceLimitError above the vertex cap.
     """
     n = gbar.labels[0].n
     aut = automorphism_group(gbar, vertex_cap, induced_point_generators(gbar, n))

@@ -5,7 +5,8 @@ Reports are deterministic for a fixed configuration (byte-identical JSON
 apart from the timing fields).  Exit status: 0 when every executed check
 passes, 1 on any falsification, 2 on configuration, resource, or export
 errors, and 2 when every selected check was skipped, since such a run
-certifies nothing.
+certifies nothing.  A falsified structural claim raises `StructureError`,
+which `run_verify` records as the check's `fail` with the message as witness.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ SCHEMA_VERSION = 1
 # 2^(n-1) bits, so their cap bounds that time (about 1 s at n=20) and the
 # column memory (31 MiB peak RSS at n=20), which doubles with each n.
 # Raising a cap turns recorded skips into passes (tests/data), so
-# the caps stay until that is intended.
+# the caps stay until that is intended.  The bounded family has about
+# C(2b + n, n) sorted representatives at bound b, so larger bounds are
+# refused: on that host b = 8 takes 1 s at n = 7, and b = 16 3.3 s at n = 6.
 ADJACENCY_SWEEP_MAX_N = 6
 HYPERMETRIC_SWEEP_MAX_N = 7
 INCIDENCE_MAX_N = 20
+HYPERMETRIC_BOUND_MAX = 8
 
 
 class ConfigError(ValueError):
@@ -101,7 +105,9 @@ class Instance:
 # --- check runners ---------------------------------------------------------
 # Each runner returns (outcome, details, witness); outcome is one of
 # "pass", "fail", "skip".  Witness is None unless the check fails.  A runner
-# is called only at the n its skip rule in CHECKS lets through.
+# may instead raise StructureError, which run_verify records as a fail with
+# details {} and witness {"error": message}.  A runner is called only at the
+# n its skip rule in CHECKS lets through.
 
 
 def _check_cuts(inst: Instance, cfg: RunConfig):
@@ -150,8 +156,9 @@ def _check_incidence(inst: Instance, cfg: RunConfig):
     facets, columns = inst.facets, inst.columns
     expected = triangle_incidence_bound(inst.n)
     details = {"facets": len(facets), "cuts_per_facet": expected}
+    cuts = 2 ** (inst.n - 1) - 1
     for f in facets:
-        count = _facet_incidence_masks(f, columns).bit_count()
+        count = cuts - _facet_incidence_masks(f, columns).bit_count()
         if count != expected:
             return "fail", details, {"facet": repr(f), "count": count, "expected": expected}
     return "pass", details, None
@@ -175,19 +182,12 @@ def _check_hexagons(inst: Instance, cfg: RunConfig):
     gbar = inst.gbar
     details = {"vertices": gbar.n, "hexagons_per_vertex": inst.n - 3}
     for u in range(gbar.n):
-        try:
-            verify_hexagon_neighborhood(gbar, u)
-        except StructureError as exc:
-            return "fail", details, {"vertex": u, "error": str(exc)}
+        verify_hexagon_neighborhood(gbar, u)
     return "pass", details, None
 
 
 def _check_triangles(inst: Instance, cfg: RunConfig):
-    n, gbar = inst.n, inst.gbar
-    try:
-        detected = inst.triangles
-    except StructureError as exc:
-        return "fail", {"vertices": gbar.n}, {"error": str(exc)}
+    n, gbar, detected = inst.n, inst.gbar, inst.triangles
     grouped = group_facets_by_support(gbar)
     details = {"triangle_count": len(detected), "expected": comb(n, 3)}
     if detected != grouped:
@@ -205,11 +205,7 @@ def _check_triangles(inst: Instance, cfg: RunConfig):
 
 
 def _check_gamma(inst: Instance, cfg: RunConfig):
-    n = inst.n
-    try:
-        gamma = inst.gamma
-    except StructureError as exc:
-        return "fail", {}, {"error": str(exc)}
+    n, gamma = inst.n, inst.gamma
     details = {"vertices": gamma.n, "degree": 3 * (n - 3)}
     if gamma.n != comb(n, 3):
         return "fail", details, {"reason": "wrong vertex count"}
@@ -224,10 +220,7 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
                 if gamma.has_edge(a, b) != (len(duals[a] & duals[b]) == 1):
                     return "fail", details, {"reason": "not the Petersen complement", "pair": (a, b)}
         details["petersen_complement"] = True
-    try:
-        arr = intersection_array(gamma)
-    except StructureError as exc:
-        return "fail", details, {"error": str(exc)}
+    arr = intersection_array(gamma)
     details["intersection_array"] = str(arr)
     diameter = len(arr.cs)
     details["diameter"] = diameter
@@ -455,8 +448,8 @@ class RunConfig(NamedTuple):
     def validate(self) -> None:
         if not 4 <= self.n_min <= self.n_max:
             raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.hypermetric_bound < 1:
-            raise ConfigError("hypermetric bound must be positive")
+        if not 1 <= self.hypermetric_bound <= HYPERMETRIC_BOUND_MAX:
+            raise ConfigError(f"hypermetric bound must be in 1..{HYPERMETRIC_BOUND_MAX}")
         if self.aut_vertex_cap < 1:
             raise ConfigError("automorphism vertex cap must be positive")
         if self.output_format not in ("text", "json"):
@@ -490,6 +483,8 @@ def run_verify(cfg: RunConfig) -> dict:
                     outcome, details, witness = "skip", {"reason": reason}, None
             except ResourceLimitError as exc:
                 outcome, details, witness = "skip", {"reason": str(exc)}, None
+            except StructureError as exc:
+                outcome, details, witness = "fail", {}, {"error": str(exc)}
             except Exception as exc:  # surfaced per check, run continues
                 outcome, details, witness = "error", {"error": str(exc)}, None
             elapsed = time.perf_counter() - start
@@ -629,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hypermetric-bound",
         type=int,
         default=defaults["hypermetric_bound"],
-        help="coefficient bound for the bounded inequality sweeps",
+        help=f"coefficient bound for the bounded inequality sweeps (1..{HYPERMETRIC_BOUND_MAX})",
     )
     verify.add_argument(
         "--aut-vertex-cap",

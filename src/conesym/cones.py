@@ -211,16 +211,15 @@ def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
 
 
 def _facet_incidence_masks(facet: TriangleFacet, columns: list[int]) -> int:
-    """The bitmask over the cut order of the cuts lying on the facet.
+    """The bitmask over the cut order of the cuts off the facet.
 
     `columns` is `cut_columns(facet.n)`.  The facet has +1 at a and -1 at b
-    and c, so on 0/1 vectors its value A - B - C is 0 exactly when all three
-    are 0 or A is 1 with one of B, C.
+    and c, so on 0/1 vectors its value A - B - C is nonzero exactly when an
+    odd number of the three are 1 or B and C both are.
     """
     (a, _), (b, _), (c, _) = facet.entries()
     A, B, C = columns[a], columns[b], columns[c]
-    full = (1 << 2 ** (facet.n - 1) - 1) - 1
-    return full & ~(A | B | C) | A & (B ^ C)
+    return A ^ B ^ C | B & C
 
 
 def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
@@ -252,7 +251,8 @@ def adjacency_agreement(n: int):
     """
     facets = enumerate_triangle_facets(n)
     columns = cut_columns(n)
-    masks = [_facet_incidence_masks(f, columns) for f in facets]
+    full = (1 << 2 ** (n - 1) - 1) - 1
+    masks = [full ^ _facet_incidence_masks(f, columns) for f in facets]
     corr_rows = cut_correlations(n)
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]

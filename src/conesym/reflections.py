@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 from .autgrp import group_order, symn_point_generators
 from .cones import integer_rank, kernel_basis
 from .core import apply_permutation
+from .ridge import StructureError
 
 __all__ = [
     "RAY_COUNT",
@@ -59,11 +60,11 @@ _RAYS = (
 GENERATOR_PAIRS = ((1, 3), (3, 6), (6, 7), (2, 4), (4, 5))
 
 
-class DegenerateRaysError(ValueError):
+class DegenerateRaysError(StructureError):
     """The chosen rays are linearly dependent."""
 
 
-class RayActionError(RuntimeError):
+class RayActionError(StructureError):
     """A constructed reflection fails to permute the ray set."""
 
 

@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 
-class StructureError(RuntimeError):
-    """A structural claim failed; the message carries the witness."""
+class StructureError(ValueError):
+    """A structural claim failed; the message carries the witness, and
+    `cli.run_verify` records it as the check's `fail`."""
 
 
 def _mask_of(vertices) -> int:

@@ -32,6 +32,7 @@ from conesym.autgrp import (
 from conesym.core import permute_facet
 from conesym.ridge import (
     Graph,
+    StructureError,
     _mask_of,
     build_complement,
     build_ridge_graph,
@@ -488,15 +489,16 @@ class TestSeededSearch:
         assert seeded.seed_order == group_order(seeds, graph.n)
 
     def test_non_automorphism_seed_rejected(self):
-        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(ValueError):
-            automorphism_group(graph, known=[(1, 0, 2, 3)])
-        with pytest.raises(ValueError):
-            automorphism_group(Graph(3), known=[(0, 0, 0)])
-        with pytest.raises(ValueError):
-            automorphism_group(Graph(4, [(0, 1), (2, 3)]), known=[(1, 0, 1, 0)])
-        with pytest.raises(ValueError):
-            automorphism_group(Graph(3), known=[(1, 0)])
+        # A StructureError, and so the ValueError the docstring promises.
+        for graph, seed in [
+            (Graph(4, [(0, 1), (1, 2), (2, 3)]), (1, 0, 2, 3)),
+            (Graph(3), (0, 0, 0)),
+            (Graph(4, [(0, 1), (2, 3)]), (1, 0, 1, 0)),
+            (Graph(3), (1, 0)),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                automorphism_group(graph, known=[seed])
+            assert raised.type is StructureError
 
 
 def vf2_automorphism_count(graph: Graph) -> int:

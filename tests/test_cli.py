@@ -12,9 +12,10 @@ import networkx as nx
 import pytest
 
 import conesym
-from conesym import cli, cones
+from conesym import cli, cones, reflections
 from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group, induced_point_generators
 from conesym.cli import (
+    HYPERMETRIC_BOUND_MAX,
     ConfigError,
     RunConfig,
     build_parser,
@@ -56,6 +57,9 @@ class TestConfig:
     def test_bound_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(hypermetric_bound=0).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(hypermetric_bound=HYPERMETRIC_BOUND_MAX + 1).validate()
+        RunConfig(hypermetric_bound=HYPERMETRIC_BOUND_MAX).validate()
 
     def test_cli_defaults_are_the_config_defaults(self):
         # The recorded default report pins RunConfig's values; the CLI must
@@ -388,7 +392,11 @@ class TestMain:
         assert "1 pass, 0 fail, 1 skip" in captured.out
         assert captured.err == ""
 
-    def test_off_census_complement_fails_triangles_and_gamma(self, monkeypatch, capsys):
+    @pytest.fixture
+    def off_census_complement(self, monkeypatch):
+        """The complement at n=5 less one edge between different supports,
+        which breaks the hexagons, the Triangle census and the point
+        permutations' automorphism check."""
         gbar = build_complement(5)
         labels = gbar.labels
         u, w = next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
@@ -396,13 +404,40 @@ class TestMain:
         adj[u] ^= 1 << w
         adj[w] ^= 1 << u
         monkeypatch.setattr("conesym.cli.build_complement", lambda n: Graph.from_adjacency(adj, labels))
-        code = main(["verify", "--n-min", "5", "--n-max", "5", "--checks", "triangles,gamma",
-                     "--format", "json"])
+
+    def test_off_census_complement_fails_every_structural_check(self, off_census_complement, capsys):
+        code = main(["verify", "--n-min", "5", "--n-max", "5", "--format", "json",
+                     "--checks", "hexagons,triangles,gamma,johnson,aut,theorem1"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert [rec["outcome"] for rec in report["checks"]] == ["fail", "fail"]
-        for rec in report["checks"]:
-            assert "1 common neighbors" in rec["witness"]["error"]
+        assert [(rec["outcome"], rec["details"]) for rec in report["checks"]] == [("fail", {})] * 6
+        errors = {rec["check"]: rec["witness"]["error"] for rec in report["checks"]}
+        assert errors["hexagons"].startswith("vertex ")
+        for check in ("triangles", "gamma", "johnson"):
+            assert "1 common neighbors" in errors[check]
+        for check in ("aut", "theorem1"):
+            assert "is not an automorphism" in errors[check]
+
+    @pytest.mark.parametrize("check", ["johnson", "theorem1"])
+    def test_off_census_complement_fails_one_check_alone(self, off_census_complement, capsys, check):
+        assert main(["verify", "--n-min", "5", "--n-max", "5", "--checks", check]) == 1
+
+    def test_swapped_rays_fail_reflect4_with_the_message(self, monkeypatch, capsys):
+        rays = list(reflections.ray_table())
+        rays[0], rays[1] = rays[1], rays[0]
+        monkeypatch.setattr(reflections, "_RAYS", tuple(rays))
+        code = main(["verify", "--n-min", "4", "--n-max", "4", "--checks", "reflect4",
+                     "--format", "json"])
+        (rec,) = json.loads(capsys.readouterr().out)["checks"]
+        assert code == 1
+        assert rec["outcome"] == "fail"
+        assert rec["witness"] == {"error": "reflection for rays (1, 3) does not permute the rays"}
+
+    def test_unbounded_hypermetric_bound_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["verify", "--hypermetric-bound", "1000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "hypermetric bound" in capsys.readouterr().err
 
     def test_unwritable_export_exits_2_but_checks_run(self, capsys):
         code = main(

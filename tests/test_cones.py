@@ -148,8 +148,8 @@ class TestCutsOnFacet:
         n = 8
         columns = cut_columns(n)
         for f in enumerate_triangle_facets(n):
-            on_mask = _facet_incidence_masks(f, columns)
-            assert len(cuts_on_facet_reference(f, n)) == on_mask.bit_count() == 95
+            off_mask = _facet_incidence_masks(f, columns)
+            assert len(cuts_on_facet_reference(f, n)) == 2 ** (n - 1) - 1 - off_mask.bit_count() == 95
 
     def test_count_invariant_up_to_n10(self):
         for n in (9, 10):
@@ -166,11 +166,10 @@ class TestCutsOnFacet:
     def test_bit_sliced_masks_match_direct_evaluation(self, n):
         # The cuts check's violating masks are tested against direct
         # evaluation in test_cli.TestCutsCheck.
-        columns = cut_columns(n)
-        index = {c: i for i, c in enumerate(enumerate_cuts(n))}
+        columns, cuts = cut_columns(n), enumerate_cuts(n)
         for f in enumerate_triangle_facets(n):
-            on_mask = _facet_incidence_masks(f, columns)
-            assert on_mask == sum(1 << index[c] for c in cuts_on_facet_reference(f, n))
+            off_mask = _facet_incidence_masks(f, columns)
+            assert off_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) != 0)
 
 
 def hypermetric_value_reference(b, x):
@@ -440,8 +439,10 @@ class TestAdjacency:
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
         facets, columns = enumerate_triangle_facets(n), cut_columns(n)
-        on = [_facet_incidence_masks(f, columns) for f in facets]
         cuts = enumerate_cuts(n)
+        on = [sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) == 0) for f in facets]
+        full = (1 << len(cuts)) - 1
+        assert on == [full ^ _facet_incidence_masks(f, columns) for f in facets]
         dim = num_pairs(n)
         expected = []
         for a, b in itertools.combinations(range(len(facets)), 2):

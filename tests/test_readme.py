@@ -41,6 +41,15 @@ def test_quoted_caps_are_the_code_caps():
     )
 
 
+def test_quoted_bound_cap_is_the_code_cap():
+    from conesym.cli import HYPERMETRIC_BOUND_MAX
+
+    text = " ".join(README.read_text().split())
+    quoted = re.search(r"`--hypermetric-bound` is refused above (\d+) \(`cli.HYPERMETRIC_BOUND_MAX`\)", text)
+    assert quoted, "README no longer quotes the coefficient bound cap"
+    assert int(quoted.group(1)) == HYPERMETRIC_BOUND_MAX
+
+
 def test_quoted_sweep_figures_are_the_sweep():
     from conesym.cones import _orbit_representatives, hypermetric_sweep
 
