@@ -13,7 +13,6 @@ from .core import (
     num_pairs,
     pair_index,
     pair_unindex,
-    switching_reflection,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "num_pairs",
     "pair_index",
     "pair_unindex",
-    "switching_reflection",
 ]

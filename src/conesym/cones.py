@@ -3,9 +3,9 @@ counting, and exact integer rank certificates for cone face dimensions.
 
 All certification arithmetic is exact and runs on Python integers: a rank
 is the rank over GF(2) when that is full and comes from fraction-free
-Bareiss elimination otherwise, kernels come from rational row reduction,
-and the one pass over the bounded hypermetric family evaluates one sorted
-representative per orbit of the point permutations.  A set of cuts
+Bareiss elimination otherwise, and the one pass over the bounded
+hypermetric family evaluates one sorted representative per orbit of the
+point permutations.  A set of cuts
 is ranked on its correlation rows (`core.cut_correlations`), the image of
 the cut vectors under an integral linear bijection, so the rank is the same
 and the rows are sparser.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from math import factorial, prod
 from typing import NamedTuple, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "triangle_incidence_bound",
     "enumerate_hypermetric_coeffs",
     "integer_rank",
-    "kernel_basis",
     "adjacency_agreement",
     "HypermetricSweep",
     "hypermetric_sweep",
@@ -174,40 +172,6 @@ def _bareiss_rank(m: list[list[int]]) -> int:
         if rank == n_rows:
             break
     return rank
-
-
-def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational null space of a matrix, via reduced row echelon."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return []
-    n_cols = len(m[0])
-    if any(len(r) != n_cols for r in m):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        piv_row = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv_row is None:
-            continue
-        m[row], m[piv_row] = m[piv_row], m[row]
-        piv = m[row][col]
-        m[row] = [v / piv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for r, piv_col in enumerate(pivots):
-            vec[piv_col] = -m[r][free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _facet_incidence_masks(facet: TriangleFacet, columns: list[int]) -> int:

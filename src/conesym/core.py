@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from math import isqrt
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Permutation",
     "apply_permutation",
     "permute_facet",
-    "switching_reflection",
 ]
 
 
@@ -74,13 +72,6 @@ def _points(points, n: int, error: str) -> tuple[int, ...]:
     if len(set(points)) != len(points) or not all(1 <= p <= n for p in points):
         raise ValueError(error)
     return points
-
-
-def _n_from_len(m: int) -> int:
-    n = (1 + isqrt(1 + 8 * m)) // 2
-    if num_pairs(n) != m:
-        raise ValueError(f"length {m} is not C(n, 2) for any n")
-    return n
 
 
 class CutVector:
@@ -384,14 +375,3 @@ def permute_facet(sigma: Permutation, facet: TriangleFacet) -> TriangleFacet:
     if sigma.n != facet.n:
         raise ValueError("degree mismatch")
     return TriangleFacet(sigma(facet.i), sigma(facet.j), sigma(facet.k), facet.n)
-
-
-def switching_reflection(members: Iterable[int], x: Sequence) -> tuple:
-    """Replace x_ij by 1 - x_ij on the coordinates cut by the point set.
-
-    An involution; coordinates off the cut are unchanged.  Exact for integer
-    and rational entries alike.
-    """
-    n = _n_from_len(len(x))
-    cut = CutVector(n, members)
-    return tuple(1 - val if cut[k] else val for k, val in enumerate(x))

@@ -1,11 +1,12 @@
 """Exact reconstruction of the order-144 isometry group of the 4-point cone
 as a reflection group acting on its 7 extreme rays.
 
-Everything here is exact.  A matrix has one form, (den, entries): a positive
-integer denominator and the row-major integer entries, in lowest terms, so
-equal matrices have equal forms.  Each generator is the reflection through
-the hyperplane spanned by 5 of the 7 rays; its normal vector comes from the
-kernel of the corresponding 5 x 6 matrix, and the resulting map must permute
+Everything here runs on Python integers.  A matrix has one form,
+(den, entries): a positive integer denominator and the row-major integer
+entries, in lowest terms, so equal matrices have equal forms.  Each
+generator is the reflection through the hyperplane spanned by 5 of the 7
+rays; its normal vector is the kernel line of the corresponding 5 x 6
+matrix, read off its six 5 x 5 minors, and the resulting map must permute
 the ray set, swapping the omitted two rays.  It must also be an orthogonal
 involution, whose determinant then follows from its trace, and that
 determinant must be -1.  The group is ordered through its action on the
@@ -17,13 +18,12 @@ symmetric group on the 3-ray orbit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .autgrp import group_order, symn_point_generators
-from .cones import integer_rank, kernel_basis
+from .cones import integer_rank
 from .core import apply_permutation
 from .ridge import StructureError
 
@@ -34,7 +34,6 @@ __all__ = [
     "DegenerateRaysError",
     "kernel_vector",
     "reflection",
-    "mat_vec",
     "attempt_ray_swap",
     "GENERATOR_PAIRS",
     "RayActionError",
@@ -44,7 +43,8 @@ __all__ = [
 
 RAY_COUNT = 7
 
-# The 7 nonzero cuts on 4 points in the fixed reference order r1..r7.
+# The 7 nonzero cuts on 4 points in the fixed reference order r1..r7, the
+# cuts of {4}, {1, 2}, {3}, {1, 3}, {1, 4}, {2} and {1}.
 _RAYS = (
     (0, 0, 1, 0, 1, 1),
     (0, 1, 1, 1, 1, 0),
@@ -100,18 +100,30 @@ def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     return orbits[0], orbits[1]
 
 
-def kernel_vector(rays: Sequence[Sequence]) -> tuple[int, ...]:
-    """The kernel direction of 5 independent 6-dimensional rays, normalized
-    to coprime integers with positive leading nonzero entry."""
-    rows = [list(r) for r in rays]
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, given as a list of tuples, by
+    expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def kernel_vector(rays: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The kernel direction of 5 independent 6-dimensional integer rays,
+    normalized to coprime integers with positive leading nonzero entry."""
+    rows = [tuple(r) for r in rays]
     if len(rows) != 5 or any(len(r) != 6 for r in rows):
         raise ValueError("need exactly 5 rays of dimension 6")
-    # 5 rows in 6 columns have rank 5 exactly when the kernel is a line.
-    basis = kernel_basis(rows)
-    if len(basis) != 1:
+    # Cramer's rule: entry j of the kernel line is (-1)^j times the minor
+    # that leaves out column j, and the 5 rows have rank 5 exactly when
+    # some minor is nonzero.
+    ints = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(6)]
+    if not any(ints):
         raise DegenerateRaysError("the 5 rays are linearly dependent")
-    scale = lcm(*(v.denominator for v in basis[0]))
-    ints = [int(v * scale) for v in basis[0]]
     content = gcd(*ints)
     if next(v for v in ints if v) < 0:
         content = -content
@@ -140,12 +152,6 @@ def _rows(entries) -> list:
     return [entries[k:k + n] for k in range(0, n * n, n)]
 
 
-def mat_vec(m, v) -> tuple[Fraction, ...]:
-    """The image of the vector v under the matrix m, as exact Fractions."""
-    den, entries = m
-    return tuple(Fraction(sum(map(mul, row, v)), den) for row in _rows(entries))
-
-
 def _mul(a, b) -> tuple[int, tuple[int, ...]]:
     (da, ea), (db, eb) = a, b
     cols = list(zip(*_rows(eb)))
@@ -171,11 +177,13 @@ def _involution_det(m) -> int:
 def _ray_permutation(m, rays) -> tuple[int, ...] | None:
     """0-based permutation of the ray list induced by the matrix, or None
     when some image is not a ray."""
-    # A Fraction equals, and hashes like, the int of the same value.
-    index = {tuple(r): i for i, r in enumerate(rays)}
+    # With m = (den, entries), ray s is the image of r exactly when
+    # entries . r == den * s.
+    den, entries = m
+    index = {tuple(den * v for v in s): i for i, s in enumerate(rays)}
     images = []
     for r in rays:
-        img = mat_vec(m, r)
+        img = tuple(sum(map(mul, row, r)) for row in _rows(entries))
         if img not in index:
             return None
         images.append(index[img])

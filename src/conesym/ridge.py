@@ -19,7 +19,6 @@ __all__ = [
     "Graph",
     "StructureError",
     "conflicting",
-    "build_ridge_graph",
     "build_complement",
     "HexagonNeighborhood",
     "verify_hexagon_neighborhood",
@@ -182,11 +181,6 @@ def conflicting(f: TriangleFacet, g: TriangleFacet) -> bool:
         raise ValueError("facet dimensions differ")
     fa, ga = (f.i, f.j), (g.i, g.j)
     return (g.k in fa and f.i + f.j - g.k in ga) or (f.k in ga and g.i + g.j - f.k in fa)
-
-
-def build_ridge_graph(n: int) -> Graph:
-    """Graph on the triangle facets, adjacent iff non-conflicting."""
-    return build_complement(n).complement()
 
 
 def build_complement(n: int) -> Graph:

@@ -1,0 +1,81 @@
+"""Reference implementations shared by the tests: rational row reduction,
+the rational image of a vector under a (den, entries) matrix, the ridge
+graph built pair by pair, and the switching map.  The package computes none
+of these; the tests use them as oracles."""
+
+import itertools
+from fractions import Fraction
+from math import isqrt
+
+from conesym.core import CutVector, enumerate_triangle_facets, num_pairs
+from conesym.ridge import Graph
+
+
+def kernel_basis_reference(rows) -> list[tuple[Fraction, ...]]:
+    """Basis of the rational null space of a matrix, via reduced row echelon."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    if not m:
+        return []
+    n_cols = len(m[0])
+    if any(len(r) != n_cols for r in m):
+        raise ValueError("ragged matrix")
+    pivots: list[int] = []
+    row = 0
+    for col in range(n_cols):
+        piv_row = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv_row is None:
+            continue
+        m[row], m[piv_row] = m[piv_row], m[row]
+        piv = m[row][col]
+        m[row] = [v / piv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for r, piv_col in enumerate(pivots):
+            vec[piv_col] = -m[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def mat_vec_reference(m, v) -> tuple[Fraction, ...]:
+    """The image of the vector v under the matrix m = (den, entries), as
+    exact Fractions."""
+    den, entries = m
+    dim = isqrt(len(entries))
+    return tuple(
+        Fraction(sum(a * b for a, b in zip(entries[k:k + dim], v)), den)
+        for k in range(0, dim * dim, dim)
+    )
+
+
+def build_ridge_graph_reference(n: int) -> Graph:
+    """Graph on the triangle facets, adjacent iff non-conflicting: no
+    coordinate carries entries of opposite sign, tested pair by pair."""
+    facets = enumerate_triangle_facets(n)
+    signs = [dict(f.entries()) for f in facets]
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(facets)), 2)
+        if all(signs[b].get(idx, sign) == sign for idx, sign in signs[a].items())
+    ]
+    return Graph(len(facets), edges, facets)
+
+
+def switching_reflection_reference(members, x) -> tuple:
+    """Replace x_ij by 1 - x_ij on the coordinates cut by the point set.
+
+    An involution; coordinates off the cut are unchanged.  Exact for integer
+    and rational entries alike.
+    """
+    n = (1 + isqrt(1 + 8 * len(x))) // 2
+    if num_pairs(n) != len(x):
+        raise ValueError(f"length {len(x)} is not C(n, 2) for any n")
+    cut = CutVector(n, members)
+    return tuple(1 - val if cut[k] else val for k, val in enumerate(x))

@@ -144,22 +144,31 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
+def cold_import_loads(modules: list[str]) -> list[str]:
+    """Those of `modules` that `import conesym.cli` loads in a fresh
+    interpreter; -S keeps `site` from importing modules of its own first."""
+    src = str(Path(conesym.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import conesym.cli\n"
+        f"print(*sorted(set({modules!r}) & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout.split()
+
+
 class TestColdImport:
     def test_import_loads_no_dataclasses_inspect_or_argparse(self):
-        # -S keeps `site` from importing modules of its own first.
-        src = str(Path(conesym.__file__).parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import conesym.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert proc.stdout.strip() == "[]"
+        assert cold_import_loads(["dataclasses", "inspect", "argparse"]) == []
+
+    def test_import_loads_no_fractions_decimal_or_numbers(self):
+        # Every certificate runs on integers.
+        assert cold_import_loads(["fractions", "decimal", "numbers"]) == []
 
 
 class TestWithoutNumpy:
@@ -432,6 +441,23 @@ class TestMain:
         assert code == 1
         assert rec["outcome"] == "fail"
         assert rec["witness"] == {"error": "reflection for rays (1, 3) does not permute the rays"}
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("alphas", ((1, 0, 0, 0, 0, 0),) * 5, "kernel vector differs from the reference"),
+            ("matrix_order", 72, "reflection certificate failed"),
+        ],
+    )
+    def test_changed_reflection_report_fails_reflect4(self, monkeypatch, capsys, field, value, reason):
+        report = reflections.build_reflection_group()._replace(**{field: value})
+        monkeypatch.setattr(cli, "build_reflection_group", lambda: report)
+        code = main(["verify", "--n-min", "4", "--n-max", "4", "--checks", "reflect4",
+                     "--format", "json"])
+        (rec,) = json.loads(capsys.readouterr().out)["checks"]
+        assert code == 1
+        assert rec["outcome"] == "fail"
+        assert rec["witness"] == {"reason": reason}
 
     def test_unbounded_hypermetric_bound_exits_2_at_once(self, capsys):
         start = time.perf_counter()

