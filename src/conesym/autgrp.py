@@ -130,9 +130,6 @@ class _StabilizerChain:
             chain = chain.sub
         return p
 
-    def contains(self, p) -> bool:
-        return self.sift(p) == self.identity
-
     def add(self, p) -> bool:
         """Sift p in; returns True when the group grew."""
         residue = self.sift(p)
@@ -264,7 +261,8 @@ class _AutomorphismSearch:
         # The empty vertex set is partitioned into no cells.
         cells = self._refine([list(range(self.n))] if self.n else [], [(1 << self.n) - 1])
         self._explore(cells, 0, True)
-        order = self.chain.order() if self.chain is not None else 1
+        # The reference path always ends at a leaf, so the chain exists.
+        order = self.chain.order()
         return PermGroup(self.n, tuple(self.generators), order, self.seeds, self.seed_order)
 
     # partition machinery ---------------------------------------------------
@@ -382,12 +380,12 @@ class _AutomorphismSearch:
 
     def _orbit_closure(self, seeds, depth) -> int:
         """Bitmask of the orbit of the explored siblings under the known
-        subgroup fixing the first `depth` reference base points."""
-        if self.chain is None:
-            return 0
+        subgroup fixing the first `depth` reference base points.
+
+        Called only once the first sibling on the reference path has
+        returned; that path always ends at the first leaf, which built
+        `self.chain`."""
         gens = self.chain.subchain(depth).generators()
-        if not gens:
-            return _mask_of(seeds)
         mask = _mask_of(seeds)
         queue = deque(seeds)
         while queue:

@@ -6,9 +6,9 @@ is the rank over GF(2) when that is full and comes from fraction-free
 Bareiss elimination otherwise, and the one pass over the bounded
 hypermetric family evaluates one sorted representative per orbit of the
 point permutations.  A set of cuts
-is ranked on its correlation rows (`core.cut_correlations`), the image of
-the cut vectors under an integral linear bijection, so the rank is the same
-and the rows are sparser.
+is ranked on its correlation rows, the image of the cut vectors under the
+covariance map, an integral linear bijection (see `core.cut_correlations`),
+so the rank is the same and the rows are sparser.
 """
 
 from __future__ import annotations

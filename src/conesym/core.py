@@ -16,11 +16,7 @@ __all__ = [
     "num_pairs",
     "pair_list",
     "pair_index",
-    "pair_unindex",
-    "CutVector",
-    "cut_vector",
     "cut_members",
-    "enumerate_cuts",
     "cut_columns",
     "cut_correlations",
     "TriangleFacet",
@@ -39,7 +35,7 @@ def num_pairs(n: int) -> int:
 @lru_cache(maxsize=None)
 def _pair_table(n: int):
     pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return pairs, {p: k for k, p in enumerate(pairs)}, dict(enumerate(pairs))
+    return pairs, {p: k for k, p in enumerate(pairs)}
 
 
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
@@ -55,14 +51,6 @@ def pair_index(i: int, j: int, n: int) -> int:
         raise ValueError(f"invalid pair ({i}, {j}) for n={n}") from None
 
 
-def pair_unindex(k: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index."""
-    try:
-        return _pair_table(n)[2][operator.index(k)]
-    except (TypeError, KeyError):
-        raise ValueError(f"coordinate {k} out of range for n={n}") from None
-
-
 def _points(points, n: int, error: str) -> tuple[int, ...]:
     """The points as ints; ValueError(error) unless they are distinct integers in 1..n."""
     try:
@@ -72,81 +60,6 @@ def _points(points, n: int, error: str) -> tuple[int, ...]:
     if len(set(points)) != len(points) or not all(1 <= p <= n for p in points):
         raise ValueError(error)
     return points
-
-
-class CutVector:
-    """0/1 incidence vector of the cut determined by a point subset.
-
-    A pair (i, j) is cut when exactly one of i, j lies in the generating set.
-    Complementary subsets determine the same cut, so the stored generator is
-    canonicalized to the representative that does not contain the point n.
-    Instances are immutable value objects.
-    """
-
-    __slots__ = ("n", "members", "mask")
-
-    def __init__(self, n: int, members: Iterable[int] = ()):
-        members = frozenset(_points(set(members), n, f"members must be integers in 1..{n}"))
-        if n in members:
-            members = frozenset(range(1, n + 1)) - members
-        mask = 0
-        for k, (i, j) in enumerate(pair_list(n)):
-            if (i in members) != (j in members):
-                mask |= 1 << k
-        self.n = n
-        self.members = members
-        self.mask = mask
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> k) & 1 for k in range(num_pairs(self.n)))
-
-    @property
-    def correlation(self) -> tuple[int, ...]:
-        """The cut's 0/1 correlation row p, rooted at the point n.
-
-        With s the incidence vector of the generating set (s_n = 0), p is
-        s_i * s_j at the pair (i, j), j < n, and s_i at (i, n), in coordinate
-        order.  It is xi(x) for the covariance map xi of Deza and Laurent
-        (Geometry of Cuts and Metrics, 1997, section 5.2), with
-        xi(x)_in = x_in and xi(x)_ij = (x_in + x_jn - x_ij) / 2.  Its inverse
-        x_in = p_in, x_ij = p_in + p_jn - 2 * p_ij is integral, so xi is a
-        linear bijection and every set of cuts has the same rank in either
-        coordinates.  A cut with k generating points has C(k + 1, 2)
-        nonzeros here against k * (n - k) in `bits`.
-        """
-        n, s = self.n, self.members
-        return tuple(int(i in s and (j == n or j in s)) for i, j in pair_list(n))
-
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def __len__(self) -> int:
-        return num_pairs(self.n)
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k < num_pairs(self.n):
-            raise IndexError(k)
-        return (self.mask >> k) & 1
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CutVector):
-            return NotImplemented
-        return self.n == other.n and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __repr__(self) -> str:
-        return f"CutVector(n={self.n}, members={{{', '.join(map(str, sorted(self.members)))}}})"
-
-
-def cut_vector(members: Iterable[int], n: int) -> CutVector:
-    """Incidence vector of the cut split off by the given point set."""
-    return CutVector(n, members)
 
 
 def cut_members(n: int) -> list[list[int]]:
@@ -159,11 +72,6 @@ def cut_members(n: int) -> list[list[int]]:
     if n < 3:
         raise ValueError("need n >= 3")
     return [[p + 1 for p in range(n - 1) if m >> p & 1] for m in range(1, 1 << (n - 1))]
-
-
-def enumerate_cuts(n: int) -> list[CutVector]:
-    """All 2**(n-1) - 1 distinct nonzero cuts, in the order of `cut_members(n)`."""
-    return [CutVector(n, members) for members in cut_members(n)]
 
 
 def cut_columns(n: int) -> list[int]:
@@ -185,11 +93,19 @@ def cut_columns(n: int) -> list[int]:
 
 
 def cut_correlations(n: int) -> list[tuple[int, ...]]:
-    """`CutVector.correlation` of every cut, in the order of `cut_members(n)`.
+    """The 0/1 correlation row p of every cut, rooted at the point n, in the
+    order of `cut_members(n)`.
 
-    With s_p = 1 for the points of the generating set, the row is s_i * s_j
-    at (i, j), j < n, and s_i at (i, n), so taking s_n = 1 makes every entry
-    the product s_i * s_j.
+    With s_p = 1 for the points of the generating set, p is s_i * s_j at the
+    pair (i, j), j < n, and s_i at (i, n), so taking s_n = 1 makes every
+    entry the product s_i * s_j.  For the cut vector x, p is xi(x) for the
+    covariance map xi of Deza and Laurent (Geometry of Cuts and Metrics,
+    1997, section 5.2), with xi(x)_in = x_in and
+    xi(x)_ij = (x_in + x_jn - x_ij) / 2.  Its inverse x_in = p_in,
+    x_ij = p_in + p_jn - 2 * p_ij is integral, so xi is a linear bijection
+    and every set of cuts has the same rank in either coordinates.  A cut
+    with k generating points has C(k + 1, 2) nonzeros here against
+    k * (n - k) in x.
     """
     pairs = pair_list(n)
     rows = []
@@ -246,7 +162,7 @@ class TriangleFacet:
         """The facet's functional in correlation coordinates, halved.
 
         Substituting x_in = p_in and x_ij = p_in + p_jn - 2 * p_ij (see
-        `CutVector.correlation`) into x_ij - x_ik - x_jk gives twice this
+        `cut_correlations`) into x_ij - x_ik - x_jk gives twice this
         vector, so facet_value(f, x) == 2 * <f.correlation, p> for every x
         and its correlation row p.  It is -p_ij + p_ik + p_jk - p_kn for
         i, j, k < n, p_ik - p_kn for the apex (i, n) and -p_ij for the

@@ -1,14 +1,29 @@
-"""Reference implementations shared by the tests: rational row reduction,
-the rational image of a vector under a (den, entries) matrix, the ridge
-graph built pair by pair, and the switching map.  The package computes none
-of these; the tests use them as oracles."""
+"""Reference implementations shared by the tests: cut vectors from the
+definition, rational row reduction, the rational image of a vector under a
+(den, entries) matrix, the ridge graph built pair by pair, and the switching
+map.  The package computes none of these; the tests use them as oracles."""
 
 import itertools
 from fractions import Fraction
 from math import isqrt
 
-from conesym.core import CutVector, enumerate_triangle_facets, num_pairs
+from conesym.core import cut_members, enumerate_triangle_facets, num_pairs
 from conesym.ridge import Graph
+
+
+def cut_bits_reference(members, n) -> tuple[int, ...]:
+    """The cut vector of a point set: 1 at each pair (i, j), i < j, with
+    exactly one endpoint in the set, pairs in lexicographic order."""
+    members = set(members)
+    return tuple(
+        int((i in members) != (j in members))
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    )
+
+
+def cut_order_reference(n: int) -> list[tuple[int, ...]]:
+    """The cut vector of every cut, in the order of `cut_members(n)`."""
+    return [cut_bits_reference(members, n) for members in cut_members(n)]
 
 
 def kernel_basis_reference(rows) -> list[tuple[Fraction, ...]]:
@@ -77,5 +92,5 @@ def switching_reflection_reference(members, x) -> tuple:
     n = (1 + isqrt(1 + 8 * len(x))) // 2
     if num_pairs(n) != len(x):
         raise ValueError(f"length {len(x)} is not C(n, 2) for any n")
-    cut = CutVector(n, members)
-    return tuple(1 - val if cut[k] else val for k, val in enumerate(x))
+    cut = cut_bits_reference(members, n)
+    return tuple(1 - val if c else val for c, val in zip(cut, x))

@@ -26,7 +26,7 @@ from conesym.cli import (
     run_verify,
 )
 from conesym.cones import _facet_incidence_masks, adjacency_agreement, facet_value
-from conesym.core import cut_columns, enumerate_cuts, enumerate_triangle_facets, pair_index
+from conesym.core import cut_columns, cut_members, enumerate_triangle_facets, pair_index
 from conesym.ridge import Graph, build_complement
 
 DATA = Path(__file__).parent / "data"
@@ -305,14 +305,15 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 2
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
 
-    # The sweep and, up to the adjacency cap, the adjacency sweep that
-    # theorem2 also reads take their cuts from the cut order, not a cut list.
-    @pytest.mark.parametrize("n, cut_lists", [(6, 0), (7, 0)])
-    def test_bounded_family_swept_once(self, monkeypatch, n, cut_lists):
-        calls = count_calls(monkeypatch, enumerate_cuts)
+    # One sweep serves both checks: it lists the cut order directly and
+    # through its correlation rows, and up to the adjacency cap the adjacency
+    # sweep that theorem2 also reads lists it once more.
+    @pytest.mark.parametrize("n, cut_orders", [(6, 3), (7, 2)])
+    def test_bounded_family_swept_once(self, monkeypatch, n, cut_orders):
+        calls = count_calls(monkeypatch, cut_members)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
         assert report["summary"]["pass"] == 2
-        assert len(calls) == cut_lists
+        assert len(calls) == cut_orders
 
 
 class TestBoundedFamily:
@@ -502,16 +503,16 @@ class TestCutsCheck:
             return columns
 
         mutated = swap(cut_columns(n))
-        cuts = enumerate_cuts(n)
+        members = cut_members(n)
         f, c, value = next(
             (f, c, value)
             for f in enumerate_triangle_facets(n)
-            for c in range(len(cuts))
+            for c in range(len(members))
             if (value := facet_value(f, [col >> c & 1 for col in mutated])) > 0
         )
         outcome, _, witness = self.run_cuts(monkeypatch, n, swap)
         assert outcome == "fail"
-        assert witness == {"facet": repr(f), "cut": sorted(cuts[c].members), "value": value}
+        assert witness == {"facet": repr(f), "cut": members[c], "value": value}
 
     def test_missing_reference_ray_fails_n4(self, monkeypatch):
         rays = cli.ray_table()

@@ -20,20 +20,19 @@ from conesym.cones import (
     triangle_incidence_bound,
 )
 from conesym.core import (
-    CutVector,
     Permutation,
     TriangleFacet,
     apply_permutation,
     cut_columns,
-    cut_vector,
-    enumerate_cuts,
+    cut_correlations,
+    cut_members,
     enumerate_triangle_facets,
     num_pairs,
     pair_list,
 )
 from conesym.ridge import _bits, conflicting
 
-from references import kernel_basis_reference
+from references import cut_bits_reference, cut_order_reference, kernel_basis_reference
 
 
 def integer_rank_reference(rows) -> int:
@@ -66,8 +65,8 @@ def _exhaustive_family(n, bound):
     """Every coefficient vector of the family, the nonzero cuts and
     sigma * (1 - sigma) for every (vector, cut) pair."""
     coeffs = enumerate_hypermetric_coeffs(n, bound)
-    cuts = enumerate_cuts(n)
-    member = np.array([[int(p in c.members) for p in range(1, n + 1)] for c in cuts])
+    cuts = cut_order_reference(n)
+    member = np.array([[int(p in m) for p in range(1, n + 1)] for m in cut_members(n)])
     vecs = np.array(coeffs, dtype=np.int64)
     sigma = vecs @ member.T
     return coeffs, cuts, vecs, sigma * (1 - sigma)
@@ -78,7 +77,7 @@ def hypermetric_sweep_reference(n, bound):
     coeffs, cuts, vecs, closed = _exhaustive_family(n, bound)
     pairs = pair_list(n)
     products = np.stack([vecs[:, i - 1] * vecs[:, j - 1] for i, j in pairs], axis=1)
-    direct = products @ np.array([c.bits for c in cuts]).T
+    direct = products @ np.array(cuts).T
     ok = bool((direct == closed).all() and (direct <= 0).all())
     return ok, len(coeffs), len(cuts)
 
@@ -103,7 +102,7 @@ def triangle_maximality_sweep_reference(n, bound):
         if count > limit:
             ok = False
         if count == limit or is_triangle:
-            rank = integer_rank_reference([cuts[c].bits for c in np.nonzero(row == 0)[0]])
+            rank = integer_rank_reference([cuts[c] for c in np.nonzero(row == 0)[0]])
             if is_triangle:
                 ok = ok and count == limit and rank == facet_rank
             elif rank == facet_rank:
@@ -114,14 +113,14 @@ def triangle_maximality_sweep_reference(n, bound):
 class TestFacetValue:
     def test_on_singleton_cut(self):
         f = TriangleFacet(1, 2, 3, 4)
-        assert facet_value(f, cut_vector({1}, 4).bits) == 0  # 1 - 1 - 0
+        assert facet_value(f, cut_bits_reference({1}, 4)) == 0  # 1 - 1 - 0
 
     def test_on_zero_vector(self):
         assert facet_value(TriangleFacet(1, 2, 3, 4), (0,) * 6) == 0
 
     def test_on_third_point_cut(self):
         f = TriangleFacet(1, 2, 3, 4)
-        assert facet_value(f, cut_vector({3}, 4).bits) == -2  # 0 - 1 - 1
+        assert facet_value(f, cut_bits_reference({3}, 4)) == -2  # 0 - 1 - 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -135,7 +134,7 @@ class TestFacetValue:
 
 def cuts_on_facet_reference(f, n):
     """The nonzero cuts on which the facet's inequality holds with equality."""
-    return [c for c in enumerate_cuts(n) if facet_value(f, c) == 0]
+    return [c for c in cut_order_reference(n) if facet_value(f, c) == 0]
 
 
 class TestCutsOnFacet:
@@ -155,7 +154,7 @@ class TestCutsOnFacet:
     def test_count_invariant_up_to_n10(self):
         for n in (9, 10):
             bound = triangle_incidence_bound(n)
-            cuts = enumerate_cuts(n)
+            cuts = cut_order_reference(n)
             for f in enumerate_triangle_facets(n):
                 (a, sa), (b, sb), (c, sc) = f.entries()
                 count = sum(
@@ -167,7 +166,7 @@ class TestCutsOnFacet:
     def test_bit_sliced_masks_match_direct_evaluation(self, n):
         # The cuts check's violating masks are tested against direct
         # evaluation in test_cli.TestCutsCheck.
-        columns, cuts = cut_columns(n), enumerate_cuts(n)
+        columns, cuts = cut_columns(n), cut_order_reference(n)
         for f in enumerate_triangle_facets(n):
             off_mask = _facet_incidence_masks(f, columns)
             assert off_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) != 0)
@@ -196,15 +195,15 @@ class TestHypermetric:
     def test_triangle_case_equals_facet_value(self):
         b = (1, 1, -1, 0, 0)
         f = TriangleFacet(1, 2, 3, 5)
-        for cut in enumerate_cuts(5):
-            assert hypermetric_value_reference(b, cut.bits) == facet_value(f, cut.bits)
+        for cut in cut_order_reference(5):
+            assert hypermetric_value_reference(b, cut) == facet_value(f, cut)
 
     def test_single_support_coefficient_gives_zero(self):
         assert hypermetric_value_reference((1, 0, 0, 0), (3, 1, 4, 1, 5, 9)) == 0
 
     def test_pair_cut_value(self):
         # sigma = b_1 + b_2 = 2, closed form sigma * (1 - sigma) = -2.
-        assert hypermetric_value_reference((1, 1, -1, 0, 0), cut_vector({1, 2}, 5).bits) == -2
+        assert hypermetric_value_reference((1, 1, -1, 0, 0), cut_bits_reference({1, 2}, 5)) == -2
 
     def test_sum_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -213,9 +212,9 @@ class TestHypermetric:
     def test_closed_form_identity_small(self):
         # Direct summation equals sigma * (1 - sigma) on every cut, n=5, bound 2.
         for b in enumerate_hypermetric_coeffs(5, 2):
-            for cut in enumerate_cuts(5):
-                sigma = sum(b[p - 1] for p in cut.members)
-                value = hypermetric_value_reference(b, cut.bits)
+            for members, cut in zip(cut_members(5), cut_order_reference(5)):
+                sigma = sum(b[p - 1] for p in members)
+                value = hypermetric_value_reference(b, cut)
                 assert value == sigma * (1 - sigma)
                 assert value <= 0
 
@@ -242,7 +241,7 @@ class TestEnumerateHypermetricCoeffs:
 
 class TestRank:
     def test_full_rank_at_n4(self):
-        assert integer_rank([c.bits for c in enumerate_cuts(4)]) == 6
+        assert integer_rank(cut_order_reference(4)) == 6
 
     def test_empty_list(self):
         assert integer_rank([]) == 0
@@ -259,7 +258,7 @@ class TestRank:
             integer_rank(rows)
 
     def test_full_rank_at_n5(self):
-        assert integer_rank([c.bits for c in enumerate_cuts(5)]) == 10
+        assert integer_rank(cut_order_reference(5)) == 10
 
     def test_integer_rank_matches_fraction_elimination(self):
         # Oracle: rank = cols - kernel dimension from the rational kernel.
@@ -324,11 +323,11 @@ class TestRank:
     @given(st.data())
     def test_rank_invariant_under_permutation(self, data):
         n = data.draw(st.integers(4, 6))
-        cuts = enumerate_cuts(n)
+        cuts = cut_order_reference(n)
         chosen = data.draw(st.lists(st.sampled_from(cuts), min_size=1, max_size=8))
         sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
-        moved = [apply_permutation(sigma, c.bits) for c in chosen]
-        assert integer_rank(moved) == integer_rank([c.bits for c in chosen])
+        moved = [apply_permutation(sigma, c) for c in chosen]
+        assert integer_rank(moved) == integer_rank(chosen)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -359,10 +358,10 @@ class TestRank:
     @given(st.data())
     def test_correlation_rank_matches_cut_rank(self, data):
         n = data.draw(st.integers(4, 7))
-        cuts = enumerate_cuts(n)
+        cuts = list(zip(cut_correlations(n), cut_order_reference(n)))
         chosen = data.draw(st.lists(st.sampled_from(cuts), min_size=1, max_size=3 * num_pairs(n)))
-        assert integer_rank([c.correlation for c in chosen]) == integer_rank_reference(
-            [c.bits for c in chosen]
+        assert integer_rank([p for p, _ in chosen]) == integer_rank_reference(
+            [bits for _, bits in chosen]
         )
 
 
@@ -386,10 +385,10 @@ def certify_cutcone_adjacency_reference(f, g, n) -> bool:
         raise ValueError("facets must be distinct")
     common = [
         c
-        for c in enumerate_cuts(n)
+        for c in cut_order_reference(n)
         if facet_value(f, c) == 0 and facet_value(g, c) == 0
     ]
-    return integer_rank([c.bits for c in common]) == num_pairs(n) - 2
+    return integer_rank(common) == num_pairs(n) - 2
 
 
 def support_reference(facet):
@@ -440,7 +439,7 @@ class TestAdjacency:
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
         facets, columns = enumerate_triangle_facets(n), cut_columns(n)
-        cuts = enumerate_cuts(n)
+        cuts, correlations = cut_order_reference(n), cut_correlations(n)
         on = [sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) == 0) for f in facets]
         full = (1 << len(cuts)) - 1
         assert on == [full ^ _facet_incidence_masks(f, columns) for f in facets]
@@ -451,10 +450,10 @@ class TestAdjacency:
             u = min(sf - sg) if sf - sg else min(sf)
             v = min(sg - sf) if sg - sf else min(sg)
             units = [tuple(int(k == w) for k in range(dim)) for w in (u, v)]
-            common = [cuts[i] for i in _bits(on[a] & on[b])]
-            rows = units + [c.correlation for c in common]
+            common = list(_bits(on[a] & on[b]))
+            rows = units + [correlations[i] for i in common]
             expected.append(rows)
-            reference = integer_rank_reference([c.bits for c in common])
+            reference = integer_rank_reference([cuts[i] for i in common])
             assert integer_rank(rows) - 2 == reference
             assert (reference == dim - 2) is not conflicting(facets[a], facets[b])
         assert calls == expected
@@ -497,18 +496,14 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1"])
     def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):
-        right = CutVector.correlation.fget
+        def no_diagonal(members, row):
+            return tuple(0 if j == 5 else p for (_, j), p in zip(pair_list(5), row))
 
-        def no_diagonal(cut):
-            pairs = pair_list(cut.n)
-            return tuple(0 if j == cut.n else p for (_, j), p in zip(pairs, right(cut)))
-
-        def rooted_at_1(cut):
-            s = cut.members
-            return tuple(int(j in s and (i == 1 or i in s)) for i, j in pair_list(cut.n))
+        def rooted_at_1(members, row):
+            return tuple(int(j in members and (i == 1 or i in members)) for i, j in pair_list(5))
 
         wrong = {"no_diagonal": no_diagonal, "rooted_at_1": rooted_at_1}[mutant]
-        rows = [wrong(c) for c in enumerate_cuts(5)]
+        rows = [wrong(m, row) for m, row in zip(cut_members(5), cut_correlations(5))]
         monkeypatch.setattr(cones, "cut_correlations", lambda n: rows)
         total, mismatches = adjacency_agreement(5)
         # Every adjacent pair (435 less the 150 conflicting ones) is missed.
@@ -529,8 +524,8 @@ class TestSweeps:
         sweep = hypermetric_sweep(4, 2)
         assert sweep.ok
         for b in enumerate_hypermetric_coeffs(4, 2)[::7]:
-            for cut in enumerate_cuts(4):
-                assert hypermetric_value_reference(b, cut.bits) <= 0
+            for cut in cut_order_reference(4):
+                assert hypermetric_value_reference(b, cut) <= 0
 
     def test_triangle_maximality_n5(self):
         sweep = hypermetric_sweep(5, 2)
@@ -591,10 +586,9 @@ class TestSweeps:
         sweep = hypermetric_sweep(5, 2)
         assert not sweep.ok
         b, members, direct, closed = sweep.mismatch
-        cut = enumerate_cuts(5)[-1]
         assert b == (0, 0, 0, 0, 1)
-        assert members == sorted(cut.members)
-        assert direct == hypermetric_value_reference(b, cut.bits)
+        assert members == cut_members(5)[-1]
+        assert direct == hypermetric_value_reference(b, cut_order_reference(5)[-1])
         assert closed == direct + 1
 
     def test_faulty_rank_yields_triangle_failure(self, monkeypatch):

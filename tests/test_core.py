@@ -10,29 +10,32 @@ from hypothesis import strategies as st
 
 from conesym.cones import facet_value, integer_rank
 from conesym.core import (
-    CutVector,
     Permutation,
     TriangleFacet,
     apply_permutation,
     cut_columns,
     cut_correlations,
     cut_members,
-    cut_vector,
-    enumerate_cuts,
     enumerate_triangle_facets,
     num_pairs,
     pair_index,
     pair_list,
-    pair_unindex,
     permute_facet,
 )
 
-from references import switching_reflection_reference
+from references import cut_bits_reference, cut_order_reference, switching_reflection_reference
 
 
-def permute_cut_reference(sigma, cut):
-    """The cut generated by the image point set."""
-    return CutVector(cut.n, (sigma(p) for p in cut.members))
+def permute_cut_reference(sigma, members, n):
+    """The cut vector of the image point set."""
+    return cut_bits_reference({sigma(p) for p in members}, n)
+
+
+def column_cut(members, n):
+    """The cut vector of a generating set in the cut order, read off
+    `cut_columns(n)` at the set's place in that order."""
+    c = cut_members(n).index(sorted(members))
+    return tuple(column >> c & 1 for column in cut_columns(n))
 
 
 # The seven nonzero cuts on 4 points in the fixed reference order r1..r7.
@@ -47,16 +50,6 @@ RAYS_N4 = (
 )
 
 
-def brute_force_cut_bits(members, n):
-    """Independent oracle: evaluate the cut membership test pair by pair."""
-    members = set(members)
-    return tuple(
-        1 if (i in members) != (j in members) else 0
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
-
-
 class TestPairIndexing:
     def test_first_and_last_pair_n4(self):
         assert pair_index(1, 2, 4) == 0
@@ -69,12 +62,12 @@ class TestPairIndexing:
         assert pair_index(2, 4, 4) == 4
 
     def test_round_trip_all_pairs_up_to_n12(self):
+        # pair_list(n)[k] is the pair at coordinate k.
         for n in range(3, 13):
-            for k in range(num_pairs(n)):
-                i, j = pair_unindex(k, n)
+            pairs = pair_list(n)
+            assert len(pairs) == num_pairs(n)
+            for k, (i, j) in enumerate(pairs):
                 assert pair_index(i, j, n) == k
-            for i, j in pair_list(n):
-                assert pair_unindex(pair_index(i, j, n), n) == (i, j)
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -83,8 +76,6 @@ class TestPairIndexing:
             pair_index(3, 2, 4)
         with pytest.raises(ValueError):
             pair_index(1, 5, 4)
-        with pytest.raises(ValueError):
-            pair_unindex(6, 4)
 
     def test_integral_float_point_refused_by_name(self):
         # 1.0 == 1, so the pair table would answer for (1, 2).
@@ -96,51 +87,42 @@ class TestPairIndexing:
         with pytest.raises(ValueError, match=r"invalid pair \(1\.5, 2\) for n=4"):
             pair_index(1.5, 2, 4)
 
-    def test_float_coordinate_refused_by_name(self):
-        # 1.0 is in range but would index the pair tuple.
-        with pytest.raises(ValueError, match=r"coordinate 1\.0 out of range for n=4"):
-            pair_unindex(1.0, 4)
-
 
 class TestCutVector:
     def test_singleton_cut_matches_reference_row(self):
-        assert cut_vector({1}, 4).bits == (1, 1, 1, 0, 0, 0)  # r7
-        assert cut_vector({2}, 4).bits == (1, 0, 0, 1, 1, 0)  # r6
+        assert column_cut({1}, 4) == (1, 1, 1, 0, 0, 0)  # r7
+        assert column_cut({2}, 4) == (1, 0, 0, 1, 1, 0)  # r6
 
     def test_pair_cut_matches_reference_row(self):
-        assert cut_vector({1, 2}, 4).bits == (0, 1, 1, 1, 1, 0)  # r2
+        assert column_cut({1, 2}, 4) == (0, 1, 1, 1, 1, 0)  # r2
 
     def test_empty_and_full_set_give_zero(self):
-        assert cut_vector(set(), 4).bits == (0, 0, 0, 0, 0, 0)
-        assert cut_vector({1, 2, 3, 4}, 4).is_zero()
+        # The zero vector is no cut, and the cut order lists neither set.
+        assert cut_bits_reference(set(), 4) == cut_bits_reference({1, 2, 3, 4}, 4) == (0,) * 6
+        assert [] not in cut_members(4)
+        assert not any(column_cut(members, 4) == (0,) * 6 for members in cut_members(4))
 
     def test_against_brute_force_oracle(self):
+        # Every proper nonempty subset of 1..n, read off the columns at its
+        # own place in the cut order or at its complement's when it holds n.
         for n in range(3, 7):
-            for m in range(1 << n):
+            full = set(range(1, n + 1))
+            for m in range(1, (1 << n) - 1):
                 members = {p + 1 for p in range(n) if (m >> p) & 1}
-                assert cut_vector(members, n).bits == brute_force_cut_bits(members, n)
+                generator = full - members if n in members else members
+                assert column_cut(generator, n) == cut_bits_reference(members, n)
 
     def test_complement_symmetry_up_to_n8(self):
+        # A set and its complement cut the same pairs, so the sets without
+        # n, which the cut order lists, give every nonzero cut.
         for n in range(3, 9):
             full = set(range(1, n + 1))
-            for m in range(1 << (n - 1)):
-                members = {p + 1 for p in range(n - 1) if (m >> p) & 1}
-                assert cut_vector(members, n) == cut_vector(full - members, n)
-
-    def test_canonical_representative_omits_n(self):
-        c = cut_vector({2, 5}, 5)
-        assert 5 not in c.members
-        assert c.members == frozenset({1, 3, 4})
-
-    def test_out_of_range_members_rejected(self):
-        with pytest.raises(ValueError):
-            cut_vector({0}, 4)
-        with pytest.raises(ValueError):
-            cut_vector({5}, 4)
-
-    def test_non_integer_member_refused(self):
-        with pytest.raises(ValueError, match=r"integers in 1\.\.4"):
-            CutVector(4, [1.0])
+            every = set()
+            for m in range(1 << n):
+                members = {p + 1 for p in range(n) if (m >> p) & 1}
+                assert cut_bits_reference(members, n) == cut_bits_reference(full - members, n)
+                every.add(cut_bits_reference(members, n))
+            assert every - {(0,) * num_pairs(n)} == set(cut_order_reference(n))
 
 
 def covariance_map_reference(x, n):
@@ -166,18 +148,19 @@ def covariance_map_inverse_reference(p, n):
 class TestCorrelation:
     def test_pair_cut_n4(self):
         # s = (1, 1, 0, 0): p_12 = 1, p_14 = s_1 = 1, p_24 = s_2 = 1.
-        assert cut_vector({1, 2}, 4).correlation == (1, 0, 1, 0, 1, 0)
-        assert cut_vector({3, 4}, 4).correlation == (1, 0, 1, 0, 1, 0)
+        assert cut_correlations(4)[cut_members(4).index([1, 2])] == (1, 0, 1, 0, 1, 0)
+        # {3, 4} cuts the same pairs as {1, 2}.
+        assert covariance_map_reference(cut_bits_reference({3, 4}, 4), 4) == (1, 0, 1, 0, 1, 0)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_is_the_covariance_map_of_every_cut(self, n):
-        rows = []
-        for cut in enumerate_cuts(n):
-            p = cut.correlation
+        rows = cut_correlations(n)
+        cuts = cut_order_reference(n)
+        assert len(rows) == len(cuts)
+        for p, bits in zip(rows, cuts):
             assert set(p) <= {0, 1}
-            assert p == covariance_map_reference(cut.bits, n)
-            assert covariance_map_inverse_reference(p, n) == cut.bits
-            rows.append(p)
+            assert p == covariance_map_reference(bits, n)
+            assert covariance_map_inverse_reference(p, n) == bits
         assert integer_rank(rows) == num_pairs(n)
 
 
@@ -191,12 +174,12 @@ class TestFacetCorrelation:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_halves_the_facet_value_on_every_cut(self, n):
         # The cuts span the space, so the identity holds for every x.
-        cuts = enumerate_cuts(n)
+        cuts = list(zip(cut_order_reference(n), cut_correlations(n)))
         for f in enumerate_triangle_facets(n):
             h = f.correlation
             assert set(h) <= {-1, 0, 1}
-            for cut in cuts:
-                assert facet_value(f, cut) == 2 * sum(a * b for a, b in zip(h, cut.correlation))
+            for bits, p in cuts:
+                assert facet_value(f, bits) == 2 * sum(a * b for a, b in zip(h, p))
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_supports_are_distinct(self, n):
@@ -207,22 +190,22 @@ class TestFacetCorrelation:
 
 class TestEnumerateCuts:
     def test_n4_equals_reference_rows_as_set(self):
-        got = {c.bits for c in enumerate_cuts(4)}
-        assert got == set(RAYS_N4)
-        assert len(enumerate_cuts(4)) == 7
+        cuts = cut_order_reference(4)
+        assert set(cuts) == set(RAYS_N4)
+        assert len(cuts) == 7
 
     def test_counts(self):
         for n in range(3, 9):
-            cuts = enumerate_cuts(n)
+            cuts = cut_order_reference(n)
             assert len(cuts) == 2 ** (n - 1) - 1
             assert len(set(cuts)) == len(cuts)
-            assert not any(c.is_zero() for c in cuts)
+            assert (0,) * num_pairs(n) not in cuts
 
     def test_n3_each_cut_has_two_ones(self):
         # Oracle: enumerate subsets of {1,2,3} directly.
-        expected = {brute_force_cut_bits(s, 3) for s in ({1}, {2}, {3})}
-        assert {c.bits for c in enumerate_cuts(3)} == expected
-        assert all(sum(c.bits) == 2 for c in enumerate_cuts(3))
+        expected = {cut_bits_reference(s, 3) for s in ({1}, {2}, {3})}
+        assert set(cut_order_reference(3)) == expected
+        assert all(sum(bits) == 2 for bits in cut_order_reference(3))
 
 
 class TestCutMembers:
@@ -239,10 +222,8 @@ class TestCutMembers:
 class TestCutColumns:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_transpose_of_the_cut_masks(self, n):
-        masks = [c.mask for c in enumerate_cuts(n)]
-        transpose = [
-            sum((mask >> k & 1) << c for c, mask in enumerate(masks)) for k in range(num_pairs(n))
-        ]
+        cuts = cut_order_reference(n)
+        transpose = [sum(bits[k] << c for c, bits in enumerate(cuts)) for k in range(num_pairs(n))]
         assert cut_columns(n) == transpose
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -254,7 +235,8 @@ class TestCutColumns:
 class TestCutCorrelations:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_rows_of_the_cut_order(self, n):
-        assert cut_correlations(n) == [c.correlation for c in enumerate_cuts(n)]
+        expected = [covariance_map_reference(bits, n) for bits in cut_order_reference(n)]
+        assert cut_correlations(n) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_fewer_than_three_points_refused(self, n):
@@ -272,7 +254,7 @@ class TestTriangleFacets:
         for f in enumerate_triangle_facets(5):
             coeffs = f.coeffs()
             assert sorted(coeffs) == [-1, -1] + [0] * (num_pairs(5) - 3) + [1]
-            supported = {pair_unindex(k, 5) for k, c in enumerate(coeffs) if c}
+            supported = {pair_list(5)[k] for k, c in enumerate(coeffs) if c}
             points = set(itertools.chain.from_iterable(supported))
             assert points == set(f.support) and len(points) == 3
 
@@ -287,7 +269,7 @@ class TestTriangleFacets:
     def test_facets_nonpositive_on_cuts_up_to_n8(self):
         # Cuts satisfy every triangle inequality.
         for n in range(4, 9):
-            cuts = enumerate_cuts(n)
+            cuts = cut_order_reference(n)
             for f in enumerate_triangle_facets(n):
                 (a, sa), (b, sb), (c, sc) = f.entries()
                 for cut in cuts:
@@ -301,7 +283,7 @@ class TestPermutationAction:
 
     def test_transposition_on_singleton_cut(self):
         sigma = Permutation.from_cycles(4, [(1, 2)])
-        moved = apply_permutation(sigma, cut_vector({1}, 4).bits)
+        moved = apply_permutation(sigma, cut_bits_reference({1}, 4))
         assert moved == (1, 0, 0, 1, 1, 0)  # r6 = the cut of {2}
 
     def test_three_cycle_on_facet_support(self):
@@ -362,8 +344,8 @@ class TestPermutationAction:
         n = data.draw(st.integers(3, 6))
         sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
         members = data.draw(st.sets(st.integers(1, n)))
-        cut = cut_vector(members, n)
-        assert permute_cut_reference(sigma, cut).bits == apply_permutation(sigma, cut.bits)
+        moved = apply_permutation(sigma, cut_bits_reference(members, n))
+        assert permute_cut_reference(sigma, members, n) == moved
 
 
 class TestSwitching:
@@ -373,7 +355,7 @@ class TestSwitching:
 
     def test_switching_own_cut_gives_zero(self):
         # 1 - 1 on the support of the cut of {1}, zeros elsewhere unchanged.
-        assert switching_reflection_reference({1}, cut_vector({1}, 4).bits) == (0,) * 6
+        assert switching_reflection_reference({1}, cut_bits_reference({1}, 4)) == (0,) * 6
 
     def test_involution(self):
         x = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1)
@@ -390,8 +372,8 @@ class TestSwitching:
         ]
         for s in subsets:
             for t in subsets:
-                got = switching_reflection_reference(s, cut_vector(t, n).bits)
-                assert got == cut_vector(s ^ t, n).bits
+                got = switching_reflection_reference(s, cut_bits_reference(t, n))
+                assert got == cut_bits_reference(s ^ t, n)
 
     @settings(max_examples=60)
     @given(st.data())

@@ -1,6 +1,6 @@
 """Static checks over the package and its tests: no unused imports, no
-private helper in the package that only the tests use, and no stale
-`__all__` entry."""
+private helper or public name in the package that only the tests use, and
+no stale `__all__` entry."""
 
 import ast
 import importlib
@@ -9,6 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "conesym").glob("*.py"))
 SCANNED = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {ast.literal_eval(e) for e in node.value.elts}
+    return exported
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, by name, attribute or import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,12 +52,7 @@ def unused_imports(source: str) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= {ast.literal_eval(e) for e in node.value.elts}
+    exported = exported_names(tree)
     return [
         f"{name} (line {line})"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -49,8 +68,8 @@ def test_scanner_flags_only_unread_imports():
             "import os.path",
             "import numpy as np",
             "from math import comb, factorial",
-            "from .core import CutVector",
-            "__all__ = ['CutVector']",
+            "from .core import TriangleFacet",
+            "__all__ = ['TriangleFacet']",
             "def f(x: np.ndarray):",
             "    return os.path.join(str(comb(4, 2)))",
         ]
@@ -80,15 +99,7 @@ def unreferenced_private_definitions(sources: list[str]) -> list[str]:
         and node.name.startswith("_")
         and not node.name.startswith("__")
     }
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {alias.name for alias in node.names}
+    read = set().union(*map(names_read, trees))
     return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
 
 
@@ -111,6 +122,68 @@ def test_private_scanner_flags_only_unread_helpers():
 
 def test_no_private_helper_only_the_tests_use():
     assert unreferenced_private_definitions([path.read_text() for path in PACKAGE]) == []
+
+
+def unreferenced_public_definitions(modules: dict[str, str]) -> list[str]:
+    """`module.name` of each module-level function or class in its module's
+    `__all__` that no module reads, by name, attribute or import, outside
+    the name's own definition.  `__init__` is not scanned, so a re-export
+    reads nothing.  A public name that only the tests use belongs in the
+    tests, as a `*_reference`."""
+    defined = []
+    read = set()
+    for module, source in modules.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(source)
+        exported = exported_names(tree)
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if own in exported:
+                    defined.append((module, own))
+            read |= names_read(node) - {own}
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_public_scanner_flags_only_unread_exports():
+    modules = {
+        "__init__": "from .a import reexported\n__all__ = ['reexported']",
+        "a": "\n".join(
+            [
+                "__all__ = ['CAP', 'used', 'recursive', 'reexported', 'Orphan', 'imported', 'via_attribute']",
+                "CAP = 3",
+                "def used(x): return x",
+                "def recursive(k): return recursive(k - 1) if k else used(CAP)",
+                "def reexported(): pass",
+                "class Orphan:",
+                "    def copy(self): return Orphan()",
+                "def imported(): pass",
+                "def via_attribute(): pass",
+                "def _private(): pass",
+            ]
+        ),
+        "b": "from .a import imported\nfrom . import a\na.via_attribute()\nimported()",
+    }
+    assert unreferenced_public_definitions(modules) == ["a.recursive", "a.reexported", "a.Orphan"]
+
+
+# Public names that no package module reads, kept for a reader outside the
+# package.  Both move to the tests once the benchmark maps its spans by
+# layer (ROADMAP items 3 and 7).
+KEPT_FOR_OUTSIDE_READERS = {
+    "cones.enumerate_hypermetric_coeffs": "perfbench's tracer wraps it by name (ROLE_NAMES)",
+    "autgrp.verify_theorem1": (
+        "the README's library example calls it, and it is why `autgrp` binds "
+        "`build_complement`, which perfbench's tracing test finds wrapped there"
+    ),
+}
+
+
+def test_no_public_name_only_the_tests_use():
+    modules = {path.stem: path.read_text() for path in PACKAGE}
+    assert sorted(unreferenced_public_definitions(modules)) == sorted(KEPT_FOR_OUTSIDE_READERS)
 
 
 def test_every_exported_name_is_bound():
