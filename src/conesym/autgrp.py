@@ -43,6 +43,7 @@ __all__ = [
     "group_order",
     "automorphism_group",
     "is_graph_automorphism",
+    "orbit_representatives",
     "symn_point_generators",
     "induced_point_generators",
     "Theorem1Report",
@@ -243,6 +244,35 @@ def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
     return _preserves_adjacency(graph.adj, perm)
 
 
+def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
+    """The least vertex of each orbit of the group the automorphisms among
+    `generators` generate, ascending.
+
+    A generator that fails `is_graph_automorphism` is dropped, so with none
+    left every vertex is its own representative.  A claim at a vertex that
+    every automorphism carries to the same claim at its image holds at every
+    vertex once it holds at these.  Scanning them in ascending order finds
+    the same first failing vertex as scanning every vertex: the least
+    failing vertex is the least of its orbit, which fails with it.
+    """
+    gens = [tuple(g) for g in generators if is_graph_automorphism(graph, g)]
+    reps = []
+    seen = 0
+    for v in range(graph.n):
+        if seen >> v & 1:
+            continue
+        reps.append(v)
+        seen |= 1 << v
+        queue = [v]
+        for x in queue:
+            for g in gens:
+                y = g[x]
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    queue.append(y)
+    return reps
+
+
 class _AutomorphismSearch:
     def __init__(self, graph: Graph, known: Sequence[tuple[int, ...]] = ()):
         self.graph = graph
@@ -436,7 +466,8 @@ def symn_point_generators(n: int) -> list[Permutation]:
 def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     """`symn_point_generators(n)` as permutations of the vertices of a graph
     labelled by triangle facets (the ridge graph and its complement) or by
-    3-sets (the Triangle quotient)."""
+    3-sets (the Triangle quotient): each maps the vertex labelled L to the
+    vertex labelled sigma(L)."""
     if graph.labels is None:
         raise ValueError("graph must carry vertex labels")
     if isinstance(graph.labels[0], TriangleFacet):
@@ -461,12 +492,15 @@ class Theorem1Report(NamedTuple):
     group: PermGroup
 
 
-def certify_theorem1(gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
+def certify_theorem1(
+    gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP, points: Sequence[Sequence[int]] | None = None
+) -> Theorem1Report:
     """Certify the symmetry-group identification on the complement ridge
     graph `gbar`, whose automorphism group the report carries as `group`.
 
-    The search is seeded with `induced_point_generators(gbar, n)`, so it
-    checks them edge by edge and records the exact order of the induced
+    The search is seeded with `induced_point_generators(gbar, n)`, or with
+    `points` when the caller has built that list already, so it checks
+    them edge by edge and records the exact order of the induced
     image.  For n >= 5 the automorphism group must have order n! and
     coincide with the induced point-permutation image; for n = 4 the order
     must be 144 (realized geometrically by the reflection construction,
@@ -477,7 +511,9 @@ def certify_theorem1(gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1R
     of `gbar`, and ResourceLimitError above the vertex cap.
     """
     n = gbar.labels[0].n
-    aut = automorphism_group(gbar, vertex_cap, induced_point_generators(gbar, n))
+    if points is None:
+        points = induced_point_generators(gbar, n)
+    aut = automorphism_group(gbar, vertex_cap, points)
     induced_order = aut.seed_order
 
     if n >= 5:

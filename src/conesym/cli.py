@@ -27,6 +27,7 @@ from .autgrp import (
     automorphism_group,
     certify_theorem1,
     induced_point_generators,
+    orbit_representatives,
 )
 from .cones import (
     _facet_incidence_masks,
@@ -78,7 +79,17 @@ class ConfigError(ValueError):
 class Instance:
     """The objects the checks at one n share, each built on first use and
     at most once.  `run_verify` keeps one per n and drops it before the
-    next, so memory peaks at the largest single n."""
+    next, so memory peaks at the largest single n.
+
+    The point permutations act on Gbar and on Gamma by relabelling their
+    vertices (`induced_point_generators`).  They seed both automorphism
+    searches unfiltered, so a point permutation that is not an automorphism
+    fails `aut` and `theorem1`.  The ones that pass the edge check give the
+    orbit representatives at which the per-vertex claims are certified: each
+    claim is built from the graph and from intersections, differences,
+    complements and supports of labels, which a point permutation carries
+    along, so it holds at a vertex exactly when it holds on the vertex's
+    whole orbit (`orbit_representatives`)."""
 
     def __init__(self, n: int, vertex_cap: int, bound: int):
         # bound is the coefficient bound of the bounded family.
@@ -89,14 +100,16 @@ class Instance:
     gbar = cached_property(lambda self: build_complement(self.n))
     triangles = cached_property(lambda self: find_triangles(self.gbar))
     gamma = cached_property(lambda self: build_triangle_graph(self.gbar, self.triangles))
-    theorem1 = cached_property(lambda self: certify_theorem1(self.gbar, self.vertex_cap))
+    gbar_points = cached_property(lambda self: induced_point_generators(self.gbar, self.n))
+    gamma_points = cached_property(lambda self: induced_point_generators(self.gamma, self.n))
+    gbar_orbits = cached_property(lambda self: orbit_representatives(self.gbar, self.gbar_points))
+    gamma_orbits = cached_property(lambda self: orbit_representatives(self.gamma, self.gamma_points))
+    theorem1 = cached_property(
+        lambda self: certify_theorem1(self.gbar, self.vertex_cap, self.gbar_points)
+    )
     aut_gbar = cached_property(lambda self: self.theorem1.group)
-    # The point permutations act on the quotient by relabelling its 3-sets;
-    # the search starts from the group they generate, as Theorem 1's does.
     aut_gamma = cached_property(
-        lambda self: automorphism_group(
-            self.gamma, self.vertex_cap, induced_point_generators(self.gamma, self.n)
-        )
+        lambda self: automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
     )
     adjacency = cached_property(lambda self: adjacency_agreement(self.n))
     sweep = cached_property(lambda self: hypermetric_sweep(self.n, self.bound))
@@ -181,7 +194,7 @@ def _check_adjacency(inst: Instance, cfg: RunConfig):
 def _check_hexagons(inst: Instance, cfg: RunConfig):
     gbar = inst.gbar
     details = {"vertices": gbar.n, "hexagons_per_vertex": inst.n - 3}
-    for u in range(gbar.n):
+    for u in inst.gbar_orbits:
         verify_hexagon_neighborhood(gbar, u)
     return "pass", details, None
 
@@ -220,7 +233,8 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
                 if gamma.has_edge(a, b) != (len(duals[a] & duals[b]) == 1):
                     return "fail", details, {"reason": "not the Petersen complement", "pair": (a, b)}
         details["petersen_complement"] = True
-    arr = intersection_array(gamma)
+    reps = inst.gamma_orbits
+    arr = intersection_array(gamma, reps)
     details["intersection_array"] = str(arr)
     diameter = len(arr.cs)
     details["diameter"] = diameter
@@ -228,9 +242,10 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
         return "fail", details, {"reason": f"diameter {diameter}, expected 3"}
     if n == 6:
         # The census gave every vertex eccentricity 3, so layer 3 exists.
-        for v, label in enumerate(gamma.labels):
+        for v in reps:
             far = gamma.layers(v)[3]
-            if far.bit_count() != 1 or gamma.labels[far.bit_length() - 1] != frozenset(range(1, 7)) - label:
+            antipode = frozenset(range(1, 7)) - gamma.labels[v]
+            if far.bit_count() != 1 or gamma.labels[far.bit_length() - 1] != antipode:
                 return "fail", details, {"vertex": v, "reason": "antipodal pairing failed"}
         details["antipodal_pairing"] = True
         if _aut_cap(n, cfg) is None:
@@ -246,16 +261,16 @@ def _check_gamma(inst: Instance, cfg: RunConfig):
 
 
 def _check_johnson(inst: Instance, cfg: RunConfig):
-    n, gamma = inst.n, inst.gamma
+    n, gamma, reps = inst.n, inst.gamma, inst.gamma_orbits
     details = {"vertices": gamma.n}
-    if not verify_johnson_isomorphism(gamma, n):
+    if not verify_johnson_isomorphism(gamma, n, reps):
         return "fail", details, {"reason": "label map is not an isomorphism"}
     details["johnson_isomorphism"] = True
-    for v in range(gamma.n):
+    for v in reps:
         if not verify_rook_neighborhood(gamma, v):
             return "fail", details, {"vertex": v, "reason": "neighborhood is not the rook graph"}
     details["rook_neighborhoods"] = True
-    d2 = all(verify_distance2_property(gamma, v) for v in range(gamma.n))
+    d2 = all(verify_distance2_property(gamma, v) for v in reps)
     details["distance2_property"] = d2
     if n >= 7 and not d2:
         return "fail", details, {"reason": "distance-2 4-set condition failed"}

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .core import (
     TriangleFacet,
+    _correlation_rows,
     cut_columns,
     cut_correlations,
     cut_members,
@@ -305,12 +306,13 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     """
     if bound < 1:
         raise ValueError("hypermetric bound must be positive")
-    members = [[p - 1 for p in m] for m in cut_members(n)]
+    cut_sets = cut_members(n)
+    members = [[p - 1 for p in m] for m in cut_sets]
     pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
     cut_pairs = [
         [k for k, (i, j) in enumerate(pairs) if (i in m) != (j in m)] for m in map(set, members)
     ]
-    corr_rows = cut_correlations(n)
+    corr_rows = _correlation_rows(cut_sets, n)
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
     triangle = (-1, *[0] * (n - 3), 1, 1)

@@ -384,20 +384,26 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
     return Graph.from_adjacency(rows, labels)
 
 
-def verify_johnson_isomorphism(gamma: Graph, n: int) -> bool:
+def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Iterable[int]) -> bool:
     """The support labeling is an isomorphism onto the graph on 3-subsets
-    with adjacency 'intersect in a 2-subset'."""
-    if gamma.labels is None:
+    with adjacency 'intersect in a 2-subset'.
+
+    Once the labels are the 3-subsets, the adjacency row of each vertex in
+    `vertices` must be the set of vertices whose labels meet its own in 2
+    points; `range(gamma.n)` checks every pair.  An automorphism that maps
+    the vertex labelled L to the one labelled pi(L), pi a point
+    permutation, carries one such row onto another, since pi keeps
+    intersection sizes, so the orbit representatives of such automorphisms
+    (`autgrp.orbit_representatives`) decide every row."""
+    labels = gamma.labels
+    if labels is None:
         return False
-    if set(gamma.labels) != {
-        frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)
-    }:
+    if set(labels) != {frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)}:
         return False
-    for a in range(gamma.n):
-        for b in range(a + 1, gamma.n):
-            expected = len(gamma.labels[a] & gamma.labels[b]) == 2
-            if gamma.has_edge(a, b) != expected:
-                return False
+    for a in vertices:
+        row = _mask_of(b for b, label in enumerate(labels) if len(labels[a] & label) == 2)
+        if gamma.adj[a] != row:
+            return False
     return True
 
 
@@ -448,20 +454,31 @@ class IntersectionArray(NamedTuple):
         return "{%s; %s}" % (",".join(map(str, self.bs)), ",".join(map(str, self.cs)))
 
 
-def intersection_array(gamma: Graph) -> IntersectionArray:
-    """Verify distance-regularity by exhaustive distance census and return
-    the parameters; raises StructureError when the census is inconsistent."""
+def intersection_array(gamma: Graph, vertices: Sequence[int]) -> IntersectionArray:
+    """Verify distance-regularity by a distance census from each vertex in
+    `vertices` and return the parameters; raises StructureError when the
+    census is inconsistent.  `range(gamma.n)` gives the exhaustive census.
+
+    An automorphism g keeps distances and the counts b and c the census
+    reads, so the pair (v, w) reads what (g v, g w) reads, and the census
+    from the orbit representatives of a group of automorphisms
+    (`autgrp.orbit_representatives`) checks every pair.  It also returns
+    what the exhaustive census returns or raises the same error: the first
+    pair at each distance and the first inconsistent pair of the
+    exhaustive census start at the least vertex of their orbit, which is a
+    representative, and eccentricities, hence the diameter, are kept.
+    """
     if not gamma.n:
         raise StructureError("the empty graph has no intersection array")
-    all_layers = [gamma.layers(v) for v in range(gamma.n)]
-    # The layers are disjoint, so their sum is the set vertex 0 reaches.
+    all_layers = [gamma.layers(v) for v in vertices]
+    # The layers are disjoint, so their sum is the set the first vertex reaches.
     if sum(all_layers[0]) != (1 << gamma.n) - 1:
         raise StructureError("graph is not connected")
     diameter = max(map(len, all_layers)) - 1
     bs: list[int | None] = [None] * diameter
     cs: list[int | None] = [None] * diameter
     adj = gamma.adj
-    for v, layer in enumerate(all_layers):
+    for v, layer in zip(vertices, all_layers):
         # layer[d] is the set of vertices at distance d from v.  The empty layer
         # appended is read where the eccentricity of v is below the diameter.
         dist = {w: d for d, mask in enumerate(layer) for w in _bits(mask)}

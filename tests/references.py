@@ -1,14 +1,15 @@
 """Reference implementations shared by the tests: cut vectors from the
 definition, rational row reduction, the rational image of a vector under a
-(den, entries) matrix, the ridge graph built pair by pair, and the switching
-map.  The package computes none of these; the tests use them as oracles."""
+(den, entries) matrix, the ridge graph built pair by pair, the switching
+map, and the per-vertex claims checked at every vertex instead of once per
+orbit.  The package computes none of these; the tests use them as oracles."""
 
 import itertools
 from fractions import Fraction
 from math import isqrt
 
 from conesym.core import cut_members, enumerate_triangle_facets, num_pairs
-from conesym.ridge import Graph
+from conesym.ridge import Graph, StructureError, intersection_array
 
 
 def cut_bits_reference(members, n) -> tuple[int, ...]:
@@ -94,3 +95,35 @@ def switching_reflection_reference(members, x) -> tuple:
         raise ValueError(f"length {len(x)} is not C(n, 2) for any n")
     cut = cut_bits_reference(members, n)
     return tuple(1 - val if c else val for c, val in zip(cut, x))
+
+
+def every_vertex_census_reference(graph: Graph):
+    """The distance census from every vertex of the graph."""
+    return intersection_array(graph, range(graph.n))
+
+
+def johnson_isomorphism_reference(gamma: Graph, n: int) -> bool:
+    """Every pair of vertices compared with the 2-intersection rule on their
+    labels, which must be the 3-subsets of 1..n."""
+    labels = gamma.labels
+    if labels is None:
+        return False
+    if set(labels) != {frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)}:
+        return False
+    return all(
+        gamma.has_edge(a, b) == (len(labels[a] & labels[b]) == 2)
+        for a, b in itertools.combinations(range(gamma.n), 2)
+    )
+
+
+def first_failure_reference(graph: Graph, claim, vertices=None):
+    """The first vertex v at which `claim(graph, v)` is false, with None, or
+    raises StructureError, with its message; None when the claim holds at
+    every vertex.  `vertices` replaces the vertices scanned, in order."""
+    for v in range(graph.n) if vertices is None else vertices:
+        try:
+            if not claim(graph, v):
+                return v, None
+        except StructureError as exc:
+            return v, str(exc)
+    return None

@@ -126,7 +126,7 @@ def test_criterion_5_structure_suite_n5_to_n8():
             expected = n - 2 if e in triangle_edges else 2
             assert gbar.common_neighbor_count(*e) == expected
         gamma = build_triangle_graph(gbar, triangles)  # raises unless counts are 0 or 4
-        assert verify_johnson_isomorphism(gamma, n)
+        assert verify_johnson_isomorphism(gamma, n, range(gamma.n))
         if n == 5:
             assert gamma.n == 10
             assert all(gamma.degree(v) == 6 for v in range(10))

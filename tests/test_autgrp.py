@@ -26,6 +26,7 @@ from conesym.autgrp import (
     group_order,
     induced_point_generators,
     is_graph_automorphism,
+    orbit_representatives,
     symn_point_generators,
     verify_theorem1,
 )
@@ -36,10 +37,20 @@ from conesym.ridge import (
     _mask_of,
     build_complement,
     build_triangle_graph,
+    intersection_array,
+    verify_distance2_property,
+    verify_hexagon_neighborhood,
+    verify_johnson_isomorphism,
+    verify_rook_neighborhood,
 )
 
 from graph_strategies import random_graphs
-from references import build_ridge_graph_reference
+from references import (
+    build_ridge_graph_reference,
+    every_vertex_census_reference,
+    first_failure_reference,
+    johnson_isomorphism_reference,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -518,3 +529,165 @@ class TestAgainstNetworkxVF2:
         assert vf2_automorphism_count(graph) == order
         assert automorphism_group(graph).order == order
         assert automorphism_group(graph, known=point_seeds(key, graph)).order == order
+
+
+def orbit_representatives_reference(graph: Graph, generators) -> list[int]:
+    """The least vertex of each connected component of the Schreier graph
+    of the generators that map the edge set onto itself, by networkx."""
+    edges = {frozenset(e) for e in graph.edges()}
+    schreier = nx.Graph()
+    schreier.add_nodes_from(range(graph.n))
+    for g in generators:
+        if sorted(g) == list(range(graph.n)) and {frozenset(g[v] for v in e) for e in edges} == edges:
+            schreier.add_edges_from(enumerate(g))
+    return sorted(min(component) for component in nx.connected_components(schreier))
+
+
+@st.composite
+def graphs_with_generators(draw, max_vertices=12):
+    """A graph whose edge set is closed under a few drawn vertex
+    permutations, so that they are automorphisms, and those permutations
+    shuffled with a few arbitrary ones, which mostly are not."""
+    n = draw(st.integers(1, max_vertices))
+    perms = st.permutations(range(n)).map(tuple)
+    symmetries = draw(st.lists(perms, max_size=3))
+    pairs = list(itertools.combinations(range(n), 2))
+    queue = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    edges = set()
+    for u, v in queue:
+        if (u, v) not in edges:
+            edges.add((u, v))
+            queue += [tuple(sorted((g[u], g[v]))) for g in symmetries]
+    others = draw(st.lists(perms, max_size=2))
+    return Graph(n, sorted(edges)), draw(st.permutations(symmetries + others))
+
+
+class TestOrbitRepresentatives:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_generators())
+    def test_least_vertex_of_each_schreier_component(self, case):
+        graph, generators = case
+        expected = orbit_representatives_reference(graph, generators)
+        assert orbit_representatives(graph, generators) == expected
+
+    def test_no_generator_leaves_every_vertex(self):
+        assert orbit_representatives(Graph(4, [(0, 1), (2, 3)]), []) == [0, 1, 2, 3]
+        assert orbit_representatives(Graph(0), []) == []
+
+    def test_non_automorphism_is_dropped(self):
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        swap_end = (1, 0, 2, 3)  # moves an end onto an inner vertex
+        assert orbit_representatives(path, [swap_end]) == [0, 1, 2, 3]
+        assert orbit_representatives(path, [swap_end, (3, 2, 1, 0)]) == [0, 1]
+        assert orbit_representatives(path, [(0, 1, 2)]) == [0, 1, 2, 3]  # wrong degree
+
+
+def outcome(fn, *args):
+    """What fn returns, or the StructureError message it raises."""
+    try:
+        return fn(*args)
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+
+
+def quotient_outcomes(gamma: Graph, n: int, vertices=None):
+    """The census, Johnson, rook and distance-2 outcomes at every vertex, or
+    at the given vertices."""
+    if vertices is None:
+        return (
+            outcome(every_vertex_census_reference, gamma),
+            johnson_isomorphism_reference(gamma, n),
+            first_failure_reference(gamma, verify_rook_neighborhood),
+            first_failure_reference(gamma, verify_distance2_property),
+        )
+    return (
+        outcome(intersection_array, gamma, vertices),
+        verify_johnson_isomorphism(gamma, n, vertices),
+        first_failure_reference(gamma, verify_rook_neighborhood, vertices),
+        first_failure_reference(gamma, verify_distance2_property, vertices),
+    )
+
+
+def point_orbits(graph: Graph, n: int) -> list[int]:
+    return orbit_representatives(graph, induced_point_generators(graph, n))
+
+
+def toggled(graph: Graph, u: int, w: int) -> Graph:
+    adj = list(graph.adj)
+    adj[u] ^= 1 << w
+    adj[w] ^= 1 << u
+    return Graph.from_adjacency(adj, graph.labels)
+
+
+def swapped_labels(graph: Graph, u: int, w: int) -> Graph:
+    labels = list(graph.labels)
+    labels[u], labels[w] = labels[w], labels[u]
+    return Graph.from_adjacency(graph.adj, labels)
+
+
+def with_one_point_meetings(gamma: Graph) -> Graph:
+    """Gamma plus an edge between every two 3-sets that meet in one point;
+    the point permutations keep the added edges."""
+    labels = gamma.labels
+    return Graph.from_adjacency(
+        [row | _mask_of(b for b, m in enumerate(labels) if len(labels[a] & m) == 1)
+         for a, row in enumerate(gamma.adj)],
+        labels,
+    )
+
+
+@st.composite
+def quotient_variants(draw):
+    """Gamma_n for n = 5..7, as built or with a toggled vertex pair, two
+    labels swapped, or the one-point meetings added."""
+    n = draw(st.integers(5, 7))
+    gamma = build_triangle_graph(build_complement(n))
+    kind = draw(st.sampled_from(["built", "toggled", "swapped", "meetings"]))
+    if kind == "meetings":
+        gamma = with_one_point_meetings(gamma)
+    elif kind != "built":
+        u, w = draw(st.lists(st.integers(0, gamma.n - 1), min_size=2, max_size=2, unique=True))
+        gamma = (toggled if kind == "toggled" else swapped_labels)(gamma, u, w)
+    return gamma, n
+
+
+@st.composite
+def complement_variants(draw):
+    """Gbar_n for n = 4..6, as built or with a toggled vertex pair or two
+    labels swapped."""
+    n = draw(st.integers(4, 6))
+    gbar = build_complement(n)
+    kind = draw(st.sampled_from(["built", "toggled", "swapped"]))
+    if kind != "built":
+        u, w = draw(st.lists(st.integers(0, gbar.n - 1), min_size=2, max_size=2, unique=True))
+        gbar = (toggled if kind == "toggled" else swapped_labels)(gbar, u, w)
+    return gbar, n
+
+
+class TestOrbitCertificates:
+    """Each per-vertex claim gives the same outcome, and the same first
+    failing vertex, at the point-permutation orbit representatives as at
+    every vertex."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_same_outcomes_on_gamma_and_gbar(self, n):
+        gbar = build_complement(n)
+        gamma = build_triangle_graph(gbar)
+        assert point_orbits(gamma, n) == point_orbits(gbar, n) == [0]
+        assert quotient_outcomes(gamma, n, [0]) == quotient_outcomes(gamma, n)
+        assert first_failure_reference(gbar, verify_hexagon_neighborhood) is None
+        assert first_failure_reference(gbar, verify_hexagon_neighborhood, [0]) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(quotient_variants())
+    def test_same_quotient_outcomes_on_variants(self, case):
+        gamma, n = case
+        assert quotient_outcomes(gamma, n, point_orbits(gamma, n)) == quotient_outcomes(gamma, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complement_variants())
+    def test_same_hexagon_outcome_on_variants(self, case):
+        gbar, n = case
+        expected = first_failure_reference(gbar, verify_hexagon_neighborhood)
+        reps = point_orbits(gbar, n)
+        assert first_failure_reference(gbar, verify_hexagon_neighborhood, reps) == expected

