@@ -259,18 +259,25 @@ def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> 
     reps = []
     seen = 0
     for v in range(graph.n):
-        if seen >> v & 1:
-            continue
-        reps.append(v)
-        seen |= 1 << v
-        queue = [v]
-        for x in queue:
-            for g in gens:
-                y = g[x]
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    queue.append(y)
+        if not seen >> v & 1:
+            reps.append(v)
+            seen |= _orbit(gens, [v])
     return reps
+
+
+def _orbit(gens: Sequence[Sequence[int]], seeds: Sequence[int]) -> int:
+    """Bitmask of the union of the orbits of `seeds` under the group that
+    `gens` generate: the seeds' closure under the generators, by breadth-first
+    search (Seress, *Permutation Group Algorithms*, 2003, section 4.1)."""
+    mask = _mask_of(seeds)
+    queue = list(seeds)
+    for x in queue:
+        for g in gens:
+            y = g[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                queue.append(y)
+    return mask
 
 
 class _AutomorphismSearch:
@@ -364,7 +371,9 @@ class _AutomorphismSearch:
             if on_first and explored:
                 state = (len(explored), len(self.generators))
                 if state != covered_state:
-                    covered = self._orbit_closure(explored, depth)
+                    # Skip the explored siblings' orbit under the known subgroup fixing
+                    # the prefix; the first sibling's subtree built the chain at its leaf.
+                    covered = _orbit(self.chain.subchain(depth).generators(), explored)
                     covered_state = state
                 if (covered >> v) & 1:
                     continue
@@ -408,25 +417,6 @@ class _AutomorphismSearch:
         if self.chain.add(g):
             self.generators.append(g)
 
-    def _orbit_closure(self, seeds, depth) -> int:
-        """Bitmask of the orbit of the explored siblings under the known
-        subgroup fixing the first `depth` reference base points.
-
-        Called only once the first sibling on the reference path has
-        returned; that path always ends at the first leaf, which built
-        `self.chain`."""
-        gens = self.chain.subchain(depth).generators()
-        mask = _mask_of(seeds)
-        queue = deque(seeds)
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = g[x]
-                if not (mask >> y) & 1:
-                    mask |= 1 << y
-                    queue.append(y)
-        return mask
-
 
 def automorphism_group(
     graph: Graph, vertex_cap: int = AUT_VERTEX_CAP, known: Sequence[Sequence[int]] = ()
@@ -467,7 +457,8 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     """`symn_point_generators(n)` as permutations of the vertices of a graph
     labelled by triangle facets (the ridge graph and its complement) or by
     3-sets (the Triangle quotient): each maps the vertex labelled L to the
-    vertex labelled sigma(L)."""
+    vertex labelled sigma(L).  Raises StructureError when some sigma(L)
+    labels no vertex."""
     if graph.labels is None:
         raise ValueError("graph must carry vertex labels")
     if isinstance(graph.labels[0], TriangleFacet):
@@ -476,10 +467,18 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
         def move(sigma, s):
             return frozenset(map(sigma, s))
     index = {label: i for i, label in enumerate(graph.labels)}
-    return [
-        tuple(index[move(sigma, label)] for label in graph.labels)
-        for sigma in symn_point_generators(n)
-    ]
+    gens = []
+    for sigma in symn_point_generators(n):
+        perm = []
+        for label in graph.labels:
+            image = move(sigma, label)
+            if image not in index:
+                raise StructureError(
+                    f"point permutation {sigma.images} maps {label!r} to {image!r}, not a label"
+                )
+            perm.append(index[image])
+        gens.append(tuple(perm))
+    return gens
 
 
 class Theorem1Report(NamedTuple):
@@ -492,45 +491,33 @@ class Theorem1Report(NamedTuple):
     group: PermGroup
 
 
-def certify_theorem1(
-    gbar: Graph, vertex_cap: int = AUT_VERTEX_CAP, points: Sequence[Sequence[int]] | None = None
-) -> Theorem1Report:
-    """Certify the symmetry-group identification on the complement ridge
-    graph `gbar`, whose automorphism group the report carries as `group`.
+def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
+    """Judge the symmetry-group identification on the group `aut` of the
+    complement ridge graph for n points, as `automorphism_group` returns it
+    when seeded with `induced_point_generators(gbar, n)`: the search checked
+    the seeds edge by edge and recorded the exact order of the induced image
+    as `seed_order`.
 
-    The search is seeded with `induced_point_generators(gbar, n)`, or with
-    `points` when the caller has built that list already, so it checks
-    them edge by edge and records the exact order of the induced
-    image.  For n >= 5 the automorphism group must have order n! and
-    coincide with the induced point-permutation image; for n = 4 the order
-    must be 144 (realized geometrically by the reflection construction,
-    checked elsewhere) while the induced image has order 24.  On failure
-    the witness is an automorphism generator outside the induced image:
-    the first one after the seeds, since each of those enlarged the group.
-    Raises StructureError when a point permutation is not an automorphism
-    of `gbar`, and ResourceLimitError above the vertex cap.
+    For n >= 5 the automorphism group must have order n! and coincide with
+    the induced point-permutation image; for n = 4 the order must be 144
+    (realized geometrically by the reflection construction, checked
+    elsewhere) while the induced image has order 24.  On failure the witness
+    is an automorphism generator outside the induced image: the first one
+    after the seeds, since each of those enlarged the group.
     """
-    n = gbar.labels[0].n
-    if points is None:
-        points = induced_point_generators(gbar, n)
-    aut = automorphism_group(gbar, vertex_cap, points)
-    induced_order = aut.seed_order
-
-    if n >= 5:
-        expected = factorial(n)
-        passed = aut.order == expected and induced_order == expected
-    else:
-        expected = 144
-        passed = aut.order == 144 and induced_order == 24
-
-    witness = None
-    if n >= 5 and aut.order > induced_order:
-        witness = aut.generators[aut.seeds]
+    expected = factorial(n) if n >= 5 else 144
+    induced = expected if n >= 5 else 24
+    passed = aut.order == expected and aut.seed_order == induced
+    witness = aut.generators[aut.seeds] if n >= 5 and aut.order > aut.seed_order else None
     return Theorem1Report(n, expected, passed, witness, aut)
 
 
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
-    """`certify_theorem1` on the complement ridge graph for n points."""
+    """`certify_theorem1` on the seeded group of the complement ridge graph
+    for n points.  Raises StructureError when a point permutation is not an
+    automorphism of it, and ResourceLimitError above the vertex cap."""
     if n < 4:
         raise ValueError("need n >= 4")
-    return certify_theorem1(build_complement(n), vertex_cap)
+    gbar = build_complement(n)
+    aut = automorphism_group(gbar, vertex_cap, induced_point_generators(gbar, n))
+    return certify_theorem1(aut, n)

@@ -82,11 +82,12 @@ class Instance:
     next, so memory peaks at the largest single n.
 
     The point permutations act on Gbar and on Gamma by relabelling their
-    vertices (`induced_point_generators`).  They seed both automorphism
-    searches unfiltered, so a point permutation that is not an automorphism
-    fails `aut` and `theorem1`.  The ones that pass the edge check give the
-    orbit representatives at which the per-vertex claims are certified: each
-    claim is built from the graph and from intersections, differences,
+    vertices (`induced_point_generators`).  They seed the searches for
+    `aut_gbar` and `aut_gamma` alike and unfiltered, so a point permutation
+    that is not an automorphism fails `aut` and `theorem1`, which only judges
+    `aut_gbar` (`certify_theorem1`).  The ones that pass the edge check give
+    the orbit representatives at which the per-vertex claims are certified:
+    each claim is built from the graph and from intersections, differences,
     complements and supports of labels, which a point permutation carries
     along, so it holds at a vertex exactly when it holds on the vertex's
     whole orbit (`orbit_representatives`)."""
@@ -104,13 +105,13 @@ class Instance:
     gamma_points = cached_property(lambda self: induced_point_generators(self.gamma, self.n))
     gbar_orbits = cached_property(lambda self: orbit_representatives(self.gbar, self.gbar_points))
     gamma_orbits = cached_property(lambda self: orbit_representatives(self.gamma, self.gamma_points))
-    theorem1 = cached_property(
-        lambda self: certify_theorem1(self.gbar, self.vertex_cap, self.gbar_points)
+    aut_gbar = cached_property(
+        lambda self: automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
     )
-    aut_gbar = cached_property(lambda self: self.theorem1.group)
     aut_gamma = cached_property(
         lambda self: automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
     )
+    theorem1 = cached_property(lambda self: certify_theorem1(self.aut_gbar, self.n))
     adjacency = cached_property(lambda self: adjacency_agreement(self.n))
     sweep = cached_property(lambda self: hypermetric_sweep(self.n, self.bound))
 

@@ -22,7 +22,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .autgrp import group_order, symn_point_generators
+from .autgrp import _orbit, group_order, symn_point_generators
 from .cones import integer_rank
 from .core import apply_permutation
 from .ridge import StructureError
@@ -77,23 +77,14 @@ def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of the rays under the point permutations, as 1-based ray
     numbers, largest orbit first."""
     index = {r: i for i, r in enumerate(_RAYS)}
-    gens = symn_point_generators(4)
+    gens = [[index[apply_permutation(s, r)] for r in _RAYS] for s in symn_point_generators(4)]
     orbits = []
-    seen: set[int] = set()
+    seen = 0
     for start in range(RAY_COUNT):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for sigma in gens:
-                j = index[apply_permutation(sigma, _RAYS[i])]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        seen |= orbit
-        orbits.append(tuple(sorted(i + 1 for i in orbit)))
+        if not seen >> start & 1:
+            orbit = _orbit(gens, [start])
+            seen |= orbit
+            orbits.append(tuple(i + 1 for i in range(RAY_COUNT) if orbit >> i & 1))
     orbits.sort(key=len, reverse=True)
     if len(orbits) != 2:
         raise RayActionError(f"expected 2 orbits, found {len(orbits)}")

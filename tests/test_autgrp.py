@@ -219,6 +219,12 @@ def is_faithful_symn_action_reference(graph: Graph, n: int) -> bool:
     return action is not None and action[1] == factorial(n)
 
 
+def seeded_group(graph: Graph, n: int) -> PermGroup:
+    """The automorphism group of a facet-labelled graph, its search seeded
+    with the point permutations as `certify_theorem1` expects."""
+    return automorphism_group(graph, known=induced_point_generators(graph, n))
+
+
 def certify_theorem1_reference(gbar: Graph, aut: PermGroup) -> tuple[Theorem1Report, int]:
     """`certify_theorem1` with the induced image rebuilt, edge-checked and
     ordered by a chain of its own, kept as the oracle for the certificate
@@ -314,7 +320,7 @@ class TestTheorem1:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_same_report_as_the_reference(self, n):
         gbar = build_complement(n)
-        report = certify_theorem1(gbar)
+        report = certify_theorem1(seeded_group(gbar, n), n)
         reference, induced_order = certify_theorem1_reference(gbar, report.group)
         assert report == reference and report.group.seed_order == induced_order
         assert report.passed and induced_order == (24 if n == 4 else factorial(n))
@@ -328,7 +334,7 @@ class TestTheorem1:
         labels = gbar.labels
         inside = [(u, w) for u, w in gbar.edges() if labels[u].support == labels[w].support]
         graph = Graph(gbar.n, inside, labels)
-        report = certify_theorem1(graph)
+        report = certify_theorem1(seeded_group(graph, n), n)
         assert not report.passed and report.witness is not None
         reference, induced_order = certify_theorem1_reference(graph, report.group)
         assert report == reference and report.group.seed_order == induced_order
@@ -336,8 +342,18 @@ class TestTheorem1:
     @pytest.mark.parametrize("n", range(4, 8))
     def test_search_seeded_with_the_induced_generators(self, n):
         gbar = build_complement(n)
-        group = certify_theorem1(gbar).group
+        group = verify_theorem1(n).group
         assert group.generators[: group.seeds] == tuple(induced_point_generators(gbar, n))
+
+    def test_judges_the_group_it_is_given(self):
+        # No search: the verdict reads the order, seed order and seeds alone.
+        gens = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+        group = PermGroup(3, gens, 120, 2, 120)
+        assert certify_theorem1(group, 5) == Theorem1Report(5, 120, True, None, group)
+        report = certify_theorem1(PermGroup(3, gens, 240, 2, 120), 5)
+        assert (report.passed, report.witness) == (False, (2, 1, 0))
+        assert certify_theorem1(PermGroup(3, gens, 144, 2, 24), 4).passed
+        assert not certify_theorem1(PermGroup(3, gens, 144, 2, 144), 4).passed
 
 def graph_by_key(key: str) -> Graph:
     """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""

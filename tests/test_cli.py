@@ -203,8 +203,9 @@ class TestWithoutNumpy:
 # cover every check, the aut/theorem1 vertex-cap skips, the n=7 adjacency
 # skip with theorem2's note, and reflect4's resource-limit skip; `symmetry`
 # pins the automorphism orders and the Triangle quotient at n = 9..10,
-# `n4_8` every check up to n = 8, and `sweeps_b4` the bounded sweeps at
-# coefficient bound 4.
+# `n4_8` every check up to n = 8, `sweeps_b4` the bounded sweeps at
+# coefficient bound 4, and `n11_12_sym` the seeded searches past the default
+# vertex cap.
 GOLDEN = {
     "default": RunConfig(),
     "n4_7_cap40": RunConfig(n_min=4, n_max=7, aut_vertex_cap=40),
@@ -215,6 +216,10 @@ GOLDEN = {
     "n4_8": RunConfig(n_min=4, n_max=8),
     "sweeps_b4": RunConfig(
         n_min=5, n_max=7, checks=("hypermetric", "theorem2"), hypermetric_bound=4
+    ),
+    "n11_12_sym": RunConfig(
+        n_min=11, n_max=12, checks=("hexagons", "gamma", "johnson", "aut", "theorem1"),
+        aut_vertex_cap=700,
     ),
 }
 
@@ -456,7 +461,24 @@ class TestMain:
         for check in ("triangles", "gamma", "johnson"):
             assert "1 common neighbors" in errors[check]
         for check in ("aut", "theorem1"):
-            assert "is not an automorphism" in errors[check]
+            assert errors[check] == "known[0] is not an automorphism of the graph"
+
+    def test_label_without_preimage_fails_with_the_label(self, monkeypatch, capsys):
+        # Label 0 replaced by label 1: the point permutations map some label
+        # onto the lost one, which no vertex carries.
+        gbar = build_complement(5)
+        labels = list(gbar.labels)
+        labels[0] = labels[1]
+        monkeypatch.setattr(cli, "build_complement", lambda n: Graph.from_adjacency(gbar.adj, labels))
+        code = main(["verify", "--n-min", "5", "--n-max", "5", "--format", "json",
+                     "--checks", "hexagons,aut,theorem1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        witness = {"error": "point permutation (2, 3, 4, 5, 1) maps TriangleFacet(1,5;2)"
+                            " to TriangleFacet(1,2;3), not a label"}
+        assert [(rec["outcome"], rec["details"], rec["witness"]) for rec in report["checks"]] == [
+            ("fail", {}, witness)
+        ] * 3
 
     @pytest.mark.parametrize("check", ["johnson", "theorem1"])
     def test_off_census_complement_fails_one_check_alone(self, off_census_complement, capsys, check):

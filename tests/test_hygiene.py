@@ -1,9 +1,12 @@
 """Static checks over the package and its tests: no unused imports, no
 private helper or public name in the package that only the tests use, and
-no stale `__all__` entry."""
+no stale `__all__` entry.  Also checks that the pytest configuration lets a
+failing hypothesis test report its example."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,3 +198,24 @@ def test_every_exported_name_is_bound():
         module = importlib.import_module(name)
         unbound += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
     assert unbound == []
+
+
+def test_failing_hypothesis_test_prints_its_example(tmp_path):
+    # Under `filterwarnings = ["error"]`, a warning the hypothesis plugin
+    # raises while it reports a failure must not become an INTERNALERROR
+    # that hides the falsifying example.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_fails(" in result.stdout
