@@ -33,7 +33,7 @@ from math import factorial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .core import Permutation, TriangleFacet, permute_facet
+from .core import TriangleFacet, _points
 from .ridge import Graph, StructureError, _mask_of, build_complement
 
 __all__ = [
@@ -445,12 +445,24 @@ def automorphism_group(
     return group
 
 
-def symn_point_generators(n: int) -> list[Permutation]:
-    """A transposition and an n-cycle generating the point permutations."""
-    return [
-        Permutation.from_cycles(n, [(1, 2)]),
-        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-    ]
+def symn_point_generators(n: int) -> list[tuple[int, ...]]:
+    """The transposition (0 1) and the n-cycle (0 1 ... n-1) generating the
+    point permutations, as image tuples: point p + 1 goes to sigma[p] + 1."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return [(1, 0, *range(2, n)), (*range(1, n), 0)]
+
+
+def _move_label(sigma: Sequence[int], label):
+    """The image under sigma of a triangle facet or a 3-set of the points
+    1..len(sigma); ValueError for a facet of another n or a point outside."""
+    n = len(sigma)
+    if isinstance(label, TriangleFacet):
+        if label.n != n:
+            raise ValueError(f"{label!r} is a facet for n={label.n}, not n={n}")
+        return TriangleFacet(*(sigma[p - 1] + 1 for p in (label.i, label.j, label.k)), n)
+    points = _points(label, n, f"{set(label)} is not a set of points inside 1..{n}")
+    return frozenset(sigma[p - 1] + 1 for p in points)
 
 
 def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
@@ -461,20 +473,16 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     labels no vertex."""
     if graph.labels is None:
         raise ValueError("graph must carry vertex labels")
-    if isinstance(graph.labels[0], TriangleFacet):
-        move = permute_facet
-    else:
-        def move(sigma, s):
-            return frozenset(map(sigma, s))
     index = {label: i for i, label in enumerate(graph.labels)}
     gens = []
     for sigma in symn_point_generators(n):
         perm = []
         for label in graph.labels:
-            image = move(sigma, label)
+            image = _move_label(sigma, label)
             if image not in index:
+                images = tuple(p + 1 for p in sigma)
                 raise StructureError(
-                    f"point permutation {sigma.images} maps {label!r} to {image!r}, not a label"
+                    f"point permutation {images} maps {label!r} to {image!r}, not a label"
                 )
             perm.append(index[image])
         gens.append(tuple(perm))
@@ -498,16 +506,18 @@ def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
     the seeds edge by edge and recorded the exact order of the induced image
     as `seed_order`.
 
-    For n >= 5 the automorphism group must have order n! and coincide with
-    the induced point-permutation image; for n = 4 the order must be 144
-    (realized geometrically by the reflection construction, checked
-    elsewhere) while the induced image has order 24.  On failure the witness
-    is an automorphism generator outside the induced image: the first one
-    after the seeds, since each of those enlarged the group.
+    The induced point-permutation image must have order n!, the points
+    acting faithfully on the facets.  For n >= 5 the automorphism group must
+    have that order too, so it coincides with the image; for n = 4 its order
+    must be 144 (realized geometrically by the reflection construction,
+    checked elsewhere).  On failure the witness is an automorphism generator
+    outside the induced image: the first one after the seeds, since each of
+    those enlarged the group.  Raises ValueError for n < 4.
     """
+    if n < 4:
+        raise ValueError("need n >= 4")
     expected = factorial(n) if n >= 5 else 144
-    induced = expected if n >= 5 else 24
-    passed = aut.order == expected and aut.seed_order == induced
+    passed = aut.order == expected and aut.seed_order == factorial(n)
     witness = aut.generators[aut.seeds] if n >= 5 and aut.order > aut.seed_order else None
     return Theorem1Report(n, expected, passed, witness, aut)
 

@@ -279,8 +279,7 @@ def _check_johnson(inst: Instance, cfg: RunConfig):
 
 
 def _check_aut(inst: Instance, cfg: RunConfig):
-    n, aut = inst.n, inst.aut_gbar
-    expected = 144 if n == 4 else factorial(n)
+    n, aut, expected = inst.n, inst.aut_gbar, inst.theorem1.expected_order
     details = {"aut_complement": aut.order, "expected": expected, "generators": len(aut.generators)}
     if aut.order != expected:
         return "fail", details, {"reason": "unexpected automorphism group order"}

@@ -236,7 +236,7 @@ def adjacency_agreement(n: int):
     return total, mismatches
 
 
-def _orbit_representatives(n: int, bound: int):
+def _sorted_representatives(n: int, bound: int):
     """The bounded coefficient family, reduced by the point permutations.
 
     The family is a union of Sym(n) orbits, and each orbit holds exactly one
@@ -295,7 +295,7 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     claim.
 
     One sorted representative per Sym(n) orbit is evaluated
-    (`_orbit_representatives`).  A permutation pi maps the pair (b, S) to
+    (`_sorted_representatives`).  A permutation pi maps the pair (b, S) to
     (b o pi^-1, pi S): this keeps the direct pair sum, sigma * (1 - sigma)
     and the number of zero cuts, and permutes the coordinates of the
     zero-cut rows, so their rank is kept too.  The nonzero cuts are closed
@@ -318,7 +318,7 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     triangle = (-1, *[0] * (n - 3), 1, 1)
     vector_count = degenerate_count = triangle_count = 0
     mismatch = positive = over_bound = triangle_failure = rogue_maximizer = None
-    for b, size in _orbit_representatives(n, bound):
+    for b, size in _sorted_representatives(n, bound):
         vector_count += size
         products = [b[i] * b[j] for i, j in pairs]
         direct = [sum(map(products.__getitem__, ks)) for ks in cut_pairs]

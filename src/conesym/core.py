@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 __all__ = [
     "num_pairs",
@@ -21,9 +20,6 @@ __all__ = [
     "cut_correlations",
     "TriangleFacet",
     "enumerate_triangle_facets",
-    "Permutation",
-    "apply_permutation",
-    "permute_facet",
 ]
 
 
@@ -209,90 +205,3 @@ def enumerate_triangle_facets(n: int) -> list[TriangleFacet]:
         facets.append(TriangleFacet(b, c, a, n))
     return facets
 
-
-class Permutation:
-    """Bijection of {1, ..., n}; images[p-1] is the image of p."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        n = len(images)
-        self.images = _points(images, n, f"{images} is not a permutation of 1..{n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cycle in cycles:
-            error = f"cycle {cycle} is empty, repeats a point or has one outside 1..{n}"
-            points = _points(cycle, n, error)
-            if not points:
-                raise ValueError(error)
-            for a, b in zip(points, points[1:] + points[:1]):
-                images[a - 1] = b
-        return cls(images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, p: int) -> int:
-        try:
-            if 1 <= p <= len(self.images):
-                return self.images[operator.index(p) - 1]
-        except TypeError:
-            pass
-        raise ValueError(f"point {p} outside 1..{len(self.images)}")
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for p, q in enumerate(self.images, start=1):
-            inv[q - 1] = p
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(p) == self(other(p))."""
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return Permutation(self.images[q - 1] for q in other.images)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.images)})"
-
-
-def apply_permutation(sigma: Permutation, v: Sequence) -> tuple:
-    """Permute a vector over pairs by a point permutation.
-
-    Entry (i, j) of the result is entry (sigma^-1(i), sigma^-1(j)) of v, so
-    cuts map to cuts and triangle facets to triangle facets.
-    """
-    n = sigma.n
-    if len(v) != num_pairs(n):
-        raise ValueError(f"vector length {len(v)} does not match n={n}")
-    inv = sigma.inverse()
-    out = []
-    for i, j in pair_list(n):
-        a, b = inv(i), inv(j)
-        if a > b:
-            a, b = b, a
-        out.append(v[pair_index(a, b, n)])
-    return tuple(out)
-
-
-def permute_facet(sigma: Permutation, facet: TriangleFacet) -> TriangleFacet:
-    """The triangle facet with apex and third point mapped through sigma."""
-    if sigma.n != facet.n:
-        raise ValueError("degree mismatch")
-    return TriangleFacet(sigma(facet.i), sigma(facet.j), sigma(facet.k), facet.n)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .autgrp import _orbit, group_order, symn_point_generators
 from .cones import integer_rank
-from .core import apply_permutation
+from .core import pair_index, pair_list
 from .ridge import StructureError
 
 __all__ = [
@@ -73,11 +73,22 @@ def ray_table() -> tuple[tuple[int, ...], ...]:
     return _RAYS
 
 
+def _move_pairs(sigma: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """v with its entry at each pair (i, j) moved to (sigma i, sigma j), sigma
+    being an image tuple on the points 0..n-1 (`symn_point_generators`)."""
+    n = len(sigma)
+    out = [0] * len(v)
+    for (i, j), x in zip(pair_list(n), v):
+        a, b = sorted((sigma[i - 1] + 1, sigma[j - 1] + 1))
+        out[pair_index(a, b, n)] = x
+    return tuple(out)
+
+
 def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbits of the rays under the point permutations, as 1-based ray
     numbers, largest orbit first."""
     index = {r: i for i, r in enumerate(_RAYS)}
-    gens = [[index[apply_permutation(s, r)] for r in _RAYS] for s in symn_point_generators(4)]
+    gens = [[index[_move_pairs(s, r)] for r in _RAYS] for s in symn_point_generators(4)]
     orbits = []
     seen = 0
     for start in range(RAY_COUNT):

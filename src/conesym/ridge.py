@@ -384,7 +384,7 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
     return Graph.from_adjacency(rows, labels)
 
 
-def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Iterable[int]) -> bool:
+def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Sequence[int]) -> bool:
     """The support labeling is an isomorphism onto the graph on 3-subsets
     with adjacency 'intersect in a 2-subset'.
 
@@ -394,7 +394,10 @@ def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Iterable[int]) ->
     the vertex labelled L to the one labelled pi(L), pi a point
     permutation, carries one such row onto another, since pi keeps
     intersection sizes, so the orbit representatives of such automorphisms
-    (`autgrp.orbit_representatives`) decide every row."""
+    (`autgrp.orbit_representatives`) decide every row.  Raises ValueError
+    when `vertices` is empty, which would pass vacuously."""
+    if not vertices:
+        raise ValueError("verify_johnson_isomorphism needs at least one vertex")
     labels = gamma.labels
     if labels is None:
         return False
@@ -467,9 +470,12 @@ def intersection_array(gamma: Graph, vertices: Sequence[int]) -> IntersectionArr
     pair at each distance and the first inconsistent pair of the
     exhaustive census start at the least vertex of their orbit, which is a
     representative, and eccentricities, hence the diameter, are kept.
+    Raises ValueError when `vertices` is empty.
     """
     if not gamma.n:
         raise StructureError("the empty graph has no intersection array")
+    if not vertices:
+        raise ValueError("intersection_array needs at least one vertex")
     all_layers = [gamma.layers(v) for v in vertices]
     # The layers are disjoint, so their sum is the set the first vertex reaches.
     if sum(all_layers[0]) != (1 << gamma.n) - 1:

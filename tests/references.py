@@ -1,8 +1,9 @@
 """Reference implementations shared by the tests: cut vectors from the
-definition, rational row reduction, the rational image of a vector under a
-(den, entries) matrix, the ridge graph built pair by pair, the switching
-map, and the per-vertex claims checked at every vertex instead of once per
-orbit.  The package computes none of these; the tests use them as oracles."""
+definition, a point permutation's action on vectors over pairs, rational
+row reduction, the rational image of a vector under a (den, entries)
+matrix, the ridge graph built pair by pair, the switching map, and the
+per-vertex claims checked at every vertex instead of once per orbit.  The
+package computes none of these; the tests use them as oracles."""
 
 import itertools
 from fractions import Fraction
@@ -20,6 +21,15 @@ def cut_bits_reference(members, n) -> tuple[int, ...]:
         int((i in members) != (j in members))
         for i, j in itertools.combinations(range(1, n + 1), 2)
     )
+
+
+def permute_pairs_reference(sigma, v) -> tuple:
+    """The vector over pairs whose entry at (sigma(i), sigma(j)) is the
+    entry of v at (i, j), sigma being a permutation of the points given as
+    an image tuple on 0..n-1: point p goes to sigma[p - 1] + 1."""
+    pairs = list(itertools.combinations(range(1, len(sigma) + 1), 2))
+    moved = {frozenset((sigma[i - 1] + 1, sigma[j - 1] + 1)): x for (i, j), x in zip(pairs, v)}
+    return tuple(moved[frozenset(p)] for p in pairs)
 
 
 def cut_order_reference(n: int) -> list[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from conesym.autgrp import (
     symn_point_generators,
     verify_theorem1,
 )
-from conesym.core import permute_facet
+from conesym.core import TriangleFacet
 from conesym.ridge import (
     Graph,
     StructureError,
@@ -64,10 +64,14 @@ def relabeled_reference(graph: Graph, perm) -> Graph:
 
 
 def induced_facet_permutation_reference(sigma, facets):
-    """The facet-index permutation induced by one point permutation, from
-    its own facet index; the oracle for `induced_point_generators`."""
+    """The facet-index permutation induced by one point permutation, an
+    image tuple on 0..n-1, from its own facet index: apex and third point
+    are moved one by one.  The oracle for `induced_point_generators`."""
     index = {f: i for i, f in enumerate(facets)}
-    return tuple(index[permute_facet(sigma, f)] for f in facets)
+    return tuple(
+        index[TriangleFacet(sigma[f.i - 1] + 1, sigma[f.j - 1] + 1, sigma[f.k - 1] + 1, f.n)]
+        for f in facets
+    )
 
 
 def kneser_petersen() -> Graph:
@@ -269,6 +273,25 @@ class TestSymnAction:
             assert induced_point_generators(gbar, n) == expected
             assert all(is_graph_automorphism(gbar, perm) for perm in expected)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_point_generators_generate_sym_n(self, n):
+        gens = symn_point_generators(n)
+        assert gens == [(1, 0, *range(2, n)), (*range(1, n), 0)]
+        assert group_order(gens, n) == factorial(n)
+
+    def test_point_generators_refuse_one_point(self):
+        with pytest.raises(ValueError, match=r"need n >= 2"):
+            symn_point_generators(1)
+
+    def test_facet_label_of_another_n_refused(self):
+        with pytest.raises(ValueError, match=r"TriangleFacet\(1,2;3\) is a facet for n=5"):
+            induced_point_generators(build_complement(5), 4)
+
+    def test_three_set_label_above_n_refused(self):
+        gamma5 = build_triangle_graph(build_complement(5))
+        with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.4"):
+            induced_point_generators(gamma5, 4)
+
 
 class TestTheorem1:
     def test_n4(self):
@@ -294,7 +317,7 @@ class TestTheorem1:
         induced = []
         for sigma in symn_point_generators(6):
             induced.append(
-                tuple(index[frozenset(sigma(p) for p in s)] for s in gamma6.labels)
+                tuple(index[frozenset(sigma[p - 1] + 1 for p in s)] for s in gamma6.labels)
             )
         assert group_order(induced, gamma6.n) == 720
         chain = _StabilizerChain(gamma6.n)
@@ -354,6 +377,8 @@ class TestTheorem1:
         assert (report.passed, report.witness) == (False, (2, 1, 0))
         assert certify_theorem1(PermGroup(3, gens, 144, 2, 24), 4).passed
         assert not certify_theorem1(PermGroup(3, gens, 144, 2, 144), 4).passed
+        with pytest.raises(ValueError, match=r"need n >= 4"):
+            certify_theorem1(PermGroup(3, gens, 6, 2, 6), 3)
 
 def graph_by_key(key: str) -> Graph:
     """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conesym import cones
 from conesym.cones import (
     _facet_incidence_masks,
-    _orbit_representatives,
+    _sorted_representatives,
     adjacency_agreement,
     enumerate_hypermetric_coeffs,
     facet_value,
@@ -20,9 +20,7 @@ from conesym.cones import (
     triangle_incidence_bound,
 )
 from conesym.core import (
-    Permutation,
     TriangleFacet,
-    apply_permutation,
     cut_columns,
     cut_correlations,
     cut_members,
@@ -32,7 +30,12 @@ from conesym.core import (
 )
 from conesym.ridge import _bits, conflicting
 
-from references import cut_bits_reference, cut_order_reference, kernel_basis_reference
+from references import (
+    cut_bits_reference,
+    cut_order_reference,
+    kernel_basis_reference,
+    permute_pairs_reference,
+)
 
 
 def integer_rank_reference(rows) -> int:
@@ -325,8 +328,8 @@ class TestRank:
         n = data.draw(st.integers(4, 6))
         cuts = cut_order_reference(n)
         chosen = data.draw(st.lists(st.sampled_from(cuts), min_size=1, max_size=8))
-        sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
-        moved = [apply_permutation(sigma, c) for c in chosen]
+        sigma = tuple(data.draw(st.permutations(range(n))))
+        moved = [permute_pairs_reference(sigma, c) for c in chosen]
         assert integer_rank(moved) == integer_rank(chosen)
 
     @settings(max_examples=100, deadline=None)
@@ -566,7 +569,7 @@ class TestSweeps:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 6), st.integers(1, 3))
     def test_representatives_cover_the_family_once(self, n, bound):
-        reps, sizes = zip(*_orbit_representatives(n, bound))
+        reps, sizes = zip(*_sorted_representatives(n, bound))
         family = enumerate_hypermetric_coeffs(n, bound)
         assert sum(sizes) == len(family)
         assert list(reps) == sorted({tuple(sorted(b)) for b in family})

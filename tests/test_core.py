@@ -1,18 +1,16 @@
 """Tests for coordinate indexing, cuts, facets, permutations, and switching."""
 
 import itertools
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conesym.autgrp import _move_label, _mult
 from conesym.cones import facet_value, integer_rank
 from conesym.core import (
-    Permutation,
     TriangleFacet,
-    apply_permutation,
     cut_columns,
     cut_correlations,
     cut_members,
@@ -20,15 +18,15 @@ from conesym.core import (
     num_pairs,
     pair_index,
     pair_list,
-    permute_facet,
 )
+from conesym.reflections import _move_pairs
 
 from references import cut_bits_reference, cut_order_reference, switching_reflection_reference
 
 
 def permute_cut_reference(sigma, members, n):
-    """The cut vector of the image point set."""
-    return cut_bits_reference({sigma(p) for p in members}, n)
+    """The cut vector of the image point set, sigma an image tuple on 0..n-1."""
+    return cut_bits_reference({sigma[p - 1] + 1 for p in members}, n)
 
 
 def column_cut(members, n):
@@ -277,74 +275,59 @@ class TestTriangleFacets:
 
 
 class TestPermutationAction:
+    """A point permutation is an image tuple on 0..n-1: point p goes to
+    sigma[p - 1] + 1.  `autgrp._move_label` moves a facet or a 3-set through
+    it and `reflections._move_pairs` a vector over pairs."""
+
     def test_identity_fixes_vectors(self):
         v = tuple(range(10))
-        assert apply_permutation(Permutation.identity(5), v) == v
+        assert _move_pairs(tuple(range(5)), v) == v
 
     def test_transposition_on_singleton_cut(self):
-        sigma = Permutation.from_cycles(4, [(1, 2)])
-        moved = apply_permutation(sigma, cut_bits_reference({1}, 4))
+        moved = _move_pairs((1, 0, 2, 3), cut_bits_reference({1}, 4))
         assert moved == (1, 0, 0, 1, 1, 0)  # r6 = the cut of {2}
 
     def test_three_cycle_on_facet_support(self):
         # Oracle: map the three support pairs through the index map by hand.
-        sigma = Permutation.from_cycles(4, [(1, 2, 3)])
+        sigma = (1, 2, 0, 3)  # the 3-cycle (1 2 3)
         f = TriangleFacet(1, 2, 3, 4)
-        moved = apply_permutation(sigma, f.coeffs())
-        assert moved == TriangleFacet(2, 3, 1, 4).coeffs()
-        assert permute_facet(sigma, f) == TriangleFacet(2, 3, 1, 4)
+        assert _move_pairs(sigma, f.coeffs()) == TriangleFacet(2, 3, 1, 4).coeffs()
+        assert _move_label(sigma, f) == TriangleFacet(2, 3, 1, 4)
+        assert _move_label(sigma, frozenset({1, 2, 4})) == frozenset({2, 3, 4})
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_permutation(Permutation.identity(4), (0, 1, 2))
-
-    @pytest.mark.parametrize("cycle", [(3, 0), (4, 1)])
-    def test_cycle_point_outside_range_refused(self, cycle):
-        # Point 0 would write images[-1] and (3, 0) would give the identity;
-        # point 4 would index past the end.
-        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
-            Permutation.from_cycles(3, [cycle])
-
-    @pytest.mark.parametrize("cycle", [(), (1.5, 2)])
-    def test_malformed_cycle_refused_by_name(self, cycle):
-        # () would read cycle[0]; 1.5 would index the image list.
-        with pytest.raises(ValueError, match=re.escape(f"cycle {cycle} ")):
-            Permutation.from_cycles(3, [cycle])
-
-    def test_non_integer_image_refused(self):
-        # 1.0 == 1, so a sorted comparison would take this for the identity.
-        with pytest.raises(ValueError, match=r"\(1\.0, 2, 3\) is not a permutation"):
-            Permutation([1.0, 2, 3])
+        with pytest.raises(ValueError, match=r"TriangleFacet\(1,2;3\) is a facet for n=5, not n=4"):
+            _move_label((0, 1, 2, 3), TriangleFacet(1, 2, 3, 5))
 
     @pytest.mark.parametrize("point", [0, 4])
     def test_call_outside_range_refused(self, point):
-        # Point 0 would read images[-1].
-        with pytest.raises(ValueError, match=f"point {point} outside 1\\.\\.3"):
-            Permutation([1, 2, 3])(point)
+        # Point 0 would read sigma[-1]; point 4 would index past the end.
+        with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
+            _move_label((0, 1, 2), frozenset({point, 1, 2}))
 
     def test_call_at_fractional_point_refused(self):
         # 1.5 lies between 1 and 3 but would index the image tuple.
-        with pytest.raises(ValueError, match=r"point 1\.5 outside 1\.\.3"):
-            Permutation([1, 2, 3])(1.5)
+        with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
+            _move_label((0, 1, 2), frozenset({1.5, 2, 3}))
 
     @settings(max_examples=60)
     @given(st.data())
     def test_group_action_composition(self, data):
+        # Moving by tau, then by sigma, is moving by their product in the
+        # order the stabilizer chain composes (`autgrp._mult`).
         n = data.draw(st.integers(3, 6))
-        sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
-        tau = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        sigma = tuple(data.draw(st.permutations(range(n))))
+        tau = tuple(data.draw(st.permutations(range(n))))
         v = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=num_pairs(n), max_size=num_pairs(n))))
-        assert apply_permutation(sigma.compose(tau), v) == apply_permutation(
-            sigma, apply_permutation(tau, v)
-        )
+        assert _move_pairs(_mult(tau, sigma), v) == _move_pairs(sigma, _move_pairs(tau, v))
 
     @settings(max_examples=40)
     @given(st.data())
     def test_permute_cut_agrees_with_vector_action(self, data):
         n = data.draw(st.integers(3, 6))
-        sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        sigma = tuple(data.draw(st.permutations(range(n))))
         members = data.draw(st.sets(st.integers(1, n)))
-        moved = apply_permutation(sigma, cut_bits_reference(members, n))
+        moved = _move_pairs(sigma, cut_bits_reference(members, n))
         assert permute_cut_reference(sigma, members, n) == moved
 
 

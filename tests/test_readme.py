@@ -51,7 +51,7 @@ def test_quoted_bound_cap_is_the_code_cap():
 
 
 def test_quoted_sweep_figures_are_the_sweep():
-    from conesym.cones import _orbit_representatives, hypermetric_sweep
+    from conesym.cones import _sorted_representatives, hypermetric_sweep
 
     text = " ".join(README.read_text().split())
     quoted = re.search(
@@ -59,5 +59,5 @@ def test_quoted_sweep_figures_are_the_sweep():
     )
     assert quoted, "README no longer quotes the sweep's figures at n = 6, bound 3"
     reps, vectors = quoted.groups()
-    assert len(list(_orbit_representatives(6, 3))) == int(reps)
+    assert len(list(_sorted_representatives(6, 3))) == int(reps)
     assert hypermetric_sweep(6, 3).vector_count == int(vectors.replace(",", ""))

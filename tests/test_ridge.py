@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesym.core import (
-    Permutation,
-    TriangleFacet,
-    enumerate_triangle_facets,
-)
+from conesym.core import TriangleFacet, enumerate_triangle_facets
 from conesym.ridge import (
     Graph,
     HexagonNeighborhood,
@@ -512,6 +508,14 @@ class TestTriangleGraph:
             gamma = build_triangle_graph(build_complement(n))
             assert verify_johnson_isomorphism(gamma, n, range(gamma.n)) is True
 
+    def test_johnson_isomorphism_refuses_no_vertices(self):
+        # An edgeless graph with the right labels would pass over no rows.
+        labels = [frozenset(c) for c in itertools.combinations(range(1, 7), 3)]
+        edgeless = Graph(len(labels), [], labels)
+        assert verify_johnson_isomorphism(edgeless, 6, range(edgeless.n)) is False
+        with pytest.raises(ValueError, match="verify_johnson_isomorphism"):
+            verify_johnson_isomorphism(edgeless, 6, [])
+
     def test_rook_neighborhoods(self):
         for n in (5, 6, 7):
             gamma = build_triangle_graph(build_complement(n))
@@ -534,11 +538,9 @@ class TestTriangleGraph:
         for n in (5, 6, 7):
             gamma = build_triangle_graph(build_complement(n))
             index = {s: i for i, s in enumerate(gamma.labels)}
-            for sigma in (
-                Permutation.from_cycles(n, [(1, 2)]),
-                Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-            ):
-                perm = [index[frozenset(sigma(p) for p in s)] for s in gamma.labels]
+            # The transposition (1 2) and the n-cycle, as image tuples on 0..n-1.
+            for sigma in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+                perm = [index[frozenset(sigma[p - 1] + 1 for p in s)] for s in gamma.labels]
                 for a, b in gamma.edges():
                     assert gamma.has_edge(perm[a], perm[b])
 
@@ -693,6 +695,10 @@ class TestIntersectionArray:
     def test_empty_graph_refused_by_name(self):
         with pytest.raises(StructureError, match="empty graph"):
             intersection_array(Graph(0), range(0))
+
+    def test_no_vertices_refused_by_name(self):
+        with pytest.raises(ValueError, match="intersection_array"):
+            intersection_array(build_triangle_graph(build_complement(5)), [])
 
     def test_non_distance_regular_graph_rejected(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
