@@ -207,6 +207,12 @@ class PermGroup(NamedTuple):
     seed_order: int = 1
 
 
+def _is_permutation(p: Sequence[int], degree: int) -> bool:
+    """p is an image tuple on 0..degree-1 whose images are ints, not bools."""
+    ints = all(isinstance(x, int) and not isinstance(x, bool) for x in p)
+    return ints and len(p) == degree and set(p) == set(range(degree))
+
+
 def group_order(gens: Sequence[Sequence[int]], degree: int | None = None) -> int:
     """Exact order of the group generated by the given permutations."""
     gens = [tuple(g) for g in gens]
@@ -214,7 +220,7 @@ def group_order(gens: Sequence[Sequence[int]], degree: int | None = None) -> int
         if not gens:
             return 1
         degree = len(gens[0])
-    if any(len(g) != degree or sorted(g) != list(range(degree)) for g in gens):
+    if not all(_is_permutation(g, degree) for g in gens):
         raise ValueError("generators must be permutations of 0..degree-1")
     chain = _StabilizerChain(degree)
     for g in gens:
@@ -236,12 +242,9 @@ def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
 
 
 def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
-    """True when perm is a bijection of the vertices that preserves
-    adjacency, checked edge set against edge set."""
-    n = graph.n
-    if len(perm) != n or set(perm) != set(range(n)):
-        return False
-    return _preserves_adjacency(graph.adj, perm)
+    """True when perm is a bijection of the vertices, with int images, that
+    preserves adjacency, checked edge set against edge set."""
+    return _is_permutation(perm, graph.n) and _preserves_adjacency(graph.adj, perm)
 
 
 def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
@@ -256,13 +259,7 @@ def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> 
     failing vertex is the least of its orbit, which fails with it.
     """
     gens = [tuple(g) for g in generators if is_graph_automorphism(graph, g)]
-    reps = []
-    seen = 0
-    for v in range(graph.n):
-        if not seen >> v & 1:
-            reps.append(v)
-            seen |= _orbit(gens, [v])
-    return reps
+    return [(orbit & -orbit).bit_length() - 1 for orbit in _orbits(gens, graph.n)]
 
 
 def _orbit(gens: Sequence[Sequence[int]], seeds: Sequence[int]) -> int:
@@ -278,6 +275,17 @@ def _orbit(gens: Sequence[Sequence[int]], seeds: Sequence[int]) -> int:
                 mask |= 1 << y
                 queue.append(y)
     return mask
+
+
+def _orbits(gens: Sequence[Sequence[int]], degree: int) -> list[int]:
+    """Bitmasks of the orbits of the group that `gens` generate on the points
+    0..degree-1, in order of least element."""
+    orbits, seen = [], 0
+    for v in range(degree):
+        if not seen >> v & 1:
+            orbits.append(_orbit(gens, [v]))
+            seen |= orbits[-1]
+    return orbits
 
 
 class _AutomorphismSearch:

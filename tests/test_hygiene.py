@@ -1,7 +1,8 @@
 """Static checks over the package and its tests: no unused imports, no
-private helper or public name in the package that only the tests use, and
-no stale `__all__` entry.  Also checks that the pytest configuration lets a
-failing hypothesis test report its example."""
+private helper or public name in the package that only the tests use, no
+stale `__all__` entry, and no `assert` statement in the package.  Also
+checks that the pytest configuration lets a failing hypothesis test report
+its example."""
 
 import ast
 import importlib
@@ -85,6 +86,35 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in SCANNED
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line numbers of the `assert` statements in the source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scanner_flags_only_statements():
+    source = "\n".join(
+        [
+            "def f(x):",
+            "    assert x, 'message'",
+            "    assertion = 'assert x'",
+            "    if x:",
+            "        assert (x, 1)",
+            "    return assertion",
+        ]
+    )
+    assert assert_statements(source) == [2, 5]
+
+
+def test_no_assert_in_the_package():
+    # `python -O` strips assert statements, so no certificate may rest on one.
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if (lines := assert_statements(path.read_text()))
     }
     assert found == {}
 

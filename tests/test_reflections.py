@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -15,14 +14,11 @@ from conesym.cones import integer_rank
 from conesym.reflections import (
     GENERATOR_PAIRS,
     DegenerateRaysError,
-    _involution_det,
-    _mul,
-    _transpose,
+    RayActionError,
     attempt_ray_swap,
     build_reflection_group,
     kernel_vector,
     ray_table,
-    reflection,
     symn_orbits,
 )
 
@@ -30,108 +26,25 @@ from references import (
     build_ridge_graph_reference,
     cut_bits_reference,
     cut_order_reference,
+    det_reference,
     kernel_basis_reference,
+    mat_mul_reference,
     mat_vec_reference,
+    reflection_reference,
 )
 
 RAYS = ray_table()
+IDENTITY_ROWS = tuple(tuple(Fraction(int(r == c)) for c in range(6)) for r in range(6))
+# The reflection matrices through the kernel vectors of the five generators,
+# over Fractions: the oracle for what the Gram test certifies.
+GENERATORS = [reflection_reference(attempt_ray_swap(i, j)[0]) for i, j in GENERATOR_PAIRS]
 
 
-# Fraction-row reference implementations of the reflection matrix, the
-# matrix product and the determinant by elimination: the oracles for
-# `reflection`, `_mul` and the trace determinant.
-def _dot_reference(u, v) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
-
-
-def reflection_reference(alpha):
-    norm = _dot_reference(alpha, alpha)
-    rows = []
-    for r in range(len(alpha)):
-        row = []
-        for c in range(len(alpha)):
-            entry = Fraction(1 if r == c else 0) - 2 * Fraction(alpha[r]) * alpha[c] / norm
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def mat_mul_reference(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(_dot_reference(row, col) for col in cols) for row in a)
-
-
-def _det_reference(m) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in m]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-IDENTITY = (1, tuple(int(r == c) for r in range(6) for c in range(6)))
-GENERATORS = [attempt_ray_swap(i, j)[1] for i, j in GENERATOR_PAIRS]
-words = st.lists(st.integers(0, len(GENERATORS) - 1), max_size=8)
-
-
-def as_rows(m):
-    """The (den, entries) form as Fraction rows."""
-    den, entries = m
-    return tuple(tuple(Fraction(v, den) for v in entries[r : r + 6]) for r in range(0, 36, 6))
-
-
-IDENTITY_ROWS = as_rows(IDENTITY)
-
-
-def product(word):
-    return reduce(_mul, (GENERATORS[k] for k in word), IDENTITY)
-
-
-def product_reference(word):
-    return reduce(mat_mul_reference, (as_rows(GENERATORS[k]) for k in word), IDENTITY_ROWS)
-
-
-class TestIntegerFormAgainstFractions:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6).filter(any))
-    def test_reflection_matches_reference(self, alpha):
-        m = reflection(alpha)
-        den, entries = m
-        assert den > 0 and gcd(den, *entries) == 1
-        assert as_rows(m) == reflection_reference(alpha)
-
-    @settings(max_examples=200, deadline=None)
-    @given(words)
-    def test_products_match_reference(self, word):
-        m = product(word)
-        expected = product_reference(word)
-        assert gcd(m[0], *m[1]) == 1
-        assert as_rows(m) == expected
-        assert as_rows(_transpose(m)) == tuple(zip(*expected))
-
-    def test_generator_determinants_match_reference(self):
-        for g in GENERATORS:
-            assert _involution_det(g) == _det_reference(as_rows(g)) == -1
-
-    @settings(max_examples=200, deadline=None)
-    @given(words, st.integers(0, len(GENERATORS) - 1))
-    def test_conjugate_determinants_match_reference(self, word, k):
-        # The generators are involutions, so the reversed word is w^-1.
-        conjugate = product(word + [k] + word[::-1])
-        assert _mul(conjugate, conjugate) == IDENTITY
-        assert _involution_det(conjugate) == _det_reference(as_rows(conjugate))
+def transposition(i, j) -> tuple[int, ...]:
+    """The 0-based ray permutation swapping r_i and r_j."""
+    perm = list(range(7))
+    perm[i - 1], perm[j - 1] = j - 1, i - 1
+    return tuple(perm)
 
 
 # The generating sets of the cuts r1..r7, in the tabulated order.
@@ -272,30 +185,73 @@ class TestAgainstRationalReference:
 
     @pytest.mark.parametrize("i, j", list(itertools.permutations(range(1, 8), 2)))
     def test_ray_permutation_on_every_swap(self, i, j):
-        _, m, perm = attempt_ray_swap(i, j)
-        assert perm == ray_permutation_reference(m, RAYS)
+        # The Gram test admits a swap exactly when the reflection through
+        # alpha permutes the rays, and then both act as the transposition.
+        alpha, perm = attempt_ray_swap(i, j)
+        assert perm == ray_permutation_reference(reflection_reference(alpha), RAYS)
+        assert perm in (None, transposition(i, j))
         four, _ = symn_orbits()
         assert (perm is None) == ((i in four) != (j in four))
 
 
+    def test_gram_test_on_a_perturbed_table(self, monkeypatch):
+        # r7 replaced by another cut of weight 3: every ray keeps its norm,
+        # so only the off-diagonal Gram entries tell which swaps survive.
+        rays = (*RAYS[:6], (1, 1, 0, 1, 0, 0))
+        monkeypatch.setattr(reflections, "_RAYS", rays)
+        found = set()
+        for i, j in itertools.permutations(range(1, 8), 2):
+            others = [r for k, r in enumerate(rays, start=1) if k not in (i, j)]
+            alpha = kernel_line_reference(others)
+            if alpha is None:
+                with pytest.raises(DegenerateRaysError):
+                    attempt_ray_swap(i, j)
+                continue
+            expected = ray_permutation_reference(reflection_reference(alpha), rays)
+            assert attempt_ray_swap(i, j) == (alpha, expected)
+            found.add(expected is None)
+        assert found == {True, False}
+
+
 class TestReflection:
     def test_negates_alpha(self):
-        alpha = (0, -1, 1, 1, -1, 0)
-        m = reflection(alpha)
-        assert mat_vec_reference(m, alpha) == tuple(Fraction(-a) for a in alpha)
+        # On every swap inside an orbit r_i - r_j is a nonzero multiple of
+        # alpha, which the reflection through alpha-perp negates.
+        swaps = 0
+        for i, j in itertools.permutations(range(1, 8), 2):
+            alpha, perm = attempt_ray_swap(i, j)
+            if perm is None:
+                continue
+            swaps += 1
+            diff = [a - b for a, b in zip(RAYS[i - 1], RAYS[j - 1])]
+            (k,) = {Fraction(d, a) for d, a in zip(diff, alpha) if a}
+            assert k and diff == [k * a for a in alpha]
+            negated = tuple(Fraction(-a) for a in alpha)
+            assert mat_vec_reference(reflection_reference(alpha), alpha) == negated
+        assert swaps == 2 * (6 + 3)
 
     def test_fixes_orthogonal_vectors(self):
-        alpha = (0, -1, 1, 1, -1, 0)
-        m = reflection(alpha)
-        v = (1, 1, 1, 1, 1, 1)  # orthogonal: entries of alpha sum to 0
-        assert mat_vec_reference(m, v) == tuple(map(Fraction, v))
+        # The five rays other than r_i and r_j span alpha-perp, and both the
+        # swap and the reflection through alpha-perp fix each of them.
+        for i, j in GENERATOR_PAIRS:
+            alpha, perm = attempt_ray_swap(i, j)
+            others = [k for k in range(7) if k not in (i - 1, j - 1)]
+            assert integer_rank([RAYS[k] for k in others]) == 5
+            m = reflection_reference(alpha)
+            for k in others:
+                assert sum(a * b for a, b in zip(alpha, RAYS[k])) == 0
+                assert perm[k] == k
+                assert mat_vec_reference(m, RAYS[k]) == tuple(map(Fraction, RAYS[k]))
 
-    def test_zero_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            reflection((0, 0, 0, 0, 0, 0))
+    def test_zero_alpha_rejected(self, monkeypatch):
+        # No nonzero vector is a multiple of the zero vector.
+        monkeypatch.setattr(reflections, "kernel_vector", lambda rays: (0,) * 6)
+        with pytest.raises(RayActionError, match=r"r4 - r5 is not a multiple of the normal"):
+            attempt_ray_swap(4, 5)
 
     def test_reference_swap_of_r4_r5(self):
-        alpha, m, perm = attempt_ray_swap(4, 5)
+        alpha, perm = attempt_ray_swap(4, 5)
+        m = reflection_reference(alpha)
         assert mat_vec_reference(m, RAYS[3]) == tuple(map(Fraction, RAYS[4]))
         assert mat_vec_reference(m, RAYS[4]) == tuple(map(Fraction, RAYS[3]))
         for k in (0, 1, 2, 5, 6):
@@ -304,13 +260,11 @@ class TestReflection:
 
     def test_all_generator_pairs_swap(self):
         for i, j in GENERATOR_PAIRS:
-            _, _, perm = attempt_ray_swap(i, j)
-            expected = list(range(7))
-            expected[i - 1], expected[j - 1] = j - 1, i - 1
-            assert perm == tuple(expected)
+            _, perm = attempt_ray_swap(i, j)
+            assert perm == transposition(i, j)
 
     def test_cross_orbit_pair_rejected(self):
-        _, _, perm = attempt_ray_swap(1, 2)
+        _, perm = attempt_ray_swap(1, 2)
         assert perm is None
 
 
@@ -324,11 +278,14 @@ class TestReflectionGroup:
         assert (rep.orbit4_order, rep.orbit3_order) == (24, 6)
 
     def test_generators_are_involutions(self):
+        # ... and orthogonal, of determinant -1, as the Gram test implies.
         rep = build_reflection_group()
         for alpha in rep.alphas:
-            m = reflection(alpha)
+            m = reflection_reference(alpha)
             for unit in IDENTITY_ROWS:
                 assert mat_vec_reference(m, mat_vec_reference(m, unit)) == unit
+            assert mat_mul_reference(tuple(zip(*m)), m) == IDENTITY_ROWS
+            assert det_reference(m) == -1
 
     def test_matches_graph_automorphism_count(self):
         from conesym.autgrp import automorphism_group
@@ -339,23 +296,19 @@ class TestReflectionGroup:
     def test_order_matches_closure_reference(self):
         # Close the generators breadth-first over Fractions: every element
         # moves the rays differently, and the closure has the chain order.
-        gens = [as_rows(g) for g in GENERATORS]
         rays = [tuple(map(Fraction, r)) for r in RAYS]
         elements = {IDENTITY_ROWS}
         frontier = [IDENTITY_ROWS]
         while frontier:
             nxt = []
             for m in frontier:
-                for g in gens:
+                for g in GENERATORS:
                     p = mat_mul_reference(m, g)
                     if p not in elements:
                         elements.add(p)
                         nxt.append(p)
             frontier = nxt
-        ray_perms = {
-            tuple(rays.index(tuple(_dot_reference(row, r) for row in m)) for r in rays)
-            for m in elements
-        }
+        ray_perms = {tuple(rays.index(mat_vec_reference(m, r)) for r in rays) for m in elements}
         assert len(elements) == len(ray_perms) == 144
         assert build_reflection_group().matrix_order == len(elements)
 
