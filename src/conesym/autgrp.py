@@ -1,6 +1,15 @@
 """Graph automorphism groups by partition refinement with individualization,
 and exact permutation-group orders via a stabilizer chain.
 
+The search serves the Theorem 1 graphs at n <= 6 and any graph the caller
+brings.  From n = 7 on, `clique_chain_groups` certifies Aut(Gbar_n) and
+Aut(Gamma_n) without it: the Triangles and their 2-path centres embed
+Aut(Gbar_n) in Aut(Gamma_n), the lines and stars of Gamma_n (the maximal
+cliques of J(n, 3) and of the triangular graph T(n)) bound that by n!, and
+the point seeds, checked edge by edge, reach n! on the n stars.  Aut J(n, 3)
+is Sym(n) for n != 6 (Brouwer, Cohen and Neumaier, *Distance-Regular
+Graphs*, 1989, section 9.1); the chain derives the bound again at each n.
+
 The search keeps the leftmost root-to-leaf path of the individualization tree
 as the reference: a leaf discretizes the partition, and the positional map
 from the reference leaf to another leaf is an automorphism candidate that is
@@ -34,7 +43,16 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .core import TriangleFacet, _points
-from .ridge import Graph, StructureError, _mask_of, build_complement
+from .ridge import (
+    Graph,
+    StructureError,
+    Triangle,
+    _bits,
+    _mask_of,
+    build_complement,
+    build_triangle_graph,
+    find_triangles,
+)
 
 __all__ = [
     "AUT_VERTEX_CAP",
@@ -46,16 +64,20 @@ __all__ = [
     "orbit_representatives",
     "symn_point_generators",
     "induced_point_generators",
+    "CLIQUE_CHAIN_MIN_N",
+    "clique_chain_groups",
     "Theorem1Report",
     "certify_theorem1",
     "verify_theorem1",
 ]
 
 
-# Graphs above this many vertices are refused, by default in the library and
-# on the command line.  It admits the complement ridge graph up to n = 11
-# (495 vertices).
+# `automorphism_group` refuses graphs above this many vertices, by default in
+# the library and on the command line.  From n = CLIQUE_CHAIN_MIN_N on, the
+# Theorem 1 groups come from `clique_chain_groups`, which needs no search and
+# no cap, so the cap bounds only the searches at n <= 6 (60 vertices at most).
 AUT_VERTEX_CAP = 500
+CLIQUE_CHAIN_MIN_N = 7
 
 
 class ResourceLimitError(RuntimeError):
@@ -228,17 +250,18 @@ def group_order(gens: Sequence[Sequence[int]], degree: int | None = None) -> int
     return chain.order()
 
 
+def _moved(perm: Sequence[int], mask: int) -> int:
+    """The image under perm of the set of points in mask."""
+    out = 0
+    while mask:
+        lsb = mask & -mask
+        out |= 1 << perm[lsb.bit_length() - 1]
+        mask ^= lsb
+    return out
+
+
 def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
-    for v in range(len(adj)):
-        m = adj[v]
-        mapped = 0
-        while m:
-            lsb = m & -m
-            mapped |= 1 << perm[lsb.bit_length() - 1]
-            m ^= lsb
-        if mapped != adj[perm[v]]:
-            return False
-    return True
+    return all(_moved(perm, adj[v]) == adj[perm[v]] for v in range(len(adj)))
 
 
 def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
@@ -497,6 +520,169 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     return gens
 
 
+def _cliques(adj: Sequence[int], threshold: int, size: int, what: str) -> list[int]:
+    """The cliques the edges span, as masks, in order of their first edge.
+
+    Edge uv spans u, v and every common neighbour w of u and v that has at
+    least `threshold` neighbours among those common neighbours.  That reads
+    adjacency alone, so every automorphism permutes the cliques.  Raises
+    StructureError naming the first edge, between two `what`, whose span is
+    not a clique of `size`.
+
+    Every edge's span is computed.  Once a clique C of `size` through u and
+    v is known, each other member of C has the size - 3 others as common
+    neighbours of u, v and itself, so with threshold <= size - 3 the span
+    of uv is C plus the common neighbours outside C that pass the
+    threshold: only those are scored."""
+    if threshold > size - 3:
+        raise ValueError("threshold must be at most size - 3")
+    spans = {}
+    through: list[list[int]] = [[] for _ in adj]  # the cliques found through each vertex
+    for u, row in enumerate(adj):
+        for w in _bits(row >> (u + 1)):
+            v = u + 1 + w
+            known = next((c for c in through[u] if c >> v & 1), 0)
+            common = row & adj[v]
+            span = known | 1 << u | 1 << v
+            for x in _bits(common & ~known):
+                if (adj[x] & common).bit_count() >= threshold:
+                    span |= 1 << x
+            if span != known:
+                if span.bit_count() != size or any(span & ~(adj[x] | 1 << x) for x in _bits(span)):
+                    raise StructureError(
+                        f"step (c): the edge between {what} {u} and {v} spans {what}"
+                        f" {list(_bits(span))}, not a clique of {size}"
+                    )
+                spans[span] = None
+                for x in _bits(span):
+                    through[x].append(span)
+    return list(spans)
+
+
+def clique_chain_groups(
+    gbar: Graph, triangles: Sequence[Triangle], gamma: Graph, seeds: Sequence[Sequence[int]], n: int
+) -> tuple[PermGroup, PermGroup]:
+    """Aut(Gbar_n) and Aut(Gamma_n) for n >= 7, certified to be the group the
+    seeds generate, of order n!, by a chain of graph invariants instead of a
+    search:
+
+    (a) `triangles` and `gamma` are `find_triangles(gbar)` and
+        `build_triangle_graph(gbar, triangles)`, which read adjacency alone,
+        so every automorphism of Gbar permutes the Triangles and induces an
+        automorphism of Gamma.  Here the Triangles must partition Gbar's
+        vertices into Gamma's.
+    (b) An automorphism that fixes Triangles A and B fixes the one vertex of
+        A with two neighbours in B, the centre of A's 2-path towards B.
+        These centres cover two vertices of every Triangle, so only the
+        identity fixes every Triangle: Aut(Gbar) embeds in Aut(Gamma).
+    (c) The lines (each edge's span at threshold n - 5) are cliques of n - 2
+        vertices, 3 through each vertex, and on the graph of lines, joined
+        when they meet, the stars (threshold n - 4) are n cliques of n - 1
+        lines.  Each vertex meets exactly 3 stars, and no two meet the same
+        3, so Aut(Gamma) acts faithfully on the n stars: it has at most n!
+        elements.  On J(n, 3) these are the maximal cliques of J(n, 3) and of
+        the triangular graph T(n); at n <= 6 the lines are no cliques.
+    (d) Each seed is checked edge by edge on Gbar and carried through the
+        Triangles, the lines and the stars.  A Triangle permutation that maps
+        lines to lines keeps Gamma's edges, which the lines partition.  By
+        (b) and (c) the star action is faithful, so when the seeds act on the
+        stars with order n! they generate Aut(Gbar) and, on the Triangles,
+        Aut(Gamma).
+
+    Both groups list the seeds, less any the ones before them generate, as
+    `automorphism_group` does; on Gamma a seed is its Triangle permutation.
+    Raises StructureError naming the failing step and the first offending
+    edge, vertex, Triangle, line or seed.
+    """
+    tmasks = [_mask_of(t.vertices) for t in triangles]
+    owner = [-1] * gbar.n
+    for i, t in enumerate(triangles):
+        for v in t.vertices:
+            owner[v] = i
+    if len(triangles) != gamma.n or 3 * len(triangles) != gbar.n or -1 in owner:
+        raise StructureError("step (a): the Triangles do not partition Gbar's vertices into Gamma's")
+
+    adj = gbar.adj
+    for i, t in enumerate(triangles):
+        centres = 0
+        for j in _bits(gamma.adj[i]):
+            hit = [u for u in t.vertices if (adj[u] & tmasks[j]).bit_count() == 2]
+            if len(hit) == 1:
+                centres |= 1 << hit[0]
+                if centres.bit_count() == 2:
+                    break
+        else:
+            raise StructureError(
+                f"step (b): the centres of Triangle {i} cover only {list(_bits(centres))}"
+            )
+
+    lines = _cliques(gamma.adj, n - 5, n - 2, "vertices")
+    on_lines = [0] * gamma.n  # the lines through each vertex, as a mask over lines
+    for k, line in enumerate(lines):
+        for v in _bits(line):
+            on_lines[v] |= 1 << k
+    for v, mask in enumerate(on_lines):
+        if mask.bit_count() != 3:
+            raise StructureError(f"step (c): vertex {v} lies on {mask.bit_count()} lines, not 3")
+    line_adj = [0] * len(lines)
+    for mask in on_lines:
+        for k in _bits(mask):
+            line_adj[k] |= mask
+    line_adj = [row & ~(1 << k) for k, row in enumerate(line_adj)]
+    stars = _cliques(line_adj, n - 4, n - 1, "lines")
+    if len(stars) != n:
+        raise StructureError(f"step (c): {len(stars)} stars, not {n}")
+    on_stars = [0] * len(lines)
+    for s, star in enumerate(stars):
+        for k in _bits(star):
+            on_stars[k] |= 1 << s
+    met = set()
+    for v, mask in enumerate(on_lines):
+        meets = 0
+        for k in _bits(mask):
+            meets |= on_stars[k]
+        if meets.bit_count() != 3 or meets in met:
+            raise StructureError(
+                f"step (c): vertex {v} meets the stars {list(_bits(meets))},"
+                " not 3 that no other vertex meets"
+            )
+        met.add(meets)
+
+    line_index = {line: k for k, line in enumerate(lines)}
+    star_index = {star: s for s, star in enumerate(stars)}
+    chain = _StabilizerChain(n)
+    gbar_gens, gamma_gens = [], []
+    for i, seed in enumerate(seeds):
+        seed = tuple(seed)
+        if not is_graph_automorphism(gbar, seed):
+            where = ""
+            if _is_permutation(seed, gbar.n):
+                v = next(v for v in range(gbar.n) if _moved(seed, adj[v]) != adj[seed[v]])
+                where = f" at vertex {v}"
+            raise StructureError(f"step (d): seed {i} does not keep Gbar's edges{where}")
+        tri = tuple(owner[seed[t.vertices[0]]] for t in triangles)
+        for j, mask in enumerate(tmasks):
+            if _moved(seed, mask) != tmasks[tri[j]]:
+                raise StructureError(f"step (d): seed {i} maps Triangle {j} onto no Triangle")
+        line_perm = []
+        for k, line in enumerate(lines):
+            image = line_index.get(_moved(tri, line))
+            if image is None:
+                raise StructureError(f"step (d): seed {i} maps line {k} onto no line")
+            line_perm.append(image)
+        star_perm = tuple(star_index[_moved(line_perm, star)] for star in stars)
+        if chain.add(star_perm):
+            gbar_gens.append(seed)
+            gamma_gens.append(tri)
+    order = chain.order()
+    if order != factorial(n):
+        raise StructureError(f"step (d): the seeds act on the stars with order {order}, not {n}!")
+    return (
+        PermGroup(gbar.n, tuple(gbar_gens), order, len(gbar_gens), order),
+        PermGroup(gamma.n, tuple(gamma_gens), order, len(gamma_gens), order),
+    )
+
+
 class Theorem1Report(NamedTuple):
     """`group.order` is |Aut(gbar)| and `group.seed_order` the induced image's."""
 
@@ -510,9 +696,10 @@ class Theorem1Report(NamedTuple):
 def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
     """Judge the symmetry-group identification on the group `aut` of the
     complement ridge graph for n points, as `automorphism_group` returns it
-    when seeded with `induced_point_generators(gbar, n)`: the search checked
-    the seeds edge by edge and recorded the exact order of the induced image
-    as `seed_order`.
+    when seeded with `induced_point_generators(gbar, n)`, or
+    `clique_chain_groups` with the same seeds: either checked the seeds edge
+    by edge and recorded the exact order of the induced image as
+    `seed_order`.
 
     The induced point-permutation image must have order n!, the points
     acting faithfully on the facets.  For n >= 5 the automorphism group must
@@ -532,10 +719,18 @@ def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
 
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     """`certify_theorem1` on the seeded group of the complement ridge graph
-    for n points.  Raises StructureError when a point permutation is not an
-    automorphism of it, and ResourceLimitError above the vertex cap."""
+    for n points: by the clique chain from n = CLIQUE_CHAIN_MIN_N on, by the
+    seeded search below it.  Raises StructureError when a point permutation
+    is not an automorphism of it or a step of the chain fails, and
+    ResourceLimitError when a search is above the vertex cap."""
     if n < 4:
         raise ValueError("need n >= 4")
     gbar = build_complement(n)
-    aut = automorphism_group(gbar, vertex_cap, induced_point_generators(gbar, n))
+    seeds = induced_point_generators(gbar, n)
+    if n >= CLIQUE_CHAIN_MIN_N:
+        triangles = find_triangles(gbar)
+        gamma = build_triangle_graph(gbar, triangles)
+        aut = clique_chain_groups(gbar, triangles, gamma, seeds, n)[0]
+    else:
+        aut = automorphism_group(gbar, vertex_cap, seeds)
     return certify_theorem1(aut, n)

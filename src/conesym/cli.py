@@ -23,9 +23,11 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .autgrp import (
     AUT_VERTEX_CAP,
+    CLIQUE_CHAIN_MIN_N,
     ResourceLimitError,
     automorphism_group,
     certify_theorem1,
+    clique_chain_groups,
     induced_point_generators,
     orbit_representatives,
 )
@@ -82,11 +84,15 @@ class Instance:
     next, so memory peaks at the largest single n.
 
     The point permutations act on Gbar and on Gamma by relabelling their
-    vertices (`induced_point_generators`).  They seed the searches for
-    `aut_gbar` and `aut_gamma` alike and unfiltered, so a point permutation
-    that is not an automorphism fails `aut` and `theorem1`, which only judges
-    `aut_gbar` (`certify_theorem1`).  The ones that pass the edge check give
-    the orbit representatives at which the per-vertex claims are certified:
+    vertices (`induced_point_generators`).  Below CLIQUE_CHAIN_MIN_N they
+    seed the searches for `aut_gbar` and `aut_gamma` alike.  From there on
+    Gbar's seed the clique chain (`clique_chain_groups`), which needs no
+    search and no vertex cap and gives both groups, Gamma's generators being
+    the Triangle permutations that Gbar's induce.  Either way the seeds are
+    unfiltered, so a point permutation that is not an automorphism of Gbar
+    fails `aut` and `theorem1`, which only judges `aut_gbar`
+    (`certify_theorem1`).  The ones that pass the edge check give the orbit
+    representatives at which the per-vertex claims are certified:
     each claim is built from the graph and from intersections, differences,
     complements and supports of labels, which a point permutation carries
     along, so it holds at a vertex exactly when it holds on the vertex's
@@ -105,11 +111,20 @@ class Instance:
     gamma_points = cached_property(lambda self: induced_point_generators(self.gamma, self.n))
     gbar_orbits = cached_property(lambda self: orbit_representatives(self.gbar, self.gbar_points))
     gamma_orbits = cached_property(lambda self: orbit_representatives(self.gamma, self.gamma_points))
+    clique_chain = cached_property(
+        lambda self: clique_chain_groups(
+            self.gbar, self.triangles, self.gamma, self.gbar_points, self.n
+        )
+    )
     aut_gbar = cached_property(
-        lambda self: automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
+        lambda self: self.clique_chain[0]
+        if self.n >= CLIQUE_CHAIN_MIN_N
+        else automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
     )
     aut_gamma = cached_property(
-        lambda self: automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
+        lambda self: self.clique_chain[1]
+        if self.n >= CLIQUE_CHAIN_MIN_N
+        else automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
     )
     theorem1 = cached_property(lambda self: certify_theorem1(self.aut_gbar, self.n))
     adjacency = cached_property(lambda self: adjacency_agreement(self.n))
@@ -399,8 +414,9 @@ def _needs_triangles(n: int, cfg: RunConfig):
 
 
 def _aut_cap(n: int, cfg: RunConfig):
+    # From CLIQUE_CHAIN_MIN_N on, the groups need no search.
     vertices = 3 * comb(n, 3)
-    if vertices > cfg.aut_vertex_cap:
+    if n < CLIQUE_CHAIN_MIN_N and vertices > cfg.aut_vertex_cap:
         return f"{vertices} vertices above cap {cfg.aut_vertex_cap}"
     return None
 
@@ -645,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--aut-vertex-cap",
         type=int,
         default=defaults["aut_vertex_cap"],
-        help="skip automorphism computations on graphs above this many vertices",
+        help="skip the automorphism searches, run at n <= 6, on graphs above this many"
+        " vertices; from n = 7 on the groups need no search",
     )
     verify.add_argument(
         "--format",

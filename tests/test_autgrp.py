@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from conesym import autgrp
 from conesym.autgrp import (
+    CLIQUE_CHAIN_MIN_N,
     PermGroup,
     ResourceLimitError,
     Theorem1Report,
@@ -23,6 +25,7 @@ from conesym.autgrp import (
     _StabilizerChain,
     automorphism_group,
     certify_theorem1,
+    clique_chain_groups,
     group_order,
     induced_point_generators,
     is_graph_automorphism,
@@ -34,9 +37,12 @@ from conesym.core import TriangleFacet
 from conesym.ridge import (
     Graph,
     StructureError,
+    Triangle,
+    _bits,
     _mask_of,
     build_complement,
     build_triangle_graph,
+    find_triangles,
     intersection_array,
     verify_distance2_property,
     verify_hexagon_neighborhood,
@@ -570,6 +576,158 @@ class TestSeededSearch:
             with pytest.raises(ValueError) as raised:
                 automorphism_group(graph, known=[seed])
             assert raised.type is StructureError
+
+
+def chain_inputs(n: int):
+    """The complement at n, its census Triangles, their quotient and the
+    point seeds on the complement: what `clique_chain_groups` reads."""
+    gbar = build_complement(n)
+    triangles = find_triangles(gbar)
+    return gbar, triangles, build_triangle_graph(gbar, triangles), induced_point_generators(gbar, n)
+
+
+def first_cross_edge(gbar: Graph) -> tuple[int, int]:
+    """The first edge of Gbar between two Triangles."""
+    labels = gbar.labels
+    return next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
+
+
+def with_centres_on_one_vertex(gbar: Graph, triangles, gamma: Graph) -> Graph:
+    """Gbar with the cross edges of Triangle 0 rewired: towards each
+    neighbour, the centre trades its cross edges with the Triangle's first
+    vertex, so that vertex becomes every centre and the cross edges stay two
+    disjoint 2-paths."""
+    adj = list(gbar.adj)
+    first, masks = triangles[0].vertices[0], [_mask_of(t.vertices) for t in triangles]
+    for j in _bits(gamma.adj[0]):
+        centre = next(u for u in triangles[0].vertices if (gbar.adj[u] & masks[j]).bit_count() == 2)
+        for b in triangles[j].vertices:
+            if centre != first and (adj[b] >> centre & 1) != (adj[b] >> first & 1):
+                for u in (centre, first):
+                    adj[b] ^= 1 << u
+                    adj[u] ^= 1 << b
+    return Graph.from_adjacency(adj, gbar.labels)
+
+
+class TestCliqueChain:
+    # The seeded search stays as the oracle: the chain must return the
+    # groups it finds, generators and seed counts included.
+    @pytest.mark.parametrize("n", range(CLIQUE_CHAIN_MIN_N, 13))
+    def test_same_groups_as_the_seeded_search(self, n):
+        gbar, triangles, gamma, seeds = chain_inputs(n)
+        aut_gbar, aut_gamma = clique_chain_groups(gbar, triangles, gamma, seeds, n)
+        gamma_seeds = induced_point_generators(gamma, n)
+        assert aut_gbar == automorphism_group(gbar, gbar.n, seeds)
+        assert aut_gamma == automorphism_group(gamma, gamma.n, gamma_seeds)
+        assert aut_gamma.generators == tuple(gamma_seeds)
+        assert (aut_gbar.order, aut_gbar.seeds, aut_gbar.seed_order) == (factorial(n), 2, factorial(n))
+
+    def test_verify_theorem1_past_the_vertex_cap(self):
+        # 165 triangle facets at n = 11 lie above a cap of 100, which binds only the search.
+        report = verify_theorem1(11, vertex_cap=100)
+        assert report.passed and report.group.order == factorial(11)
+
+    def test_toggled_gamma7_edge_breaks_a_line(self):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        for w in (next(_bits(gamma.adj[0])), next(w for w in range(1, 35) if not gamma.has_edge(0, w))):
+            with pytest.raises(StructureError, match=r"^step \(c\): the edge between vertices 0 and "):
+                clique_chain_groups(gbar, triangles, toggled(gamma, 0, w), seeds, 7)
+
+    def test_line_threshold_n_minus_6_admits_the_four_set_vertices(self, monkeypatch):
+        # At n = 7 the two common neighbours off the line score 1 = n - 6.
+        cliques = autgrp._cliques
+        monkeypatch.setattr(
+            autgrp, "_cliques",
+            lambda adj, threshold, size, what: cliques(adj, threshold - (size == 5), size, what),
+        )
+        with pytest.raises(StructureError, match=r"^step \(c\): .* spans vertices \[0, 1, 2, 3, 4, 5, 15\], not a clique of 5$"):
+            clique_chain_groups(*chain_inputs(7), 7)
+
+    @pytest.mark.parametrize("which, order", [(0, 7), (1, 2)])
+    def test_identity_seed_leaves_the_lower_bound_short(self, which, order):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        seeds[which] = tuple(range(gbar.n))
+        with pytest.raises(StructureError, match=rf"^step \(d\): the seeds act on the stars with order {order}, not 7!$"):
+            clique_chain_groups(gbar, triangles, gamma, seeds, 7)
+
+    def test_rewired_cross_edges_move_the_centres(self):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        rewired = with_centres_on_one_vertex(gbar, triangles, gamma)
+        first = triangles[0].vertices[0]
+        with pytest.raises(StructureError, match=rf"^step \(b\): the centres of Triangle 0 cover only \[{first}\]$"):
+            clique_chain_groups(rewired, triangles, gamma, seeds, 7)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_lines_are_no_cliques_below_n7(self, n):
+        # Gamma6 has 1440 automorphisms, twice 6!, so the chain must refuse it.
+        with pytest.raises(StructureError, match=r"^step \(c\): the edge between vertices 0 and 1 spans"):
+            clique_chain_groups(*chain_inputs(n), n)
+
+    def test_triangles_must_partition_gbar(self):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        with pytest.raises(StructureError, match=r"^step \(a\): the Triangles do not partition"):
+            clique_chain_groups(gbar, triangles[:-1], gamma, seeds, 7)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda gbar, seeds: (toggled(gbar, *first_cross_edge(gbar)), seeds),
+             "seed 0 does not keep Gbar's edges at vertex 0"),
+            (lambda gbar, seeds: (gbar, [(0,) * gbar.n, seeds[1]]), "seed 0 does not keep Gbar's edges"),
+        ],
+    )
+    def test_seeds_are_checked_edge_by_edge(self, mutate, message):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        gbar, seeds = mutate(gbar, seeds)
+        with pytest.raises(StructureError, match=rf"^step \(d\): {message}$"):
+            clique_chain_groups(gbar, triangles, gamma, seeds, 7)
+
+    def test_seeds_must_carry_triangles_and_lines(self):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        # A vertex traded between Triangles {1, 2, 3} and {5, 6, 7}, 34 apart.
+        a, b = triangles[0], triangles[34]
+        regrouped = list(triangles)
+        regrouped[0] = Triangle((*a.vertices[:2], b.vertices[0]), a.support)
+        regrouped[34] = Triangle((a.vertices[2], *b.vertices[1:]), b.support)
+        with pytest.raises(StructureError, match=r"^step \(d\): seed 0 maps Triangle 0 onto no Triangle$"):
+            clique_chain_groups(gbar, regrouped, gamma, seeds, 7)
+        # Gamma with its vertices 0 and 1 swapped is still J(7, 3), but no
+        # longer the quotient the seeds act on.
+        swap = (1, 0, *range(2, 35))
+        with pytest.raises(StructureError, match=r"^step \(d\): seed 1 maps line 0 onto no line$"):
+            clique_chain_groups(gbar, triangles, relabeled_reference(gamma, swap), seeds, 7)
+
+    @pytest.mark.parametrize(
+        "size, edit, message",
+        [
+            (5, lambda cliques: cliques[1:], r"vertex 0 lies on 2 lines, not 3"),
+            (6, lambda cliques: cliques[:-1], r"6 stars, not 7"),
+            (6, lambda cliques: [*cliques[:-1], cliques[0]],
+             r"vertex 0 meets the stars \[0, 1, 2, 6\], not 3 that no other vertex meets"),
+        ],
+    )
+    def test_lines_and_stars_are_counted(self, monkeypatch, size, edit, message):
+        # At n = 7 the lines have 5 vertices and the stars 6 lines.
+        cliques = autgrp._cliques
+
+        def edited(adj, threshold, clique_size, what):
+            found = cliques(adj, threshold, clique_size, what)
+            return edit(found) if clique_size == size else found
+
+        monkeypatch.setattr(autgrp, "_cliques", edited)
+        with pytest.raises(StructureError, match=rf"^step \(c\): {message}$"):
+            clique_chain_groups(*chain_inputs(7), 7)
+
+    def test_every_edge_spans_its_own_clique(self):
+        # A diamond: the clique {0, 1, 2} is found first, but edge (1, 2)
+        # also has vertex 3 as a common neighbour, so its span is all four.
+        diamond = [0b0110, 0b1101, 0b1011, 0b0110]
+        with pytest.raises(StructureError, match=r"edge between vertices 1 and 2 spans vertices \[0, 1, 2, 3\]"):
+            autgrp._cliques(diamond, 0, 3, "vertices")
+
+    def test_threshold_above_size_minus_3_refused(self):
+        with pytest.raises(ValueError, match="at most size - 3"):
+            autgrp._cliques([0, 0, 0], 1, 3, "vertices")
 
 
 def vf2_automorphism_count(graph: Graph) -> int:

@@ -13,7 +13,13 @@ import pytest
 
 import conesym
 from conesym import cli, cones, reflections
-from conesym.autgrp import AUT_VERTEX_CAP, automorphism_group, induced_point_generators
+from conesym.autgrp import (
+    AUT_VERTEX_CAP,
+    automorphism_group,
+    clique_chain_groups,
+    induced_point_generators,
+    is_graph_automorphism,
+)
 from conesym.cli import (
     HYPERMETRIC_BOUND_MAX,
     ConfigError,
@@ -252,10 +258,45 @@ UNSEEDED = {
 }
 
 
+# From n = 7 on the clique chain certifies `aut` and `theorem1` without a
+# search, so the vertex cap no longer skips them there.  These reports moved
+# by those records alone: by golden, the skip reason of each n that moved,
+# and the sha256 of the file before the move.
+CHAIN_MOVED = {
+    "n4_7_cap40": ({7: "105 vertices above cap 40"},
+                   "b1bc2bf2b7e4d01e09b2e25c2b1dcc8b2a806b8007fa2facec09f2e002475727"),
+}
+
+
+def restore_cap_skips(report: dict, reasons: dict) -> dict:
+    """`report` with its `aut` and `theorem1` records at each n of `reasons`
+    put back as skips with that reason, and the summary counted again."""
+    for rec in report["checks"]:
+        if rec["check"] in ("aut", "theorem1") and rec["n"] in reasons:
+            report["summary"][rec["outcome"]] -= 1
+            report["summary"]["skip"] += 1
+            rec.update(outcome="skip", details={"reason": reasons[rec["n"]]}, witness=None)
+    return report
+
+
+@pytest.mark.parametrize("name", CHAIN_MOVED)
+def test_recorded_report_moved_only_by_the_clique_chain(name):
+    reasons, digest = CHAIN_MOVED[name]
+    report = json.loads((DATA / f"report_{name}.json").read_text())
+    assert all(
+        rec["outcome"] == "pass"
+        for rec in report["checks"]
+        if rec["check"] in ("aut", "theorem1") and rec["n"] in reasons
+    )
+    text = json.dumps(restore_cap_skips(report, reasons), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", UNSEEDED)
 def test_recorded_report_moved_only_in_seeded_fields(name):
     generators, cap, digest = UNSEEDED[name]
     report = json.loads((DATA / f"report_{name}.json").read_text())
+    restore_cap_skips(report, CHAIN_MOVED.get(name, ({},))[0])
     report["config"]["aut_vertex_cap"] = cap
     for rec in report["checks"]:
         if "generators" in rec["details"]:
@@ -263,6 +304,13 @@ def test_recorded_report_moved_only_in_seeded_fields(name):
     assert generators == {}
     text = json.dumps(report, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_vertex_cap_binds_only_the_searches_below_n7():
+    report = run_verify(RunConfig(n_min=6, n_max=7, checks=("aut", "theorem1"), aut_vertex_cap=1))
+    assert [(rec["n"], rec["outcome"]) for rec in report["checks"]] == [
+        (6, "skip"), (6, "skip"), (7, "pass"), (7, "pass")
+    ]
 
 
 def test_default_cap_admits_n11():
@@ -296,6 +344,22 @@ class TestSharedWork:
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=("gamma", "aut", "theorem1")))
         assert report["summary"]["pass"] == 3
         assert sorted(graph.n for graph, *_ in calls) == [20, 60]  # Gamma6 and Gbar6
+
+    def test_clique_chain_replaces_the_searches_from_n7(self, monkeypatch):
+        chains = count_calls(monkeypatch, clique_chain_groups)
+        searches = count_calls(monkeypatch, automorphism_group)
+        report = run_verify(RunConfig(n_min=7, n_max=8, checks=("gamma", "aut", "theorem1")))
+        assert report["summary"]["pass"] == 6
+        assert [args[-1] for args in chains] == [7, 8]
+        assert searches == []
+
+    def test_symmetry_run_checks_each_graphs_seeds_once(self, monkeypatch):
+        # Per n: Gamma's two seeds for the orbit representatives, Gbar's two
+        # in the clique chain, which induces Gamma's generators from them.
+        calls = count_calls(monkeypatch, is_graph_automorphism)
+        report = run_verify(GOLDEN["symmetry"])
+        assert report["summary"] == {"pass": 8, "fail": 0, "skip": 0, "error": 0}
+        assert len(calls) <= 8
 
     def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
         calls = count_calls(monkeypatch, adjacency_agreement)
