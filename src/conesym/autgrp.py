@@ -261,12 +261,27 @@ def _moved(perm: Sequence[int], mask: int) -> int:
 
 
 def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
-    return all(_moved(perm, adj[v]) == adj[perm[v]] for v in range(len(adj)))
+    """Every edge uv, u < v, visited once, maps to an edge.  For a bijection
+    perm that is the whole check: it maps distinct edges to distinct vertex
+    pairs, so the images are as many edges as there are, which makes them
+    the edge set, and non-edges go to non-edges."""
+    for u, row in enumerate(adj):
+        image = adj[perm[u]]
+        row >>= u + 1
+        v = u
+        while row:
+            lsb = row & -row
+            step = lsb.bit_length()
+            v += step
+            row >>= step
+            if not image >> perm[v] & 1:
+                return False
+    return True
 
 
 def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
     """True when perm is a bijection of the vertices, with int images, that
-    preserves adjacency, checked edge set against edge set."""
+    preserves adjacency, checked edge by edge (`_preserves_adjacency`)."""
     return _is_permutation(perm, graph.n) and _preserves_adjacency(graph.adj, perm)
 
 
@@ -502,20 +517,36 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     3-sets (the Triangle quotient): each maps the vertex labelled L to the
     vertex labelled sigma(L).  Raises StructureError when some sigma(L)
     labels no vertex."""
-    if graph.labels is None:
+    labels = graph.labels
+    if labels is None:
         raise ValueError("graph must carry vertex labels")
-    index = {label: i for i, label in enumerate(graph.labels)}
+    # A facet for n points is keyed by its 0-based (i, j, k), i < j: moving
+    # it reads sigma three times and orders the apex.  Any other label is
+    # moved by `_move_label`, which refuses a facet of another n.
+    keys = [
+        (f.i - 1, f.j - 1, f.k - 1) if isinstance(f, TriangleFacet) and f.n == n else None
+        for f in labels
+    ]
+    facet_index = {key: v for v, key in enumerate(keys) if key is not None}
+    label_index = {label: v for v, (label, key) in enumerate(zip(labels, keys)) if key is None}
     gens = []
     for sigma in symn_point_generators(n):
         perm = []
-        for label in graph.labels:
-            image = _move_label(sigma, label)
-            if image not in index:
+        for label, key in zip(labels, keys):
+            if key is None:
+                image = _move_label(sigma, label)
+                v = label_index.get(image)
+            else:
+                i, j, k = sigma[key[0]], sigma[key[1]], sigma[key[2]]
+                v = facet_index.get((i, j, k) if i < j else (j, i, k))
+                if v is None:
+                    image = TriangleFacet(i + 1, j + 1, k + 1, n)
+            if v is None:
                 images = tuple(p + 1 for p in sigma)
                 raise StructureError(
                     f"point permutation {images} maps {label!r} to {image!r}, not a label"
                 )
-            perm.append(index[image])
+            perm.append(v)
         gens.append(tuple(perm))
     return gens
 

@@ -78,9 +78,27 @@ class ConfigError(ValueError):
     pass
 
 
+class _once(cached_property):
+    """A cached_property that keeps an exception its function raises too
+    and raises it again on every later read, so a failing build runs once."""
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            return self
+        failures = inst.__dict__.setdefault("_failures", {})
+        if self.attrname in failures:
+            raise failures[self.attrname]
+        try:
+            return super().__get__(inst, owner)
+        except Exception as exc:
+            failures[self.attrname] = exc
+            raise
+
+
 class Instance:
     """The objects the checks at one n share, each built on first use and
-    at most once.  `run_verify` keeps one per n and drops it before the
+    at most once, a build that raises included: later reads raise its
+    error again.  `run_verify` keeps one per n and drops it before the
     next, so memory peaks at the largest single n.
 
     The point permutations act on Gbar and on Gamma by relabelling their
@@ -102,33 +120,33 @@ class Instance:
         # bound is the coefficient bound of the bounded family.
         self.n, self.vertex_cap, self.bound = n, vertex_cap, bound
 
-    facets = cached_property(lambda self: enumerate_triangle_facets(self.n))
-    columns = cached_property(lambda self: cut_columns(self.n))
-    gbar = cached_property(lambda self: build_complement(self.n))
-    triangles = cached_property(lambda self: find_triangles(self.gbar))
-    gamma = cached_property(lambda self: build_triangle_graph(self.gbar, self.triangles))
-    gbar_points = cached_property(lambda self: induced_point_generators(self.gbar, self.n))
-    gamma_points = cached_property(lambda self: induced_point_generators(self.gamma, self.n))
-    gbar_orbits = cached_property(lambda self: orbit_representatives(self.gbar, self.gbar_points))
-    gamma_orbits = cached_property(lambda self: orbit_representatives(self.gamma, self.gamma_points))
-    clique_chain = cached_property(
+    facets = _once(lambda self: enumerate_triangle_facets(self.n))
+    columns = _once(lambda self: cut_columns(self.n))
+    gbar = _once(lambda self: build_complement(self.n))
+    triangles = _once(lambda self: find_triangles(self.gbar))
+    gamma = _once(lambda self: build_triangle_graph(self.gbar, self.triangles))
+    gbar_points = _once(lambda self: induced_point_generators(self.gbar, self.n))
+    gamma_points = _once(lambda self: induced_point_generators(self.gamma, self.n))
+    gbar_orbits = _once(lambda self: orbit_representatives(self.gbar, self.gbar_points))
+    gamma_orbits = _once(lambda self: orbit_representatives(self.gamma, self.gamma_points))
+    clique_chain = _once(
         lambda self: clique_chain_groups(
             self.gbar, self.triangles, self.gamma, self.gbar_points, self.n
         )
     )
-    aut_gbar = cached_property(
+    aut_gbar = _once(
         lambda self: self.clique_chain[0]
         if self.n >= CLIQUE_CHAIN_MIN_N
         else automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
     )
-    aut_gamma = cached_property(
+    aut_gamma = _once(
         lambda self: self.clique_chain[1]
         if self.n >= CLIQUE_CHAIN_MIN_N
         else automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
     )
-    theorem1 = cached_property(lambda self: certify_theorem1(self.aut_gbar, self.n))
-    adjacency = cached_property(lambda self: adjacency_agreement(self.n))
-    sweep = cached_property(lambda self: hypermetric_sweep(self.n, self.bound))
+    theorem1 = _once(lambda self: certify_theorem1(self.aut_gbar, self.n))
+    adjacency = _once(lambda self: adjacency_agreement(self.n))
+    sweep = _once(lambda self: hypermetric_sweep(self.n, self.bound))
 
 
 # --- check runners ---------------------------------------------------------

@@ -356,8 +356,20 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
             owner[v] = i
     rows = [0] * len(triangles)
     for a, ta in enumerate(triangles):
-        joined = {owner[w] for w in _bits(gbar.reach(masks[a]))}
-        for b in sorted(b for b in joined if b > a):
+        # One step per Triangle that A reaches: the lowest reached vertex
+        # names it, and its whole mask is cleared.  A vertex in no Triangle
+        # clears its own bit alone.
+        reach, joined = gbar.reach(masks[a]), []
+        while reach:
+            w = (reach & -reach).bit_length() - 1
+            b = owner[w]
+            if b < 0:
+                reach ^= 1 << w
+                continue
+            reach &= ~masks[b]
+            if b > a:
+                joined.append(b)
+        for b in sorted(joined):
             tb = triangles[b].vertices
             deg_a = [(adj[u] & masks[b]).bit_count() for u in ta.vertices]
             if sum(deg_a) != 4:

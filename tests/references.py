@@ -2,9 +2,9 @@
 definition, a point permutation's action on vectors over pairs, rational
 row reduction, reflection matrices over Fractions with their products,
 images and determinants, the ridge graph built pair by pair, the switching
-map, and the per-vertex claims checked at every vertex instead of once per
-orbit.  The package computes none of these; the tests use them as
-oracles."""
+map, a vertex permutation's image of an edge set, and the per-vertex claims
+checked at every vertex instead of once per orbit.  The package computes
+none of these; the tests use them as oracles."""
 
 import itertools
 from fractions import Fraction
@@ -141,6 +141,17 @@ def switching_reflection_reference(members, x) -> tuple:
         raise ValueError(f"length {len(x)} is not C(n, 2) for any n")
     cut = cut_bits_reference(members, n)
     return tuple(1 - val if c else val for c, val in zip(cut, x))
+
+
+def preserves_edges_reference(graph: Graph, perm) -> bool:
+    """The edge set, read pair by pair as a set of frozensets, mapped
+    through the vertex permutation perm and compared with itself."""
+    edges = {
+        frozenset((u, v))
+        for u, v in itertools.combinations(range(graph.n), 2)
+        if graph.has_edge(u, v)
+    }
+    return {frozenset(perm[v] for v in e) for e in edges} == edges
 
 
 def every_vertex_census_reference(graph: Graph):

@@ -56,6 +56,7 @@ from references import (
     every_vertex_census_reference,
     first_failure_reference,
     johnson_isomorphism_reference,
+    preserves_edges_reference,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -78,6 +79,16 @@ def induced_facet_permutation_reference(sigma, facets):
         index[TriangleFacet(sigma[f.i - 1] + 1, sigma[f.j - 1] + 1, sigma[f.k - 1] + 1, f.n)]
         for f in facets
     )
+
+
+def orbit_of_pair(perm, u, v) -> list[tuple[int, int]]:
+    """The pairs (u, v), (perm u, perm v), ... up to the first repeat, each
+    listed in both orders."""
+    out = []
+    while (u, v) not in out:
+        out += [(u, v), (v, u)]
+        u, v = perm[u], perm[v]
+    return out
 
 
 def kneser_petersen() -> Graph:
@@ -195,6 +206,27 @@ class TestIsGraphAutomorphism:
         assert is_graph_automorphism(graph, (1, 0, 3, 2)) is True
         assert is_graph_automorphism(graph, (0, 2, 1, 3)) is False
 
+    def test_an_edge_count_kept_is_not_enough(self):
+        # (2 3) maps the path 0-1-2 and the isolated vertex 3 to two edges
+        # again, but 1-2 goes to the non-edge 1-3, the last edge visited.
+        graph = Graph(4, [(0, 1), (1, 2)])
+        perm = (0, 1, 3, 2)
+        assert is_graph_automorphism(graph, perm) is preserves_edges_reference(graph, perm) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_edge_set_reference(self, data):
+        graph = data.draw(random_graphs(max_vertices=16))
+        perm = tuple(data.draw(st.permutations(range(graph.n))))
+        assert is_graph_automorphism(graph, perm) is preserves_edges_reference(graph, perm)
+        # The union of the orbits of the edges under perm is a graph that
+        # perm keeps, so the check is also met where it must pass.
+        closed = Graph(graph.n, [
+            (a, b) for u, v in graph.edges() for a, b in orbit_of_pair(perm, u, v) if a < b
+        ])
+        assert preserves_edges_reference(closed, perm)
+        assert is_graph_automorphism(closed, perm) is True
+
 
 class TestRidgeGraphOrders:
     def test_g4_order_144(self):
@@ -309,8 +341,42 @@ class TestSymnAction:
             symn_point_generators(1)
 
     def test_facet_label_of_another_n_refused(self):
-        with pytest.raises(ValueError, match=r"TriangleFacet\(1,2;3\) is a facet for n=5"):
+        with pytest.raises(ValueError, match=r"^TriangleFacet\(1,2;3\) is a facet for n=5, not n=4$"):
             induced_point_generators(build_complement(5), 4)
+        # Also where one facet alone is of another n, after labels that move.
+        gbar = build_complement(5)
+        labels = [*gbar.labels[:-1], TriangleFacet(1, 2, 3, 6)]
+        with pytest.raises(ValueError, match=r"^TriangleFacet\(1,2;3\) is a facet for n=6, not n=5$"):
+            induced_point_generators(Graph.from_adjacency(gbar.adj, labels), 5)
+
+    @pytest.mark.parametrize(
+        "pos, message",
+        [
+            (0, "(2, 3, 4, 5, 1) maps TriangleFacet(1,5;2) to TriangleFacet(1,2;3)"),
+            (7, "(2, 1, 3, 4, 5) maps TriangleFacet(2,5;1) to TriangleFacet(1,5;2)"),
+            (29, "(2, 3, 4, 5, 1) maps TriangleFacet(3,4;2) to TriangleFacet(4,5;3)"),
+        ],
+    )
+    def test_facet_image_that_labels_no_vertex(self, pos, message):
+        # Label pos is overwritten by a copy of another, so no vertex
+        # carries it; the first label that moves onto it is named.
+        gbar = build_complement(5)
+        labels = list(gbar.labels)
+        labels[pos] = labels[29 if pos == 0 else 0]
+        with pytest.raises(StructureError) as raised:
+            induced_point_generators(Graph.from_adjacency(gbar.adj, labels), 5)
+        assert str(raised.value) == f"point permutation {message}, not a label"
+
+    def test_three_set_image_that_labels_no_vertex(self):
+        gamma = build_triangle_graph(build_complement(5))
+        labels = list(gamma.labels)
+        labels[3] = labels[0]
+        with pytest.raises(StructureError) as raised:
+            induced_point_generators(Graph.from_adjacency(gamma.adj, labels), 5)
+        assert str(raised.value) == (
+            "point permutation (2, 1, 3, 4, 5) maps frozenset({2, 3, 4})"
+            " to frozenset({1, 3, 4}), not a label"
+        )
 
     def test_three_set_label_above_n_refused(self):
         gamma5 = build_triangle_graph(build_complement(5))

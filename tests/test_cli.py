@@ -313,12 +313,21 @@ def test_vertex_cap_binds_only_the_searches_below_n7():
     ]
 
 
-def test_default_cap_admits_n11():
-    # One cap, 500 vertices, for the library and the command line; the
-    # complement ridge graph at n = 11 has 495.
+def test_default_cap_admits_n11(monkeypatch):
+    # One cap, 500 vertices, for the library and the command line.  At
+    # n = 11 the clique chain certifies both groups, so no search runs.
     assert RunConfig().aut_vertex_cap == AUT_VERTEX_CAP == 500
+    searches = count_calls(monkeypatch, automorphism_group)
     report = run_verify(RunConfig(n_min=11, n_max=11, checks=("aut", "theorem1")))
     assert [rec["outcome"] for rec in report["checks"]] == ["pass", "pass"]
+    assert searches == []
+
+
+def test_cap_binds_the_search_at_n6():
+    # Gbar5 has 30 vertices and Gbar6 60, one above the cap.
+    report = run_verify(RunConfig(n_min=5, n_max=6, checks=("aut", "theorem1"), aut_vertex_cap=59))
+    assert [rec["outcome"] for rec in report["checks"]] == ["pass", "pass", "skip", "skip"]
+    assert report["checks"][2]["details"] == {"reason": "60 vertices above cap 59"}
 
 
 def count_calls(monkeypatch, fn):
@@ -352,6 +361,27 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 6
         assert [args[-1] for args in chains] == [7, 8]
         assert searches == []
+
+    def test_failed_clique_chain_runs_once(self, monkeypatch):
+        # Identity point seeds on Gbar7 fail step (d); theorem1 reads the
+        # failure aut left instead of running the chain again.
+        chains = count_calls(monkeypatch, clique_chain_groups)
+        identity = property(lambda inst: [tuple(range(inst.gbar.n))] * 2)
+        monkeypatch.setattr(cli.Instance, "gbar_points", identity)
+        report = run_verify(RunConfig(n_min=7, n_max=7, checks=("aut", "theorem1")))
+        assert len(chains) == 1
+        witness = {"error": "step (d): the seeds act on the stars with order 1, not 7!"}
+        assert [(rec["outcome"], rec["witness"]) for rec in report["checks"]] == [("fail", witness)] * 2
+
+    def test_failed_search_runs_once(self, monkeypatch):
+        # At n = 6 a failing seeded search is kept the same way.
+        searches = count_calls(monkeypatch, automorphism_group)
+        constant = property(lambda inst: [(0,) * inst.gbar.n])
+        monkeypatch.setattr(cli.Instance, "gbar_points", constant)
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=("aut", "theorem1")))
+        assert len(searches) == 1
+        witness = {"error": "known[0] is not an automorphism of the graph"}
+        assert [(rec["outcome"], rec["witness"]) for rec in report["checks"]] == [("fail", witness)] * 2
 
     def test_symmetry_run_checks_each_graphs_seeds_once(self, monkeypatch):
         # Per n: Gamma's two seeds for the orbit representatives, Gbar's two

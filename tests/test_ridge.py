@@ -1,6 +1,8 @@
 """Tests for the ridge graph, its complement, Triangles, and the quotient."""
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 import networkx as nx
 import pytest
@@ -601,6 +603,22 @@ def two_disjoint_2paths_reference(cross):
         raise StructureError(f"cross edges {cross} form {comps} components, expected 2")
 
 
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def quotient_outcome(build, gbar, triangles):
     """The quotient's edges and labels, or the StructureError message."""
     try:
@@ -631,6 +649,38 @@ class TestTriangleGraphAgainstReference:
         expected = quotient_outcome(build_triangle_graph_reference, broken, triangles)
         assert expected.startswith("StructureError: Triangles")
         assert quotient_outcome(build_triangle_graph, broken, triangles) == expected
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_vertices_in_no_triangle_are_stepped_over(self, n):
+        # Each Triangle dropped in turn leaves its three vertices in no
+        # Triangle; the walk must clear each of their bits and go on, where
+        # a walk that skips them without clearing never ends.
+        gbar = build_complement(n)
+        triangles = find_triangles(gbar)
+        full = build_triangle_graph(gbar, triangles)
+        for drop in range(len(triangles)):
+            kept = triangles[:drop] + triangles[drop + 1 :]
+            with time_limit(10):
+                gamma = build_triangle_graph(gbar, kept)
+            assert quotient_outcome(build_triangle_graph_reference, gbar, kept) == (
+                list(gamma.edges()), gamma.labels
+            )
+            rest = [v for v in range(full.n) if v != drop]
+            assert gamma.adj == [
+                _mask_of(i for i, w in enumerate(rest) if full.has_edge(v, w)) for v in rest
+            ]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_a_two_vertex_triangle_gives_the_references_error(self, n):
+        gbar = build_complement(n)
+        triangles = find_triangles(gbar)
+        for drop in range(3):
+            first = triangles[0]
+            shrunk = Triangle(first.vertices[:drop] + first.vertices[drop + 1 :], first.support)
+            kept = [shrunk, *triangles[1:]]
+            expected = quotient_outcome(build_triangle_graph_reference, gbar, kept)
+            assert expected.startswith("StructureError: Triangles 0 and ")
+            assert quotient_outcome(build_triangle_graph, gbar, kept) == expected
 
 
 # Two 3-cliques, {0, 1, 2} and {3, 4, 5}, and the nine pairs between them.
