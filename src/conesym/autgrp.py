@@ -499,49 +499,40 @@ def symn_point_generators(n: int) -> list[tuple[int, ...]]:
     return [(1, 0, *range(2, n)), (*range(1, n), 0)]
 
 
-def _move_label(sigma: Sequence[int], label):
-    """The image under sigma of a triangle facet or a 3-set of the points
-    1..len(sigma); ValueError for a facet of another n or a point outside."""
-    n = len(sigma)
-    if isinstance(label, TriangleFacet):
-        if label.n != n:
-            raise ValueError(f"{label!r} is a facet for n={label.n}, not n={n}")
-        return TriangleFacet(*(sigma[p - 1] + 1 for p in (label.i, label.j, label.k)), n)
-    points = _points(label, n, f"{set(label)} is not a set of points inside 1..{n}")
-    return frozenset(sigma[p - 1] + 1 for p in points)
-
-
 def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     """`symn_point_generators(n)` as permutations of the vertices of a graph
     labelled by triangle facets (the ridge graph and its complement) or by
     3-sets (the Triangle quotient): each maps the vertex labelled L to the
-    vertex labelled sigma(L).  Raises StructureError when some sigma(L)
-    labels no vertex."""
+    vertex labelled sigma(L).
+
+    Every label is keyed before any move, a facet for n points as the mask
+    of its 0-based apex and its 0-based third point, a 3-set as the mask of
+    its 0-based points and -1.  So a facet of another n, or a 3-set with a
+    point outside 1..n, raises ValueError before any image is looked up;
+    StructureError when some sigma(L) labels no vertex."""
     labels = graph.labels
     if labels is None:
         raise ValueError("graph must carry vertex labels")
-    # A facet for n points is keyed by its 0-based (i, j, k), i < j: moving
-    # it reads sigma three times and orders the apex.  Any other label is
-    # moved by `_move_label`, which refuses a facet of another n.
-    keys = [
-        (f.i - 1, f.j - 1, f.k - 1) if isinstance(f, TriangleFacet) and f.n == n else None
-        for f in labels
-    ]
-    facet_index = {key: v for v, key in enumerate(keys) if key is not None}
-    label_index = {label: v for v, (label, key) in enumerate(zip(labels, keys)) if key is None}
+    keys = []
+    for label in labels:
+        if isinstance(label, TriangleFacet):
+            if label.n != n:
+                raise ValueError(f"{label!r} is a facet for n={label.n}, not n={n}")
+            keys.append((1 << label.i - 1 | 1 << label.j - 1, label.k - 1))
+        else:
+            points = _points(label, n, f"{set(label)} is not a set of points inside 1..{n}")
+            keys.append((_mask_of(p - 1 for p in points), -1))
+    index = {key: v for v, key in enumerate(keys)}
     gens = []
     for sigma in symn_point_generators(n):
+        third = (*sigma, -1)  # third[-1] keeps a 3-set's -1
         perm = []
-        for label, key in zip(labels, keys):
-            if key is None:
-                image = _move_label(sigma, label)
-                v = label_index.get(image)
-            else:
-                i, j, k = sigma[key[0]], sigma[key[1]], sigma[key[2]]
-                v = facet_index.get((i, j, k) if i < j else (j, i, k))
-                if v is None:
-                    image = TriangleFacet(i + 1, j + 1, k + 1, n)
+        for label, (mask, k) in zip(labels, keys):
+            moved = _moved(sigma, mask)
+            v = index.get((moved, third[k]))
             if v is None:
+                points = [p + 1 for p in _bits(moved)]
+                image = frozenset(points) if k < 0 else TriangleFacet(*points, third[k] + 1, n)
                 images = tuple(p + 1 for p in sigma)
                 raise StructureError(
                     f"point permutation {images} maps {label!r} to {image!r}, not a label"

@@ -4,18 +4,19 @@ as a reflection group acting on its 7 extreme rays.
 Everything here runs on Python integers, and no matrix is built.  The
 certificate rests on one lemma: a permutation of a spanning set that keeps
 its Gram matrix G extends to exactly one linear isometry, since a
-combination c of the vectors vanishes exactly when c^T G c = 0.  The 7 rays
-span R^6, so a swap of rays r_i, r_j that keeps their 7 x 7 Gram matrix is
-exactly one isometry g.  The kernel line alpha of the other five rays, read
-off the six 5 x 5 minors of their matrix, is nonzero only when they are
-independent; then g fixes alpha-perp, the hyperplane they span, and being
-orthogonal keeps the line of alpha, so g alpha = -alpha since g moves r_i.
-So g is the reflection through alpha-perp, an involution of determinant
--1, and r_i - r_j = r_i - g r_i is a nonzero multiple of alpha, which is
-checked too.  The group is ordered through its action on the rays, never
-by listing its elements: the rays span R^6, so the action is faithful, and
-a stabilizer chain on the generators' ray permutations gives order 144, the
-full symmetric group on the 4-ray orbit times the one on the 3-ray orbit.
+combination c of the vectors vanishes exactly when c^T G c = 0.  The kernel
+line alpha of five of the rays, read off the six 5 x 5 minors of their
+matrix, is nonzero only when they are independent, and then they span
+alpha-perp.  A swap of the other two rays r_i, r_j must keep the 7 x 7 Gram
+matrix, and r_i - r_j must be a nonzero multiple of alpha, which puts alpha
+in the span of the rays: so the 7 rays span R^6 and the swap is exactly one
+isometry g.  It fixes alpha-perp and, being orthogonal, keeps the line of
+alpha, so g alpha = -alpha since g moves r_i.  So g is the reflection
+through alpha-perp, an involution of determinant -1.  The group is ordered
+through its action on the rays, never by listing its elements: the rays
+span R^6, so the action is faithful, and a stabilizer chain on the
+generators' ray permutations gives order 144, the full symmetric group on
+the 4-ray orbit times the one on the 3-ray orbit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .autgrp import _orbits, group_order, symn_point_generators
-from .cones import integer_rank
 from .core import pair_index, pair_list
 from .ridge import StructureError
 
@@ -173,8 +173,7 @@ def _restriction_order(perms, positions) -> int:
 class ReflectionGroupReport(NamedTuple):
     generator_pairs: tuple[tuple[int, int], ...]
     alphas: tuple[tuple[int, ...], ...]
-    generator_perms: tuple[tuple[int, ...], ...]
-    matrix_order: int | None  # None when the rays fail to span the space
+    matrix_order: int
     perm_order: int
     faithful: bool
     orbit4_order: int
@@ -200,12 +199,12 @@ def build_reflection_group() -> ReflectionGroupReport:
     stabilizer chain on the generators' ray permutations; the action must
     restrict to the full symmetric group on each ray orbit.
 
-    The action is faithful when the rays span R^6 (an integer rank
-    certificate): a matrix fixing 7 spanning rays is the identity.  Every
-    generator permutes the rays, so the action maps the matrix group onto the
-    group of the ray permutations, and a faithful action makes the two
-    orders equal.  Without the rank certificate the matrix order is unknown
-    and the report fails.
+    The action is faithful because any passing swap makes the rays span
+    R^6: it puts r_i - r_j, a nonzero multiple of alpha, beside five rays
+    that span alpha-perp, and a matrix fixing 7 spanning rays is the
+    identity.  Every generator permutes the rays, so the action maps the
+    matrix group onto the group of the ray permutations, and the two orders
+    are equal.
     """
     alphas = []
     perms = []
@@ -217,15 +216,13 @@ def build_reflection_group() -> ReflectionGroupReport:
         perms.append(perm)
 
     perm_order = group_order(perms, RAY_COUNT)
-    faithful = integer_rank(_RAYS) == len(_RAYS[0])
     orbit4, orbit3 = symn_orbits()
     return ReflectionGroupReport(
         GENERATOR_PAIRS,
         tuple(alphas),
-        tuple(perms),
-        perm_order if faithful else None,
         perm_order,
-        faithful,
+        perm_order,
+        True,
         _restriction_order(perms, [p - 1 for p in orbit4]),
         _restriction_order(perms, [p - 1 for p in orbit3]),
     )

@@ -89,30 +89,24 @@ class Graph:
     def from_adjacency(cls, adj: Sequence[int], labels=None) -> "Graph":
         """The graph whose row v is the bitmask of v's neighbours.
 
-        The rows must describe a simple undirected graph: ValueError on a
-        self-loop, a bit past the last vertex, or an edge missing from the
-        other endpoint's row.  Only the bits above the diagonal are looked
-        up in the other row; once they all match, the rows hold twice as
-        many bits as there are such edges exactly when every bit below the
-        diagonal has its partner above it.
+        The rows must describe a simple undirected graph, which they do
+        exactly when they equal the symmetric closure of their bits above
+        the diagonal among the n vertices: a self-loop, a bit past the last
+        vertex, a negative row or an edge missing from the other endpoint's
+        row each make some row differ, and ValueError names the first.
         """
         n = len(adj)
-        for u, row in enumerate(adj):
-            # First, since a negative row would never run out of bits.
-            if row >> u & 1:
-                raise ValueError(f"bad edge ({u}, {u})")
-            if row >> n:
-                raise ValueError(f"row {u} names a vertex past {n - 1}")
-        upper = 0
-        for u, row in enumerate(adj):
-            for w in _bits(row >> (u + 1)):
-                v = u + 1 + w
-                if not adj[v] >> u & 1:
-                    raise ValueError(f"bad edge ({u}, {v}): missing from row {v}")
-                upper += 1
-        unmatched = sum(row.bit_count() for row in adj) - 2 * upper
-        if unmatched:
-            raise ValueError(f"{unmatched} edges below the diagonal are missing from the other row")
+        full = (1 << n) - 1
+        upper = [row & full >> u + 1 << u + 1 for u, row in enumerate(adj)]
+        closure = upper[:]
+        for u, row in enumerate(upper):
+            for v in _bits(row):
+                closure[v] |= 1 << u
+        for u, (row, mirrored) in enumerate(zip(adj, closure)):
+            if row != mirrored:
+                raise ValueError(
+                    f"row {u} differs from the symmetric closure of the bits above the diagonal"
+                )
         g = cls.__new__(cls)
         g.n = n
         g.adj = list(adj)

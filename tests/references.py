@@ -1,9 +1,10 @@
 """Reference implementations shared by the tests: cut vectors from the
 definition, a point permutation's action on vectors over pairs, rational
 row reduction, reflection matrices over Fractions with their products,
-images and determinants, the ridge graph built pair by pair, the switching
-map, a vertex permutation's image of an edge set, and the per-vertex claims
-checked at every vertex instead of once per orbit.  The package computes
+images and determinants, the ridge graph built pair by pair, simple
+adjacency rows checked condition by condition, the switching map, a vertex
+permutation's image of an edge set, and the per-vertex claims checked at
+every vertex instead of once per orbit.  The package computes
 none of these; the tests use them as oracles."""
 
 import itertools
@@ -128,6 +129,20 @@ def build_ridge_graph_reference(n: int) -> Graph:
         if all(signs[b].get(idx, sign) == sign for idx, sign in signs[a].items())
     ]
     return Graph(len(facets), edges, facets)
+
+
+def simple_rows_reference(adj) -> bool:
+    """True when bitmask rows describe a simple undirected graph on
+    len(adj) vertices, one condition at a time: every row is non-negative
+    and below 2**n, no row holds its own bit, and bit v of row u equals bit
+    u of row v."""
+    n = len(adj)
+    return (
+        all(row >= 0 for row in adj)
+        and all(row < 1 << n for row in adj)
+        and not any(adj[u] >> u & 1 for u in range(n))
+        and all(adj[u] >> v & 1 == adj[v] >> u & 1 for u in range(n) for v in range(n))
+    )
 
 
 def switching_reflection_reference(members, x) -> tuple:

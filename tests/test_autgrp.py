@@ -81,6 +81,14 @@ def induced_facet_permutation_reference(sigma, facets):
     )
 
 
+def induced_set_permutation_reference(sigma, sets):
+    """The 3-set-index permutation induced by one point permutation, an
+    image tuple on 0..n-1, moving each set point by point.  The oracle for
+    `induced_point_generators` on the Triangle quotient."""
+    index = {s: i for i, s in enumerate(sets)}
+    return tuple(index[frozenset(sigma[p - 1] + 1 for p in s)] for s in sets)
+
+
 def orbit_of_pair(perm, u, v) -> list[tuple[int, int]]:
     """The pairs (u, v), (perm u, perm v), ... up to the first repeat, each
     listed in both orders."""
@@ -329,6 +337,14 @@ class TestSymnAction:
             ]
             assert induced_point_generators(gbar, n) == expected
             assert all(is_graph_automorphism(gbar, perm) for perm in expected)
+            if n >= 5:
+                gamma = build_triangle_graph(gbar)
+                expected = [
+                    induced_set_permutation_reference(sigma, gamma.labels)
+                    for sigma in symn_point_generators(n)
+                ]
+                assert induced_point_generators(gamma, n) == expected
+                assert all(is_graph_automorphism(gamma, perm) for perm in expected)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_point_generators_generate_sym_n(self, n):
@@ -346,6 +362,18 @@ class TestSymnAction:
         # Also where one facet alone is of another n, after labels that move.
         gbar = build_complement(5)
         labels = [*gbar.labels[:-1], TriangleFacet(1, 2, 3, 6)]
+        with pytest.raises(ValueError, match=r"^TriangleFacet\(1,2;3\) is a facet for n=6, not n=5$"):
+            induced_point_generators(Graph.from_adjacency(gbar.adj, labels), 5)
+
+    def test_label_of_another_n_refused_before_a_missing_image(self):
+        # Every label is keyed before any move.  Moved label by label, the
+        # first point generator would find no vertex for the image of
+        # TriangleFacet(2,5;1) before it reached the facet of another n at
+        # the end; keyed first, that facet is what is refused.
+        gbar = build_complement(5)
+        labels = list(gbar.labels)
+        labels[7] = labels[0]
+        labels[-1] = TriangleFacet(1, 2, 3, 6)
         with pytest.raises(ValueError, match=r"^TriangleFacet\(1,2;3\) is a facet for n=6, not n=5$"):
             induced_point_generators(Graph.from_adjacency(gbar.adj, labels), 5)
 
@@ -404,12 +432,10 @@ class TestTheorem1:
         # were a complement ridge graph certificate.
         gamma6 = build_triangle_graph(build_complement(6))
         aut = automorphism_group(gamma6)
-        index = {s: i for i, s in enumerate(gamma6.labels)}
-        induced = []
-        for sigma in symn_point_generators(6):
-            induced.append(
-                tuple(index[frozenset(sigma[p - 1] + 1 for p in s)] for s in gamma6.labels)
-            )
+        induced = [
+            induced_set_permutation_reference(sigma, gamma6.labels)
+            for sigma in symn_point_generators(6)
+        ]
         assert group_order(induced, gamma6.n) == 720
         chain = _StabilizerChain(gamma6.n)
         for g in induced:

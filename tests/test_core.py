@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conesym.autgrp import _move_label, _mult
+from conesym.autgrp import _mult, induced_point_generators
 from conesym.cones import facet_value, integer_rank
 from conesym.core import (
     TriangleFacet,
@@ -20,6 +20,7 @@ from conesym.core import (
     pair_list,
 )
 from conesym.reflections import _move_pairs
+from conesym.ridge import Graph
 
 from references import cut_bits_reference, cut_order_reference, switching_reflection_reference
 
@@ -276,8 +277,9 @@ class TestTriangleFacets:
 
 class TestPermutationAction:
     """A point permutation is an image tuple on 0..n-1: point p goes to
-    sigma[p - 1] + 1.  `autgrp._move_label` moves a facet or a 3-set through
-    it and `reflections._move_pairs` a vector over pairs."""
+    sigma[p - 1] + 1.  `autgrp.induced_point_generators` moves the facet or
+    3-set labels of a graph through the point generators and
+    `reflections._move_pairs` a vector over pairs."""
 
     def test_identity_fixes_vectors(self):
         v = tuple(range(10))
@@ -292,23 +294,36 @@ class TestPermutationAction:
         sigma = (1, 2, 0, 3)  # the 3-cycle (1 2 3)
         f = TriangleFacet(1, 2, 3, 4)
         assert _move_pairs(sigma, f.coeffs()) == TriangleFacet(2, 3, 1, 4).coeffs()
-        assert _move_label(sigma, f) == TriangleFacet(2, 3, 1, 4)
-        assert _move_label(sigma, frozenset({1, 2, 4})) == frozenset({2, 3, 4})
+
+    @pytest.mark.parametrize(
+        "labels, label, image",
+        [
+            (enumerate_triangle_facets(4), TriangleFacet(1, 2, 3, 4), TriangleFacet(2, 3, 4, 4)),
+            ([frozenset(s) for s in itertools.combinations(range(1, 5), 3)],
+             frozenset({1, 2, 4}), frozenset({2, 3, 1})),
+        ],
+        ids=["facet", "three-set"],
+    )
+    def test_four_cycle_moves_a_label(self, labels, label, image):
+        # The second point generator at n = 4 is the 4-cycle (1 2 3 4).
+        _, cycle = induced_point_generators(Graph(len(labels), labels=labels), 4)
+        assert labels[cycle[labels.index(label)]] == image
 
     def test_length_mismatch_rejected(self):
+        graph = Graph(1, labels=[TriangleFacet(1, 2, 3, 5)])
         with pytest.raises(ValueError, match=r"TriangleFacet\(1,2;3\) is a facet for n=5, not n=4"):
-            _move_label((0, 1, 2, 3), TriangleFacet(1, 2, 3, 5))
+            induced_point_generators(graph, 4)
 
     @pytest.mark.parametrize("point", [0, 4])
     def test_call_outside_range_refused(self, point):
         # Point 0 would read sigma[-1]; point 4 would index past the end.
         with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
-            _move_label((0, 1, 2), frozenset({point, 1, 2}))
+            induced_point_generators(Graph(1, labels=[frozenset({point, 1, 2})]), 3)
 
     def test_call_at_fractional_point_refused(self):
         # 1.5 lies between 1 and 3 but would index the image tuple.
         with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
-            _move_label((0, 1, 2), frozenset({1.5, 2, 3}))
+            induced_point_generators(Graph(1, labels=[frozenset({1.5, 2, 3})]), 3)
 
     @settings(max_examples=60)
     @given(st.data())

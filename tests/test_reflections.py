@@ -312,15 +312,15 @@ class TestReflectionGroup:
         assert len(elements) == len(ray_perms) == 144
         assert build_reflection_group().matrix_order == len(elements)
 
-    def test_rank_failure_is_not_faithful(self, monkeypatch):
-        # Without the spanning certificate the ray action may lose elements,
-        # so the matrix order is unknown and the check fails.
-        monkeypatch.setattr(reflections, "integer_rank", lambda rows: 5)
-        rep = build_reflection_group()
-        assert not rep.faithful and not rep.passed
-        assert rep.matrix_order is None and rep.perm_order == 144
+    def test_rank5_rays_raise_before_any_report(self, monkeypatch):
+        # With x6 = x5 on every ray the table spans only 5 dimensions; the
+        # first swap's other five rays are then dependent, so no report,
+        # faithful or not, is ever built.
+        monkeypatch.setattr(reflections, "_RAYS", tuple((*r[:5], r[4]) for r in RAYS))
+        with pytest.raises(DegenerateRaysError, match="the 5 rays are linearly dependent"):
+            build_reflection_group()
         report = run_verify(RunConfig(n_min=4, n_max=4, checks=("reflect4",)))
         (record,) = report["checks"]
-        assert record["outcome"] == "fail"
-        assert record["details"]["faithful"] is False
+        assert record["outcome"] == "fail" and record["details"] == {}
+        assert record["witness"] == {"error": "the 5 rays are linearly dependent"}
         assert exit_code(report) == 1

@@ -34,7 +34,11 @@ from conesym.ridge import (
 )
 
 from graph_strategies import networkx_distances, random_graphs
-from references import build_ridge_graph_reference, every_vertex_census_reference
+from references import (
+    build_ridge_graph_reference,
+    every_vertex_census_reference,
+    simple_rows_reference,
+)
 
 
 def signed_masks_reference(f: TriangleFacet) -> tuple[int, int]:
@@ -174,13 +178,48 @@ class TestFromAdjacency:
         assert (rebuilt.n, rebuilt.adj, rebuilt.labels) == (gamma.n, gamma.adj, gamma.labels)
 
     @pytest.mark.parametrize(
-        "adj",
-        [gamma5_with_self_loop(), [0b10, 0b00], [0b00, 0b01], [0b100, 0b000], [-1, 0]],
+        "adj, row",
+        [
+            (gamma5_with_self_loop(), 1),
+            ([0b10, 0b00], 1),
+            ([0b00, 0b01], 1),
+            ([0b100, 0b000], 0),
+            ([-1, 0], 0),
+        ],
         ids=["gamma5-self-loop", "one-sided-upper", "one-sided-lower", "past-last-vertex", "negative"],
     )
-    def test_non_simple_rows_refused(self, adj):
-        with pytest.raises(ValueError):
+    def test_non_simple_rows_refused(self, adj, row):
+        # The first row that differs from the mirror of the upper bits is named.
+        with pytest.raises(ValueError, match=rf"^row {row} differs from the symmetric closure"):
             Graph.from_adjacency(adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_the_simple_rows(self, data):
+        # Rows of a simple graph, perturbed up to three times by a
+        # self-loop, a one-sided bit, a bit past the last vertex or a
+        # negative row.
+        adj = list(data.draw(random_graphs(max_vertices=8)).adj)
+        n = len(adj)
+        kinds = st.sampled_from(["loop", "one-sided", "past", "negative"])
+        for kind in data.draw(st.lists(kinds, max_size=3)):
+            u = data.draw(st.integers(0, n - 1))
+            if kind == "loop":
+                adj[u] |= 1 << u
+            elif kind == "one-sided" and n > 1:
+                v = data.draw(st.integers(0, n - 2))
+                adj[u] ^= 1 << v + (v >= u)
+            elif kind == "past":
+                adj[u] |= 1 << data.draw(st.integers(n, n + 3))
+            elif kind == "negative":
+                adj[u] = ~adj[u]
+        try:
+            Graph.from_adjacency(adj)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == simple_rows_reference(adj)
 
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
     def test_label_count_must_match_row_count(self, labels):
