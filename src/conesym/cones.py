@@ -271,12 +271,6 @@ class HypermetricSweep(NamedTuple):
     triangle_failure: tuple | None  # (b, count, rank): a triangle b off the bound or facet rank
     rogue_maximizer: tuple | None  # (b, count, rank): a facet-inducing non-triangle b at the bound
 
-    @property
-    def ok(self) -> bool:
-        return not any(
-            (self.mismatch, self.positive, self.over_bound, self.triangle_failure, self.rogue_maximizer)
-        )
-
 
 def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     """Certify both claims about the bounded coefficient family in one pass.

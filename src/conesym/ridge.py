@@ -11,7 +11,7 @@ the quotient on Triangles is the 2-intersection graph on 3-subsets.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import TriangleFacet, enumerate_triangle_facets
 
@@ -56,15 +56,6 @@ def _bits(m: int):
         m ^= lsb
 
 
-def _checked_labels(labels, n: int) -> tuple | None:
-    if labels is None:
-        return None
-    labels = tuple(labels)
-    if len(labels) != n:
-        raise ValueError("label count does not match vertex count")
-    return labels
-
-
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency rows.
 
@@ -74,19 +65,7 @@ class Graph:
 
     __slots__ = ("n", "adj", "labels")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
-        adj = [0] * n
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u}, {v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.n = n
-        self.adj = adj
-        self.labels = _checked_labels(labels, n)
-
-    @classmethod
-    def from_adjacency(cls, adj: Sequence[int], labels=None) -> "Graph":
+    def __init__(self, adj: Sequence[int], labels=None):
         """The graph whose row v is the bitmask of v's neighbours.
 
         The rows must describe a simple undirected graph, which they do
@@ -107,11 +86,13 @@ class Graph:
                 raise ValueError(
                     f"row {u} differs from the symmetric closure of the bits above the diagonal"
                 )
-        g = cls.__new__(cls)
-        g.n = n
-        g.adj = list(adj)
-        g.labels = _checked_labels(labels, n)
-        return g
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError("label count does not match vertex count")
+        self.n = n
+        self.adj = list(adj)
+        self.labels = labels
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -129,9 +110,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def common_neighbor_count(self, u: int, v: int) -> int:
-        return (self.adj[u] & self.adj[v]).bit_count()
 
     def reach(self, mask: int) -> int:
         """The union of the neighbourhood rows of the vertices in mask."""
@@ -157,7 +135,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
-        return Graph.from_adjacency(adj, self.labels)
+        return Graph(adj, self.labels)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -198,7 +176,7 @@ def build_complement(n: int) -> Graph:
         for e in ent:
             row |= opposed.get(e, 0)
         conflict.append(row)
-    return Graph.from_adjacency(conflict, facets)
+    return Graph(conflict, facets)
 
 
 class HexagonNeighborhood(NamedTuple):
@@ -300,16 +278,18 @@ def find_triangles(gbar: Graph) -> list[Triangle]:
     n = gbar.labels[0].n
     if n == 4:
         return group_facets_by_support(gbar)
+    adj = gbar.adj
     partner = [0] * gbar.n
-    for a, b in gbar.edges():
-        count = gbar.common_neighbor_count(a, b)
-        if count == n - 2:
-            partner[a] |= 1 << b
-            partner[b] |= 1 << a
-        elif count != 2:
-            raise StructureError(
-                f"edge ({a}, {b}) has {count} common neighbors, expected {n - 2} or 2"
-            )
+    for a, row in enumerate(adj):
+        for b in _bits(row >> a + 1 << a + 1):
+            count = (row & adj[b]).bit_count()
+            if count == n - 2:
+                partner[a] |= 1 << b
+                partner[b] |= 1 << a
+            elif count != 2:
+                raise StructureError(
+                    f"edge ({a}, {b}) has {count} common neighbors, expected {n - 2} or 2"
+                )
     triangles = []
     seen = 0
     for v in range(gbar.n):
@@ -387,7 +367,7 @@ def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = Non
     labels = None
     if all(t.support is not None for t in triangles):
         labels = [t.support for t in triangles]
-    return Graph.from_adjacency(rows, labels)
+    return Graph(rows, labels)
 
 
 def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Sequence[int]) -> bool:

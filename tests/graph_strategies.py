@@ -6,7 +6,7 @@ import itertools
 import networkx as nx
 from hypothesis import strategies as st
 
-from conesym.ridge import Graph
+from references import graph_from_edges
 
 
 @st.composite
@@ -15,7 +15,7 @@ def random_graphs(draw, max_vertices=24):
     n = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    return graph_from_edges(n, [e for e, keep in zip(pairs, present) if keep])
 
 
 def networkx_distances(graph, source):

@@ -1,10 +1,11 @@
-"""Reference implementations shared by the tests: cut vectors from the
-definition, a point permutation's action on vectors over pairs, rational
-row reduction, reflection matrices over Fractions with their products,
-images and determinants, the ridge graph built pair by pair, simple
-adjacency rows checked condition by condition, the switching map, a vertex
-permutation's image of an edge set, and the per-vertex claims checked at
-every vertex instead of once per orbit.  The package computes
+"""Reference implementations shared by the tests: a graph from its edge
+list, cut vectors from the definition, a point permutation's action on
+vectors over pairs, rational row reduction, reflection matrices over
+Fractions with their products, images and determinants, the ridge graph
+built pair by pair, simple adjacency rows checked condition by condition,
+a hypermetric sweep's verdict from its failure fields, the switching map,
+a vertex permutation's image of an edge set, and the per-vertex claims
+checked at every vertex instead of once per orbit.  The package computes
 none of these; the tests use them as oracles."""
 
 import itertools
@@ -13,6 +14,16 @@ from math import isqrt
 
 from conesym.core import cut_members, enumerate_triangle_facets, num_pairs
 from conesym.ridge import Graph, StructureError, intersection_array
+
+
+def graph_from_edges(n: int, edges=(), labels=None) -> Graph:
+    """The graph on n vertices with the given edges: each edge (u, v) is
+    ORed into rows u and v, and `Graph` checks the rows."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(adj, labels)
 
 
 def cut_bits_reference(members, n) -> tuple[int, ...]:
@@ -128,7 +139,7 @@ def build_ridge_graph_reference(n: int) -> Graph:
         for a, b in itertools.combinations(range(len(facets)), 2)
         if all(signs[b].get(idx, sign) == sign for idx, sign in signs[a].items())
     ]
-    return Graph(len(facets), edges, facets)
+    return graph_from_edges(len(facets), edges, facets)
 
 
 def simple_rows_reference(adj) -> bool:
@@ -142,6 +153,13 @@ def simple_rows_reference(adj) -> bool:
         and all(row < 1 << n for row in adj)
         and not any(adj[u] >> u & 1 for u in range(n))
         and all(adj[u] >> v & 1 == adj[v] >> u & 1 for u in range(n) for v in range(n))
+    )
+
+
+def sweep_ok_reference(sweep) -> bool:
+    """A `cones.HypermetricSweep` with none of its failure fields set."""
+    return not any(
+        (sweep.mismatch, sweep.positive, sweep.over_bound, sweep.triangle_failure, sweep.rogue_maximizer)
     )
 
 

@@ -37,6 +37,7 @@ from conesym.ridge import (
     Graph,
     StructureError,
     build_complement,
+    find_triangles,
     intersection_array,
     verify_johnson_isomorphism,
     verify_rook_neighborhood,
@@ -75,6 +76,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(hypermetric_bound=HYPERMETRIC_BOUND_MAX + 1).validate()
         RunConfig(hypermetric_bound=HYPERMETRIC_BOUND_MAX).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_min", 4.0),
+            ("n_max", 6.0),
+            ("hypermetric_bound", 2.5),
+            ("aut_vertex_cap", 50.5),
+            ("aut_vertex_cap", True),
+        ],
+    )
+    def test_non_integer_field_refused(self, field, value):
+        # Unchecked, a float n reaches `range` as a TypeError, a fractional
+        # bound turns every hypermetric record into an error, and a bool
+        # serves as a cap.
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got {value!r}$"):
+            run_verify(RunConfig(**{field: value}))
 
     def test_cli_defaults_are_the_config_defaults(self):
         # The recorded default report pins RunConfig's values; the CLI must
@@ -425,14 +443,10 @@ class TestSharedWork:
         assert [args[1] for args in calls] == [0] * 4
 
     def test_common_neighbor_census_taken_once(self, monkeypatch):
-        calls = []
-        count = Graph.common_neighbor_count
-        monkeypatch.setattr(
-            Graph, "common_neighbor_count", lambda g, u, v: calls.append((u, v)) or count(g, u, v)
-        )
+        calls = count_calls(monkeypatch, find_triangles)
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=("triangles", "gamma")))
         assert report["summary"]["pass"] == 2
-        assert len(calls) == len(set(calls)) == 420  # the edges of Gbar6
+        assert len(calls) == 1
 
     # One sweep serves both checks and lists the cut order once, its
     # correlation rows included; up to the adjacency cap the adjacency sweep
@@ -542,7 +556,7 @@ class TestMain:
         adj = list(gbar.adj)
         adj[u] ^= 1 << w
         adj[w] ^= 1 << u
-        monkeypatch.setattr("conesym.cli.build_complement", lambda n: Graph.from_adjacency(adj, labels))
+        monkeypatch.setattr("conesym.cli.build_complement", lambda n: Graph(adj, labels))
 
     def test_off_census_complement_fails_every_structural_check(self, off_census_complement, capsys):
         code = main(["verify", "--n-min", "5", "--n-max", "5", "--format", "json",
@@ -563,7 +577,7 @@ class TestMain:
         gbar = build_complement(5)
         labels = list(gbar.labels)
         labels[0] = labels[1]
-        monkeypatch.setattr(cli, "build_complement", lambda n: Graph.from_adjacency(gbar.adj, labels))
+        monkeypatch.setattr(cli, "build_complement", lambda n: Graph(gbar.adj, labels))
         code = main(["verify", "--n-min", "5", "--n-max", "5", "--format", "json",
                      "--checks", "hexagons,aut,theorem1"])
         report = json.loads(capsys.readouterr().out)
@@ -610,7 +624,7 @@ class TestMain:
         "field, value, reason",
         [
             ("alphas", ((1, 0, 0, 0, 0, 0),) * 5, "kernel vector differs from the reference"),
-            ("matrix_order", 72, "reflection certificate failed"),
+            ("perm_order", 72, "reflection certificate failed"),
         ],
     )
     def test_changed_reflection_report_fails_reflect4(self, monkeypatch, capsys, field, value, reason):
@@ -749,7 +763,7 @@ class TestGammaCheck:
         inst = cli.Instance(6, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
         labels = list(inst.gamma.labels)
         labels[0], labels[1] = labels[1], labels[0]
-        inst.gamma = Graph.from_adjacency(inst.gamma.adj, labels)
+        inst.gamma = Graph(inst.gamma.adj, labels)
         outcome, details, witness = cli._check_gamma(inst, RunConfig(n_min=6, n_max=6))
         assert outcome == "fail"
         assert details["diameter"] == 3

@@ -35,6 +35,7 @@ from references import (
     cut_order_reference,
     kernel_basis_reference,
     permute_pairs_reference,
+    sweep_ok_reference,
 )
 
 
@@ -518,21 +519,21 @@ class TestAdjacency:
 class TestSweeps:
     def test_hypermetric_sweep_n5(self):
         sweep = hypermetric_sweep(5, 3)
-        assert sweep.ok
+        assert sweep_ok_reference(sweep)
         assert sweep.cut_count == 15
         # Oracle count: inclusion-exclusion over entries in [-3, 3] summing to 1.
         assert sweep.vector_count == len(enumerate_hypermetric_coeffs(5, 3)) == 1420
 
     def test_sweep_agrees_with_scalar_path(self):
         sweep = hypermetric_sweep(4, 2)
-        assert sweep.ok
+        assert sweep_ok_reference(sweep)
         for b in enumerate_hypermetric_coeffs(4, 2)[::7]:
             for cut in cut_order_reference(4):
                 assert hypermetric_value_reference(b, cut) <= 0
 
     def test_triangle_maximality_n5(self):
         sweep = hypermetric_sweep(5, 2)
-        assert sweep.ok
+        assert sweep_ok_reference(sweep)
         assert sweep.max_count == 11
         # 3 * C(5, 3) arrangements of (1, 1, -1, 0, 0).
         assert sweep.triangle_count == 30
@@ -587,7 +588,7 @@ class TestSweeps:
 
         monkeypatch.setattr(cones, "_closed_forms", faulty)
         sweep = hypermetric_sweep(5, 2)
-        assert not sweep.ok
+        assert not sweep_ok_reference(sweep)
         b, members, direct, closed = sweep.mismatch
         assert b == (0, 0, 0, 0, 1)
         assert members == cut_members(5)[-1]

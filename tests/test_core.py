@@ -20,9 +20,13 @@ from conesym.core import (
     pair_list,
 )
 from conesym.reflections import _move_pairs
-from conesym.ridge import Graph
 
-from references import cut_bits_reference, cut_order_reference, switching_reflection_reference
+from references import (
+    cut_bits_reference,
+    cut_order_reference,
+    graph_from_edges,
+    switching_reflection_reference,
+)
 
 
 def permute_cut_reference(sigma, members, n):
@@ -306,11 +310,11 @@ class TestPermutationAction:
     )
     def test_four_cycle_moves_a_label(self, labels, label, image):
         # The second point generator at n = 4 is the 4-cycle (1 2 3 4).
-        _, cycle = induced_point_generators(Graph(len(labels), labels=labels), 4)
+        _, cycle = induced_point_generators(graph_from_edges(len(labels), labels=labels), 4)
         assert labels[cycle[labels.index(label)]] == image
 
     def test_length_mismatch_rejected(self):
-        graph = Graph(1, labels=[TriangleFacet(1, 2, 3, 5)])
+        graph = graph_from_edges(1, labels=[TriangleFacet(1, 2, 3, 5)])
         with pytest.raises(ValueError, match=r"TriangleFacet\(1,2;3\) is a facet for n=5, not n=4"):
             induced_point_generators(graph, 4)
 
@@ -318,12 +322,12 @@ class TestPermutationAction:
     def test_call_outside_range_refused(self, point):
         # Point 0 would read sigma[-1]; point 4 would index past the end.
         with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
-            induced_point_generators(Graph(1, labels=[frozenset({point, 1, 2})]), 3)
+            induced_point_generators(graph_from_edges(1, labels=[frozenset({point, 1, 2})]), 3)
 
     def test_call_at_fractional_point_refused(self):
         # 1.5 lies between 1 and 3 but would index the image tuple.
         with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.3"):
-            induced_point_generators(Graph(1, labels=[frozenset({1.5, 2, 3})]), 3)
+            induced_point_generators(graph_from_edges(1, labels=[frozenset({1.5, 2, 3})]), 3)
 
     @settings(max_examples=60)
     @given(st.data())

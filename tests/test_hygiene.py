@@ -1,8 +1,8 @@
 """Static checks over the package and its tests: no unused imports, no
-private helper or public name in the package that only the tests use, no
-stale `__all__` entry, and no `assert` statement in the package.  Also
-checks that the pytest configuration lets a failing hypothesis test report
-its example."""
+private helper, public name or public class member in the package that
+only the tests use, no stale `__all__` entry, and no `assert` statement in
+the package.  Also checks that the pytest configuration lets a failing
+hypothesis test report its example."""
 
 import ast
 import importlib
@@ -217,6 +217,55 @@ KEPT_FOR_OUTSIDE_READERS = {
 def test_no_public_name_only_the_tests_use():
     modules = {path.stem: path.read_text() for path in PACKAGE}
     assert sorted(unreferenced_public_definitions(modules)) == sorted(KEPT_FOR_OUTSIDE_READERS)
+
+
+def unreferenced_members(modules: dict[str, str]) -> list[str]:
+    """`module.Class.name` of each public method or property of a
+    module-level class that no module reads, by name, attribute or import,
+    outside the member's own definition.  A member that only the tests use
+    belongs in the tests, as a `*_reference`."""
+    defined = []
+    read = set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                read |= names_read(node)
+                continue
+            read |= set().union(*map(names_read, [*node.bases, *node.keywords, *node.decorator_list]))
+            for member in node.body:
+                own = None
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    own = member.name
+                    if not own.startswith("_"):
+                        defined.append(f"{module}.{node.name}.{own}")
+                read |= names_read(member) - {own}
+    return [name for name in defined if name.rpartition(".")[2] not in read]
+
+
+def test_member_scanner_flags_only_unread_members():
+    modules = {
+        "a": "\n".join(
+            [
+                "class Box(tuple):",
+                "    size = 3",
+                "    def used(self): return self.size",
+                "    @property",
+                "    def recursive(self): return self.recursive",
+                "    def _private(self): pass",
+                "    def __len__(self): return self.used()",
+                "    def orphan(self): pass",
+                "class Other:",
+                "    def via_function(self): pass",
+                "def read(box): return box.via_function()",
+            ]
+        ),
+        "b": "class Empty: pass",
+    }
+    assert unreferenced_members(modules) == ["a.Box.recursive", "a.Box.orphan"]
+
+
+def test_no_public_member_only_the_tests_use():
+    assert unreferenced_members({path.stem: path.read_text() for path in PACKAGE}) == []
 
 
 def test_every_exported_name_is_bound():

@@ -37,6 +37,7 @@ from graph_strategies import networkx_distances, random_graphs
 from references import (
     build_ridge_graph_reference,
     every_vertex_census_reference,
+    graph_from_edges,
     simple_rows_reference,
 )
 
@@ -172,9 +173,11 @@ def gamma5_with_self_loop():
 
 
 class TestFromAdjacency:
+    """`Graph(rows)`, the one constructor, checks the rows it is given."""
+
     def test_rows_of_a_built_graph_accepted(self):
         gamma = build_triangle_graph(build_complement(5))
-        rebuilt = Graph.from_adjacency(gamma.adj, gamma.labels)
+        rebuilt = Graph(gamma.adj, gamma.labels)
         assert (rebuilt.n, rebuilt.adj, rebuilt.labels) == (gamma.n, gamma.adj, gamma.labels)
 
     @pytest.mark.parametrize(
@@ -191,7 +194,7 @@ class TestFromAdjacency:
     def test_non_simple_rows_refused(self, adj, row):
         # The first row that differs from the mirror of the upper bits is named.
         with pytest.raises(ValueError, match=rf"^row {row} differs from the symmetric closure"):
-            Graph.from_adjacency(adj)
+            Graph(adj)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -214,7 +217,7 @@ class TestFromAdjacency:
             elif kind == "negative":
                 adj[u] = ~adj[u]
         try:
-            Graph.from_adjacency(adj)
+            Graph(adj)
         except ValueError:
             accepted = False
         else:
@@ -224,9 +227,19 @@ class TestFromAdjacency:
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
     def test_label_count_must_match_row_count(self, labels):
         with pytest.raises(ValueError, match="label count does not match vertex count"):
-            Graph.from_adjacency([0, 0], labels=labels)
-        with pytest.raises(ValueError, match="label count does not match vertex count"):
-            Graph(2, [], labels=labels)
+            Graph([0, 0], labels=labels)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_edge_list_round_trip(self, n):
+        # The builders' rows, read back as edges and rebuilt by the test
+        # helper, give the same rows and labels.
+        gbar = build_complement(n)
+        graphs = [gbar, gbar.complement()]
+        if n >= 5:
+            graphs.append(build_triangle_graph(gbar))
+        for g in graphs:
+            rebuilt = graph_from_edges(g.n, g.edges(), g.labels)
+            assert (rebuilt.adj, rebuilt.labels) == (g.adj, g.labels)
 
 
 class TestWalks:
@@ -248,7 +261,7 @@ class TestWalks:
         assert graph.layers(v) == expected
 
     def test_unreachable_vertices_are_in_no_layer(self):
-        graph = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        graph = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
         assert graph.layers(0) == [0b1, 0b10, 0b100]
         assert graph.layers(4) == [0b10000, 0b1000]
 
@@ -279,7 +292,7 @@ class TestHexagons:
     def test_structure_error_on_wrong_graph(self):
         # A labeled 6-cycle is nothing like a complement ridge graph.
         facets = enumerate_triangle_facets(5)[:6]
-        ring = Graph(6, [(i, (i + 1) % 6) for i in range(6)], facets)
+        ring = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)], facets)
         with pytest.raises(StructureError):
             verify_hexagon_neighborhood(ring, 0)
 
@@ -377,7 +390,7 @@ def toggled(gbar: Graph, pairs) -> Graph:
     for v, w in pairs:
         adj[v] ^= 1 << w
         adj[w] ^= 1 << v
-    return Graph.from_adjacency(adj, gbar.labels)
+    return Graph(adj, gbar.labels)
 
 
 @st.composite
@@ -407,7 +420,7 @@ def relabelled_complement(draw):
     for v in range(gbar.n):
         adj[perm[v]] = _mask_of(perm[w] for w in gbar.neighbors(v))
         labels[perm[v]] = gbar.labels[v]
-    return Graph.from_adjacency(adj, labels), draw(st.integers(0, gbar.n - 1))
+    return Graph(adj, labels), draw(st.integers(0, gbar.n - 1))
 
 
 class TestHexagonsAgainstReference:
@@ -475,16 +488,19 @@ class TestTriangles:
             gbar = build_complement(n)
             assert find_triangles(gbar) == group_facets_by_support(gbar)
 
-    def test_common_neighbor_census_n6(self):
-        # Triangle edges have n-2 = 4 common neighbors, all others exactly 2.
-        gbar = build_complement(6)
-        triangle_edges = set()
-        for t in find_triangles(gbar):
-            a, b, c = t.vertices
-            triangle_edges |= {(a, b), (a, c), (b, c)}
-        for e in gbar.edges():
-            expected = 4 if e in triangle_edges else 2
-            assert gbar.common_neighbor_count(*e) == expected
+    def test_common_neighbor_census_n5_to_n8(self):
+        # Triangle edges have n - 2 common neighbors, all others exactly 2,
+        # counted by networkx.
+        for n in range(5, 9):
+            gbar = build_complement(n)
+            triangle_edges = set()
+            for t in find_triangles(gbar):
+                a, b, c = t.vertices
+                triangle_edges |= {(a, b), (a, c), (b, c)}
+            g = nx.Graph(gbar.edges())
+            for a, b in gbar.edges():
+                expected = n - 2 if (a, b) in triangle_edges else 2
+                assert len(list(nx.common_neighbors(g, a, b))) == expected
 
     def test_triangles_partition_vertices(self):
         gbar = build_complement(6)
@@ -510,12 +526,12 @@ class TestTriangles:
     def test_edgeless_graph_refused(self):
         gbar = build_complement(5)
         with pytest.raises(StructureError, match="vertex 0 do not form a 3-clique"):
-            find_triangles(Graph(gbar.n, [], gbar.labels))
+            find_triangles(graph_from_edges(gbar.n, [], gbar.labels))
 
     def test_unlabelled_graph_refused(self):
         gbar = build_complement(5)
         with pytest.raises(ValueError, match="facet labels"):
-            find_triangles(Graph(gbar.n, gbar.edges()))
+            find_triangles(graph_from_edges(gbar.n, gbar.edges()))
 
 
 class TestTriangleGraph:
@@ -552,7 +568,7 @@ class TestTriangleGraph:
     def test_johnson_isomorphism_refuses_no_vertices(self):
         # An edgeless graph with the right labels would pass over no rows.
         labels = [frozenset(c) for c in itertools.combinations(range(1, 7), 3)]
-        edgeless = Graph(len(labels), [], labels)
+        edgeless = graph_from_edges(len(labels), [], labels)
         assert verify_johnson_isomorphism(edgeless, 6, range(edgeless.n)) is False
         with pytest.raises(ValueError, match="verify_johnson_isomorphism"):
             verify_johnson_isomorphism(edgeless, 6, [])
@@ -606,7 +622,7 @@ def build_triangle_graph_reference(gbar: Graph, triangles) -> Graph:
                 )
             two_disjoint_2paths_reference(cross)
             edges.append((a, b))
-    return Graph(len(triangles), edges, [t.support for t in triangles])
+    return graph_from_edges(len(triangles), edges, [t.support for t in triangles])
 
 
 def two_disjoint_2paths_reference(cross):
@@ -684,7 +700,7 @@ class TestTriangleGraphAgainstReference:
         adj = list(gbar.adj)
         adj[u] &= ~(1 << w)
         adj[w] &= ~(1 << u)
-        broken = Graph.from_adjacency(adj, gbar.labels)
+        broken = Graph(adj, gbar.labels)
         expected = quotient_outcome(build_triangle_graph_reference, broken, triangles)
         assert expected.startswith("StructureError: Triangles")
         assert quotient_outcome(build_triangle_graph, broken, triangles) == expected
@@ -728,7 +744,7 @@ CROSS_PAIRS = tuple(itertools.product((0, 1, 2), (3, 4, 5)))
 
 
 def two_cliques_with(cross) -> Graph:
-    return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *cross])
+    return graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *cross])
 
 
 class TestCrossEdgesAgainstReference:
@@ -783,14 +799,14 @@ class TestIntersectionArray:
 
     def test_empty_graph_refused_by_name(self):
         with pytest.raises(StructureError, match="empty graph"):
-            intersection_array(Graph(0), range(0))
+            intersection_array(graph_from_edges(0), range(0))
 
     def test_no_vertices_refused_by_name(self):
         with pytest.raises(ValueError, match="intersection_array"):
             intersection_array(build_triangle_graph(build_complement(5)), [])
 
     def test_non_distance_regular_graph_rejected(self):
-        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(StructureError):
             intersection_array(path, range(path.n))
 
@@ -859,17 +875,17 @@ def census_graphs(draw, max_vertices=24):
     kind = draw(st.sampled_from(["random", "cycle", "complete", "bipartite", "cube"]))
     if kind == "cycle":
         n = draw(st.integers(3, max_vertices))
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "complete":
         n = draw(st.integers(2, max_vertices))
-        return Graph(n, itertools.combinations(range(n), 2))
+        return graph_from_edges(n, itertools.combinations(range(n), 2))
     if kind == "bipartite":
         m = draw(st.integers(1, max_vertices // 2))
-        return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+        return graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
     if kind == "cube":
         d = draw(st.integers(1, 4))
         edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1]
-        return Graph(1 << d, edges)
+        return graph_from_edges(1 << d, edges)
     return draw(random_graphs(max_vertices))
 
 
@@ -898,7 +914,7 @@ def build_complement_reference(n: int) -> Graph:
             if ap & bn or an & bp:
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
-    return Graph.from_adjacency(conflict, facets)
+    return Graph(conflict, facets)
 
 
 def verify_rook_neighborhood_reference(gamma: Graph, v: int) -> bool:
@@ -950,7 +966,7 @@ def gamma_with_a_toggled_edge(draw):
     v = draw(st.integers(0, gamma.n - 1))
     a, b = draw(st.lists(st.sampled_from(list(gamma.neighbors(v))), min_size=2, max_size=2, unique=True))
     edges = set(gamma.edges()) ^ {(min(a, b), max(a, b))}
-    return Graph(gamma.n, sorted(edges), gamma.labels), v
+    return graph_from_edges(gamma.n, sorted(edges), gamma.labels), v
 
 
 class TestQuotientChecksAgainstReference:
@@ -988,13 +1004,13 @@ class TestExport:
             assert set(back.edges()) == set(g.edges())
 
     def test_graph6_large_vertex_header(self):
-        g = Graph(70, [(0, 69)])
+        g = graph_from_edges(70, [(0, 69)])
         back = nx.from_graph6_bytes(to_graph6(g).encode())
         assert back.number_of_nodes() == 70
         assert set(back.edges()) == {(0, 69)}
 
     def test_edge_list_lines(self):
-        g = Graph(3, [(0, 1), (1, 2)])
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
         assert edge_list_lines(g) == ["0 1", "1 2"]
 
     def test_label_lines_for_facets_and_supports(self):
