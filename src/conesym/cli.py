@@ -34,11 +34,10 @@ from .autgrp import (
 from .cones import (
     _facet_incidence_masks,
     adjacency_agreement,
-    facet_value,
     hypermetric_sweep,
     triangle_incidence_bound,
 )
-from .core import cut_columns, enumerate_triangle_facets, num_pairs, pair_index
+from .core import cut_stars, enumerate_triangle_facets, pair_list
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
@@ -60,18 +59,21 @@ SCHEMA_VERSION = 1
 
 # The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
 # 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
-# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` evaluate
-# every facet on every cut, one facet at a time, from C(n,2) cut columns of
-# 2^(n-1) bits, so their cap bounds that time (about 1 s at n=20) and the
-# column memory (31 MiB peak RSS at n=20), which doubles with each n.
+# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` read n
+# star columns of 2^(n-1) bits, so their cap bounds that time (about 0.5 s
+# at n=24) and memory (about 75 MiB peak RSS there), which double with each n.
 # Raising a cap turns recorded skips into passes (tests/data), so
 # the caps stay until that is intended.  The bounded family has about
 # C(2b + n, n) sorted representatives at bound b, so larger bounds are
 # refused: on that host b = 8 takes 1 s at n = 7, and b = 16 3.3 s at n = 6.
+# The graph checks and `facets` have no skip rule, and the four graph stages
+# took 29 s and 309 MiB at n=40, so n_max is refused above MAX_N, the
+# largest n measured; that also bounds the number of records.
 ADJACENCY_SWEEP_MAX_N = 6
 HYPERMETRIC_SWEEP_MAX_N = 7
-INCIDENCE_MAX_N = 20
+INCIDENCE_MAX_N = 24
 HYPERMETRIC_BOUND_MAX = 8
+MAX_N = 40
 
 
 class ConfigError(ValueError):
@@ -121,7 +123,7 @@ class Instance:
         self.n, self.vertex_cap, self.bound = n, vertex_cap, bound
 
     facets = _once(lambda self: enumerate_triangle_facets(self.n))
-    columns = _once(lambda self: cut_columns(self.n))
+    stars = _once(lambda self: cut_stars(self.n))
     gbar = _once(lambda self: build_complement(self.n))
     triangles = _once(lambda self: find_triangles(self.gbar))
     gamma = _once(lambda self: build_triangle_graph(self.gbar, self.triangles))
@@ -158,25 +160,18 @@ class Instance:
 
 
 def _check_cuts(inst: Instance, cfg: RunConfig):
-    # Columns (i, n) that read bit i - 1 of c + 1 at bit c keep every cut c nonzero and distinct.
-    n, columns = inst.n, inst.columns
-    details = {"cut_count": max(columns).bit_length(), "expected": 2 ** (n - 1) - 1}
-    stars = [columns[pair_index(p, n, n)] for p in range(1, n)]
-    patterns = [int(("1" * 2 ** i + "0" * 2 ** i) * 2 ** (n - 2 - i), 2) >> 1 for i in range(n - 1)]
-    if details["cut_count"] != details["expected"] or stars != patterns:
+    # Stars that read bit p - 1 of c + 1 at bit c, and 0 for the point n, keep every cut c
+    # nonzero and distinct.  Each cut satisfies every triangle inequality by an identity: on
+    # pair columns s_i ^ s_j, (s_i ^ s_j) & ~((s_i ^ s_k) | (s_j ^ s_k)) is 0.  The patterns
+    # are built one at a time, as their list would add 23 MiB to the peak at n = 24.
+    n, stars = inst.n, inst.stars
+    details = {"cut_count": max(stars).bit_length(), "expected": 2 ** (n - 1) - 1}
+    patterns = (int(("1" * 2 ** i + "0" * 2 ** i) * 2 ** (n - 2 - i), 2) >> 1 for i in range(n - 1))
+    wrong = stars[-1] or any(s != p for s, p in zip(stars, patterns))
+    if details["cut_count"] != details["expected"] or wrong:
         return "fail", details, {"reason": "wrong cut count or duplicates"}
-    for f in inst.facets:
-        (a, _), (b, _), (c, _) = f.entries()
-        # A - B - C is positive on 0/1 vectors exactly when A alone is 1.
-        violating = columns[a] & ~(columns[b] | columns[c])
-        if violating:
-            cut = (violating & -violating).bit_length() - 1
-            return "fail", details, {
-                "facet": repr(f),
-                "cut": [p for p in range(1, n) if (cut + 1) >> (p - 1) & 1],
-                "value": facet_value(f, [col >> cut & 1 for col in columns]),
-            }
     if n == 4:
+        columns = [stars[i - 1] ^ stars[j - 1] for i, j in pair_list(n)]
         rays = {tuple(col >> c & 1 for col in columns) for c in range(details["cut_count"])}
         details["ray_table_match"] = rays == set(ray_table())
         if not details["ray_table_match"]:
@@ -191,23 +186,28 @@ def _check_facets(inst: Instance, cfg: RunConfig):
     if len(facets) != details["expected"] or len(set(facets)) != len(facets):
         return "fail", details, {"reason": "wrong facet count or duplicates"}
     for f in facets:
-        coeffs = f.coeffs()
-        if sorted(coeffs) != [-1, -1] + [0] * (num_pairs(n) - 3) + [1]:
-            return "fail", details, {"facet": repr(f), "coeffs": coeffs}
+        entries = f.entries()
+        if sorted(sign for _, sign in entries) != [-1, -1, 1] or len({k for k, _ in entries}) != 3:
+            return "fail", details, {"facet": repr(f), "entries": entries}
         if len(f.support) != 3:
             return "fail", details, {"facet": repr(f)}
     return "pass", details, None
 
 
 def _check_incidence(inst: Instance, cfg: RunConfig):
-    facets, columns = inst.facets, inst.columns
-    expected = triangle_incidence_bound(inst.n)
+    # One facet decides them all.  A point permutation sigma maps the cut
+    # delta(S) to delta(sigma S) and the facet f to sigma f, with
+    # sigma f(delta(sigma S)) = f(delta(S)); the triangle facets form one
+    # orbit, and the stars make the cut set all the nonzero cuts, which
+    # sigma permutes.  So every facet contains as many cuts as facets[0],
+    # and if any facet failed, facets[0], the first, would fail too.
+    n, facets = inst.n, inst.facets
+    expected = triangle_incidence_bound(n)
     details = {"facets": len(facets), "cuts_per_facet": expected}
-    cuts = 2 ** (inst.n - 1) - 1
-    for f in facets:
-        count = cuts - _facet_incidence_masks(f, columns).bit_count()
-        if count != expected:
-            return "fail", details, {"facet": repr(f), "count": count, "expected": expected}
+    f = facets[0]
+    count = 2 ** (n - 1) - 1 - _facet_incidence_masks(f, inst.stars).bit_count()
+    if count != expected:
+        return "fail", details, {"facet": repr(f), "count": count, "expected": expected}
     return "pass", details, None
 
 
@@ -503,15 +503,19 @@ class RunConfig(NamedTuple):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 4 <= self.n_min <= self.n_max:
             raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        if self.n_max > MAX_N:
+            raise ConfigError(f"n_max {self.n_max} is above {MAX_N}, the largest n measured")
         if not 1 <= self.hypermetric_bound <= HYPERMETRIC_BOUND_MAX:
             raise ConfigError(f"hypermetric bound must be in 1..{HYPERMETRIC_BOUND_MAX}")
         if self.aut_vertex_cap < 1:
             raise ConfigError("automorphism vertex cap must be positive")
         if self.output_format not in ("text", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        if isinstance(self.checks, str):
+            raise ConfigError(f"checks must be a sequence of check ids, got the string {self.checks!r}")
         if not self.checks:
             raise ConfigError("no checks selected; a run that certifies nothing cannot pass")
-        unknown = [c for c in self.checks if c not in CHECK_ORDER]
+        unknown = [c if isinstance(c, str) else repr(c) for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
 

@@ -21,9 +21,9 @@ from typing import NamedTuple, Sequence
 from .core import (
     TriangleFacet,
     _correlation_rows,
-    cut_columns,
     cut_correlations,
     cut_members,
+    cut_stars,
     enumerate_triangle_facets,
     num_pairs,
     pair_list,
@@ -31,7 +31,6 @@ from .core import (
 from .ridge import _bits, conflicting
 
 __all__ = [
-    "facet_value",
     "triangle_incidence_bound",
     "enumerate_hypermetric_coeffs",
     "integer_rank",
@@ -39,14 +38,6 @@ __all__ = [
     "HypermetricSweep",
     "hypermetric_sweep",
 ]
-
-
-def facet_value(facet: TriangleFacet, x: Sequence):
-    """x_ij - x_ik - x_jk for the facet with apex (i, j) and third point k."""
-    if len(x) != num_pairs(facet.n):
-        raise ValueError(f"vector length {len(x)} does not match n={facet.n}")
-    (a, sa), (b, sb), (c, sc) = facet.entries()
-    return sa * x[a] + sb * x[b] + sc * x[c]
 
 
 def triangle_incidence_bound(n: int) -> int:
@@ -175,16 +166,15 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def _facet_incidence_masks(facet: TriangleFacet, columns: list[int]) -> int:
+def _facet_incidence_masks(facet: TriangleFacet, stars: list[int]) -> int:
     """The bitmask over the cut order of the cuts off the facet.
 
-    `columns` is `cut_columns(facet.n)`.  The facet has +1 at a and -1 at b
-    and c, so on 0/1 vectors its value A - B - C is nonzero exactly when an
-    odd number of the three are 1 or B and C both are.
+    `stars` is `cut_stars(facet.n)`.  A cut cuts 0 or 2 pairs of the 3-set
+    {i, j, k}, and x_ij - x_ik - x_jk is nonzero on it exactly when those
+    are the two pairs through k.
     """
-    (a, _), (b, _), (c, _) = facet.entries()
-    A, B, C = columns[a], columns[b], columns[c]
-    return A ^ B ^ C | B & C
+    s_i, s_j, s_k = stars[facet.i - 1], stars[facet.j - 1], stars[facet.k - 1]
+    return (s_i ^ s_k) & (s_j ^ s_k)
 
 
 def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
@@ -215,9 +205,9 @@ def adjacency_agreement(n: int):
     pair and the two verdicts.
     """
     facets = enumerate_triangle_facets(n)
-    columns = cut_columns(n)
+    stars = cut_stars(n)
     full = (1 << 2 ** (n - 1) - 1) - 1
-    masks = [full ^ _facet_incidence_masks(f, columns) for f in facets]
+    masks = [full ^ _facet_incidence_masks(f, stars) for f in facets]
     corr_rows = cut_correlations(n)
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]

@@ -16,7 +16,7 @@ __all__ = [
     "pair_list",
     "pair_index",
     "cut_members",
-    "cut_columns",
+    "cut_stars",
     "cut_correlations",
     "TriangleFacet",
     "enumerate_triangle_facets",
@@ -70,22 +70,27 @@ def cut_members(n: int) -> list[list[int]]:
     return [[p + 1 for p in range(n - 1) if m >> p & 1] for m in range(1, 1 << (n - 1))]
 
 
-def cut_columns(n: int) -> list[int]:
-    """Per coordinate, the bitmask over the cut order of the cuts cutting its pair.
+def cut_stars(n: int) -> list[int]:
+    """Per point, the bitmask over the cut order of the cuts whose generating
+    set holds it.
 
-    Bit c stands for cut c of `cut_members(n)`.  Column (i, n) is
-    M_(i-1) >> 1, M_k being the mask of the m = c + 1 with bit k set:
-    M_(n-2) is the upper half of 2**(n-1) bits and M_(k-1) is
-    M_k ^ M_k >> 2**(k-1), as adding 2**(k-1) to m flips bit k exactly when
-    bit k - 1 is set.  Column (i, j) is the XOR of columns (i, n) and (j, n).
+    Bit c stands for cut c of `cut_members(n)`, generated by the bits of
+    m = c + 1, so the star of point p is M_(p-1) >> 1, M_k being the mask of
+    the m with bit k set: M_(n-2) is the upper half of 2**(n-1) bits and
+    M_(k-1) is M_k ^ M_k >> 2**(k-1), as adding 2**(k-1) to m flips bit k
+    exactly when bit k - 1 is set.  Shifting commutes with that step, so it
+    runs on the shifted masks.  The point n is in no generating set, so its
+    star is 0.  A cut cuts the pair (i, j) when it holds exactly one of the
+    two points, so column (i, j) of the cut vectors is
+    stars[i-1] ^ stars[j-1].
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    star = [0] * (n + 1)  # star[n] stays 0: n is in no generating set
-    star[n - 1] = (1 << 2 ** (n - 1)) - (1 << 2 ** (n - 2))
-    for i in range(n - 1, 1, -1):
-        star[i - 1] = star[i] ^ star[i] >> 2 ** (i - 2)
-    return [(star[i] ^ star[j]) >> 1 for i, j in pair_list(n)]
+    stars = [0] * n
+    stars[n - 2] = (1 << 2 ** (n - 1) - 1) - (1 << 2 ** (n - 2) - 1)
+    for p in range(n - 2, 0, -1):
+        stars[p - 1] = stars[p] ^ stars[p] >> 2 ** (p - 1)
+    return stars
 
 
 def cut_correlations(n: int) -> list[tuple[int, ...]]:
@@ -151,20 +156,13 @@ class TriangleFacet:
             (pair_index(min(j, k), max(j, k), n), -1),
         )
 
-    def coeffs(self) -> tuple[int, ...]:
-        """Dense coefficient vector over all pairs."""
-        out = [0] * num_pairs(self.n)
-        for idx, sign in self.entries():
-            out[idx] = sign
-        return tuple(out)
-
     @property
     def correlation(self) -> tuple[int, ...]:
         """The facet's functional in correlation coordinates, halved.
 
         Substituting x_in = p_in and x_ij = p_in + p_jn - 2 * p_ij (see
         `cut_correlations`) into x_ij - x_ik - x_jk gives twice this
-        vector, so facet_value(f, x) == 2 * <f.correlation, p> for every x
+        vector, so x_ij - x_ik - x_jk == 2 * <f.correlation, p> for every x
         and its correlation row p.  It is -p_ij + p_ik + p_jk - p_kn for
         i, j, k < n, p_ik - p_kn for the apex (i, n) and -p_ij for the
         third point n.  Its entries are +-1, and distinct facets have

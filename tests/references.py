@@ -1,6 +1,6 @@
 """Reference implementations shared by the tests: a graph from its edge
-list, cut vectors from the definition, a point permutation's action on
-vectors over pairs, rational row reduction, reflection matrices over
+list, cut vectors from the definition, a triangle facet's value and dense
+coefficient vector, a point permutation's action on vectors over pairs, rational row reduction, reflection matrices over
 Fractions with their products, images and determinants, the ridge graph
 built pair by pair, simple adjacency rows checked condition by condition,
 a hypermetric sweep's verdict from its failure fields, the switching map,
@@ -34,6 +34,22 @@ def cut_bits_reference(members, n) -> tuple[int, ...]:
         int((i in members) != (j in members))
         for i, j in itertools.combinations(range(1, n + 1), 2)
     )
+
+
+def facet_value_reference(facet, x):
+    """x_ij - x_ik - x_jk for the facet with apex (i, j) and third point k."""
+    if len(x) != num_pairs(facet.n):
+        raise ValueError(f"vector length {len(x)} does not match n={facet.n}")
+    (a, sa), (b, sb), (c, sc) = facet.entries()
+    return sa * x[a] + sb * x[b] + sc * x[c]
+
+
+def facet_coeffs_reference(facet) -> tuple[int, ...]:
+    """The facet's dense coefficient vector over all pairs."""
+    out = [0] * num_pairs(facet.n)
+    for idx, sign in facet.entries():
+        out[idx] = sign
+    return tuple(out)
 
 
 def permute_pairs_reference(sigma, v) -> tuple:

@@ -11,7 +11,7 @@ from math import comb, factorial
 from conesym.autgrp import automorphism_group, verify_theorem1
 from conesym.cli import RunConfig, run_verify
 from conesym.cones import adjacency_agreement, hypermetric_sweep, triangle_incidence_bound
-from conesym.core import cut_columns, cut_members, enumerate_triangle_facets
+from conesym.core import cut_members, cut_stars, enumerate_triangle_facets
 from conesym.cones import _facet_incidence_masks
 from conesym.reflections import (
     attempt_ray_swap,
@@ -88,10 +88,10 @@ def test_criterion_3_incidence_counts_n4_to_n8():
     checked = 0
     for n, count in expected.items():
         assert triangle_incidence_bound(n) == count
-        facets, columns = enumerate_triangle_facets(n), cut_columns(n)
+        facets, stars = enumerate_triangle_facets(n), cut_stars(n)
         assert len(facets) == 3 * comb(n, 3)
         for f in facets:
-            assert 2 ** (n - 1) - 1 - _facet_incidence_masks(f, columns).bit_count() == count
+            assert 2 ** (n - 1) - 1 - _facet_incidence_masks(f, stars).bit_count() == count
             checked += 1
     record(3, True, f"{checked} facets across n=4..8, counts 5/11/23/47/95 exact")
 

@@ -31,8 +31,8 @@ from conesym.cli import (
     render_text,
     run_verify,
 )
-from conesym.cones import _facet_incidence_masks, adjacency_agreement, facet_value
-from conesym.core import cut_columns, cut_members, enumerate_triangle_facets, pair_index
+from conesym.cones import _facet_incidence_masks, adjacency_agreement, triangle_incidence_bound
+from conesym.core import cut_members, cut_stars, enumerate_triangle_facets
 from conesym.ridge import (
     Graph,
     StructureError,
@@ -65,6 +65,32 @@ class TestConfig:
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(checks=("cuts", "nonsense")).validate()
+
+    def test_string_check_list_rejected(self):
+        # A string would be read character by character.
+        with pytest.raises(ConfigError, match="got the string 'aut'"):
+            RunConfig(checks="aut").validate()
+
+    def test_non_string_check_id_named_by_repr(self):
+        with pytest.raises(ConfigError, match=r"^unknown checks: 5, b'gamma'$"):
+            RunConfig(checks=("aut", 5, b"gamma")).validate()
+
+    def test_n_max_above_max_n_rejected(self):
+        RunConfig(n_min=cli.MAX_N, n_max=cli.MAX_N, checks=("facets",)).validate()
+        with pytest.raises(ConfigError, match=f"n_max {cli.MAX_N + 1} is above {cli.MAX_N}"):
+            RunConfig(n_max=cli.MAX_N + 1).validate()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n-min", "41", "--n-max", "41", "--checks", "triangles"],
+         ["--n-min", "4", "--n-max", "200000", "--checks", "reflect4"]],
+        ids=["triangles", "reflect4"],
+    )
+    def test_n_max_above_max_n_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"is above {cli.MAX_N}" in capsys.readouterr().err
 
     def test_empty_check_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -656,45 +682,47 @@ class TestMain:
 
 class TestCutsCheck:
     def run_cuts(self, monkeypatch, n, mutate):
-        """The cuts check at n on mutated cut columns."""
-        monkeypatch.setattr(cli, "cut_columns", lambda n: mutate(cut_columns(n)))
+        """The cuts check at n on mutated star columns."""
+        monkeypatch.setattr(cli, "cut_stars", lambda n: mutate(cut_stars(n)))
         return cli._check_cuts(cli.Instance(n, AUT_VERTEX_CAP, 3), RunConfig(n_min=n, n_max=n))
 
     def test_zeroed_star_column_fails_the_count(self, monkeypatch):
-        # Without point 2's column, cuts {1} and {1, 2} read the same.
-        def zero(columns):
-            columns[pair_index(2, 5, 5)] = 0
-            return columns
+        # Without point 2's star, cuts {1} and {1, 2} read the same.
+        def zero(stars):
+            stars[1] = 0
+            return stars
 
         outcome, details, witness = self.run_cuts(monkeypatch, 5, zero)
         assert outcome == "fail"
         assert witness == {"reason": "wrong cut count or duplicates"}
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_swapped_columns_fail_at_the_first_direct_violation(self, monkeypatch, n):
-        # The star columns stay right, so the cuts stay distinct; the
-        # columns of (1, 2) and (2, 3) now read each other's cuts.
-        def swap(columns):
-            a, b = pair_index(1, 2, n), pair_index(2, 3, n)
-            columns[a], columns[b] = columns[b], columns[a]
-            return columns
+    def test_swapped_stars_fail_the_count(self, monkeypatch, n):
+        # The cuts stay distinct and their set stays the same, but they no
+        # longer come in the cut order.
+        def swap(stars):
+            stars[0], stars[1] = stars[1], stars[0]
+            return stars
 
-        mutated = swap(cut_columns(n))
-        members = cut_members(n)
-        f, c, value = next(
-            (f, c, value)
-            for f in enumerate_triangle_facets(n)
-            for c in range(len(members))
-            if (value := facet_value(f, [col >> c & 1 for col in mutated])) > 0
-        )
-        outcome, _, witness = self.run_cuts(monkeypatch, n, swap)
+        outcome, details, witness = self.run_cuts(monkeypatch, n, swap)
         assert outcome == "fail"
-        assert witness == {"facet": repr(f), "cut": members[c], "value": value}
+        assert details["cut_count"] == details["expected"]
+        assert witness == {"reason": "wrong cut count or duplicates"}
+
+    def test_star_of_the_last_point_fails_the_count(self, monkeypatch):
+        # Point n is in no generating set.
+        def last(stars):
+            stars[-1] = stars[0]
+            return stars
+
+        outcome, details, witness = self.run_cuts(monkeypatch, 5, last)
+        assert outcome == "fail"
+        assert witness == {"reason": "wrong cut count or duplicates"}
 
     def test_missing_reference_ray_fails_n4(self, monkeypatch):
         rays = cli.ray_table()
         monkeypatch.setattr(cli, "ray_table", lambda: rays[:-1])
-        outcome, details, witness = self.run_cuts(monkeypatch, 4, lambda columns: columns)
+        outcome, details, witness = self.run_cuts(monkeypatch, 4, lambda stars: stars)
         assert outcome == "fail"
         assert details["ray_table_match"] is False
         assert witness == {"reason": "cut set differs from the reference rays"}
@@ -711,10 +739,45 @@ class TestFacetsCheck:
         assert calls == []
         assert elapsed < 1.0
 
+    def test_n60_checked_in_under_a_second(self):
+        # Each facet is read by its three entries, not by a dense vector
+        # over all C(n, 2) pairs.
+        inst = cli.Instance(60, AUT_VERTEX_CAP, 3)
+        assert len(inst.facets) == 3 * 34220
+        start = time.perf_counter()
+        outcome, details, witness = cli._check_facets(inst, RunConfig(n_min=60, n_max=60))
+        assert time.perf_counter() - start < 1.0
+        assert (outcome, witness) == ("pass", None)
+
+
+class TestIncidenceCheck:
+    def test_one_facet_per_n(self, monkeypatch):
+        calls = count_calls(monkeypatch, _facet_incidence_masks)
+        report = run_verify(RunConfig(n_min=4, n_max=8, checks=("incidence",)))
+        assert report["summary"]["pass"] == 5
+        assert [f for f, _ in calls] == [enumerate_triangle_facets(n)[0] for n in range(4, 9)]
+
+    def test_moved_count_fails_at_the_first_facet(self, monkeypatch):
+        # Without bit 3, the cut {3}, in point 3's star, that cut cuts no pair
+        # through 3 and lies on the first facet, (1, 2; 3).
+        def patched(n):
+            stars = cut_stars(n)
+            stars[2] &= ~(1 << 3)
+            return stars
+
+        monkeypatch.setattr(cli, "cut_stars", patched)
+        n, expected = 5, triangle_incidence_bound(5)
+        outcome, details, witness = cli._check_incidence(
+            cli.Instance(n, AUT_VERTEX_CAP, 3), RunConfig(n_min=n, n_max=n)
+        )
+        assert cut_members(n)[3] == [3]
+        assert outcome == "fail"
+        assert witness == {"facet": "TriangleFacet(1,2;3)", "count": expected + 1, "expected": expected}
+
 
 class TestIncidenceCap:
     def test_masks_skipped_above_the_cap(self, monkeypatch, capsys):
-        calls = count_calls(monkeypatch, cut_columns)
+        calls = count_calls(monkeypatch, cut_stars)
         n = cli.INCIDENCE_MAX_N + 1
         code = main(["verify", "--n-min", str(n), "--n-max", str(n), "--checks", "cuts,incidence",
                      "--format", "json"])
@@ -726,9 +789,9 @@ class TestIncidenceCap:
         assert calls == []
 
     def test_largest_n_under_the_cap_fits_in_100_mib(self):
-        # Masks are evaluated one facet at a time, so the C(n, 2) cut columns
-        # of 2^(n-1) bits set the peak: about 31 MiB at n = 20, where masks
-        # kept for every facet took about 260 MiB.
+        # The n star columns of 2^(n-1) bits and the one pattern `cuts`
+        # compares at a time set the peak: about 75 MiB at n = 24, where the
+        # C(n, 2) pair columns took about 30 MiB at n = 20, four n lower.
         n = cli.INCIDENCE_MAX_N
         code = (
             "import json, resource\n"

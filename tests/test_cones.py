@@ -14,16 +14,15 @@ from conesym.cones import (
     _sorted_representatives,
     adjacency_agreement,
     enumerate_hypermetric_coeffs,
-    facet_value,
     hypermetric_sweep,
     integer_rank,
     triangle_incidence_bound,
 )
 from conesym.core import (
     TriangleFacet,
-    cut_columns,
     cut_correlations,
     cut_members,
+    cut_stars,
     enumerate_triangle_facets,
     num_pairs,
     pair_list,
@@ -33,6 +32,7 @@ from conesym.ridge import _bits, conflicting
 from references import (
     cut_bits_reference,
     cut_order_reference,
+    facet_value_reference,
     kernel_basis_reference,
     permute_pairs_reference,
     sweep_ok_reference,
@@ -117,28 +117,28 @@ def triangle_maximality_sweep_reference(n, bound):
 class TestFacetValue:
     def test_on_singleton_cut(self):
         f = TriangleFacet(1, 2, 3, 4)
-        assert facet_value(f, cut_bits_reference({1}, 4)) == 0  # 1 - 1 - 0
+        assert facet_value_reference(f, cut_bits_reference({1}, 4)) == 0  # 1 - 1 - 0
 
     def test_on_zero_vector(self):
-        assert facet_value(TriangleFacet(1, 2, 3, 4), (0,) * 6) == 0
+        assert facet_value_reference(TriangleFacet(1, 2, 3, 4), (0,) * 6) == 0
 
     def test_on_third_point_cut(self):
         f = TriangleFacet(1, 2, 3, 4)
-        assert facet_value(f, cut_bits_reference({3}, 4)) == -2  # 0 - 1 - 1
+        assert facet_value_reference(f, cut_bits_reference({3}, 4)) == -2  # 0 - 1 - 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            facet_value(TriangleFacet(1, 2, 3, 4), (0,) * 10)
+            facet_value_reference(TriangleFacet(1, 2, 3, 4), (0,) * 10)
 
     def test_rational_entries(self):
         f = TriangleFacet(1, 2, 3, 4)
         x = (Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 6), 0, 0)
-        assert facet_value(f, x) == Fraction(0)
+        assert facet_value_reference(f, x) == Fraction(0)
 
 
 def cuts_on_facet_reference(f, n):
     """The nonzero cuts on which the facet's inequality holds with equality."""
-    return [c for c in cut_order_reference(n) if facet_value(f, c) == 0]
+    return [c for c in cut_order_reference(n) if facet_value_reference(f, c) == 0]
 
 
 class TestCutsOnFacet:
@@ -150,9 +150,9 @@ class TestCutsOnFacet:
 
     def test_every_facet_n8_by_exhaustive_evaluation(self):
         n = 8
-        columns = cut_columns(n)
+        stars = cut_stars(n)
         for f in enumerate_triangle_facets(n):
-            off_mask = _facet_incidence_masks(f, columns)
+            off_mask = _facet_incidence_masks(f, stars)
             assert len(cuts_on_facet_reference(f, n)) == 2 ** (n - 1) - 1 - off_mask.bit_count() == 95
 
     def test_count_invariant_up_to_n10(self):
@@ -168,12 +168,12 @@ class TestCutsOnFacet:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bit_sliced_masks_match_direct_evaluation(self, n):
-        # The cuts check's violating masks are tested against direct
-        # evaluation in test_cli.TestCutsCheck.
-        columns, cuts = cut_columns(n), cut_order_reference(n)
+        # The masks read three stars; the reference evaluates the facet on
+        # each cut vector built from its generating set.
+        stars, cuts = cut_stars(n), cut_order_reference(n)
         for f in enumerate_triangle_facets(n):
-            off_mask = _facet_incidence_masks(f, columns)
-            assert off_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) != 0)
+            off_mask = _facet_incidence_masks(f, stars)
+            assert off_mask == sum(1 << i for i, c in enumerate(cuts) if facet_value_reference(f, c) != 0)
 
 
 def hypermetric_value_reference(b, x):
@@ -200,7 +200,7 @@ class TestHypermetric:
         b = (1, 1, -1, 0, 0)
         f = TriangleFacet(1, 2, 3, 5)
         for cut in cut_order_reference(5):
-            assert hypermetric_value_reference(b, cut) == facet_value(f, cut)
+            assert hypermetric_value_reference(b, cut) == facet_value_reference(f, cut)
 
     def test_single_support_coefficient_gives_zero(self):
         assert hypermetric_value_reference((1, 0, 0, 0), (3, 1, 4, 1, 5, 9)) == 0
@@ -390,7 +390,7 @@ def certify_cutcone_adjacency_reference(f, g, n) -> bool:
     common = [
         c
         for c in cut_order_reference(n)
-        if facet_value(f, c) == 0 and facet_value(g, c) == 0
+        if facet_value_reference(f, c) == 0 and facet_value_reference(g, c) == 0
     ]
     return integer_rank(common) == num_pairs(n) - 2
 
@@ -442,11 +442,11 @@ class TestAdjacency:
         monkeypatch.setattr(cones, "integer_rank", recording)
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
-        facets, columns = enumerate_triangle_facets(n), cut_columns(n)
+        facets, stars = enumerate_triangle_facets(n), cut_stars(n)
         cuts, correlations = cut_order_reference(n), cut_correlations(n)
-        on = [sum(1 << i for i, c in enumerate(cuts) if facet_value(f, c) == 0) for f in facets]
+        on = [sum(1 << i for i, c in enumerate(cuts) if facet_value_reference(f, c) == 0) for f in facets]
         full = (1 << len(cuts)) - 1
-        assert on == [full ^ _facet_incidence_masks(f, columns) for f in facets]
+        assert on == [full ^ _facet_incidence_masks(f, stars) for f in facets]
         dim = num_pairs(n)
         expected = []
         for a, b in itertools.combinations(range(len(facets)), 2):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesym.autgrp import _mult, induced_point_generators
-from conesym.cones import facet_value, integer_rank
+from conesym.cones import integer_rank
 from conesym.core import (
     TriangleFacet,
-    cut_columns,
     cut_correlations,
     cut_members,
+    cut_stars,
     enumerate_triangle_facets,
     num_pairs,
     pair_index,
@@ -24,6 +24,8 @@ from conesym.reflections import _move_pairs
 from references import (
     cut_bits_reference,
     cut_order_reference,
+    facet_coeffs_reference,
+    facet_value_reference,
     graph_from_edges,
     switching_reflection_reference,
 )
@@ -35,10 +37,11 @@ def permute_cut_reference(sigma, members, n):
 
 
 def column_cut(members, n):
-    """The cut vector of a generating set in the cut order, read off
-    `cut_columns(n)` at the set's place in that order."""
+    """The cut vector of a generating set in the cut order, read off the
+    XORs of two stars of `cut_stars(n)` at the set's place in that order."""
     c = cut_members(n).index(sorted(members))
-    return tuple(column >> c & 1 for column in cut_columns(n))
+    stars = cut_stars(n)
+    return tuple((stars[i - 1] ^ stars[j - 1]) >> c & 1 for i, j in pair_list(n))
 
 
 # The seven nonzero cuts on 4 points in the fixed reference order r1..r7.
@@ -182,7 +185,7 @@ class TestFacetCorrelation:
             h = f.correlation
             assert set(h) <= {-1, 0, 1}
             for bits, p in cuts:
-                assert facet_value(f, bits) == 2 * sum(a * b for a, b in zip(h, p))
+                assert facet_value_reference(f, bits) == 2 * sum(a * b for a, b in zip(h, p))
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_supports_are_distinct(self, n):
@@ -222,17 +225,28 @@ class TestCutMembers:
             cut_members(n)
 
 
+class TestCutStars:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_star_holds_the_cuts_of_its_point(self, n):
+        members = cut_members(n)
+        expected = [sum(1 << c for c, m in enumerate(members) if p in m) for p in range(1, n + 1)]
+        assert cut_stars(n) == expected
+
+
 class TestCutColumns:
+    """Column (i, j) of the cut vectors is the XOR of stars i and j."""
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_transpose_of_the_cut_masks(self, n):
         cuts = cut_order_reference(n)
         transpose = [sum(bits[k] << c for c, bits in enumerate(cuts)) for k in range(num_pairs(n))]
-        assert cut_columns(n) == transpose
+        stars = cut_stars(n)
+        assert [stars[i - 1] ^ stars[j - 1] for i, j in pair_list(n)] == transpose
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_fewer_than_three_points_refused(self, n):
         with pytest.raises(ValueError, match="need n >= 3"):
-            cut_columns(n)
+            cut_stars(n)
 
 
 class TestCutCorrelations:
@@ -255,7 +269,7 @@ class TestTriangleFacets:
 
     def test_sign_pattern(self):
         for f in enumerate_triangle_facets(5):
-            coeffs = f.coeffs()
+            coeffs = facet_coeffs_reference(f)
             assert sorted(coeffs) == [-1, -1] + [0] * (num_pairs(5) - 3) + [1]
             supported = {pair_list(5)[k] for k, c in enumerate(coeffs) if c}
             points = set(itertools.chain.from_iterable(supported))
@@ -297,7 +311,8 @@ class TestPermutationAction:
         # Oracle: map the three support pairs through the index map by hand.
         sigma = (1, 2, 0, 3)  # the 3-cycle (1 2 3)
         f = TriangleFacet(1, 2, 3, 4)
-        assert _move_pairs(sigma, f.coeffs()) == TriangleFacet(2, 3, 1, 4).coeffs()
+        image = facet_coeffs_reference(TriangleFacet(2, 3, 1, 4))
+        assert _move_pairs(sigma, facet_coeffs_reference(f)) == image
 
     @pytest.mark.parametrize(
         "labels, label, image",

@@ -50,6 +50,15 @@ def test_quoted_bound_cap_is_the_code_cap():
     assert int(quoted.group(1)) == HYPERMETRIC_BOUND_MAX
 
 
+def test_quoted_n_max_cap_is_the_code_cap():
+    from conesym.cli import MAX_N
+
+    text = " ".join(README.read_text().split())
+    quoted = re.search(r"`--n-max` is refused above (\d+) \(`cli.MAX_N`", text)
+    assert quoted, "README no longer quotes the n_max cap"
+    assert int(quoted.group(1)) == MAX_N
+
+
 def test_quoted_sweep_figures_are_the_sweep():
     from conesym.cones import _sorted_representatives, hypermetric_sweep
 
