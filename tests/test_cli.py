@@ -758,8 +758,9 @@ class TestIncidenceCheck:
         assert [f for f, _ in calls] == [enumerate_triangle_facets(n)[0] for n in range(4, 9)]
 
     def test_moved_count_fails_at_the_first_facet(self, monkeypatch):
-        # Without bit 3, the cut {3}, in point 3's star, that cut cuts no pair
-        # through 3 and lies on the first facet, (1, 2; 3).
+        # Clearing bit 3, the cut {3}, from point 3's star leaves that cut
+        # cutting no pair through 3, so it moves onto the first facet,
+        # (1, 2; 3), and the count there rises by one.
         def patched(n):
             stars = cut_stars(n)
             stars[2] &= ~(1 << 3)
