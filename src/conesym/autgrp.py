@@ -708,7 +708,6 @@ def clique_chain_groups(
 class Theorem1Report(NamedTuple):
     """`group.order` is |Aut(gbar)| and `group.seed_order` the induced image's."""
 
-    n: int
     expected_order: int
     passed: bool
     witness: tuple[int, ...] | None
@@ -736,7 +735,7 @@ def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
     expected = factorial(n) if n >= 5 else 144
     passed = aut.order == expected and aut.seed_order == factorial(n)
     witness = aut.generators[aut.seeds] if n >= 5 and aut.order > aut.seed_order else None
-    return Theorem1Report(n, expected, passed, witness, aut)
+    return Theorem1Report(expected, passed, witness, aut)
 
 
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:

@@ -37,7 +37,7 @@ from .cones import (
     hypermetric_sweep,
     triangle_incidence_bound,
 )
-from .core import cut_stars, enumerate_triangle_facets, pair_list
+from .core import TriangleFacet, cut_stars, enumerate_triangle_facets, pair_list
 from .reflections import build_reflection_group, ray_table
 from .ridge import (
     StructureError,
@@ -59,21 +59,25 @@ SCHEMA_VERSION = 1
 
 # The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
 # 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
-# like (orbit representatives) x 2^(n-1).  `cuts` and `incidence` read n
-# star columns of 2^(n-1) bits, so their cap bounds that time (about 0.5 s
-# at n=24) and memory (about 75 MiB peak RSS there), which double with each n.
+# like (orbit representatives) x 2^(n-1).  `cuts` reads n star columns of
+# 2^(n-1) bits and `incidence` three, so their cap bounds that time (about
+# 0.1 s at n=24) and memory (about 60 MiB peak RSS there), which double
+# with each n.
 # Raising a cap turns recorded skips into passes (tests/data), so
 # the caps stay until that is intended.  The bounded family has about
 # C(2b + n, n) sorted representatives at bound b, so larger bounds are
 # refused: on that host b = 8 takes 1 s at n = 7, and b = 16 3.3 s at n = 6.
 # The graph checks and `facets` have no skip rule, and the four graph stages
 # took 29 s and 309 MiB at n=40, so n_max is refused above MAX_N, the
-# largest n measured; that also bounds the number of records.
+# largest n measured; that also bounds the number of records.  Export holds one n's
+# graphs and file text at a time, which grow about as V^2: 13.6 s and 473 MiB at
+# n=20, so export is refused above EXPORT_MAX_N, the largest n it was measured at.
 ADJACENCY_SWEEP_MAX_N = 6
 HYPERMETRIC_SWEEP_MAX_N = 7
 INCIDENCE_MAX_N = 24
 HYPERMETRIC_BOUND_MAX = 8
 MAX_N = 40
+EXPORT_MAX_N = 20
 
 
 class ConfigError(ValueError):
@@ -122,8 +126,6 @@ class Instance:
         # bound is the coefficient bound of the bounded family.
         self.n, self.vertex_cap, self.bound = n, vertex_cap, bound
 
-    facets = _once(lambda self: enumerate_triangle_facets(self.n))
-    stars = _once(lambda self: cut_stars(self.n))
     gbar = _once(lambda self: build_complement(self.n))
     triangles = _once(lambda self: find_triangles(self.gbar))
     gamma = _once(lambda self: build_triangle_graph(self.gbar, self.triangles))
@@ -159,15 +161,26 @@ class Instance:
 # n its skip rule in CHECKS lets through.
 
 
+def _cut_order_star(n: int, p: int) -> int:
+    """The star of point p < n from the cut order's definition: bit c is set
+    when c + 1 has bit p - 1.  Over c + 1, from bit 0 up, that is a period of
+    2**(p-1) clear bits and as many set ones, repeated to fill a byte when
+    shorter, then repeated as bytes and shifted down by one."""
+    half = 2 ** (p - 1)
+    width = max(2 * half, 8)
+    period = ((1 << width) - 1) // ((1 << 2 * half) - 1) * ((1 << half) - 1 << half)
+    pattern = period.to_bytes(width // 8, "little") * (2 ** (n - 1) // width)
+    return int.from_bytes(pattern, "little") >> 1
+
+
 def _check_cuts(inst: Instance, cfg: RunConfig):
     # Stars that read bit p - 1 of c + 1 at bit c, and 0 for the point n, keep every cut c
     # nonzero and distinct.  Each cut satisfies every triangle inequality by an identity: on
-    # pair columns s_i ^ s_j, (s_i ^ s_j) & ~((s_i ^ s_k) | (s_j ^ s_k)) is 0.  The patterns
-    # are built one at a time, as their list would add 23 MiB to the peak at n = 24.
-    n, stars = inst.n, inst.stars
+    # pair columns s_i ^ s_j, (s_i ^ s_j) & ~((s_i ^ s_k) | (s_j ^ s_k)) is 0.  The stars
+    # from the definition are built one at a time; their list would add 23 MiB at n = 24.
+    n, stars = inst.n, cut_stars(inst.n)
     details = {"cut_count": max(stars).bit_length(), "expected": 2 ** (n - 1) - 1}
-    patterns = (int(("1" * 2 ** i + "0" * 2 ** i) * 2 ** (n - 2 - i), 2) >> 1 for i in range(n - 1))
-    wrong = stars[-1] or any(s != p for s, p in zip(stars, patterns))
+    wrong = stars[-1] or any(stars[p - 1] != _cut_order_star(n, p) for p in range(1, n))
     if details["cut_count"] != details["expected"] or wrong:
         return "fail", details, {"reason": "wrong cut count or duplicates"}
     if n == 4:
@@ -180,8 +193,7 @@ def _check_cuts(inst: Instance, cfg: RunConfig):
 
 
 def _check_facets(inst: Instance, cfg: RunConfig):
-    n = inst.n
-    facets = inst.facets
+    n, facets = inst.n, enumerate_triangle_facets(inst.n)
     details = {"facet_count": len(facets), "expected": 3 * comb(n, 3)}
     if len(facets) != details["expected"] or len(set(facets)) != len(facets):
         return "fail", details, {"reason": "wrong facet count or duplicates"}
@@ -195,17 +207,17 @@ def _check_facets(inst: Instance, cfg: RunConfig):
 
 
 def _check_incidence(inst: Instance, cfg: RunConfig):
-    # One facet decides them all.  A point permutation sigma maps the cut
+    # One facet decides them all.  The 3*C(n, 3) triangle facets form one orbit of the
+    # point permutations (Deza and Laurent, 1997).  A permutation sigma maps the cut
     # delta(S) to delta(sigma S) and the facet f to sigma f, with
-    # sigma f(delta(sigma S)) = f(delta(S)); the triangle facets form one
-    # orbit, and the stars make the cut set all the nonzero cuts, which
-    # sigma permutes.  So every facet contains as many cuts as facets[0],
-    # and if any facet failed, facets[0], the first, would fail too.
-    n, facets = inst.n, inst.facets
+    # sigma f(delta(sigma S)) = f(delta(S)), and permutes the nonzero cuts.  So every facet
+    # contains as many as (1, 2; 3), counted on stars from the cut order's definition.
+    n = inst.n
     expected = triangle_incidence_bound(n)
-    details = {"facets": len(facets), "cuts_per_facet": expected}
-    f = facets[0]
-    count = 2 ** (n - 1) - 1 - _facet_incidence_masks(f, inst.stars).bit_count()
+    details = {"facets": 3 * comb(n, 3), "cuts_per_facet": expected}
+    f = TriangleFacet(1, 2, 3, n)
+    stars = [_cut_order_star(n, p) for p in (1, 2, 3)]
+    count = 2 ** (n - 1) - 1 - _facet_incidence_masks(f, stars).bit_count()
     if count != expected:
         return "fail", details, {"facet": repr(f), "count": count, "expected": expected}
     return "pass", details, None
@@ -505,6 +517,8 @@ class RunConfig(NamedTuple):
             raise ConfigError(f"need 4 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if self.n_max > MAX_N:
             raise ConfigError(f"n_max {self.n_max} is above {MAX_N}, the largest n measured")
+        if self.export_dir is not None and self.n_max > EXPORT_MAX_N:
+            raise ConfigError(f"export at n_max {self.n_max} is above {EXPORT_MAX_N}")
         if not 1 <= self.hypermetric_bound <= HYPERMETRIC_BOUND_MAX:
             raise ConfigError(f"hypermetric bound must be in 1..{HYPERMETRIC_BOUND_MAX}")
         if self.aut_vertex_cap < 1:
@@ -572,6 +586,7 @@ def run_verify(cfg: RunConfig) -> dict:
 def export_graphs(cfg: RunConfig) -> dict:
     """Write the ridge graph, its complement, and the Triangle quotient in
     graph6 and edge-list form with label sidecars, plus a manifest."""
+    cfg.validate()
     out_dir = Path(cfg.export_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # A manifest marks a complete export: drop a stale one before the first

@@ -169,7 +169,8 @@ def _bareiss_rank(m: list[list[int]]) -> int:
 def _facet_incidence_masks(facet: TriangleFacet, stars: list[int]) -> int:
     """The bitmask over the cut order of the cuts off the facet.
 
-    `stars` is `cut_stars(facet.n)`.  A cut cuts 0 or 2 pairs of the 3-set
+    `stars[p - 1]` is the star of point p, as in `cut_stars(facet.n)`, for
+    each point p of the facet.  A cut cuts 0 or 2 pairs of the 3-set
     {i, j, k}, and x_ij - x_ik - x_jk is nonzero on it exactly when those
     are the two pairs through k.
     """
@@ -248,11 +249,9 @@ def _closed_forms(b: Sequence[int], members: list[list[int]]) -> list[int]:
 
 
 class HypermetricSweep(NamedTuple):
-    n: int
     bound: int
     vector_count: int
     cut_count: int
-    degenerate_count: int  # vectors inducing the identically-zero functional
     max_count: int
     triangle_count: int
     mismatch: tuple | None  # (b, cut members, direct, closed) on first failure
@@ -300,7 +299,7 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
     triangle = (-1, *[0] * (n - 3), 1, 1)
-    vector_count = degenerate_count = triangle_count = 0
+    vector_count = triangle_count = 0
     mismatch = positive = over_bound = triangle_failure = rogue_maximizer = None
     for b, size in _sorted_representatives(n, bound):
         vector_count += size
@@ -314,7 +313,6 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
             c = next(c for c, d in enumerate(direct) if d > 0)
             positive = (b, [p + 1 for p in members[c]], direct[c])
         if len(b) - b.count(0) < 2:
-            degenerate_count += size
             continue
         count = direct.count(0)
         if count > limit:
@@ -331,6 +329,6 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
         elif rank == facet_rank:
             rogue_maximizer = rogue_maximizer or (b, count, rank)
     return HypermetricSweep(
-        n, bound, vector_count, len(members), degenerate_count, limit, triangle_count,
+        bound, vector_count, len(members), limit, triangle_count,
         mismatch, positive, over_bound, triangle_failure, rogue_maximizer,
     )

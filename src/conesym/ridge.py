@@ -20,7 +20,6 @@ __all__ = [
     "StructureError",
     "conflicting",
     "build_complement",
-    "HexagonNeighborhood",
     "verify_hexagon_neighborhood",
     "Triangle",
     "find_triangles",
@@ -179,13 +178,7 @@ def build_complement(n: int) -> Graph:
     return Graph(conflict, facets)
 
 
-class HexagonNeighborhood(NamedTuple):
-    vertex: int
-    distinguished_edge: tuple[int, int]
-    hexagons: tuple[tuple[int, ...], ...]  # each (u1, a, b, c, d, u2)
-
-
-def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
+def verify_hexagon_neighborhood(gbar: Graph, u: int) -> None:
     """Check that the neighborhood of u decomposes as n-3 hexagons sharing
     one edge whose endpoints carry the same support 3-set as u.
 
@@ -215,7 +208,6 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
     u1, u2 = pair
 
     rest = nb & ~(1 << u1) & ~(1 << u2)
-    hexagons = []
     while rest:
         # The component of the lowest vertex left.
         comp = 0
@@ -238,10 +230,6 @@ def verify_hexagon_neighborhood(gbar: Graph, u: int) -> HexagonNeighborhood:
         a, d = a_end[0], d_end[0]
         if comp & ~(1 << a) & ~(1 << d) & (adj[u1] | adj[u2]):
             raise StructureError(f"vertex {u}: chord from path interior to ({u1}, {u2})")
-        b = next(_bits(adj[a] & comp))
-        c = next(_bits(adj[d] & comp))
-        hexagons.append((u1, a, b, c, d, u2))
-    return HexagonNeighborhood(u, (u1, u2), tuple(hexagons))
 
 
 class Triangle(NamedTuple):
@@ -509,19 +497,11 @@ def to_graph6(graph: Graph) -> str:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this encoder")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k : k + 6]:
-            val = (val << 1) | bit
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # Column j holds the bits of row j below the diagonal, vertex 0 first.
+    adj = graph.adj
+    bits = "".join(format(adj[j] & ~(-1 << j), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def edge_list_lines(graph: Graph) -> list[str]:

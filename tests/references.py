@@ -1,5 +1,6 @@
 """Reference implementations shared by the tests: a graph from its edge
-list, cut vectors from the definition, a triangle facet's value and dense
+list, cut vectors from the definition, a point's star over the cut order
+from its binary string, a triangle facet's value and dense
 coefficient vector, a point permutation's action on vectors over pairs, rational row reduction, reflection matrices over
 Fractions with their products, images and determinants, the ridge graph
 built pair by pair, simple adjacency rows checked condition by condition,
@@ -24,6 +25,13 @@ def graph_from_edges(n: int, edges=(), labels=None) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(adj, labels)
+
+
+def cut_order_star_reference(n: int, p: int) -> int:
+    """The star of point p < n over the cut order, from its binary string:
+    over m = c + 1, from the top bit down, 2**(p-1) ones then as many zeros,
+    repeated, and shifted down by one for c = m - 1."""
+    return int(("1" * 2 ** (p - 1) + "0" * 2 ** (p - 1)) * 2 ** (n - 1 - p), 2) >> 1
 
 
 def cut_bits_reference(members, n) -> tuple[int, ...]:

@@ -43,6 +43,7 @@ from conesym.ridge import (
     verify_rook_neighborhood,
 )
 
+from references import cut_order_star_reference
 from test_autgrp import toggled, with_one_point_meetings
 
 DATA = Path(__file__).parent / "data"
@@ -91,6 +92,18 @@ class TestConfig:
         assert main(["verify", *argv]) == 2
         assert time.perf_counter() - start < 1
         assert f"is above {cli.MAX_N}" in capsys.readouterr().err
+
+    def test_export_above_export_max_n_exits_2_before_writing(self, tmp_path, capsys):
+        n = cli.EXPORT_MAX_N + 1
+        RunConfig(n_min=4, n_max=n - 1, export_dir=str(tmp_path)).validate()
+        start = time.perf_counter()
+        assert main(["verify", "--n-min", str(n), "--n-max", str(n), "--checks", "facets",
+                     "--export", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"export at n_max {n} is above {cli.EXPORT_MAX_N}" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="export at n_max"):
+            export_graphs(RunConfig(n_min=n, n_max=n, export_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_check_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -719,6 +732,12 @@ class TestCutsCheck:
         assert outcome == "fail"
         assert witness == {"reason": "wrong cut count or duplicates"}
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_stars_from_the_definition_match_the_string_pattern(self, n):
+        assert [cli._cut_order_star(n, p) for p in range(1, n)] == [
+            cut_order_star_reference(n, p) for p in range(1, n)
+        ]
+
     def test_missing_reference_ray_fails_n4(self, monkeypatch):
         rays = cli.ray_table()
         monkeypatch.setattr(cli, "ray_table", lambda: rays[:-1])
@@ -739,15 +758,18 @@ class TestFacetsCheck:
         assert calls == []
         assert elapsed < 1.0
 
-    def test_n60_checked_in_under_a_second(self):
+    def test_n60_checked_in_under_a_second(self, monkeypatch):
         # Each facet is read by its three entries, not by a dense vector
-        # over all C(n, 2) pairs.
-        inst = cli.Instance(60, AUT_VERTEX_CAP, 3)
-        assert len(inst.facets) == 3 * 34220
+        # over all C(n, 2) pairs.  The facets are built before the clock starts.
+        facets = enumerate_triangle_facets(60)
+        monkeypatch.setattr(cli, "enumerate_triangle_facets", lambda n: facets)
         start = time.perf_counter()
-        outcome, details, witness = cli._check_facets(inst, RunConfig(n_min=60, n_max=60))
+        outcome, details, witness = cli._check_facets(
+            cli.Instance(60, AUT_VERTEX_CAP, 3), RunConfig(n_min=60, n_max=60)
+        )
         assert time.perf_counter() - start < 1.0
         assert (outcome, witness) == ("pass", None)
+        assert details["facet_count"] == 3 * 34220
 
 
 class TestIncidenceCheck:
@@ -757,16 +779,30 @@ class TestIncidenceCheck:
         assert report["summary"]["pass"] == 5
         assert [f for f, _ in calls] == [enumerate_triangle_facets(n)[0] for n in range(4, 9)]
 
+    def test_reads_neither_the_stars_nor_the_facet_list(self, monkeypatch):
+        # The count rests on the cut order's definition and the orbit
+        # argument alone, not on what `cuts` and `facets` certify.
+        cfg = RunConfig(n_min=4, n_max=8, checks=("incidence",))
+        expected = [rec["details"] for rec in run_verify(cfg)["checks"]]
+
+        def refuse(n):
+            raise RuntimeError("read by incidence")
+
+        monkeypatch.setattr(cli, "cut_stars", refuse)
+        monkeypatch.setattr(cli, "enumerate_triangle_facets", refuse)
+        report = run_verify(cfg)
+        assert report["summary"]["pass"] == 5
+        assert [rec["details"] for rec in report["checks"]] == expected
+        assert expected[0] == {"facets": 12, "cuts_per_facet": 5}
+
     def test_moved_count_fails_at_the_first_facet(self, monkeypatch):
         # Clearing bit 3, the cut {3}, from point 3's star leaves that cut
-        # cutting no pair through 3, so it moves onto the first facet,
+        # cutting no pair through 3, so it moves onto the counted facet,
         # (1, 2; 3), and the count there rises by one.
-        def patched(n):
-            stars = cut_stars(n)
-            stars[2] &= ~(1 << 3)
-            return stars
-
-        monkeypatch.setattr(cli, "cut_stars", patched)
+        star = cli._cut_order_star
+        monkeypatch.setattr(
+            cli, "_cut_order_star", lambda n, p: star(n, p) & ~(1 << 3) if p == 3 else star(n, p)
+        )
         n, expected = 5, triangle_incidence_bound(5)
         outcome, details, witness = cli._check_incidence(
             cli.Instance(n, AUT_VERTEX_CAP, 3), RunConfig(n_min=n, n_max=n)
@@ -790,8 +826,8 @@ class TestIncidenceCap:
         assert calls == []
 
     def test_largest_n_under_the_cap_fits_in_100_mib(self):
-        # The n star columns of 2^(n-1) bits and the one pattern `cuts`
-        # compares at a time set the peak: about 75 MiB at n = 24, where the
+        # The n star columns of 2^(n-1) bits and the one star `cuts`
+        # compares at a time set the peak: about 60 MiB at n = 24, where the
         # C(n, 2) pair columns took about 30 MiB at n = 20, four n lower.
         n = cli.INCIDENCE_MAX_N
         code = (

@@ -88,17 +88,15 @@ def hypermetric_sweep_reference(n, bound):
 
 def triangle_maximality_sweep_reference(n, bound):
     """One rank certificate per triangle or bound-attaining vector of the
-    whole family; (ok, vector count, degenerate count, max count, triangle
-    count)."""
+    whole family; (ok, vector count, max count, triangle count)."""
     coeffs, cuts, vecs, values = _exhaustive_family(n, bound)
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
     triangle = sorted([-1] + [0] * (n - 3) + [1, 1])
     ok = True
-    degenerate = triangles = 0
+    triangles = 0
     for b, row in zip(coeffs, values):
         if sum(1 for v in b if v) < 2:
-            degenerate += 1
             continue
         count = int((row == 0).sum())
         is_triangle = sorted(b) == triangle
@@ -111,7 +109,7 @@ def triangle_maximality_sweep_reference(n, bound):
                 ok = ok and count == limit and rank == facet_rank
             elif rank == facet_rank:
                 ok = False
-    return ok, len(coeffs), degenerate, limit, triangles
+    return ok, len(coeffs), limit, triangles
 
 
 class TestFacetValue:
@@ -555,7 +553,6 @@ class TestSweeps:
         assert (
             maximality_ok,
             sweep.vector_count,
-            sweep.degenerate_count,
             sweep.max_count,
             sweep.triangle_count,
         ) == triangle_maximality_sweep_reference(n, bound)

@@ -220,10 +220,11 @@ def test_no_public_name_only_the_tests_use():
 
 
 def unreferenced_members(modules: dict[str, str]) -> list[str]:
-    """`module.Class.name` of each public method or property of a
-    module-level class that no module reads, by name, attribute or import,
-    outside the member's own definition.  A member that only the tests use
-    belongs in the tests, as a `*_reference`."""
+    """`module.Class.name` of each public method, property or annotated
+    field (a NamedTuple's) of a module-level class that no module reads, by
+    name, attribute or import, outside the member's own definition.  A
+    member that only the tests use belongs in the tests, as a
+    `*_reference`."""
     defined = []
     read = set()
     for module, source in modules.items():
@@ -236,8 +237,10 @@ def unreferenced_members(modules: dict[str, str]) -> list[str]:
                 own = None
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     own = member.name
-                    if not own.startswith("_"):
-                        defined.append(f"{module}.{node.name}.{own}")
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    own = member.target.id
+                if own is not None and not own.startswith("_"):
+                    defined.append(f"{module}.{node.name}.{own}")
                 read |= names_read(member) - {own}
     return [name for name in defined if name.rpartition(".")[2] not in read]
 
@@ -257,11 +260,17 @@ def test_member_scanner_flags_only_unread_members():
                 "class Other:",
                 "    def via_function(self): pass",
                 "def read(box): return box.via_function()",
+                "class Row(NamedTuple):",
+                "    width: int",
+                "    unread: tuple[int, int] = (0, 0)",
+                "    _hidden: int = 0",
+                "    def area(self): return self.width * self.width",
+                "def measure(row): return row.area()",
             ]
         ),
         "b": "class Empty: pass",
     }
-    assert unreferenced_members(modules) == ["a.Box.recursive", "a.Box.orphan"]
+    assert unreferenced_members(modules) == ["a.Box.recursive", "a.Box.orphan", "a.Row.unread"]
 
 
 def test_no_public_member_only_the_tests_use():

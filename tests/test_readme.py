@@ -59,6 +59,15 @@ def test_quoted_n_max_cap_is_the_code_cap():
     assert int(quoted.group(1)) == MAX_N
 
 
+def test_quoted_export_cap_is_the_code_cap():
+    from conesym.cli import EXPORT_MAX_N
+
+    text = " ".join(README.read_text().split())
+    quoted = re.search(r"`--export` is refused above `n = (\d+)` \(`cli.EXPORT_MAX_N`", text)
+    assert quoted, "README no longer quotes the export cap"
+    assert int(quoted.group(1)) == EXPORT_MAX_N
+
+
 def test_quoted_sweep_figures_are_the_sweep():
     from conesym.cones import _sorted_representatives, hypermetric_sweep
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conesym.core import TriangleFacet, enumerate_triangle_facets
 from conesym.ridge import (
     Graph,
-    HexagonNeighborhood,
     IntersectionArray,
     StructureError,
     Triangle,
@@ -271,10 +270,11 @@ class TestHexagons:
     def test_neighborhood_decomposition_all_vertices(self, n, size):
         gbar = build_complement(n)
         for u in range(gbar.n):
-            rep = verify_hexagon_neighborhood(gbar, u)
-            assert len(rep.hexagons) == n - 3
+            verify_hexagon_neighborhood(gbar, u)
+            hexagons = verify_hexagon_neighborhood_reference(gbar, u)
+            assert len(hexagons) == n - 3
             assert gbar.degree(u) == size
-            u1, u2 = rep.distinguished_edge
+            u1, u2 = hexagons[0][0], hexagons[0][-1]
             assert (
                 gbar.labels[u].support
                 == gbar.labels[u1].support
@@ -283,8 +283,7 @@ class TestHexagons:
 
     def test_hexagons_are_six_cycles(self):
         gbar = build_complement(5)
-        rep = verify_hexagon_neighborhood(gbar, 0)
-        for hexagon in rep.hexagons:
+        for hexagon in verify_hexagon_neighborhood_reference(gbar, 0):
             ring = list(hexagon)
             for i, v in enumerate(ring):
                 assert gbar.has_edge(v, ring[(i + 1) % 6])
@@ -297,11 +296,12 @@ class TestHexagons:
             verify_hexagon_neighborhood(ring, 0)
 
 
-def verify_hexagon_neighborhood_reference(gbar: Graph, u: int) -> HexagonNeighborhood:
-    """The hexagon certificate with the shared edge found by a census of
-    induced degrees for n >= 5 and by the support labels at n = 4, kept as
-    the oracle for `verify_hexagon_neighborhood`, which reads it off the
-    labels at every n."""
+def verify_hexagon_neighborhood_reference(gbar: Graph, u: int) -> tuple[tuple[int, ...], ...]:
+    """The hexagons (u1, a, b, c, d, u2) of the neighborhood of u, with the
+    shared edge (u1, u2) found by a census of induced degrees for n >= 5 and
+    by the support labels at n = 4, kept as the oracle for
+    `verify_hexagon_neighborhood`, which reads it off the labels at every n
+    and returns nothing."""
     if gbar.labels is None:
         raise ValueError("complement graph must carry facet labels")
     n = gbar.labels[0].n
@@ -374,15 +374,16 @@ def verify_hexagon_neighborhood_reference(gbar: Graph, u: int) -> HexagonNeighbo
         b = next(w for w in _bits(gbar.adj[a] & comp))
         c = next(w for w in _bits(gbar.adj[d] & comp))
         hexagons.append((u1, a, b, c, d, u2))
-    return HexagonNeighborhood(u, (u1, u2), tuple(hexagons))
+    return tuple(hexagons)
 
 
 def hexagon_outcome(verify, gbar: Graph, u: int):
-    """The certificate, or StructureError when the decomposition fails."""
+    """None when the decomposition holds, StructureError when it fails."""
     try:
-        return verify(gbar, u)
+        verify(gbar, u)
     except StructureError:
         return StructureError
+    return None
 
 
 def toggled(gbar: Graph, pairs) -> Graph:
@@ -428,7 +429,8 @@ class TestHexagonsAgainstReference:
     def test_same_certificate_at_every_vertex(self, n):
         gbar = build_complement(n)
         for u in range(gbar.n):
-            assert verify_hexagon_neighborhood(gbar, u) == verify_hexagon_neighborhood_reference(gbar, u)
+            assert hexagon_outcome(verify_hexagon_neighborhood, gbar, u) is None
+            assert hexagon_outcome(verify_hexagon_neighborhood_reference, gbar, u) is None
 
     @settings(max_examples=80, deadline=None)
     @given(complement_with_toggled_edges())
@@ -442,14 +444,14 @@ class TestHexagonsAgainstReference:
     def test_same_certificate_after_relabelling(self, case):
         # Every drawn graph is isomorphic to Ḡn, so both must pass.
         gbar, u = case
-        assert verify_hexagon_neighborhood(gbar, u) == verify_hexagon_neighborhood_reference(gbar, u)
+        assert hexagon_outcome(verify_hexagon_neighborhood, gbar, u) is None
+        assert hexagon_outcome(verify_hexagon_neighborhood_reference, gbar, u) is None
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_shared_edge_and_every_hexagon_required(self, n):
         gbar = build_complement(n)
-        rep = verify_hexagon_neighborhood(gbar, 0)
-        u1, a, b, c, d, u2 = rep.hexagons[0]
-        for pairs in [[rep.distinguished_edge], [(0, v) for v in (a, b, c, d)]]:
+        u1, a, b, c, d, u2 = verify_hexagon_neighborhood_reference(gbar, 0)[0]
+        for pairs in [[(u1, u2)], [(0, v) for v in (a, b, c, d)]]:
             broken = toggled(gbar, pairs)
             assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
             with pytest.raises(StructureError):
@@ -458,7 +460,7 @@ class TestHexagonsAgainstReference:
     @pytest.mark.parametrize("n", [5, 6])
     def test_chord_from_path_interior_refused(self, n):
         gbar = build_complement(n)
-        u1, a, b, c, d, u2 = verify_hexagon_neighborhood(gbar, 0).hexagons[0]
+        u1, a, b, c, d, u2 = verify_hexagon_neighborhood_reference(gbar, 0)[0]
         for chord in [(b, u1), (c, u2)]:
             broken = toggled(gbar, [chord])
             assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
@@ -469,7 +471,7 @@ class TestHexagonsAgainstReference:
     @pytest.mark.parametrize("change", ["a-u2", "d-u1", "a-u1 to d-u1"])
     def test_path_end_must_reach_one_side_alone(self, n, change):
         gbar = build_complement(n)
-        u1, a, b, c, d, u2 = verify_hexagon_neighborhood(gbar, 0).hexagons[0]
+        u1, a, b, c, d, u2 = verify_hexagon_neighborhood_reference(gbar, 0)[0]
         pairs = {"a-u2": [(a, u2)], "d-u1": [(d, u1)], "a-u1 to d-u1": [(a, u1), (d, u1)]}
         broken = toggled(gbar, pairs[change])
         assert hexagon_outcome(verify_hexagon_neighborhood_reference, broken, 0) is StructureError
