@@ -38,6 +38,7 @@ that representative is the identity.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from math import factorial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -48,6 +49,7 @@ from .ridge import (
     StructureError,
     Triangle,
     _bits,
+    _label_cliques,
     _mask_of,
     build_complement,
     build_triangle_graph,
@@ -285,18 +287,24 @@ def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
     return _is_permutation(perm, graph.n) and _preserves_adjacency(graph.adj, perm)
 
 
-def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
+def orbit_representatives(
+    graph: Graph, generators: Sequence[Sequence[int]], checked: Sequence[bool] | None = None
+) -> list[int]:
     """The least vertex of each orbit of the group the automorphisms among
     `generators` generate, ascending.
 
     A generator that fails `is_graph_automorphism` is dropped, so with none
-    left every vertex is its own representative.  A claim at a vertex that
+    left every vertex is its own representative.  `checked`, when given,
+    holds that check's verdict on each generator, as the caller already
+    computed it, and the check is not run again.  A claim at a vertex that
     every automorphism carries to the same claim at its image holds at every
     vertex once it holds at these.  Scanning them in ascending order finds
     the same first failing vertex as scanning every vertex: the least
     failing vertex is the least of its orbit, which fails with it.
     """
-    gens = [tuple(g) for g in generators if is_graph_automorphism(graph, g)]
+    if checked is None:
+        checked = [is_graph_automorphism(graph, g) for g in generators]
+    gens = [tuple(g) for g, ok in zip(generators, checked) if ok]
     return [(orbit & -orbit).bit_length() - 1 for orbit in _orbits(gens, graph.n)]
 
 
@@ -542,80 +550,111 @@ def induced_point_generators(graph: Graph, n: int) -> list[tuple[int, ...]]:
     return gens
 
 
-def _cliques(adj: Sequence[int], threshold: int, size: int, what: str) -> list[int]:
-    """The cliques the edges span, as masks, in order of their first edge.
+def _clique_span(adj: Sequence[int], u: int, v: int, threshold: int, size: int, what: str) -> int:
+    """The span of edge uv, as a mask: u, v and every common neighbour of u
+    and v that has at least `threshold` neighbours among those common
+    neighbours.  That reads adjacency alone, so every automorphism carries
+    the span of uv to the span of its image.  Raises StructureError naming
+    the edge, between two `what`, when the span is not a clique of `size`."""
+    common = adj[u] & adj[v]
+    span = 1 << u | 1 << v
+    for x in _bits(common):
+        if (adj[x] & common).bit_count() >= threshold:
+            span |= 1 << x
+    if span.bit_count() != size or any(span & ~(adj[x] | 1 << x) for x in _bits(span)):
+        raise StructureError(
+            f"step (c): the edge between {what} {u} and {v} spans {what}"
+            f" {list(_bits(span))}, not a clique of {size}"
+        )
+    return span
 
-    Edge uv spans u, v and every common neighbour w of u and v that has at
-    least `threshold` neighbours among those common neighbours.  That reads
-    adjacency alone, so every automorphism permutes the cliques.  Raises
-    StructureError naming the first edge, between two `what`, whose span is
-    not a clique of `size`.
 
-    Every edge's span is computed.  Once a clique C of `size` through u and
-    v is known, each other member of C has the size - 3 others as common
-    neighbours of u, v and itself, so with threshold <= size - 3 the span
-    of uv is C plus the common neighbours outside C that pass the
-    threshold: only those are scored."""
-    if threshold > size - 3:
-        raise ValueError("threshold must be at most size - 3")
-    spans = {}
-    through: list[list[int]] = [[] for _ in adj]  # the cliques found through each vertex
-    for u, row in enumerate(adj):
-        for w in _bits(row >> (u + 1)):
-            v = u + 1 + w
-            known = next((c for c in through[u] if c >> v & 1), 0)
-            common = row & adj[v]
-            span = known | 1 << u | 1 << v
-            for x in _bits(common & ~known):
-                if (adj[x] & common).bit_count() >= threshold:
-                    span |= 1 << x
-            if span != known:
-                if span.bit_count() != size or any(span & ~(adj[x] | 1 << x) for x in _bits(span)):
-                    raise StructureError(
-                        f"step (c): the edge between {what} {u} and {v} spans {what}"
-                        f" {list(_bits(span))}, not a clique of {size}"
-                    )
-                spans[span] = None
-                for x in _bits(span):
-                    through[x].append(span)
-    return list(spans)
+# For each graph the span check runs on, named by its vertices: their plural and
+# the cliques its edges span.
+_SPAN_NAMES = {"vertex": ("vertices", "lines"), "line": ("lines", "stars")}
+
+
+def _check_spans(adj, at, keys, cliques, threshold: int, size: int, noun: str) -> None:
+    """At each vertex u in `at`, the span of every edge uv (`_clique_span`)
+    must be the clique that `cliques` keys by keys[u] & keys[v], and those
+    must be all k cliques through u, k the size of u's key.  Raises
+    StructureError naming the first failing edge or vertex."""
+    what, clique = _SPAN_NAMES[noun]
+    for u in at:
+        hit = set()
+        for v in _bits(adj[u]):
+            span = _clique_span(adj, u, v, threshold, size, what)
+            key = keys[u] & keys[v]
+            if span != cliques.get(key):
+                raise StructureError(
+                    f"step (c): the edge between {what} {u} and {v} spans {what}"
+                    f" {list(_bits(span))}, not the {clique[:-1]} of their labels"
+                )
+            hit.add(key)
+        if len(hit) != keys[u].bit_count():
+            raise StructureError(
+                f"step (c): {noun} {u} lies on {len(hit)} {clique}, not {keys[u].bit_count()}"
+            )
 
 
 def clique_chain_groups(
-    gbar: Graph, triangles: Sequence[Triangle], gamma: Graph, seeds: Sequence[Sequence[int]], n: int
+    gbar: Graph,
+    triangles: Sequence[Triangle],
+    gamma: Graph,
+    seeds: Sequence[Sequence[int]],
+    n: int,
+    vertices: Sequence[int],
+    checked: Sequence[bool] | None = None,
 ) -> tuple[PermGroup, PermGroup]:
     """Aut(Gbar_n) and Aut(Gamma_n) for n >= 7, certified to be the group the
     seeds generate, of order n!, by a chain of graph invariants instead of a
     search:
 
-    (a) `triangles` and `gamma` are `find_triangles(gbar)` and
-        `build_triangle_graph(gbar, triangles)`, which read adjacency alone,
-        so every automorphism of Gbar permutes the Triangles and induces an
+    (a) `triangles` and `gamma` are `find_triangles(gbar, reps)` and
+        `build_triangle_graph(gbar, triangles, reps)`, reps the orbit
+        representatives of the edge-checked seeds, which certify from
+        adjacency alone that the Triangles are the cliques of the
+        (n - 2)-count edges and Gamma's rows the quotient's, so every
+        automorphism of Gbar permutes the Triangles and induces an
         automorphism of Gamma.  Here the Triangles must partition Gbar's
         vertices into Gamma's.
     (b) An automorphism that fixes Triangles A and B fixes the one vertex of
         A with two neighbours in B, the centre of A's 2-path towards B.
         These centres cover two vertices of every Triangle, so only the
         identity fixes every Triangle: Aut(Gbar) embeds in Aut(Gamma).
-    (c) The lines (each edge's span at threshold n - 5) are cliques of n - 2
-        vertices, 3 through each vertex, and on the graph of lines, joined
-        when they meet, the stars (threshold n - 4) are n cliques of n - 1
-        lines.  Each vertex meets exactly 3 stars, and no two meet the same
-        3, so Aut(Gamma) acts faithfully on the n stars: it has at most n!
-        elements.  On J(n, 3) these are the maximal cliques of J(n, 3) and of
-        the triangular graph T(n); at n <= 6 the lines are no cliques.
+    (c) Gamma's labels must be the 3-sets of 1..n, each once.  The lines are
+        the vertex sets whose labels hold a 2-set, and the stars the line
+        sets whose 2-sets hold a point (`_label_cliques`); lines are joined
+        when they meet.  At each vertex in `vertices` each edge must span,
+        at threshold n - 5, a clique of n - 2 that is the line of the two
+        labels, and its three lines must all be spans; at each line through
+        those vertices the same holds for the stars, at threshold n - 4,
+        with n - 1 lines.  `vertices` are orbit representatives of
+        automorphisms of Gamma that move labels by point permutations
+        (`range(gamma.n)` checks all), which carry spans, lines and stars
+        along, so the lines are exactly the edges' spans and the stars the
+        spans on the line graph, which every automorphism permutes.  A
+        vertex meets the 3 stars of its label's points and no two meet the
+        same 3, so Aut(Gamma) acts faithfully on the n stars: it has at most
+        n! elements.  On J(n, 3) these are the maximal cliques of J(n, 3)
+        and of the triangular graph T(n); at n <= 6 the lines are no cliques.
     (d) Each seed is checked edge by edge on Gbar and carried through the
-        Triangles, the lines and the stars.  A Triangle permutation that maps
-        lines to lines keeps Gamma's edges, which the lines partition.  By
-        (b) and (c) the star action is faithful, so when the seeds act on the
-        stars with order n! they generate Aut(Gbar) and, on the Triangles,
-        Aut(Gamma).
+        Triangles, the lines and the stars.  `checked`, when given, holds
+        `is_graph_automorphism(gbar, seed)` for each seed, as the caller
+        already computed it, and the check is not run again.  A Triangle
+        permutation that maps lines to lines keeps Gamma's edges, which the
+        lines partition.  By (b) and (c) the star action is faithful, so when
+        the seeds act on the stars with order n! they generate Aut(Gbar) and,
+        on the Triangles, Aut(Gamma).
 
     Both groups list the seeds, less any the ones before them generate, as
     `automorphism_group` does; on Gamma a seed is its Triangle permutation.
     Raises StructureError naming the failing step and the first offending
-    edge, vertex, Triangle, line or seed.
+    edge, vertex, Triangle, line or seed, and ValueError when `vertices` is
+    empty, which would pass step (c) vacuously.
     """
+    if not vertices:
+        raise ValueError("clique_chain_groups needs at least one vertex")
     tmasks = [_mask_of(t.vertices) for t in triangles]
     owner = [-1] * gbar.n
     for i, t in enumerate(triangles):
@@ -638,37 +677,25 @@ def clique_chain_groups(
                 f"step (b): the centres of Triangle {i} cover only {list(_bits(centres))}"
             )
 
-    lines = _cliques(gamma.adj, n - 5, n - 2, "vertices")
-    on_lines = [0] * gamma.n  # the lines through each vertex, as a mask over lines
-    for k, line in enumerate(lines):
-        for v in _bits(line):
-            on_lines[v] |= 1 << k
-    for v, mask in enumerate(on_lines):
-        if mask.bit_count() != 3:
-            raise StructureError(f"step (c): vertex {v} lies on {mask.bit_count()} lines, not 3")
+    labels = gamma.labels
+    three_sets = {frozenset(c) for c in combinations(range(1, n + 1), 3)}
+    if labels is None or len(set(labels)) != gamma.n or set(labels) != three_sets:
+        raise StructureError(f"step (c): Gamma's labels are not the 3-sets of 1..{n}, each once")
+    keys = [_mask_of(label) for label in labels]
+    line_cliques = _label_cliques(keys)
+    _check_spans(gamma.adj, vertices, keys, line_cliques, n - 5, n - 2, "vertex")
+    pairs, lines = list(line_cliques), list(line_cliques.values())
+    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    on_lines = [_mask_of(pair_index[key ^ 1 << p] for p in _bits(key)) for key in keys]
     line_adj = [0] * len(lines)
     for mask in on_lines:
         for k in _bits(mask):
             line_adj[k] |= mask
     line_adj = [row & ~(1 << k) for k, row in enumerate(line_adj)]
-    stars = _cliques(line_adj, n - 4, n - 1, "lines")
-    if len(stars) != n:
-        raise StructureError(f"step (c): {len(stars)} stars, not {n}")
-    on_stars = [0] * len(lines)
-    for s, star in enumerate(stars):
-        for k in _bits(star):
-            on_stars[k] |= 1 << s
-    met = set()
-    for v, mask in enumerate(on_lines):
-        meets = 0
-        for k in _bits(mask):
-            meets |= on_stars[k]
-        if meets.bit_count() != 3 or meets in met:
-            raise StructureError(
-                f"step (c): vertex {v} meets the stars {list(_bits(meets))},"
-                " not 3 that no other vertex meets"
-            )
-        met.add(meets)
+    star_cliques = _label_cliques(pairs)
+    at = sorted(set().union(*(_bits(on_lines[u]) for u in vertices)))
+    _check_spans(line_adj, at, pairs, star_cliques, n - 4, n - 1, "line")
+    stars = list(star_cliques.values())
 
     line_index = {line: k for k, line in enumerate(lines)}
     star_index = {star: s for s, star in enumerate(stars)}
@@ -676,7 +703,7 @@ def clique_chain_groups(
     gbar_gens, gamma_gens = [], []
     for i, seed in enumerate(seeds):
         seed = tuple(seed)
-        if not is_graph_automorphism(gbar, seed):
+        if not (checked[i] if checked is not None else is_graph_automorphism(gbar, seed)):
             where = ""
             if _is_permutation(seed, gbar.n):
                 v = next(v for v in range(gbar.n) if _moved(seed, adj[v]) != adj[seed[v]])
@@ -741,17 +768,24 @@ def certify_theorem1(aut: PermGroup, n: int) -> Theorem1Report:
 def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     """`certify_theorem1` on the seeded group of the complement ridge graph
     for n points: by the clique chain from n = CLIQUE_CHAIN_MIN_N on, by the
-    seeded search below it.  Raises StructureError when a point permutation
-    is not an automorphism of it or a step of the chain fails, and
-    ResourceLimitError when a search is above the vertex cap."""
+    seeded search below it.  The chain's Triangles and quotient are
+    certified at the orbit representatives of the point seeds that pass the
+    edge check, checked once and shared with the chain's step (d), and its
+    lines at those of the quotient's point seeds.  Raises StructureError
+    when a point permutation is not an automorphism of the graph or a step
+    of the chain fails, and ResourceLimitError when a search is above the
+    vertex cap."""
     if n < 4:
         raise ValueError("need n >= 4")
     gbar = build_complement(n)
     seeds = induced_point_generators(gbar, n)
     if n >= CLIQUE_CHAIN_MIN_N:
-        triangles = find_triangles(gbar)
-        gamma = build_triangle_graph(gbar, triangles)
-        aut = clique_chain_groups(gbar, triangles, gamma, seeds, n)[0]
+        checked = [is_graph_automorphism(gbar, g) for g in seeds]
+        reps = orbit_representatives(gbar, seeds, checked)
+        triangles = find_triangles(gbar, reps)
+        gamma = build_triangle_graph(gbar, triangles, reps)
+        gamma_reps = orbit_representatives(gamma, induced_point_generators(gamma, n))
+        aut = clique_chain_groups(gbar, triangles, gamma, seeds, n, gamma_reps, checked)[0]
     else:
         aut = automorphism_group(gbar, vertex_cap, seeds)
     return certify_theorem1(aut, n)

@@ -11,7 +11,7 @@ the quotient on Triangles is the 2-intersection graph on 3-subsets.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import TriangleFacet, enumerate_triangle_facets
 
@@ -75,11 +75,12 @@ class Graph:
         """
         n = len(adj)
         full = (1 << n) - 1
-        upper = [row & full >> u + 1 << u + 1 for u, row in enumerate(adj)]
-        closure = upper[:]
-        for u, row in enumerate(upper):
-            for v in _bits(row):
-                closure[v] |= 1 << u
+        # Each row's bits above the diagonal, to which the mirror of every
+        # earlier row's is added; a row's own bits above it never change.
+        closure = [row & full >> u + 1 << u + 1 for u, row in enumerate(adj)]
+        for u in range(n):
+            for w in _bits(closure[u] >> u + 1):
+                closure[u + 1 + w] |= 1 << u
         for u, (row, mirrored) in enumerate(zip(adj, closure)):
             if row != mirrored:
                 raise ValueError(
@@ -253,109 +254,150 @@ def group_facets_by_support(gbar: Graph) -> list[Triangle]:
     return out
 
 
-def find_triangles(gbar: Graph) -> list[Triangle]:
-    """Detect Triangles purely from adjacency via the common-neighbor census.
+def find_triangles(gbar: Graph, vertices: Sequence[int]) -> list[Triangle]:
+    """The Triangles read off the facet labels (`group_facets_by_support`),
+    certified by the common-neighbour census at each vertex in `vertices`.
 
-    For n >= 5 an edge inside a Triangle has n - 2 common neighbors and
-    every other edge has 2; any other count is refused, naming the edge.
-    The (n - 2)-count edges must decompose into disjoint 3-cliques.  At
-    n = 4 both counts equal 2, so the support grouping is used instead.
+    For n >= 5 a Triangle edge has n - 2 common neighbours and every other
+    edge 2.  At a given vertex an edge with another count is refused, naming
+    it, and the (n - 2)-count edges must join the vertex to exactly its two
+    same-support facets.  The claim reads adjacency and supports, so an
+    automorphism that moves labels by a point permutation carries it from a
+    vertex to its image: at the orbit representatives of such automorphisms
+    (`autgrp.orbit_representatives`) it holds at every vertex, and
+    `range(gbar.n)` checks every vertex.  At n = 4 both counts are 2 and the
+    grouping is returned as is.  Raises ValueError for empty `vertices`.
     """
     if gbar.labels is None:
         raise ValueError("complement graph must carry facet labels")
+    if not vertices:
+        raise ValueError("find_triangles needs at least one vertex")
+    triangles = group_facets_by_support(gbar)
     n = gbar.labels[0].n
     if n == 4:
-        return group_facets_by_support(gbar)
+        return triangles
     adj = gbar.adj
-    partner = [0] * gbar.n
-    for a, row in enumerate(adj):
-        for b in _bits(row >> a + 1 << a + 1):
+    partner = {}
+    for a in vertices:
+        row, partner[a] = adj[a], 0
+        for b in _bits(row):
             count = (row & adj[b]).bit_count()
             if count == n - 2:
                 partner[a] |= 1 << b
-                partner[b] |= 1 << a
             elif count != 2:
                 raise StructureError(
-                    f"edge ({a}, {b}) has {count} common neighbors, expected {n - 2} or 2"
+                    f"edge {tuple(sorted((a, b)))} has {count} common neighbors,"
+                    f" expected {n - 2} or 2"
                 )
-    triangles = []
-    seen = 0
-    for v in range(gbar.n):
-        if (seen >> v) & 1:
-            continue
-        cell = (1 << v) | partner[v]
-        verts = tuple(sorted(_bits(cell)))
-        if len(verts) != 3 or any(partner[w] | (1 << w) != cell for w in verts):
-            raise StructureError(f"{n - 2}-count edges at vertex {v} do not form a 3-clique")
-        seen |= cell
-        triangles.append(Triangle(verts, gbar.labels[v].support))
-    triangles.sort(key=lambda t: sorted(t.support))
+    cells = {t.support: _mask_of(t.vertices) for t in triangles}
+    for a in vertices:
+        if partner[a] != cells[gbar.labels[a].support] & ~(1 << a):
+            raise StructureError(
+                f"{n - 2}-count edges at vertex {a} do not join it to its two same-support facets"
+            )
     return triangles
 
 
-def build_triangle_graph(gbar: Graph, triangles: Sequence[Triangle] | None = None) -> Graph:
-    """Quotient graph on Triangles, adjacent when joined by complement edges.
+def _label_cliques(keys: Sequence[int]) -> dict[int, int]:
+    """For each key less one point, the mask of the indices whose keys hold
+    it, in order of first occurrence: over 3-set keys the lines of Gamma,
+    keyed by their 2-sets, and over the lines' 2-set keys the stars, keyed
+    by their points."""
+    cliques: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        for p in _bits(key):
+            cliques[key ^ 1 << p] = cliques.get(key ^ 1 << p, 0) | 1 << i
+    return cliques
 
-    Asserts that adjacent Triangles are joined by exactly 4 cross edges
-    forming two disjoint 2-paths, and non-adjacent ones by none.  The cross
-    edges of A and B are read off popcounts: u in A has |adj[u] & B| of
-    them.  Two disjoint 2-paths on the 3 + 3 vertices of a bipartite graph
-    have one centre on each side, so each side's popcounts are {2, 1, 1}
-    and the centres are not adjacent.  Conversely, with those popcounts and
-    non-adjacent centres, each centre reaches the other side's two
-    degree-1 vertices, which uses all 4 edges.  The popcounts alone also
-    admit a 3-edge path through both centres plus one disjoint edge.
-    Only the pairs that some complement edge joins are visited; the
-    Triangles must be disjoint, as `find_triangles` returns them.
+
+def _quotient_row(gbar: Graph, masks: Sequence[int], owner: Sequence[int], a: int) -> int:
+    """The Triangles that complement edges join to Triangle a, as a mask,
+    each pair checked by the quotient rule.
+
+    `masks[i]` is Triangle i's vertex mask and `owner[v]` the Triangle
+    holding v, or -1.  Two joined Triangles must be joined by exactly 4
+    cross edges forming two disjoint 2-paths.  The cross edges of A and B
+    are read off popcounts: u in A has |adj[u] & B| of them.  Two disjoint
+    2-paths on the 3 + 3 vertices of a bipartite graph have one centre on
+    each side, so each side's popcounts are {2, 1, 1} and the centres are
+    not adjacent.  Conversely, with those popcounts and non-adjacent
+    centres, each centre reaches the other side's two degree-1 vertices,
+    which uses all 4 edges.  The popcounts alone also admit a 3-edge path
+    through both centres plus one disjoint edge.  A pair is named with its
+    lower Triangle first, whichever of the two is a.
     """
-    if triangles is None:
-        triangles = find_triangles(gbar)
     adj = gbar.adj
+    # One step per Triangle reached: the lowest reached vertex names it, and
+    # its whole mask is cleared.  A vertex in no Triangle clears its own bit.
+    reach, row = gbar.reach(masks[a]) & ~masks[a], 0
+    while reach:
+        w = (reach & -reach).bit_length() - 1
+        b = owner[w]
+        if b < 0:
+            reach ^= 1 << w
+            continue
+        reach &= ~masks[b]
+        row |= 1 << b
+    for b in _bits(row):
+        x, y = sorted((a, b))
+        vx, vy = list(_bits(masks[x])), list(_bits(masks[y]))
+        deg_x = [(adj[u] & masks[y]).bit_count() for u in vx]
+        if sum(deg_x) != 4:
+            raise StructureError(
+                f"Triangles {x} and {y} joined by {sum(deg_x)} edges, expected 0 or 4"
+            )
+        deg_y = [(adj[w] & masks[x]).bit_count() for w in vy]
+        if sorted(deg_x) != [1, 1, 2] or sorted(deg_y) != [1, 1, 2]:
+            raise StructureError(
+                f"Triangles {x} and {y}: cross degrees {deg_x} and {deg_y}"
+                " are not those of two disjoint 2-paths"
+            )
+        centre_x, centre_y = vx[deg_x.index(2)], vy[deg_y.index(2)]
+        if adj[centre_x] >> centre_y & 1:
+            raise StructureError(
+                f"Triangles {x} and {y}: centres {centre_x} and {centre_y} are adjacent,"
+                " so the cross edges are a 3-path and an edge"
+            )
+    return row
+
+
+def build_triangle_graph(
+    gbar: Graph, triangles: Sequence[Triangle], vertices: Sequence[int]
+) -> Graph:
+    """The quotient graph on Triangles, labelled by their supports: two are
+    adjacent when their supports meet in 2 points.  The row of the Triangle
+    holding each vertex in `vertices` must be the Triangles that cross edges
+    join to it (`_quotient_row`).  The Triangles must be the support classes
+    `find_triangles` returns, so an automorphism that moves labels by a point
+    permutation maps Triangles to Triangles and keeps cross edges and
+    meetings: at its orbit representatives every row is certified, and
+    `range(gbar.n)` checks every Triangle.  Raises ValueError for empty
+    `vertices`.
+    """
+    if not vertices:
+        raise ValueError("build_triangle_graph needs at least one vertex")
     masks = [_mask_of(t.vertices) for t in triangles]
     owner = [-1] * gbar.n
     for i, t in enumerate(triangles):
         for v in t.vertices:
             owner[v] = i
-    rows = [0] * len(triangles)
-    for a, ta in enumerate(triangles):
-        # One step per Triangle that A reaches: the lowest reached vertex
-        # names it, and its whole mask is cleared.  A vertex in no Triangle
-        # clears its own bit alone.
-        reach, joined = gbar.reach(masks[a]), []
-        while reach:
-            w = (reach & -reach).bit_length() - 1
-            b = owner[w]
-            if b < 0:
-                reach ^= 1 << w
-                continue
-            reach &= ~masks[b]
-            if b > a:
-                joined.append(b)
-        for b in sorted(joined):
-            tb = triangles[b].vertices
-            deg_a = [(adj[u] & masks[b]).bit_count() for u in ta.vertices]
-            if sum(deg_a) != 4:
-                raise StructureError(
-                    f"Triangles {a} and {b} joined by {sum(deg_a)} edges, expected 0 or 4"
-                )
-            deg_b = [(adj[w] & masks[a]).bit_count() for w in tb]
-            if sorted(deg_a) != [1, 1, 2] or sorted(deg_b) != [1, 1, 2]:
-                raise StructureError(
-                    f"Triangles {a} and {b}: cross degrees {deg_a} and {deg_b}"
-                    " are not those of two disjoint 2-paths"
-                )
-            centre_a, centre_b = ta.vertices[deg_a.index(2)], tb[deg_b.index(2)]
-            if adj[centre_a] >> centre_b & 1:
-                raise StructureError(
-                    f"Triangles {a} and {b}: centres {centre_a} and {centre_b} are adjacent,"
-                    " so the cross edges are a 3-path and an edge"
-                )
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    labels = None
-    if all(t.support is not None for t in triangles):
-        labels = [t.support for t in triangles]
-    return Graph(rows, labels)
+    # A row is the union of the lines through its Triangle, less itself.
+    keys = [_mask_of(t.support) for t in triangles]
+    lines = _label_cliques(keys)
+    rows = []
+    for i, key in enumerate(keys):
+        row = 0
+        for p in _bits(key):
+            row |= lines[key ^ 1 << p]
+        rows.append(row & ~(1 << i))
+    for a in sorted({owner[v] for v in vertices} - {-1}):
+        row = _quotient_row(gbar, masks, owner, a)
+        if row != rows[a]:
+            raise StructureError(
+                f"Triangle {a}: cross edges join it to Triangles {list(_bits(row))},"
+                f" not to the {rows[a].bit_count()} whose supports meet its own in 2 points"
+            )
+    return Graph(rows, [t.support for t in triangles])
 
 
 def verify_johnson_isomorphism(gamma: Graph, n: int, vertices: Sequence[int]) -> bool:
@@ -504,9 +546,14 @@ def to_graph6(graph: Graph) -> str:
     return head + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
-def edge_list_lines(graph: Graph) -> list[str]:
-    """One 'u v' line per edge, 0-based, ascending."""
-    return [f"{u} {v}" for u, v in graph.edges()]
+def edge_list_lines(graph: Graph) -> Iterator[str]:
+    """One 'u v' line per edge, 0-based, ascending, newline-terminated, and
+    yielded row by row: one string per vertex u, holding its edges to higher
+    vertices, so that a writer holds one row at a time."""
+    for u, row in enumerate(graph.adj):
+        row >>= u + 1
+        if row:
+            yield "".join(f"{u} {u + 1 + w}\n" for w in _bits(row))
 
 
 def label_lines(graph: Graph) -> list[str]:

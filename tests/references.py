@@ -14,7 +14,13 @@ from fractions import Fraction
 from math import isqrt
 
 from conesym.core import cut_members, enumerate_triangle_facets, num_pairs
-from conesym.ridge import Graph, StructureError, intersection_array
+from conesym.ridge import (
+    Graph,
+    StructureError,
+    build_triangle_graph,
+    find_triangles,
+    intersection_array,
+)
 
 
 def graph_from_edges(n: int, edges=(), labels=None) -> Graph:
@@ -241,3 +247,10 @@ def first_failure_reference(graph: Graph, claim, vertices=None):
         except StructureError as exc:
             return v, str(exc)
     return None
+
+
+def quotient_at_every_vertex(gbar: Graph) -> Graph:
+    """Gamma of a complement, with the census and the quotient certified at
+    every vertex, the form that needs no automorphism."""
+    every = range(gbar.n)
+    return build_triangle_graph(gbar, find_triangles(gbar, every), every)

@@ -32,6 +32,7 @@ from references import (
     build_ridge_graph_reference,
     cut_bits_reference,
     mat_vec_reference,
+    quotient_at_every_vertex,
     reflection_reference,
     sweep_ok_reference,
     switching_reflection_reference,
@@ -118,7 +119,7 @@ def test_criterion_5_structure_suite_n5_to_n8():
         for u in range(gbar.n):
             verify_hexagon_neighborhood(gbar, u)
             assert len(verify_hexagon_neighborhood_reference(gbar, u)) == n - 3
-        triangles = find_triangles(gbar)
+        triangles = find_triangles(gbar, range(gbar.n))
         triangle_edges = set()
         for t in triangles:
             a, b, c = t.vertices
@@ -126,7 +127,7 @@ def test_criterion_5_structure_suite_n5_to_n8():
         for a, b in gbar.edges():
             expected = n - 2 if (a, b) in triangle_edges else 2
             assert (gbar.adj[a] & gbar.adj[b]).bit_count() == expected
-        gamma = build_triangle_graph(gbar, triangles)  # raises unless counts are 0 or 4
+        gamma = build_triangle_graph(gbar, triangles, range(gbar.n))  # raises unless counts are 0 or 4
         assert verify_johnson_isomorphism(gamma, n, range(gamma.n))
         if n == 5:
             assert gamma.n == 10
@@ -140,7 +141,7 @@ def test_criterion_5_structure_suite_n5_to_n8():
 
 def test_criterion_6_n6_exception():
     gbar6 = build_complement(6)
-    gamma6 = build_triangle_graph(gbar6)
+    gamma6 = quotient_at_every_vertex(gbar6)
     aut_gamma = automorphism_group(gamma6).order
     aut_gbar = automorphism_group(gbar6).order
     antipodal = True

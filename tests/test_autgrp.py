@@ -43,6 +43,7 @@ from conesym.ridge import (
     build_complement,
     build_triangle_graph,
     find_triangles,
+    group_facets_by_support,
     intersection_array,
     verify_distance2_property,
     verify_hexagon_neighborhood,
@@ -51,6 +52,7 @@ from conesym.ridge import (
 )
 
 from graph_strategies import random_graphs
+from test_ridge import build_triangle_graph_reference
 from references import (
     build_ridge_graph_reference,
     every_vertex_census_reference,
@@ -58,6 +60,7 @@ from references import (
     graph_from_edges,
     johnson_isomorphism_reference,
     preserves_edges_reference,
+    quotient_at_every_vertex,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -249,12 +252,12 @@ class TestRidgeGraphOrders:
     def test_gbar6_and_gamma6(self):
         gbar6 = build_complement(6)
         assert automorphism_group(gbar6).order == 720
-        gamma6 = build_triangle_graph(gbar6)
+        gamma6 = quotient_at_every_vertex(gbar6)
         assert automorphism_group(gamma6).order == 1440
 
     def test_index_two_situation_at_n6(self):
         gbar6 = build_complement(6)
-        quotient = automorphism_group(build_triangle_graph(gbar6)).order
+        quotient = automorphism_group(quotient_at_every_vertex(gbar6)).order
         full = automorphism_group(gbar6).order
         assert quotient // full == 2 and quotient % full == 0
 
@@ -263,7 +266,7 @@ class TestRidgeGraphOrders:
         cases = [
             (build_ridge_graph_reference(4), 144),
             (build_complement(5), 120),
-            (build_triangle_graph(build_complement(6)), 1440),
+            (quotient_at_every_vertex(build_complement(6)), 1440),
         ]
         for graph, expected in cases:
             for _ in range(10):
@@ -339,7 +342,7 @@ class TestSymnAction:
             assert induced_point_generators(gbar, n) == expected
             assert all(is_graph_automorphism(gbar, perm) for perm in expected)
             if n >= 5:
-                gamma = build_triangle_graph(gbar)
+                gamma = quotient_at_every_vertex(gbar)
                 expected = [
                     induced_set_permutation_reference(sigma, gamma.labels)
                     for sigma in symn_point_generators(n)
@@ -397,7 +400,7 @@ class TestSymnAction:
         assert str(raised.value) == f"point permutation {message}, not a label"
 
     def test_three_set_image_that_labels_no_vertex(self):
-        gamma = build_triangle_graph(build_complement(5))
+        gamma = quotient_at_every_vertex(build_complement(5))
         labels = list(gamma.labels)
         labels[3] = labels[0]
         with pytest.raises(StructureError) as raised:
@@ -408,7 +411,7 @@ class TestSymnAction:
         )
 
     def test_three_set_label_above_n_refused(self):
-        gamma5 = build_triangle_graph(build_complement(5))
+        gamma5 = quotient_at_every_vertex(build_complement(5))
         with pytest.raises(ValueError, match=r"not a set of points inside 1\.\.4"):
             induced_point_generators(gamma5, 4)
 
@@ -431,7 +434,7 @@ class TestTheorem1:
         # The quotient graph at n=6 has twice the induced order, so the
         # excess generator must surface as a witness when treated as if it
         # were a complement ridge graph certificate.
-        gamma6 = build_triangle_graph(build_complement(6))
+        gamma6 = quotient_at_every_vertex(build_complement(6))
         aut = automorphism_group(gamma6)
         induced = [
             induced_set_permutation_reference(sigma, gamma6.labels)
@@ -446,7 +449,7 @@ class TestTheorem1:
         assert all(is_graph_automorphism(gamma6, g) for g in outside)
 
     def test_seeded_gamma6_records_the_induced_image(self):
-        gamma6 = build_triangle_graph(build_complement(6))
+        gamma6 = quotient_at_every_vertex(build_complement(6))
         induced = induced_point_generators(gamma6, 6)
         aut = automorphism_group(gamma6, known=induced)
         assert (aut.order, aut.seeds, aut.seed_order) == (1440, 2, 720)
@@ -502,7 +505,7 @@ def graph_by_key(key: str) -> Graph:
     """`gbarN` is the complement ridge graph, `gammaN` its Triangle quotient."""
     kind, n = re.fullmatch(r"(gbar|gamma)(\d+)", key).groups()
     gbar = build_complement(int(n))
-    return gbar if kind == "gbar" else build_triangle_graph(gbar)
+    return gbar if kind == "gbar" else quotient_at_every_vertex(gbar)
 
 
 class TestPinnedSearchTree:
@@ -672,11 +675,20 @@ class TestSeededSearch:
 
 
 def chain_inputs(n: int):
-    """The complement at n, its census Triangles, their quotient and the
-    point seeds on the complement: what `clique_chain_groups` reads."""
+    """The complement at n, its Triangles and their quotient, certified at
+    the point-orbit representatives, and the point seeds on the complement:
+    what `clique_chain_groups` reads besides Gamma's representatives."""
     gbar = build_complement(n)
-    triangles = find_triangles(gbar)
-    return gbar, triangles, build_triangle_graph(gbar, triangles), induced_point_generators(gbar, n)
+    seeds = induced_point_generators(gbar, n)
+    reps = orbit_representatives(gbar, seeds)
+    triangles = find_triangles(gbar, reps)
+    return gbar, triangles, build_triangle_graph(gbar, triangles, reps), seeds
+
+
+def run_chain(gbar: Graph, triangles, gamma: Graph, seeds, n: int):
+    """`clique_chain_groups` at Gamma's point-orbit representatives, as
+    `verify` runs it: every vertex when Gamma's seeds fail their check."""
+    return clique_chain_groups(gbar, triangles, gamma, seeds, n, point_orbits(gamma, n))
 
 
 def first_cross_edge(gbar: Graph) -> tuple[int, int]:
@@ -708,7 +720,7 @@ class TestCliqueChain:
     @pytest.mark.parametrize("n", range(CLIQUE_CHAIN_MIN_N, 13))
     def test_same_groups_as_the_seeded_search(self, n):
         gbar, triangles, gamma, seeds = chain_inputs(n)
-        aut_gbar, aut_gamma = clique_chain_groups(gbar, triangles, gamma, seeds, n)
+        aut_gbar, aut_gamma = run_chain(gbar, triangles, gamma, seeds, n)
         gamma_seeds = induced_point_generators(gamma, n)
         assert aut_gbar == automorphism_group(gbar, gbar.n, seeds)
         assert aut_gamma == automorphism_group(gamma, gamma.n, gamma_seeds)
@@ -724,42 +736,42 @@ class TestCliqueChain:
         gbar, triangles, gamma, seeds = chain_inputs(7)
         for w in (next(_bits(gamma.adj[0])), next(w for w in range(1, 35) if not gamma.has_edge(0, w))):
             with pytest.raises(StructureError, match=r"^step \(c\): the edge between vertices 0 and "):
-                clique_chain_groups(gbar, triangles, toggled(gamma, 0, w), seeds, 7)
+                run_chain(gbar, triangles, toggled(gamma, 0, w), seeds, 7)
 
     def test_line_threshold_n_minus_6_admits_the_four_set_vertices(self, monkeypatch):
         # At n = 7 the two common neighbours off the line score 1 = n - 6.
-        cliques = autgrp._cliques
+        span = autgrp._clique_span
         monkeypatch.setattr(
-            autgrp, "_cliques",
-            lambda adj, threshold, size, what: cliques(adj, threshold - (size == 5), size, what),
+            autgrp, "_clique_span",
+            lambda adj, u, v, threshold, size, what: span(adj, u, v, threshold - (size == 5), size, what),
         )
         with pytest.raises(StructureError, match=r"^step \(c\): .* spans vertices \[0, 1, 2, 3, 4, 5, 15\], not a clique of 5$"):
-            clique_chain_groups(*chain_inputs(7), 7)
+            run_chain(*chain_inputs(7), 7)
 
     @pytest.mark.parametrize("which, order", [(0, 7), (1, 2)])
     def test_identity_seed_leaves_the_lower_bound_short(self, which, order):
         gbar, triangles, gamma, seeds = chain_inputs(7)
         seeds[which] = tuple(range(gbar.n))
         with pytest.raises(StructureError, match=rf"^step \(d\): the seeds act on the stars with order {order}, not 7!$"):
-            clique_chain_groups(gbar, triangles, gamma, seeds, 7)
+            run_chain(gbar, triangles, gamma, seeds, 7)
 
     def test_rewired_cross_edges_move_the_centres(self):
         gbar, triangles, gamma, seeds = chain_inputs(7)
         rewired = with_centres_on_one_vertex(gbar, triangles, gamma)
         first = triangles[0].vertices[0]
         with pytest.raises(StructureError, match=rf"^step \(b\): the centres of Triangle 0 cover only \[{first}\]$"):
-            clique_chain_groups(rewired, triangles, gamma, seeds, 7)
+            run_chain(rewired, triangles, gamma, seeds, 7)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_lines_are_no_cliques_below_n7(self, n):
         # Gamma6 has 1440 automorphisms, twice 6!, so the chain must refuse it.
         with pytest.raises(StructureError, match=r"^step \(c\): the edge between vertices 0 and 1 spans"):
-            clique_chain_groups(*chain_inputs(n), n)
+            run_chain(*chain_inputs(n), n)
 
     def test_triangles_must_partition_gbar(self):
         gbar, triangles, gamma, seeds = chain_inputs(7)
         with pytest.raises(StructureError, match=r"^step \(a\): the Triangles do not partition"):
-            clique_chain_groups(gbar, triangles[:-1], gamma, seeds, 7)
+            run_chain(gbar, triangles[:-1], gamma, seeds, 7)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -773,7 +785,7 @@ class TestCliqueChain:
         gbar, triangles, gamma, seeds = chain_inputs(7)
         gbar, seeds = mutate(gbar, seeds)
         with pytest.raises(StructureError, match=rf"^step \(d\): {message}$"):
-            clique_chain_groups(gbar, triangles, gamma, seeds, 7)
+            run_chain(gbar, triangles, gamma, seeds, 7)
 
     def test_seeds_must_carry_triangles_and_lines(self):
         gbar, triangles, gamma, seeds = chain_inputs(7)
@@ -783,44 +795,128 @@ class TestCliqueChain:
         regrouped[0] = Triangle((*a.vertices[:2], b.vertices[0]), a.support)
         regrouped[34] = Triangle((a.vertices[2], *b.vertices[1:]), b.support)
         with pytest.raises(StructureError, match=r"^step \(d\): seed 0 maps Triangle 0 onto no Triangle$"):
-            clique_chain_groups(gbar, regrouped, gamma, seeds, 7)
+            run_chain(gbar, regrouped, gamma, seeds, 7)
         # Gamma with its vertices 0 and 1 swapped is still J(7, 3), but no
         # longer the quotient the seeds act on.
         swap = (1, 0, *range(2, 35))
+        swapped = Graph(relabeled_reference(gamma, swap).adj, [gamma.labels[v] for v in swap])
         with pytest.raises(StructureError, match=r"^step \(d\): seed 1 maps line 0 onto no line$"):
-            clique_chain_groups(gbar, triangles, relabeled_reference(gamma, swap), seeds, 7)
+            run_chain(gbar, triangles, swapped, seeds, 7)
+
+    def test_vertex_off_one_of_its_lines(self):
+        # Vertex 0, {1, 2, 3}, loses its edges to 5..8, the rest of its line
+        # {1, 3}.  Its other edges still span their lines {1, 2} and {2, 3},
+        # so only the count of the lines they reach tells it apart.  Gamma's
+        # seeds fail on the cut edges, so every vertex is checked.
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        assert [gamma.labels[v] for v in (0, 5, 8)] == [{1, 2, 3}, {1, 3, 4}, {1, 3, 7}]
+        cut = Graph([row & ~(0b111100000 if v == 0 else 1 if 5 <= v <= 8 else 0)
+                     for v, row in enumerate(gamma.adj)], gamma.labels)
+        assert point_orbits(cut, 7) == list(range(35))
+        with pytest.raises(StructureError, match=r"^step \(c\): vertex 0 lies on 2 lines, not 3$"):
+            run_chain(gbar, triangles, cut, seeds, 7)
 
     @pytest.mark.parametrize(
-        "size, edit, message",
+        "pair, swap, message",
         [
-            (5, lambda cliques: cliques[1:], r"vertex 0 lies on 2 lines, not 3"),
-            (6, lambda cliques: cliques[:-1], r"6 stars, not 7"),
-            (6, lambda cliques: [*cliques[:-1], cliques[0]],
-             r"vertex 0 meets the stars \[0, 1, 2, 6\], not 3 that no other vertex meets"),
+            # Line {1, 2} holds vertices 0..4; vertex 4, {1, 2, 7}, traded
+            # for 5, {1, 3, 4}: the edge (0, 1) at vertex 0 spans the true line.
+            ({1, 2}, (4, 5), r"step \(c\): the edge between vertices 0 and 1 spans vertices"
+                             r" \[0, 1, 2, 3, 4\], not the line of their labels"),
+            # Line {6, 7}, far from vertex 0, with vertex 34, {5, 6, 7}, traded
+            # for 32, {4, 5, 7}: the spans at vertex 0 never read it, and the
+            # 7-cycle maps it onto no line.
+            ({6, 7}, (34, 32), r"step \(d\): seed 1 maps line \d+ onto no line"),
         ],
     )
-    def test_lines_and_stars_are_counted(self, monkeypatch, size, edit, message):
-        # At n = 7 the lines have 5 vertices and the stars 6 lines.
-        cliques = autgrp._cliques
+    def test_label_line_with_one_point_swapped(self, monkeypatch, pair, swap, message):
+        label_cliques = autgrp._label_cliques
 
-        def edited(adj, threshold, clique_size, what):
-            found = cliques(adj, threshold, clique_size, what)
-            return edit(found) if clique_size == size else found
+        def swapped(keys):
+            cliques = label_cliques(keys)
+            if keys[0].bit_count() == 3:  # Gamma's lines, not the stars
+                cliques[_mask_of(pair)] ^= _mask_of(swap)
+            return cliques
 
-        monkeypatch.setattr(autgrp, "_cliques", edited)
-        with pytest.raises(StructureError, match=rf"^step \(c\): {message}$"):
-            clique_chain_groups(*chain_inputs(7), 7)
+        monkeypatch.setattr(autgrp, "_label_cliques", swapped)
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        assert point_orbits(gamma, 7) == [0]
+        with pytest.raises(StructureError, match=rf"^{message}$"):
+            run_chain(gbar, triangles, gamma, seeds, 7)
 
     def test_every_edge_spans_its_own_clique(self):
-        # A diamond: the clique {0, 1, 2} is found first, but edge (1, 2)
+        # A diamond: edge (1, 0) spans the clique {0, 1, 2}, but edge (1, 2)
         # also has vertex 3 as a common neighbour, so its span is all four.
         diamond = [0b0110, 0b1101, 0b1011, 0b0110]
+        assert autgrp._clique_span(diamond, 1, 0, 0, 3, "vertices") == 0b0111
         with pytest.raises(StructureError, match=r"edge between vertices 1 and 2 spans vertices \[0, 1, 2, 3\]"):
-            autgrp._cliques(diamond, 0, 3, "vertices")
+            autgrp._clique_span(diamond, 1, 2, 0, 3, "vertices")
 
     def test_threshold_above_size_minus_3_refused(self):
-        with pytest.raises(ValueError, match="at most size - 3"):
-            autgrp._cliques([0, 0, 0], 1, 3, "vertices")
+        # Each other vertex of a line of n - 2 has n - 5 neighbours among the
+        # common neighbours of an edge on it, so at n = 7 a threshold of 3,
+        # above size - 3, refuses even a line of J(7, 3).
+        gamma = chain_inputs(7)[2]
+        assert autgrp._clique_span(gamma.adj, 0, 1, 2, 5, "vertices") == 0b11111
+        with pytest.raises(StructureError, match=r"spans vertices \[0, 1\], not a clique of 5$"):
+            autgrp._clique_span(gamma.adj, 0, 1, 3, 5, "vertices")
+
+    def test_empty_vertices_refused(self):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            clique_chain_groups(gbar, triangles, gamma, seeds, 7, [])
+
+    @pytest.mark.parametrize(
+        "relabel",
+        [
+            lambda labels: None,
+            lambda labels: [labels[1], *labels[1:]],  # {1, 2, 4} twice, {1, 2, 3} lost
+            lambda labels: [frozenset({1, 2, 8}), *labels[1:]],  # a point outside 1..7
+        ],
+        ids=["none", "duplicate", "outside"],
+    )
+    def test_gamma_labels_must_be_the_3_sets(self, relabel):
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        relabelled = Graph(gamma.adj, relabel(gamma.labels))
+        with pytest.raises(StructureError, match=r"^step \(c\): Gamma's labels are not the 3-sets of 1..7, each once$"):
+            clique_chain_groups(gbar, triangles, relabelled, seeds, 7, range(35))
+
+    def test_checked_seeds_are_not_checked_again(self, monkeypatch):
+        # The verdicts the caller passes stand in for the edge check, and a
+        # failing one names the seed and its first vertex as the check would.
+        gbar, triangles, gamma, seeds = chain_inputs(7)
+        calls = []
+        check = autgrp.is_graph_automorphism
+        monkeypatch.setattr(autgrp, "is_graph_automorphism", lambda g, p: calls.append(p) or check(g, p))
+        reps = point_orbits(gamma, 7)
+        calls.clear()
+        clique_chain_groups(gbar, triangles, gamma, seeds, 7, reps, [True, True])
+        assert calls == []
+        with pytest.raises(StructureError, match=r"^step \(d\): seed 1 does not keep Gbar's edges$"):
+            clique_chain_groups(gbar, triangles, gamma, [seeds[0], (0,)], 7, reps, [True, False])
+
+
+class TestGraphLayerAtRepresentatives:
+    """The census, the quotient and the clique chain return at the point-orbit
+    representatives what they return at every vertex."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_same_triangles_rows_and_groups(self, n):
+        gbar = build_complement(n)
+        seeds = induced_point_generators(gbar, n)
+        reps, every = orbit_representatives(gbar, seeds), range(gbar.n)
+        assert reps == [0]
+        triangles = find_triangles(gbar, reps)
+        assert triangles == find_triangles(gbar, every) == group_facets_by_support(gbar)
+        gamma = build_triangle_graph(gbar, triangles, reps)
+        reference = build_triangle_graph_reference(gbar, triangles)
+        assert gamma.adj == build_triangle_graph(gbar, triangles, every).adj == reference.adj
+        assert gamma.labels == reference.labels
+        if n >= CLIQUE_CHAIN_MIN_N:
+            gamma_reps = point_orbits(gamma, n)
+            assert gamma_reps == [0]
+            groups = clique_chain_groups(gbar, triangles, gamma, seeds, n, gamma_reps)
+            assert groups == clique_chain_groups(gbar, triangles, gamma, seeds, n, range(gamma.n))
 
 
 def vf2_automorphism_count(graph: Graph) -> int:
@@ -963,7 +1059,7 @@ def quotient_variants(draw):
     """Gamma_n for n = 5..7, as built or with a toggled vertex pair, two
     labels swapped, or the one-point meetings added."""
     n = draw(st.integers(5, 7))
-    gamma = build_triangle_graph(build_complement(n))
+    gamma = quotient_at_every_vertex(build_complement(n))
     kind = draw(st.sampled_from(["built", "toggled", "swapped", "meetings"]))
     if kind == "meetings":
         gamma = with_one_point_meetings(gamma)
@@ -994,7 +1090,7 @@ class TestOrbitCertificates:
     @pytest.mark.parametrize("n", range(4, 10))
     def test_same_outcomes_on_gamma_and_gbar(self, n):
         gbar = build_complement(n)
-        gamma = build_triangle_graph(gbar)
+        gamma = quotient_at_every_vertex(gbar)
         assert point_orbits(gamma, n) == point_orbits(gbar, n) == [0]
         assert quotient_outcomes(gamma, n, [0]) == quotient_outcomes(gamma, n)
         assert first_failure_reference(gbar, hexagons_hold) is None

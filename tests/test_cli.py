@@ -37,6 +37,7 @@ from conesym.ridge import (
     Graph,
     StructureError,
     build_complement,
+    build_triangle_graph,
     find_triangles,
     intersection_array,
     verify_johnson_isomorphism,
@@ -416,7 +417,7 @@ class TestSharedWork:
         searches = count_calls(monkeypatch, automorphism_group)
         report = run_verify(RunConfig(n_min=7, n_max=8, checks=("gamma", "aut", "theorem1")))
         assert report["summary"]["pass"] == 6
-        assert [args[-1] for args in chains] == [7, 8]
+        assert [args[4] for args in chains] == [7, 8]
         assert searches == []
 
     def test_failed_clique_chain_runs_once(self, monkeypatch):
@@ -447,6 +448,15 @@ class TestSharedWork:
         report = run_verify(GOLDEN["symmetry"])
         assert report["summary"] == {"pass": 8, "fail": 0, "skip": 0, "error": 0}
         assert len(calls) <= 8
+
+    def test_graph_run_edge_checks_each_gbar_seed_once(self, monkeypatch):
+        # The hexagons' orbits, the census, the quotient and the chain's
+        # step (d) all read one edge check of each of Gbar8's two seeds.
+        calls = count_calls(monkeypatch, is_graph_automorphism)
+        checks = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
+        report = run_verify(RunConfig(n_min=8, n_max=8, checks=checks))
+        assert report["summary"]["pass"] == 6
+        assert sorted(graph.n for graph, _ in calls) == [56, 56, 168, 168]
 
     def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
         calls = count_calls(monkeypatch, adjacency_agreement)
@@ -856,6 +866,74 @@ class TestEntrypoint:
         assert "summary:" in capsys.readouterr().out
 
 
+GRAPH_CHECKS = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
+
+
+def far_toggled_complement(n: int) -> Graph:
+    """Gbar_n less its last edge between two Triangles, whose ends are both
+    away from vertex 0 and its neighbours."""
+    gbar = build_complement(n)
+    near = gbar.adj[0] | 1
+    labels = gbar.labels
+    u, w = [(u, w) for u, w in gbar.edges()
+            if labels[u].support != labels[w].support and not near >> u & 1 and not near >> w & 1][-1]
+    return toggled(gbar, u, w)
+
+
+class TestGraphLayerShortcut:
+    """The graph layer certifies at the orbit representatives of the seeds
+    that pass their edge check; a graph the seeds do not keep is certified at
+    every vertex."""
+
+    def test_edge_toggled_far_from_vertex_0_fails(self, monkeypatch):
+        far = far_toggled_complement(7)
+        # Vertex 0 alone would not see it: the census and the quotient row of
+        # its Triangle pass there.
+        triangles = find_triangles(far, [0])
+        build_triangle_graph(far, triangles, [0])
+        monkeypatch.setattr(cli, "build_complement", lambda n: far)
+        inst = cli.Instance(7, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
+        # The transposition (1 2) keeps the edge, whose supports miss both
+        # points; the n-cycle does not, and the transposition's orbits have
+        # at most two vertices.
+        assert inst.gbar_seed_checks == [True, False]
+        assert len(inst.gbar_orbits) > far.n // 2
+        report = run_verify(RunConfig(n_min=7, n_max=7, checks=GRAPH_CHECKS))
+        assert [rec["outcome"] for rec in report["checks"]] == ["fail"] * 6
+        census = report["checks"][1]["witness"]["error"]
+        assert census.endswith("common neighbors, expected 5 or 2")
+
+    def test_non_automorphism_seed_takes_no_shortcut(self, monkeypatch):
+        # A cycle through every vertex would leave vertex 0 alone as the
+        # representative; it fails its edge check, so every vertex is
+        # certified and the far edge is found.
+        far = far_toggled_complement(7)
+        cycle = (*range(1, far.n), 0)
+        monkeypatch.setattr(cli, "build_complement", lambda n: far)
+        monkeypatch.setattr(cli.Instance, "gbar_points", property(lambda inst: [cycle]))
+        report = run_verify(RunConfig(n_min=7, n_max=7, checks=("hexagons", "triangles")))
+        assert [rec["outcome"] for rec in report["checks"]] == ["fail", "fail"]
+        assert report["checks"][1]["witness"]["error"].endswith("common neighbors, expected 5 or 2")
+
+    def test_failing_seed_fails_step_d_as_a_direct_call_does(self, monkeypatch):
+        # On the intact Gbar8 a seed that is no automorphism is dropped from
+        # the orbits, so the census and the quotient certify at the 7-cycle's
+        # orbits, and the chain names the seed as it does when it checks.
+        gbar = build_complement(8)
+        good = induced_point_generators(gbar, 8)
+        bad = (1, 0, *range(2, gbar.n))  # two facets of one support swapped
+        monkeypatch.setattr(cli.Instance, "gbar_points", property(lambda inst: [bad, good[1]]))
+        inst = cli.Instance(8, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
+        assert inst.gbar_seed_checks == [False, True]
+        assert len(inst.gbar_orbits) > 1
+        with pytest.raises(StructureError) as direct:
+            clique_chain_groups(gbar, inst.triangles, inst.gamma, [bad, good[1]], 8, inst.gamma_orbits)
+        assert str(direct.value).startswith("step (d): seed 0 does not keep Gbar's edges at vertex ")
+        report = run_verify(RunConfig(n_min=8, n_max=8, checks=("triangles", "gamma", "aut")))
+        assert [rec["outcome"] for rec in report["checks"]] == ["pass", "pass", "fail"]
+        assert report["checks"][2]["witness"] == {"error": str(direct.value)}
+
+
 class TestGammaCheck:
     def test_relabelled_gamma6_fails_the_antipodal_pairing(self):
         # Swapping two labels keeps the census, but the vertex at distance 3
@@ -908,16 +986,18 @@ class TestExport:
                 "--export", str(tmp_path)]
         assert main(argv) == 0
         assert (tmp_path / "manifest.json").exists()
-        write_text = Path.write_text
+        # Every file is written through Path.open, the edge lists streamed.
+        open_ = Path.open
         writes = []
 
-        def fail_on_the_fourth(path, *args, **kwargs):
-            writes.append(path.name)
-            if len(writes) == 4:
-                raise OSError("disk full")
-            return write_text(path, *args, **kwargs)
+        def fail_on_the_fourth(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(path.name)
+                if len(writes) == 4:
+                    raise OSError("disk full")
+            return open_(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", fail_on_the_fourth)
+        monkeypatch.setattr(Path, "open", fail_on_the_fourth)
         assert main(argv) == 2
         assert "disk full" in capsys.readouterr().err
         # Three graph files were rewritten before the failure, beside the
@@ -951,6 +1031,15 @@ class TestExport:
         for entry in manifest["files"]:
             for key in ("graph6", "edge_list", "labels"):
                 assert (tmp_path / entry[key]).exists()
+
+    def test_edge_free_graph_gets_one_empty_line(self, tmp_path, monkeypatch):
+        # The edge lists are streamed; a graph with no edge still ends in one newline.
+        gbar = build_complement(4)
+        monkeypatch.setattr(cli, "build_complement", lambda n: Graph([0] * gbar.n, gbar.labels))
+        export_graphs(RunConfig(n_min=4, n_max=4, export_dir=str(tmp_path)))
+        assert (tmp_path / "complement_n4.edges").read_text() == "\n"
+        ridge = (tmp_path / "ridge_n4.edges").read_text().splitlines()
+        assert ridge[:2] == ["0 1", "0 2"] and len(ridge) == 12 * 11 // 2
 
     def test_n4_omits_gamma_with_note(self, tmp_path):
         cfg = RunConfig(n_min=4, n_max=4, export_dir=str(tmp_path))

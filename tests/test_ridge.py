@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conesym.core import TriangleFacet, enumerate_triangle_facets
+from conesym import ridge
 from conesym.ridge import (
     Graph,
     IntersectionArray,
@@ -37,6 +38,7 @@ from references import (
     build_ridge_graph_reference,
     every_vertex_census_reference,
     graph_from_edges,
+    quotient_at_every_vertex,
     simple_rows_reference,
 )
 
@@ -164,7 +166,7 @@ def gamma5_with_self_loop():
     """Γ5 with a self-loop on a neighbour w of vertex 0: as a graph it read
     degree 7 at w and failed `verify_rook_neighborhood` at 0, while the
     pairwise reference passed."""
-    gamma = build_triangle_graph(build_complement(5))
+    gamma = quotient_at_every_vertex(build_complement(5))
     w = next(gamma.neighbors(0))
     adj = list(gamma.adj)
     adj[w] |= 1 << w
@@ -175,7 +177,7 @@ class TestFromAdjacency:
     """`Graph(rows)`, the one constructor, checks the rows it is given."""
 
     def test_rows_of_a_built_graph_accepted(self):
-        gamma = build_triangle_graph(build_complement(5))
+        gamma = quotient_at_every_vertex(build_complement(5))
         rebuilt = Graph(gamma.adj, gamma.labels)
         assert (rebuilt.n, rebuilt.adj, rebuilt.labels) == (gamma.n, gamma.adj, gamma.labels)
 
@@ -235,7 +237,7 @@ class TestFromAdjacency:
         gbar = build_complement(n)
         graphs = [gbar, gbar.complement()]
         if n >= 5:
-            graphs.append(build_triangle_graph(gbar))
+            graphs.append(quotient_at_every_vertex(gbar))
         for g in graphs:
             rebuilt = graph_from_edges(g.n, g.edges(), g.labels)
             assert (rebuilt.adj, rebuilt.labels) == (g.adj, g.labels)
@@ -483,12 +485,12 @@ class TestTriangles:
     @pytest.mark.parametrize("n,count", [(5, 10), (6, 20), (7, 35)])
     def test_counts(self, n, count):
         gbar = build_complement(n)
-        assert len(find_triangles(gbar)) == count
+        assert len(find_triangles(gbar, range(gbar.n))) == count
 
     def test_graph_detection_matches_support_grouping(self):
         for n in range(5, 9):
             gbar = build_complement(n)
-            assert find_triangles(gbar) == group_facets_by_support(gbar)
+            assert find_triangles(gbar, range(gbar.n)) == group_facets_by_support(gbar)
 
     def test_common_neighbor_census_n5_to_n8(self):
         # Triangle edges have n - 2 common neighbors, all others exactly 2,
@@ -496,7 +498,7 @@ class TestTriangles:
         for n in range(5, 9):
             gbar = build_complement(n)
             triangle_edges = set()
-            for t in find_triangles(gbar):
+            for t in find_triangles(gbar, range(gbar.n)):
                 a, b, c = t.vertices
                 triangle_edges |= {(a, b), (a, c), (b, c)}
             g = nx.Graph(gbar.edges())
@@ -506,12 +508,12 @@ class TestTriangles:
 
     def test_triangles_partition_vertices(self):
         gbar = build_complement(6)
-        seen = [v for t in find_triangles(gbar) for v in t.vertices]
+        seen = [v for t in find_triangles(gbar, range(gbar.n)) for v in t.vertices]
         assert sorted(seen) == list(range(gbar.n))
 
     def test_n4_falls_back_to_support_grouping(self):
         gbar = build_complement(4)
-        triangles = find_triangles(gbar)
+        triangles = find_triangles(gbar, range(gbar.n))
         assert len(triangles) == 4
         assert triangles == group_facets_by_support(gbar)
 
@@ -523,22 +525,49 @@ class TestTriangles:
         labels = gbar.labels
         u, w = next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
         with pytest.raises(StructureError, match=r"edge \(\d+, \d+\) has 1 common neighbors"):
-            find_triangles(toggled(gbar, [(u, w)]))
+            find_triangles(toggled(gbar, [(u, w)]), range(gbar.n))
 
     def test_edgeless_graph_refused(self):
         gbar = build_complement(5)
-        with pytest.raises(StructureError, match="vertex 0 do not form a 3-clique"):
-            find_triangles(graph_from_edges(gbar.n, [], gbar.labels))
+        with pytest.raises(StructureError, match="vertex 0 do not join it to its two same-support facets"):
+            find_triangles(graph_from_edges(gbar.n, [], gbar.labels), range(gbar.n))
+
+    @pytest.mark.parametrize("change, count", [("drop", 4), ("add", 6)])
+    def test_triangle_edge_off_the_threshold_by_one_refused(self, change, count):
+        # Vertex 0's Triangle edge (0, 1) has n - 2 = 5 common neighbours at
+        # n = 7.  Dropping the edge to one of them other than vertex 2, or
+        # adding one to a neighbour of 1 alone, leaves it 4 or 6, which the
+        # census at vertex 0 refuses before any other edge.
+        gbar = build_complement(7)
+        assert gbar.labels[0].support == gbar.labels[1].support == gbar.labels[2].support
+        adj = gbar.adj
+        if change == "drop":
+            z = next(_bits(adj[0] & adj[1] & ~0b100))
+        else:
+            z = next(_bits(adj[1] & ~adj[0] & ~1))
+        off = toggled(gbar, [(0, z)])
+        message = rf"^edge \(0, 1\) has {count} common neighbors, expected 5 or 2$"
+        for vertices in ([0], range(off.n)):
+            with pytest.raises(StructureError, match=message):
+                find_triangles(off, vertices)
+
+    def test_empty_vertices_refused(self):
+        gbar = build_complement(5)
+        with pytest.raises(ValueError, match="find_triangles needs at least one vertex"):
+            find_triangles(gbar, [])
+        triangles = find_triangles(gbar, [0])
+        with pytest.raises(ValueError, match="build_triangle_graph needs at least one vertex"):
+            build_triangle_graph(gbar, triangles, [])
 
     def test_unlabelled_graph_refused(self):
         gbar = build_complement(5)
         with pytest.raises(ValueError, match="facet labels"):
-            find_triangles(graph_from_edges(gbar.n, gbar.edges()))
+            find_triangles(graph_from_edges(gbar.n, gbar.edges()), range(gbar.n))
 
 
 class TestTriangleGraph:
     def test_gamma5_is_petersen_complement(self):
-        gamma = build_triangle_graph(build_complement(5))
+        gamma = quotient_at_every_vertex(build_complement(5))
         assert gamma.n == 10
         assert all(gamma.degree(v) == 6 for v in range(10))
         # Independent construction: complements of the 3-set labels are
@@ -551,7 +580,7 @@ class TestTriangleGraph:
                 assert gamma.has_edge(a, b) == (len(duals[a] & duals[b]) == 1)
 
     def test_adjacency_follows_support_overlap(self):
-        gamma = build_triangle_graph(build_complement(6))
+        gamma = quotient_at_every_vertex(build_complement(6))
         for a in range(gamma.n):
             for b in range(a + 1, gamma.n):
                 overlap = len(gamma.labels[a] & gamma.labels[b])
@@ -560,11 +589,11 @@ class TestTriangleGraph:
     def test_cross_edge_counts_in_0_4_up_to_n8(self):
         # build_triangle_graph raises StructureError on any other count.
         for n in range(5, 9):
-            build_triangle_graph(build_complement(n))
+            quotient_at_every_vertex(build_complement(n))
 
     def test_johnson_isomorphism(self):
         for n in range(5, 9):
-            gamma = build_triangle_graph(build_complement(n))
+            gamma = quotient_at_every_vertex(build_complement(n))
             assert verify_johnson_isomorphism(gamma, n, range(gamma.n)) is True
 
     def test_johnson_isomorphism_refuses_no_vertices(self):
@@ -577,16 +606,16 @@ class TestTriangleGraph:
 
     def test_rook_neighborhoods(self):
         for n in (5, 6, 7):
-            gamma = build_triangle_graph(build_complement(n))
+            gamma = quotient_at_every_vertex(build_complement(n))
             assert all(verify_rook_neighborhood(gamma, v) for v in range(gamma.n))
 
     def test_distance2_property(self):
         for n in (7, 8):
-            gamma = build_triangle_graph(build_complement(n))
+            gamma = quotient_at_every_vertex(build_complement(n))
             assert all(verify_distance2_property(gamma, v) for v in range(gamma.n))
 
     def test_gamma6_antipodal_pairing(self):
-        gamma = build_triangle_graph(build_complement(6))
+        gamma = quotient_at_every_vertex(build_complement(6))
         for v in range(gamma.n):
             dist = networkx_distances(gamma, v)
             far = [w for w in range(gamma.n) if dist[w] == 3]
@@ -595,7 +624,7 @@ class TestTriangleGraph:
 
     def test_vertex_transitive_under_point_permutations(self):
         for n in (5, 6, 7):
-            gamma = build_triangle_graph(build_complement(n))
+            gamma = quotient_at_every_vertex(build_complement(n))
             index = {s: i for i, s in enumerate(gamma.labels)}
             # The transposition (1 2) and the n-cycle, as image tuples on 0..n-1.
             for sigma in ((1, 0, *range(2, n)), (*range(1, n), 0)):
@@ -685,18 +714,23 @@ def quotient_outcome(build, gbar, triangles):
     return list(gamma.edges()), gamma.labels
 
 
+def every_vertex_quotient(gbar, triangles):
+    """`build_triangle_graph` certified at every vertex, as the reference scans."""
+    return build_triangle_graph(gbar, triangles, range(gbar.n))
+
+
 class TestTriangleGraphAgainstReference:
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_same_quotient(self, n):
         gbar = build_complement(n)
-        triangles = find_triangles(gbar)
+        triangles = find_triangles(gbar, range(gbar.n))
         expected = quotient_outcome(build_triangle_graph_reference, gbar, triangles)
-        assert quotient_outcome(build_triangle_graph, gbar, triangles) == expected
+        assert quotient_outcome(every_vertex_quotient, gbar, triangles) == expected
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_same_error_without_one_cross_edge(self, n):
         gbar = build_complement(n)
-        triangles = find_triangles(gbar)
+        triangles = find_triangles(gbar, range(gbar.n))
         owner = {v: i for i, t in enumerate(triangles) for v in t.vertices}
         u, w = next((u, w) for u, w in gbar.edges() if owner[u] != owner[w])
         adj = list(gbar.adj)
@@ -705,7 +739,7 @@ class TestTriangleGraphAgainstReference:
         broken = Graph(adj, gbar.labels)
         expected = quotient_outcome(build_triangle_graph_reference, broken, triangles)
         assert expected.startswith("StructureError: Triangles")
-        assert quotient_outcome(build_triangle_graph, broken, triangles) == expected
+        assert quotient_outcome(every_vertex_quotient, broken, triangles) == expected
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_vertices_in_no_triangle_are_stepped_over(self, n):
@@ -713,12 +747,12 @@ class TestTriangleGraphAgainstReference:
         # Triangle; the walk must clear each of their bits and go on, where
         # a walk that skips them without clearing never ends.
         gbar = build_complement(n)
-        triangles = find_triangles(gbar)
-        full = build_triangle_graph(gbar, triangles)
+        triangles = find_triangles(gbar, range(gbar.n))
+        full = build_triangle_graph(gbar, triangles, range(gbar.n))
         for drop in range(len(triangles)):
             kept = triangles[:drop] + triangles[drop + 1 :]
             with time_limit(10):
-                gamma = build_triangle_graph(gbar, kept)
+                gamma = build_triangle_graph(gbar, kept, range(gbar.n))
             assert quotient_outcome(build_triangle_graph_reference, gbar, kept) == (
                 list(gamma.edges()), gamma.labels
             )
@@ -730,14 +764,14 @@ class TestTriangleGraphAgainstReference:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_a_two_vertex_triangle_gives_the_references_error(self, n):
         gbar = build_complement(n)
-        triangles = find_triangles(gbar)
+        triangles = find_triangles(gbar, range(gbar.n))
         for drop in range(3):
             first = triangles[0]
             shrunk = Triangle(first.vertices[:drop] + first.vertices[drop + 1 :], first.support)
             kept = [shrunk, *triangles[1:]]
             expected = quotient_outcome(build_triangle_graph_reference, gbar, kept)
             assert expected.startswith("StructureError: Triangles 0 and ")
-            assert quotient_outcome(build_triangle_graph, gbar, kept) == expected
+            assert quotient_outcome(every_vertex_quotient, gbar, kept) == expected
 
 
 # Two 3-cliques, {0, 1, 2} and {3, 4, 5}, and the nine pairs between them.
@@ -749,6 +783,34 @@ def two_cliques_with(cross) -> Graph:
     return graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), *cross])
 
 
+def first_quotient_row(gbar: Graph, triangles) -> Graph:
+    """The quotient rule (`ridge._quotient_row`) on the first Triangle's
+    row, as a graph on the Triangles; it needs no support labels."""
+    masks = [_mask_of(t.vertices) for t in triangles]
+    owner = [-1] * gbar.n
+    for i, t in enumerate(triangles):
+        for v in t.vertices:
+            owner[v] = i
+    row = ridge._quotient_row(gbar, masks, owner, 0)
+    return graph_from_edges(len(triangles), [(0, b) for b in _bits(row)])
+
+
+class TestQuotientRows:
+    def test_row_off_the_labels_refused(self):
+        # Triangles 0 and 9, {1, 2, 3} and {3, 4, 5} at n = 5, meet in one
+        # point.  Four cross edges in two disjoint 2-paths pass the quotient
+        # rule, but the label rows do not join them.
+        gbar = build_complement(5)
+        triangles = find_triangles(gbar, [0])
+        a, b = triangles[0].vertices, triangles[9].vertices
+        assert (triangles[0].support, triangles[9].support) == ({1, 2, 3}, {3, 4, 5})
+        assert not any(gbar.adj[u] & _mask_of(b) for u in a)
+        joined = toggled(gbar, [(a[0], b[1]), (a[0], b[2]), (a[1], b[0]), (a[2], b[0])])
+        message = r"^Triangle 0: cross edges join it to Triangles \[.*9\], not to the 6 whose supports"
+        with pytest.raises(StructureError, match=message):
+            build_triangle_graph(joined, triangles, [0])
+
+
 class TestCrossEdgesAgainstReference:
     def test_every_subset_of_cross_pairs(self):
         accepted = 0
@@ -756,7 +818,7 @@ class TestCrossEdgesAgainstReference:
             cross = [p for i, p in enumerate(CROSS_PAIRS) if chosen >> i & 1]
             gbar = two_cliques_with(cross)
             expected = quotient_outcome(build_triangle_graph_reference, gbar, TWO_CLIQUES)
-            outcome = quotient_outcome(build_triangle_graph, gbar, TWO_CLIQUES)
+            outcome = quotient_outcome(first_quotient_row, gbar, TWO_CLIQUES)
             if isinstance(expected, str):
                 assert isinstance(outcome, str), cross
                 if "joined by" in expected:
@@ -774,19 +836,19 @@ class TestCrossEdgesAgainstReference:
         # the path 4-0-3-1 and the edge 2-5.
         gbar = two_cliques_with([(0, 3), (0, 4), (1, 3), (2, 5)])
         with pytest.raises(StructureError, match="centres 0 and 3 are adjacent"):
-            build_triangle_graph(gbar, TWO_CLIQUES)
+            first_quotient_row(gbar, TWO_CLIQUES)
         with pytest.raises(StructureError):
             build_triangle_graph_reference(gbar, TWO_CLIQUES)
 
 
 class TestIntersectionArray:
     def test_gamma5_diameter_2(self):
-        gamma = build_triangle_graph(build_complement(5))
+        gamma = quotient_at_every_vertex(build_complement(5))
         arr = every_vertex_census_reference(gamma)
         assert len(arr.bs) == 2 and len(arr.cs) == 2
 
     def test_gamma6_distance_regular_diameter_3(self):
-        gamma = build_triangle_graph(build_complement(6))
+        gamma = quotient_at_every_vertex(build_complement(6))
         arr = every_vertex_census_reference(gamma)
         # Derived by hand from the 2-intersection adjacency on 3-subsets:
         # b = (3(n-3), 2(n-4), n-5), c = (1, 4, 9).
@@ -794,7 +856,7 @@ class TestIntersectionArray:
         assert arr.cs == (1, 4, 9)
 
     def test_gamma7_intersection_array(self):
-        gamma = build_triangle_graph(build_complement(7))
+        gamma = quotient_at_every_vertex(build_complement(7))
         arr = every_vertex_census_reference(gamma)
         assert arr.bs == (12, 6, 2)
         assert arr.cs == (1, 4, 9)
@@ -805,7 +867,7 @@ class TestIntersectionArray:
 
     def test_no_vertices_refused_by_name(self):
         with pytest.raises(ValueError, match="intersection_array"):
-            intersection_array(build_triangle_graph(build_complement(5)), [])
+            intersection_array(quotient_at_every_vertex(build_complement(5)), [])
 
     def test_non_distance_regular_graph_rejected(self):
         path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -900,7 +962,7 @@ class TestIntersectionArrayAgainstReference:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_same_array_on_gamma(self, n):
-        gamma = build_triangle_graph(build_complement(n))
+        gamma = quotient_at_every_vertex(build_complement(n))
         assert every_vertex_census_reference(gamma) == intersection_array_reference(gamma)
 
 
@@ -964,7 +1026,7 @@ def quotient_verdicts(gamma: Graph, rook, distance2):
 def gamma_with_a_toggled_edge(draw):
     """A Triangle quotient with one edge added or removed between two
     neighbours of a vertex v; returns the graph and v."""
-    gamma = build_triangle_graph(build_complement(draw(st.integers(5, 7))))
+    gamma = quotient_at_every_vertex(build_complement(draw(st.integers(5, 7))))
     v = draw(st.integers(0, gamma.n - 1))
     a, b = draw(st.lists(st.sampled_from(list(gamma.neighbors(v))), min_size=2, max_size=2, unique=True))
     edges = set(gamma.edges()) ^ {(min(a, b), max(a, b))}
@@ -979,7 +1041,7 @@ class TestQuotientChecksAgainstReference:
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_same_verdicts_on_gamma(self, n):
-        gamma = build_triangle_graph(build_complement(n))
+        gamma = quotient_at_every_vertex(build_complement(n))
         expected = quotient_verdicts(
             gamma, verify_rook_neighborhood_reference, verify_distance2_property_reference
         )
@@ -1013,11 +1075,14 @@ class TestExport:
 
     def test_edge_list_lines(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])
-        assert edge_list_lines(g) == ["0 1", "1 2"]
+        assert list(edge_list_lines(g)) == ["0 1\n", "1 2\n"]
+        star = graph_from_edges(4, [(0, 1), (0, 3), (2, 3)])
+        assert list(edge_list_lines(star)) == ["0 1\n0 3\n", "2 3\n"]
+        assert list(edge_list_lines(graph_from_edges(3))) == []
 
     def test_label_lines_for_facets_and_supports(self):
         gbar = build_complement(4)
         lines = label_lines(gbar)
         assert lines[0].split() == ["0", "1", "2", "3", "1", "2"]
-        gamma = build_triangle_graph(build_complement(5))
+        gamma = quotient_at_every_vertex(build_complement(5))
         assert label_lines(gamma)[0].split() == ["0", "1", "2", "3"]
