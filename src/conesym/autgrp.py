@@ -266,9 +266,15 @@ def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
     """Every edge uv, u < v, visited once, maps to an edge.  For a bijection
     perm that is the whole check: it maps distinct edges to distinct vertex
     pairs, so the images are as many edges as there are, which makes them
-    the edge set, and non-edges go to non-edges."""
+    the edge set, and non-edges go to non-edges.  An edge whose endpoints
+    perm both fixes maps to itself, so only edges with a moved endpoint are
+    walked."""
+    moved = _mask_of(v for v, w in enumerate(perm) if v != w)
     for u, row in enumerate(adj):
-        image = adj[perm[u]]
+        pu = perm[u]
+        image = adj[pu]
+        if pu == u:
+            row &= moved
         row >>= u + 1
         v = u
         while row:
@@ -473,7 +479,10 @@ class _AutomorphismSearch:
 
 
 def automorphism_group(
-    graph: Graph, vertex_cap: int = AUT_VERTEX_CAP, known: Sequence[Sequence[int]] = ()
+    graph: Graph,
+    vertex_cap: int = AUT_VERTEX_CAP,
+    known: Sequence[Sequence[int]] = (),
+    checked: Sequence[bool] | None = None,
 ) -> PermGroup:
     """Generators and exact order of the full automorphism group.
 
@@ -481,16 +490,21 @@ def automorphism_group(
     come first among the generators, less any that the ones before them
     already generate.  The group records how many came first and the order
     they generate.  Raises StructureError, a ValueError, when one of them is
-    not an automorphism.  Every other emitted generator is verified by a direct
-    edge-set check.  Raises ResourceLimitError above the vertex cap.
+    not an automorphism.  `checked`, when given, holds
+    `is_graph_automorphism`'s verdict on each of them, as the caller already
+    computed it, and the check is not run again.  Every other emitted
+    generator is verified by a direct edge-set check.  Raises
+    ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
         raise ResourceLimitError(
             f"graph has {graph.n} vertices, above the cap of {vertex_cap}"
         )
     known = [tuple(g) for g in known]
-    for i, g in enumerate(known):
-        if not is_graph_automorphism(graph, g):
+    if checked is None:
+        checked = [is_graph_automorphism(graph, g) for g in known]
+    for i, ok in enumerate(checked):
+        if not ok:
             raise StructureError(f"known[{i}] is not an automorphism of the graph")
     group = _AutomorphismSearch(graph, known).run()
     for g in group.generators[group.seeds :]:

@@ -131,7 +131,9 @@ class Instance:
     sigma(u)sigma(v), and every edge is the image of one at a representative
     (`find_triangles`, `build_triangle_graph`, `clique_chain_groups`).  Each
     of Gbar's seeds is edge-checked once (`gbar_seed_checks`), for both
-    `gbar_orbits` and the chain's step (d).  A seed that fails is dropped
+    `gbar_orbits` and the chain's step (d) or, below CLIQUE_CHAIN_MIN_N, the
+    search; each of Gamma's is too (`gamma_seed_checks`), for `gamma_orbits`
+    and Gamma's search.  A seed that fails is dropped
     from the orbits, so a graph the seeds do not keep, as after a mutation,
     is certified at the passing seeds' orbits, every vertex when none
     passes, and never by a failing seed's shortcut."""
@@ -148,10 +150,15 @@ class Instance:
     gbar_seed_checks = _once(
         lambda self: [is_graph_automorphism(self.gbar, g) for g in self.gbar_points]
     )
+    gamma_seed_checks = _once(
+        lambda self: [is_graph_automorphism(self.gamma, g) for g in self.gamma_points]
+    )
     gbar_orbits = _once(
         lambda self: orbit_representatives(self.gbar, self.gbar_points, self.gbar_seed_checks)
     )
-    gamma_orbits = _once(lambda self: orbit_representatives(self.gamma, self.gamma_points))
+    gamma_orbits = _once(
+        lambda self: orbit_representatives(self.gamma, self.gamma_points, self.gamma_seed_checks)
+    )
     clique_chain = _once(
         lambda self: clique_chain_groups(
             self.gbar, self.triangles, self.gamma, self.gbar_points, self.n,
@@ -161,12 +168,16 @@ class Instance:
     aut_gbar = _once(
         lambda self: self.clique_chain[0]
         if self.n >= CLIQUE_CHAIN_MIN_N
-        else automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
+        else automorphism_group(
+            self.gbar, self.vertex_cap, self.gbar_points, self.gbar_seed_checks
+        )
     )
     aut_gamma = _once(
         lambda self: self.clique_chain[1]
         if self.n >= CLIQUE_CHAIN_MIN_N
-        else automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
+        else automorphism_group(
+            self.gamma, self.vertex_cap, self.gamma_points, self.gamma_seed_checks
+        )
     )
     theorem1 = _once(lambda self: certify_theorem1(self.aut_gbar, self.n))
     adjacency = _once(lambda self: adjacency_agreement(self.n))

@@ -8,7 +8,10 @@ hypermetric family evaluates one sorted representative per orbit of the
 point permutations.  A set of cuts
 is ranked on its correlation rows, the image of the cut vectors under the
 covariance map, an integral linear bijection (see `core.cut_correlations`),
-so the rank is the same and the rows are sparser.
+so the rank is the same and the rows are sparser.  A face of two
+conflicting triangle facets is shown to have codimension at least 3 by a
+third facet tight on all of its cuts, independent of the two, so its cuts
+are never ranked.
 """
 
 from __future__ import annotations
@@ -189,6 +192,34 @@ def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, in
     return min(f_support - g_support or f_support), min(g_support - f_support or g_support)
 
 
+def _third_tight_facet(f: TriangleFacet, g: TriangleFacet) -> TriangleFacet | None:
+    """A facet h tight on every point of the metric cone tight on f and g,
+    when one of them carries the other's apex pair as a side pair; None
+    otherwise, and for n = 3, where the second case below has no o.
+
+    Write f = (a, b; k) and g = (a, m; b), g's third point b lying in f's
+    apex and f's other apex point a in g's.  For m != k, on the common face
+    x_am = x_ab + x_bm = x_ak + x_bk + x_bm >= x_ak + x_km >= x_am, so
+    h = (a, m; k) is tight there.  For m = k, g = (a, k; b) and f together
+    force x_bk = 0, so h = (b, o; k) is tight for any point o outside
+    {a, b, k}.  Either h carries a pair that neither f nor g carries.  The
+    other direction swaps f and g.
+    """
+    for f, g in ((f, g), (g, f)):
+        b = g.k
+        if b != f.i and b != f.j:
+            continue
+        a = f.i + f.j - b
+        if a != g.i and a != g.j:
+            continue
+        m, k = g.i + g.j - a, f.k
+        if m != k:
+            return TriangleFacet(a, m, k, f.n)
+        o = min({*range(1, f.n + 1)} - {a, b, k}, default=None)
+        return None if o is None else TriangleFacet(b, o, k, f.n)
+    return None
+
+
 def adjacency_agreement(n: int):
     """Compare the rank oracle with the sign test over every facet pair.
 
@@ -200,8 +231,16 @@ def adjacency_agreement(n: int):
     e_v then lies in both kernels, over Q or over GF(2), so the rank is that
     of the common cuts plus 2, and the pair is adjacent exactly when it is
     C(n, 2), the column count.  The GF(2) pass of `integer_rank` certifies
-    that full rank on its own for every adjacent pair at n = 4..8; the
-    conflicting pairs, of lower rank, go on to Bareiss elimination.
+    that full rank on its own for every adjacent pair at n = 4..8.
+
+    A pair with a third facet h (`_third_tight_facet`) is first tried
+    without its cuts: when h is tight on every common cut, one mask AND
+    over the cut order, and the correlation functionals f, g and h have
+    rank 3, the common cuts lie in a subspace of codimension 3, and the
+    pair is not adjacent.  That rank is the pair's one `integer_rank` call;
+    a pair whose h fails either test is ranked on its cuts as above.  The
+    certificate holds whatever h is proposed, so it never rests on the
+    sign test it is compared with.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
@@ -212,18 +251,30 @@ def adjacency_agreement(n: int):
     corr_rows = cut_correlations(n)
     dim = num_pairs(n)
     units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
-    supports = [{k for k, v in enumerate(f.correlation) if v} for f in facets]
+    functionals = [f.correlation for f in facets]
+    supports = [{k for k, v in enumerate(c) if v} for c in functionals]
     mismatches = []
     total = 0
     for a in range(len(facets)):
+        f = facets[a]
         for b in range(a + 1, len(facets)):
+            g = facets[b]
             total += 1
-            u, v = _unit_coordinates(supports[a], supports[b])
-            rows = [units[u], units[v], *(corr_rows[i] for i in _bits(masks[a] & masks[b]))]
-            by_rank = integer_rank(rows) == dim
-            by_sign = not conflicting(facets[a], facets[b])
+            common = masks[a] & masks[b]
+            h = _third_tight_facet(f, g)
+            if (
+                h is not None
+                and not common & _facet_incidence_masks(h, stars)
+                and integer_rank([functionals[a], functionals[b], h.correlation]) == 3
+            ):
+                by_rank = False
+            else:
+                u, v = _unit_coordinates(supports[a], supports[b])
+                rows = [units[u], units[v], *(corr_rows[i] for i in _bits(common))]
+                by_rank = integer_rank(rows) == dim
+            by_sign = not conflicting(f, g)
             if by_rank != by_sign:
-                mismatches.append((facets[a], facets[b], by_rank, by_sign))
+                mismatches.append((f, g, by_rank, by_sign))
     return total, mismatches
 
 

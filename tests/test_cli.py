@@ -458,6 +458,16 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 6
         assert sorted(graph.n for graph, _ in calls) == [56, 56, 168, 168]
 
+    def test_searches_edge_check_each_seed_once(self, monkeypatch):
+        # Below the clique chain each graph's two seeds are checked once, for
+        # its orbits and its search alike; the third call on Gamma6 checks
+        # the one generator the search adds, its complement map.
+        calls = count_calls(monkeypatch, is_graph_automorphism)
+        checks = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
+        report = run_verify(RunConfig(n_min=6, n_max=6, checks=checks))
+        assert report["summary"]["pass"] == 6
+        assert sorted(graph.n for graph, _ in calls) == [20, 20, 20, 60, 60]
+
     def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
         calls = count_calls(monkeypatch, adjacency_agreement)
         report = run_verify(RunConfig(n_min=5, n_max=5, checks=("adjacency", "theorem2")))

@@ -428,9 +428,11 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_pair_ranked_as_on_its_cut_rows(self, n, monkeypatch):
-        # Each rank call of the sweep gets e_u, e_v and the correlation rows
-        # of the pair's common cuts, and its rank less 2 is the reference
-        # rank of their cut rows.
+        # An adjacent pair's rank call gets e_u, e_v and the correlation rows
+        # of its common cuts, and its rank less 2 is the reference rank of
+        # their cut rows.  A conflicting pair's call gets the functionals of
+        # f, g and a third facet h tight on every common cut, so the
+        # reference rank of those cut rows is at most C(n, 2) - 3.
         calls = []
 
         def recording(rows):
@@ -448,43 +450,65 @@ class TestAdjacency:
         dim = num_pairs(n)
         expected = []
         for a, b in itertools.combinations(range(len(facets)), 2):
-            sf, sg = (support_reference(facets[c]) for c in (a, b))
-            u = min(sf - sg) if sf - sg else min(sf)
-            v = min(sg - sf) if sg - sf else min(sg)
-            units = [tuple(int(k == w) for k in range(dim)) for w in (u, v)]
+            f, g = facets[a], facets[b]
             common = list(_bits(on[a] & on[b]))
-            rows = units + [correlations[i] for i in common]
-            expected.append(rows)
             reference = integer_rank_reference([cuts[i] for i in common])
-            assert integer_rank(rows) - 2 == reference
-            assert (reference == dim - 2) is not conflicting(facets[a], facets[b])
+            if conflicting(f, g):
+                h = cones._third_tight_facet(f, g)
+                assert all(facet_value_reference(h, cuts[i]) == 0 for i in common)
+                expected.append([f.correlation, g.correlation, h.correlation])
+                assert integer_rank_reference(expected[-1]) == 3
+                assert reference <= dim - 3
+            else:
+                sf, sg = support_reference(f), support_reference(g)
+                u = min(sf - sg) if sf - sg else min(sf)
+                v = min(sg - sf) if sg - sf else min(sg)
+                units = [tuple(int(k == w) for k in range(dim)) for w in (u, v)]
+                expected.append(units + [correlations[i] for i in common])
+                assert integer_rank(expected[-1]) - 2 == reference == dim - 2
         assert calls == expected
         assert total == len(expected)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bareiss_runs_on_no_adjacent_pair(self, n, monkeypatch):
-        # Adjacent pairs reach full column rank mod 2; only conflicting ones,
-        # of lower rank, may fall back to Bareiss.
-        fell_back = []
-        bareiss = cones._bareiss_rank
-
-        def recording_rank(rows):
-            fell_back.append(False)
-            return integer_rank(rows)
-
-        def recording_bareiss(m):
-            fell_back[-1] = True
-            return bareiss(m)
-
-        monkeypatch.setattr(cones, "integer_rank", recording_rank)
-        monkeypatch.setattr(cones, "_bareiss_rank", recording_bareiss)
+        # Adjacent pairs reach full column rank mod 2, and so do the three
+        # functionals that certify a conflicting pair, so no pair at all
+        # falls back to Bareiss.
+        ranks, bareiss = [], []
+        rank, eliminate = cones.integer_rank, cones._bareiss_rank
+        monkeypatch.setattr(cones, "integer_rank", lambda rows: ranks.append(rows) or rank(rows))
+        monkeypatch.setattr(cones, "_bareiss_rank", lambda m: bareiss.append(m) or eliminate(m))
         total, mismatches = adjacency_agreement(n)
         assert mismatches == []
-        pairs = itertools.combinations(enumerate_triangle_facets(n), 2)
-        adjacent = [fb for fb, (f, g) in zip(fell_back, pairs) if not conflicting(f, g)]
-        assert len(fell_back) == total
-        assert len(adjacent) == {4: 30, 5: 285, 6: 1350, 7: 4515}[n]
-        assert not any(adjacent)
+        assert len(ranks) == total == {4: 66, 5: 435, 6: 1770, 7: 5460}[n]
+        assert bareiss == []
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_third_facet_proposed_exactly_for_conflicting_pairs(self, n):
+        # Each proposed h is tight on the pair's common cuts and independent
+        # of the pair's functionals.
+        facets, stars = enumerate_triangle_facets(n), cut_stars(n)
+        off = [_facet_incidence_masks(f, stars) for f in facets]
+        for a, b in itertools.combinations(range(len(facets)), 2):
+            f, g = facets[a], facets[b]
+            h = cones._third_tight_facet(f, g)
+            assert (h is not None) is conflicting(f, g)
+            if h is not None:
+                assert not _facet_incidence_masks(h, stars) & ~(off[a] | off[b])
+                assert integer_rank_reference([f.correlation, g.correlation, h.correlation]) == 3
+
+    @pytest.mark.parametrize("proposal", ["arbitrary", "f_itself"])
+    def test_wrong_third_facets_leave_every_verdict(self, proposal, monkeypatch):
+        # An arbitrary h is mostly not tight on the common cuts, and h = f is
+        # tight but dependent; either way the pair is ranked on its cuts.
+        facets = enumerate_triangle_facets(5)
+
+        def arbitrary(f, g):
+            return next(h for h in facets if h != f and h != g)
+
+        propose = {"arbitrary": arbitrary, "f_itself": lambda f, g: f}[proposal]
+        monkeypatch.setattr(cones, "_third_tight_facet", propose)
+        assert adjacency_agreement(5) == (435, [])
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_unit_coordinates_give_a_unit_minor(self, n):
