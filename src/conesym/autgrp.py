@@ -37,6 +37,7 @@ that representative is the identity.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from itertools import combinations
 from math import factorial
@@ -287,30 +288,41 @@ def _preserves_adjacency(adj: Sequence[int], perm: Sequence[int]) -> bool:
     return True
 
 
+# Per graph, the verdict of `_preserves_adjacency` on each permutation walked.
+# A graph's rows are a tuple, so a verdict stays true while the graph lives.
+_verdicts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def is_graph_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
     """True when perm is a bijection of the vertices, with int images, that
-    preserves adjacency, checked edge by edge (`_preserves_adjacency`)."""
-    return _is_permutation(perm, graph.n) and _preserves_adjacency(graph.adj, perm)
+    preserves adjacency, checked edge by edge (`_preserves_adjacency`).
+
+    The edges are walked once per graph and permutation: the verdict is
+    kept with the graph and read on every later call.  The images are
+    checked on every call first, since a float image hashes and compares
+    equal to its int twin."""
+    perm = tuple(perm)
+    if not _is_permutation(perm, graph.n):
+        return False
+    verdicts = _verdicts.setdefault(graph, {})
+    ok = verdicts.get(perm)
+    if ok is None:
+        ok = verdicts[perm] = _preserves_adjacency(graph.adj, perm)
+    return ok
 
 
-def orbit_representatives(
-    graph: Graph, generators: Sequence[Sequence[int]], checked: Sequence[bool] | None = None
-) -> list[int]:
+def orbit_representatives(graph: Graph, generators: Sequence[Sequence[int]]) -> list[int]:
     """The least vertex of each orbit of the group the automorphisms among
     `generators` generate, ascending.
 
     A generator that fails `is_graph_automorphism` is dropped, so with none
-    left every vertex is its own representative.  `checked`, when given,
-    holds that check's verdict on each generator, as the caller already
-    computed it, and the check is not run again.  A claim at a vertex that
+    left every vertex is its own representative.  A claim at a vertex that
     every automorphism carries to the same claim at its image holds at every
     vertex once it holds at these.  Scanning them in ascending order finds
     the same first failing vertex as scanning every vertex: the least
     failing vertex is the least of its orbit, which fails with it.
     """
-    if checked is None:
-        checked = [is_graph_automorphism(graph, g) for g in generators]
-    gens = [tuple(g) for g, ok in zip(generators, checked) if ok]
+    gens = [tuple(g) for g in generators if is_graph_automorphism(graph, g)]
     return [(orbit & -orbit).bit_length() - 1 for orbit in _orbits(gens, graph.n)]
 
 
@@ -482,29 +494,24 @@ def automorphism_group(
     graph: Graph,
     vertex_cap: int = AUT_VERTEX_CAP,
     known: Sequence[Sequence[int]] = (),
-    checked: Sequence[bool] | None = None,
 ) -> PermGroup:
     """Generators and exact order of the full automorphism group.
 
     `known` lists automorphisms known in advance; they seed the search and
     come first among the generators, less any that the ones before them
     already generate.  The group records how many came first and the order
-    they generate.  Raises StructureError, a ValueError, when one of them is
-    not an automorphism.  `checked`, when given, holds
-    `is_graph_automorphism`'s verdict on each of them, as the caller already
-    computed it, and the check is not run again.  Every other emitted
-    generator is verified by a direct edge-set check.  Raises
-    ResourceLimitError above the vertex cap.
+    they generate.  Raises StructureError, a ValueError, when one of them
+    fails `is_graph_automorphism`, which walks no edge for a seed already
+    checked on this graph.  Every other emitted generator is verified by the
+    same check.  Raises ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
         raise ResourceLimitError(
             f"graph has {graph.n} vertices, above the cap of {vertex_cap}"
         )
     known = [tuple(g) for g in known]
-    if checked is None:
-        checked = [is_graph_automorphism(graph, g) for g in known]
-    for i, ok in enumerate(checked):
-        if not ok:
+    for i, g in enumerate(known):
+        if not is_graph_automorphism(graph, g):
             raise StructureError(f"known[{i}] is not an automorphism of the graph")
     group = _AutomorphismSearch(graph, known).run()
     for g in group.generators[group.seeds :]:
@@ -618,7 +625,6 @@ def clique_chain_groups(
     seeds: Sequence[Sequence[int]],
     n: int,
     vertices: Sequence[int],
-    checked: Sequence[bool] | None = None,
 ) -> tuple[PermGroup, PermGroup]:
     """Aut(Gbar_n) and Aut(Gamma_n) for n >= 7, certified to be the group the
     seeds generate, of order n!, by a chain of graph invariants instead of a
@@ -653,11 +659,11 @@ def clique_chain_groups(
         n! elements.  On J(n, 3) these are the maximal cliques of J(n, 3)
         and of the triangular graph T(n); at n <= 6 the lines are no cliques.
     (d) Each seed is checked edge by edge on Gbar and carried through the
-        Triangles, the lines and the stars.  `checked`, when given, holds
-        `is_graph_automorphism(gbar, seed)` for each seed, as the caller
-        already computed it, and the check is not run again.  A Triangle
-        permutation that maps lines to lines keeps Gamma's edges, which the
-        lines partition.  By (b) and (c) the star action is faithful, so when
+        Triangles, the lines and the stars; `is_graph_automorphism` walks
+        no edge for a seed an earlier check on Gbar, such as
+        `orbit_representatives` makes, has walked.  A Triangle permutation
+        that maps lines to lines keeps Gamma's edges, which the lines
+        partition.  By (b) and (c) the star action is faithful, so when
         the seeds act on the stars with order n! they generate Aut(Gbar) and,
         on the Triangles, Aut(Gamma).
 
@@ -717,7 +723,7 @@ def clique_chain_groups(
     gbar_gens, gamma_gens = [], []
     for i, seed in enumerate(seeds):
         seed = tuple(seed)
-        if not (checked[i] if checked is not None else is_graph_automorphism(gbar, seed)):
+        if not is_graph_automorphism(gbar, seed):
             where = ""
             if _is_permutation(seed, gbar.n):
                 v = next(v for v in range(gbar.n) if _moved(seed, adj[v]) != adj[seed[v]])
@@ -784,7 +790,7 @@ def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     for n points: by the clique chain from n = CLIQUE_CHAIN_MIN_N on, by the
     seeded search below it.  The chain's Triangles and quotient are
     certified at the orbit representatives of the point seeds that pass the
-    edge check, checked once and shared with the chain's step (d), and its
+    edge check, whose verdicts the chain's step (d) reads again, and its
     lines at those of the quotient's point seeds.  Raises StructureError
     when a point permutation is not an automorphism of the graph or a step
     of the chain fails, and ResourceLimitError when a search is above the
@@ -794,12 +800,11 @@ def verify_theorem1(n: int, vertex_cap: int = AUT_VERTEX_CAP) -> Theorem1Report:
     gbar = build_complement(n)
     seeds = induced_point_generators(gbar, n)
     if n >= CLIQUE_CHAIN_MIN_N:
-        checked = [is_graph_automorphism(gbar, g) for g in seeds]
-        reps = orbit_representatives(gbar, seeds, checked)
+        reps = orbit_representatives(gbar, seeds)
         triangles = find_triangles(gbar, reps)
         gamma = build_triangle_graph(gbar, triangles, reps)
         gamma_reps = orbit_representatives(gamma, induced_point_generators(gamma, n))
-        aut = clique_chain_groups(gbar, triangles, gamma, seeds, n, gamma_reps, checked)[0]
+        aut = clique_chain_groups(gbar, triangles, gamma, seeds, n, gamma_reps)[0]
     else:
         aut = automorphism_group(gbar, vertex_cap, seeds)
     return certify_theorem1(aut, n)

@@ -29,7 +29,6 @@ from .autgrp import (
     certify_theorem1,
     clique_chain_groups,
     induced_point_generators,
-    is_graph_automorphism,
     orbit_representatives,
 )
 from .cones import (
@@ -129,14 +128,13 @@ class Instance:
     the quotient's cross edges and the chain's spans read adjacency alone,
     so an edge-checked point seed carries each claim at edge uv to edge
     sigma(u)sigma(v), and every edge is the image of one at a representative
-    (`find_triangles`, `build_triangle_graph`, `clique_chain_groups`).  Each
-    of Gbar's seeds is edge-checked once (`gbar_seed_checks`), for both
-    `gbar_orbits` and the chain's step (d) or, below CLIQUE_CHAIN_MIN_N, the
-    search; each of Gamma's is too (`gamma_seed_checks`), for `gamma_orbits`
-    and Gamma's search.  A seed that fails is dropped
-    from the orbits, so a graph the seeds do not keep, as after a mutation,
-    is certified at the passing seeds' orbits, every vertex when none
-    passes, and never by a failing seed's shortcut."""
+    (`find_triangles`, `build_triangle_graph`, `clique_chain_groups`).  The
+    orbits, the chain's step (d) and the searches each check their seeds
+    themselves; `is_graph_automorphism` keeps its verdict per graph and
+    seed, so each seed's edges are walked once.  A seed that fails is
+    dropped from the orbits, so a graph the seeds do not keep, as after a
+    mutation, is certified at the passing seeds' orbits, every vertex when
+    none passes, and never by a failing seed's shortcut."""
 
     def __init__(self, n: int, vertex_cap: int, bound: int):
         # bound is the coefficient bound of the bounded family.
@@ -147,37 +145,22 @@ class Instance:
     gamma = _once(lambda self: build_triangle_graph(self.gbar, self.triangles, self.gbar_orbits))
     gbar_points = _once(lambda self: induced_point_generators(self.gbar, self.n))
     gamma_points = _once(lambda self: induced_point_generators(self.gamma, self.n))
-    gbar_seed_checks = _once(
-        lambda self: [is_graph_automorphism(self.gbar, g) for g in self.gbar_points]
-    )
-    gamma_seed_checks = _once(
-        lambda self: [is_graph_automorphism(self.gamma, g) for g in self.gamma_points]
-    )
-    gbar_orbits = _once(
-        lambda self: orbit_representatives(self.gbar, self.gbar_points, self.gbar_seed_checks)
-    )
-    gamma_orbits = _once(
-        lambda self: orbit_representatives(self.gamma, self.gamma_points, self.gamma_seed_checks)
-    )
+    gbar_orbits = _once(lambda self: orbit_representatives(self.gbar, self.gbar_points))
+    gamma_orbits = _once(lambda self: orbit_representatives(self.gamma, self.gamma_points))
     clique_chain = _once(
         lambda self: clique_chain_groups(
-            self.gbar, self.triangles, self.gamma, self.gbar_points, self.n,
-            self.gamma_orbits, self.gbar_seed_checks,
+            self.gbar, self.triangles, self.gamma, self.gbar_points, self.n, self.gamma_orbits
         )
     )
     aut_gbar = _once(
         lambda self: self.clique_chain[0]
         if self.n >= CLIQUE_CHAIN_MIN_N
-        else automorphism_group(
-            self.gbar, self.vertex_cap, self.gbar_points, self.gbar_seed_checks
-        )
+        else automorphism_group(self.gbar, self.vertex_cap, self.gbar_points)
     )
     aut_gamma = _once(
         lambda self: self.clique_chain[1]
         if self.n >= CLIQUE_CHAIN_MIN_N
-        else automorphism_group(
-            self.gamma, self.vertex_cap, self.gamma_points, self.gamma_seed_checks
-        )
+        else automorphism_group(self.gamma, self.vertex_cap, self.gamma_points)
     )
     theorem1 = _once(lambda self: certify_theorem1(self.aut_gbar, self.n))
     adjacency = _once(lambda self: adjacency_agreement(self.n))

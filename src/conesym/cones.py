@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence
 
 from .core import (
     TriangleFacet,
-    _correlation_rows,
     cut_correlations,
     cut_members,
     cut_stars,
@@ -118,50 +117,24 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     which overwrites `m`.
 
     Intermediate entries stay integral (divisions are exact by the Sylvester
-    identity), so the result is certified, not floating-point.  The rank does
-    not depend on the pivot chosen, so a row whose pivot-column entry equals
-    the previous pivot is preferred: the step's division by the previous
-    pivot then cancels its multiplication by the new one, rows with a zero in
-    the pivot column stay as they are, and the others become
-    x - f * p // prev, which changes only the columns where the pivot row p
-    is nonzero; those are listed once per pivot.
+    identity), so the result is certified, not floating-point.
     """
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1
     for col in range(n_cols):
-        piv_row = None
-        for r in range(rank, n_rows):
-            x = m[r][col]
-            if x:
-                if x == prev:
-                    piv_row = r
-                    break
-                if piv_row is None:
-                    piv_row = r
+        piv_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if piv_row is None:
             continue
-        row_p = m[piv_row]
-        if piv_row != rank:
-            m[rank], m[piv_row] = row_p, m[rank]
+        m[rank], m[piv_row] = m[piv_row], m[rank]
+        row_p = m[rank]
         piv = row_p[col]
-        if piv == prev:
-            nonzero = [(c, v) for c in range(col + 1, n_cols) if (v := row_p[c])]
-            for r in range(rank + 1, n_rows):
-                row_r = m[r]
-                f = row_r[col]
-                if f:
-                    for c, v in nonzero:
-                        row_r[c] -= f * v // prev
-                    row_r[col] = 0
-        else:
-            cols = range(col + 1, n_cols)
-            for r in range(rank + 1, n_rows):
-                row_r = m[r]
-                f = row_r[col]
-                for c in cols:
-                    row_r[c] = (piv * row_r[c] - f * row_p[c]) // prev
-                row_r[col] = 0
+        for r in range(rank + 1, n_rows):
+            row_r = m[r]
+            f = row_r[col]
+            for c in range(col + 1, n_cols):
+                row_r[c] = (piv * row_r[c] - f * row_p[c]) // prev
+            row_r[col] = 0
         prev = piv
         rank += 1
         if rank == n_rows:
@@ -340,13 +313,12 @@ def hypermetric_sweep(n: int, bound: int) -> HypermetricSweep:
     """
     if bound < 1:
         raise ValueError("hypermetric bound must be positive")
-    cut_sets = cut_members(n)
-    members = [[p - 1 for p in m] for m in cut_sets]
+    members = [[p - 1 for p in m] for m in cut_members(n)]
     pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
     cut_pairs = [
         [k for k, (i, j) in enumerate(pairs) if (i in m) != (j in m)] for m in map(set, members)
     ]
-    corr_rows = _correlation_rows(cut_sets, n)
+    corr_rows = cut_correlations(n)
     limit = triangle_incidence_bound(n)
     facet_rank = num_pairs(n) - 1
     triangle = (-1, *[0] * (n - 3), 1, 1)

@@ -108,14 +108,9 @@ def cut_correlations(n: int) -> list[tuple[int, ...]]:
     with k generating points has C(k + 1, 2) nonzeros here against
     k * (n - k) in x.
     """
-    return _correlation_rows(cut_members(n), n)
-
-
-def _correlation_rows(cut_sets, n: int) -> list[tuple[int, ...]]:
-    """`cut_correlations(n)` for the given generating sets, 1-based."""
     pairs = pair_list(n)
     rows = []
-    for members in cut_sets:
+    for members in cut_members(n):
         s = {*members, n}
         rows.append(tuple(int(i in s and j in s) for i, j in pairs))
     return rows

@@ -58,11 +58,13 @@ def _bits(m: int):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitset adjacency rows.
 
-    Treated as immutable after construction; labels optionally attach a facet
-    or 3-set to each vertex.
+    The rows are a tuple, so they never change after the constructor has
+    checked them, and `autgrp.is_graph_automorphism` keeps its verdicts
+    with the graph; labels optionally attach a facet or 3-set to each
+    vertex.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj", "labels", "__weakref__")
 
     def __init__(self, adj: Sequence[int], labels=None):
         """The graph whose row v is the bitmask of v's neighbours.
@@ -73,6 +75,7 @@ class Graph:
         vertex, a negative row or an edge missing from the other endpoint's
         row each make some row differ, and ValueError names the first.
         """
+        adj = tuple(adj)
         n = len(adj)
         full = (1 << n) - 1
         # Each row's bits above the diagonal, to which the mirror of every
@@ -91,7 +94,7 @@ class Graph:
             if len(labels) != n:
                 raise ValueError("label count does not match vertex count")
         self.n = n
-        self.adj = list(adj)
+        self.adj = adj
         self.labels = labels
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -102,11 +105,6 @@ class Graph:
 
     def neighbors(self, v: int):
         return _bits(self.adj[v])
-
-    def edges(self):
-        for u in range(self.n):
-            for w in _bits(self.adj[u] >> (u + 1)):
-                yield (u, u + 1 + w)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2

@@ -6,7 +6,7 @@ import itertools
 import networkx as nx
 from hypothesis import strategies as st
 
-from references import graph_from_edges
+from references import edges_reference, graph_from_edges
 
 
 @st.composite
@@ -23,6 +23,6 @@ def networkx_distances(graph, source):
     reach: an oracle that shares no code with `Graph.layers`."""
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
-    g.add_edges_from(graph.edges())
+    g.add_edges_from(edges_reference(graph))
     lengths = nx.single_source_shortest_path_length(g, source)
     return [lengths.get(w, -1) for w in range(graph.n)]

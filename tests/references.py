@@ -1,6 +1,6 @@
 """Reference implementations shared by the tests: a graph from its edge
-list, cut vectors from the definition, a point's star over the cut order
-from its binary string, a triangle facet's value and dense
+list and a graph's edge list, cut vectors from the definition, a point's
+star over the cut order from its binary string, a triangle facet's value and dense
 coefficient vector, a point permutation's action on vectors over pairs, rational row reduction, reflection matrices over
 Fractions with their products, images and determinants, the ridge graph
 built pair by pair, simple adjacency rows checked condition by condition,
@@ -31,6 +31,13 @@ def graph_from_edges(n: int, edges=(), labels=None) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(adj, labels)
+
+
+def edges_reference(graph: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in ascending order, read off each row's
+    bits above the diagonal one vertex at a time."""
+    n = graph.n
+    return [(u, v) for u, row in enumerate(graph.adj) for v in range(u + 1, n) if row >> v & 1]
 
 
 def cut_order_star_reference(n: int, p: int) -> int:

@@ -1,10 +1,12 @@
 """Tests for the automorphism engine and the stabilizer-chain order oracle."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
 import re
+import weakref
 from collections import deque
 from math import factorial
 from pathlib import Path
@@ -55,6 +57,7 @@ from graph_strategies import random_graphs
 from test_ridge import build_triangle_graph_reference
 from references import (
     build_ridge_graph_reference,
+    edges_reference,
     every_vertex_census_reference,
     first_failure_reference,
     graph_from_edges,
@@ -204,14 +207,40 @@ class TestIsGraphAutomorphism:
 
     @pytest.mark.parametrize("perm", [(2.0, 1, 0), (2, True, False), (2, 1, 0.0)])
     def test_non_int_images_are_refused(self, perm):
+        # perm hashes and compares equal to its int twin, whose verdict is
+        # kept, so the images are checked before a kept verdict is read.
         path = graph_from_edges(3, [(0, 1), (1, 2)])
         assert is_graph_automorphism(path, (2, 1, 0)) is True
         assert is_graph_automorphism(path, perm) is False
 
     def test_non_int_known_seed_is_refused(self):
         path = graph_from_edges(3, [(0, 1), (1, 2)])
+        assert automorphism_group(path, known=[(2, 1, 0)]).order == 2
         with pytest.raises(StructureError, match=r"known\[0\] is not an automorphism"):
             automorphism_group(path, known=[(2.0, 1, 0)])
+
+    def test_verdicts_are_kept_per_graph(self, monkeypatch):
+        # A second check of a seed on one graph walks no edge, a refused one
+        # included; a new graph with the same rows is walked again.
+        gbar = build_complement(5)
+        seed, swap = induced_point_generators(gbar, 5)[0], (1, 0, *range(2, gbar.n))
+        walks = count_walks(monkeypatch)
+        assert [is_graph_automorphism(gbar, p) for p in (seed, swap)] == [True, False]
+        assert len(walks) == 2
+        assert [is_graph_automorphism(gbar, list(p)) for p in (seed, swap)] == [True, False]
+        with pytest.raises(StructureError, match=r"^known\[0\] is not an automorphism"):
+            automorphism_group(gbar, known=[swap])
+        assert len(walks) == 2
+        assert is_graph_automorphism(Graph(gbar.adj, gbar.labels), seed) is True
+        assert len(walks) == 3
+
+    def test_verdicts_do_not_keep_a_graph_alive(self):
+        gbar = build_complement(4)
+        assert is_graph_automorphism(gbar, induced_point_generators(gbar, 4)[0])
+        dead = weakref.ref(gbar)
+        del gbar
+        gc.collect()
+        assert dead() is None
 
     def test_permutations_are_checked_edge_by_edge(self):
         graph = graph_from_edges(4, [(0, 1), (2, 3)])
@@ -234,7 +263,7 @@ class TestIsGraphAutomorphism:
         # The union of the orbits of the edges under perm is a graph that
         # perm keeps, so the check is also met where it must pass.
         closed = graph_from_edges(graph.n, [
-            (a, b) for u, v in graph.edges() for a, b in orbit_of_pair(perm, u, v) if a < b
+            (a, b) for u, v in edges_reference(graph) for a, b in orbit_of_pair(perm, u, v) if a < b
         ])
         assert preserves_edges_reference(closed, perm)
         assert is_graph_automorphism(closed, perm) is True
@@ -476,7 +505,7 @@ class TestTheorem1:
         # whose group, S3 wr Sym(C(n, 3)), is far larger than the image.
         gbar = build_complement(n)
         labels = gbar.labels
-        inside = [(u, w) for u, w in gbar.edges() if labels[u].support == labels[w].support]
+        inside = [(u, w) for u, w in edges_reference(gbar) if labels[u].support == labels[w].support]
         graph = graph_from_edges(gbar.n, inside, labels)
         report = certify_theorem1(seeded_group(graph, n), n)
         assert not report.passed and report.witness is not None
@@ -694,7 +723,7 @@ def run_chain(gbar: Graph, triangles, gamma: Graph, seeds, n: int):
 def first_cross_edge(gbar: Graph) -> tuple[int, int]:
     """The first edge of Gbar between two Triangles."""
     labels = gbar.labels
-    return next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
+    return next((u, w) for u, w in edges_reference(gbar) if labels[u].support != labels[w].support)
 
 
 def with_centres_on_one_vertex(gbar: Graph, triangles, gamma: Graph) -> Graph:
@@ -882,18 +911,17 @@ class TestCliqueChain:
             clique_chain_groups(gbar, triangles, relabelled, seeds, 7, range(35))
 
     def test_checked_seeds_are_not_checked_again(self, monkeypatch):
-        # The verdicts the caller passes stand in for the edge check, and a
-        # failing one names the seed and its first vertex as the check would.
+        # chain_inputs took Gbar7's orbit representatives, which checked both
+        # seeds, so step (d) reads those verdicts and walks no edge; a seed
+        # that is no permutation still fails there, named.
         gbar, triangles, gamma, seeds = chain_inputs(7)
-        calls = []
-        check = autgrp.is_graph_automorphism
-        monkeypatch.setattr(autgrp, "is_graph_automorphism", lambda g, p: calls.append(p) or check(g, p))
         reps = point_orbits(gamma, 7)
-        calls.clear()
-        clique_chain_groups(gbar, triangles, gamma, seeds, 7, reps, [True, True])
-        assert calls == []
+        walks = count_walks(monkeypatch)
+        clique_chain_groups(gbar, triangles, gamma, seeds, 7, reps)
+        assert walks == []
         with pytest.raises(StructureError, match=r"^step \(d\): seed 1 does not keep Gbar's edges$"):
-            clique_chain_groups(gbar, triangles, gamma, [seeds[0], (0,)], 7, reps, [True, False])
+            clique_chain_groups(gbar, triangles, gamma, [seeds[0], (0,)], 7, reps)
+        assert walks == []
 
 
 class TestGraphLayerAtRepresentatives:
@@ -922,7 +950,7 @@ class TestGraphLayerAtRepresentatives:
 def vf2_automorphism_count(graph: Graph) -> int:
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
-    g.add_edges_from(graph.edges())
+    g.add_edges_from(edges_reference(graph))
     return sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter())
 
 
@@ -941,7 +969,7 @@ class TestAgainstNetworkxVF2:
 def orbit_representatives_reference(graph: Graph, generators) -> list[int]:
     """The least vertex of each connected component of the Schreier graph
     of the generators that map the edge set onto itself, by networkx."""
-    edges = {frozenset(e) for e in graph.edges()}
+    edges = {frozenset(e) for e in edges_reference(graph)}
     schreier = nx.Graph()
     schreier.add_nodes_from(range(graph.n))
     for g in generators:
@@ -1024,6 +1052,17 @@ def hexagons_hold(gbar: Graph, u: int) -> bool:
     """`verify_hexagon_neighborhood` as a claim: True, or its StructureError."""
     verify_hexagon_neighborhood(gbar, u)
     return True
+
+
+def count_walks(monkeypatch) -> list[int]:
+    """Count the edge walks `autgrp` makes: the returned list collects the
+    vertex count of the graph each `_preserves_adjacency` call walks."""
+    walks = []
+    walk = autgrp._preserves_adjacency
+    monkeypatch.setattr(
+        autgrp, "_preserves_adjacency", lambda adj, p: walks.append(len(adj)) or walk(adj, p)
+    )
+    return walks
 
 
 def point_orbits(graph: Graph, n: int) -> list[int]:

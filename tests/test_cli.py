@@ -31,8 +31,13 @@ from conesym.cli import (
     render_text,
     run_verify,
 )
-from conesym.cones import _facet_incidence_masks, adjacency_agreement, triangle_incidence_bound
-from conesym.core import cut_members, cut_stars, enumerate_triangle_facets
+from conesym.cones import (
+    _facet_incidence_masks,
+    adjacency_agreement,
+    hypermetric_sweep,
+    triangle_incidence_bound,
+)
+from conesym.core import cut_correlations, cut_members, cut_stars, enumerate_triangle_facets
 from conesym.ridge import (
     Graph,
     StructureError,
@@ -44,8 +49,8 @@ from conesym.ridge import (
     verify_rook_neighborhood,
 )
 
-from references import cut_order_star_reference
-from test_autgrp import toggled, with_one_point_meetings
+from references import cut_order_star_reference, edges_reference
+from test_autgrp import count_walks, toggled, with_one_point_meetings
 
 DATA = Path(__file__).parent / "data"
 
@@ -441,32 +446,46 @@ class TestSharedWork:
         witness = {"error": "known[0] is not an automorphism of the graph"}
         assert [(rec["outcome"], rec["witness"]) for rec in report["checks"]] == [("fail", witness)] * 2
 
+    # `is_graph_automorphism` keeps its verdicts, so every point seed is walked
+    # once per graph, however many of the orbits, the clique chain and the
+    # searches check it.  A search also walks each leaf candidate, and the
+    # generator it emits is checked again.  A walk is named by its graph's
+    # vertex count.
+
+    def test_suite_walks_each_seed_once(self, monkeypatch):
+        # Per n = 4, 5, 6: Gbar's two seeds; Gamma5's and Gamma6's two.  Gbar4's
+        # search walks a leaf and checks what it emits, as does Gamma6's.
+        walks = count_walks(monkeypatch)
+        report = run_verify(RunConfig())
+        assert report["summary"] == {"pass": 35, "fail": 0, "skip": 4, "error": 0}
+        assert sorted(walks) == [10, 10, 12, 12, 12, 12, 20, 20, 20, 20, 30, 30, 60, 60]
+
     def test_symmetry_run_checks_each_graphs_seeds_once(self, monkeypatch):
-        # Per n: Gamma's two seeds for the orbit representatives, Gbar's two
-        # in the clique chain, which induces Gamma's generators from them.
-        calls = count_calls(monkeypatch, is_graph_automorphism)
+        # Per n: Gamma's two seeds for its orbits, and Gbar's two in the
+        # clique chain, which induces Gamma's generators from them.
+        walks = count_walks(monkeypatch)
         report = run_verify(GOLDEN["symmetry"])
         assert report["summary"] == {"pass": 8, "fail": 0, "skip": 0, "error": 0}
-        assert len(calls) <= 8
+        assert sorted(walks) == [84, 84, 120, 120, 252, 252, 360, 360]
 
     def test_graph_run_edge_checks_each_gbar_seed_once(self, monkeypatch):
         # The hexagons' orbits, the census, the quotient and the chain's
-        # step (d) all read one edge check of each of Gbar8's two seeds.
-        calls = count_calls(monkeypatch, is_graph_automorphism)
+        # step (d) all read one walk of each of Gbar8's two seeds.
+        walks = count_walks(monkeypatch)
         checks = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
         report = run_verify(RunConfig(n_min=8, n_max=8, checks=checks))
         assert report["summary"]["pass"] == 6
-        assert sorted(graph.n for graph, _ in calls) == [56, 56, 168, 168]
+        assert sorted(walks) == [56, 56, 168, 168]
 
     def test_searches_edge_check_each_seed_once(self, monkeypatch):
-        # Below the clique chain each graph's two seeds are checked once, for
-        # its orbits and its search alike; the third call on Gamma6 checks
-        # the one generator the search adds, its complement map.
-        calls = count_calls(monkeypatch, is_graph_automorphism)
+        # Below the clique chain each graph's two seeds are walked once, for
+        # its orbits and its search alike; Gamma6's search walks the leaf that
+        # gives its complement map and checks that generator again.
+        walks = count_walks(monkeypatch)
         checks = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=checks))
         assert report["summary"]["pass"] == 6
-        assert sorted(graph.n for graph, _ in calls) == [20, 20, 20, 60, 60]
+        assert sorted(walks) == [20, 20, 20, 20, 60, 60]
 
     def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
         calls = count_calls(monkeypatch, adjacency_agreement)
@@ -507,15 +526,16 @@ class TestSharedWork:
         assert report["summary"]["pass"] == 2
         assert len(calls) == 1
 
-    # One sweep serves both checks and lists the cut order once, its
-    # correlation rows included; up to the adjacency cap the adjacency sweep
-    # that theorem2 also reads lists it once more.
-    @pytest.mark.parametrize("n, cut_orders", [(6, 2), (7, 1)])
-    def test_bounded_family_swept_once(self, monkeypatch, n, cut_orders):
-        calls = count_calls(monkeypatch, cut_members)
+    # One sweep serves both checks and builds the cut order's correlation
+    # rows once; up to the adjacency cap the adjacency sweep that theorem2
+    # also reads builds them once more.
+    @pytest.mark.parametrize("n, row_lists", [(6, 2), (7, 1)])
+    def test_bounded_family_swept_once(self, monkeypatch, n, row_lists):
+        sweeps = count_calls(monkeypatch, hypermetric_sweep)
+        calls = count_calls(monkeypatch, cut_correlations)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
         assert report["summary"]["pass"] == 2
-        assert len(calls) == cut_orders
+        assert (len(sweeps), len(calls)) == (1, row_lists)
 
 
 class TestBoundedFamily:
@@ -611,7 +631,7 @@ class TestMain:
         permutations' automorphism check."""
         gbar = build_complement(5)
         labels = gbar.labels
-        u, w = next((u, w) for u, w in gbar.edges() if labels[u].support != labels[w].support)
+        u, w = next((u, w) for u, w in edges_reference(gbar) if labels[u].support != labels[w].support)
         adj = list(gbar.adj)
         adj[u] ^= 1 << w
         adj[w] ^= 1 << u
@@ -885,7 +905,7 @@ def far_toggled_complement(n: int) -> Graph:
     gbar = build_complement(n)
     near = gbar.adj[0] | 1
     labels = gbar.labels
-    u, w = [(u, w) for u, w in gbar.edges()
+    u, w = [(u, w) for u, w in edges_reference(gbar)
             if labels[u].support != labels[w].support and not near >> u & 1 and not near >> w & 1][-1]
     return toggled(gbar, u, w)
 
@@ -906,7 +926,7 @@ class TestGraphLayerShortcut:
         # The transposition (1 2) keeps the edge, whose supports miss both
         # points; the n-cycle does not, and the transposition's orbits have
         # at most two vertices.
-        assert inst.gbar_seed_checks == [True, False]
+        assert [is_graph_automorphism(inst.gbar, g) for g in inst.gbar_points] == [True, False]
         assert len(inst.gbar_orbits) > far.n // 2
         report = run_verify(RunConfig(n_min=7, n_max=7, checks=GRAPH_CHECKS))
         assert [rec["outcome"] for rec in report["checks"]] == ["fail"] * 6
@@ -934,7 +954,7 @@ class TestGraphLayerShortcut:
         bad = (1, 0, *range(2, gbar.n))  # two facets of one support swapped
         monkeypatch.setattr(cli.Instance, "gbar_points", property(lambda inst: [bad, good[1]]))
         inst = cli.Instance(8, AUT_VERTEX_CAP, RunConfig().hypermetric_bound)
-        assert inst.gbar_seed_checks == [False, True]
+        assert [is_graph_automorphism(inst.gbar, g) for g in inst.gbar_points] == [False, True]
         assert len(inst.gbar_orbits) > 1
         with pytest.raises(StructureError) as direct:
             clique_chain_groups(gbar, inst.triangles, inst.gamma, [bad, good[1]], 8, inst.gamma_orbits)

@@ -26,12 +26,14 @@ def exported_names(tree: ast.Module) -> set[str]:
     return exported
 
 
-def names_read(tree: ast.AST) -> set[str]:
-    """Every name the tree reads, by name, attribute or import."""
+def names_read(tree: ast.AST, bare: bool = True) -> set[str]:
+    """Every name the tree reads, by attribute or import, and by name unless
+    `bare` is false."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            read.add(node.id)
+            if bare:
+                read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
@@ -222,7 +224,8 @@ def test_no_public_name_only_the_tests_use():
 def unreferenced_members(modules: dict[str, str]) -> list[str]:
     """`module.Class.name` of each public method, property or annotated
     field (a NamedTuple's) of a module-level class that no module reads, by
-    name, attribute or import, outside the member's own definition.  A
+    attribute or import, outside the member's own definition.  A bare name
+    is a local or a module-level name, never a member, so it reads none.  A
     member that only the tests use belongs in the tests, as a
     `*_reference`."""
     defined = []
@@ -230,9 +233,10 @@ def unreferenced_members(modules: dict[str, str]) -> list[str]:
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if not isinstance(node, ast.ClassDef):
-                read |= names_read(node)
+                read |= names_read(node, bare=False)
                 continue
-            read |= set().union(*map(names_read, [*node.bases, *node.keywords, *node.decorator_list]))
+            heads = [*node.bases, *node.keywords, *node.decorator_list]
+            read |= set().union(*(names_read(head, bare=False) for head in heads))
             for member in node.body:
                 own = None
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -241,7 +245,7 @@ def unreferenced_members(modules: dict[str, str]) -> list[str]:
                     own = member.target.id
                 if own is not None and not own.startswith("_"):
                     defined.append(f"{module}.{node.name}.{own}")
-                read |= names_read(member) - {own}
+                read |= names_read(member, bare=False) - {own}
     return [name for name in defined if name.rpartition(".")[2] not in read]
 
 
@@ -259,7 +263,9 @@ def test_member_scanner_flags_only_unread_members():
                 "    def orphan(self): pass",
                 "class Other:",
                 "    def via_function(self): pass",
+                "    def shadowed(self): pass",
                 "def read(box): return box.via_function()",
+                "def local(): shadowed = 1; return shadowed",
                 "class Row(NamedTuple):",
                 "    width: int",
                 "    unread: tuple[int, int] = (0, 0)",
@@ -270,7 +276,9 @@ def test_member_scanner_flags_only_unread_members():
         ),
         "b": "class Empty: pass",
     }
-    assert unreferenced_members(modules) == ["a.Box.recursive", "a.Box.orphan", "a.Row.unread"]
+    assert unreferenced_members(modules) == [
+        "a.Box.recursive", "a.Box.orphan", "a.Other.shadowed", "a.Row.unread"
+    ]
 
 
 def test_no_public_member_only_the_tests_use():
