@@ -474,7 +474,7 @@ class _AutomorphismSearch:
         for a, b in zip(self.first_leaf, leaf):
             g[a] = b
         g = tuple(g)
-        if g != self.chain.identity and _preserves_adjacency(self.graph.adj, g):
+        if g != self.chain.identity and is_graph_automorphism(self.graph, g):
             self._add(g)
             common = 0
             for a, b in zip(self.first_branch, self.branch):
@@ -502,8 +502,9 @@ def automorphism_group(
     already generate.  The group records how many came first and the order
     they generate.  Raises StructureError, a ValueError, when one of them
     fails `is_graph_automorphism`, which walks no edge for a seed already
-    checked on this graph.  Every other emitted generator is verified by the
-    same check.  Raises ResourceLimitError above the vertex cap.
+    checked on this graph.  The search emits a leaf only when it passes the
+    same check, so checking what it emits reads the kept verdicts and walks
+    no edge again.  Raises ResourceLimitError above the vertex cap.
     """
     if graph.n > vertex_cap:
         raise ResourceLimitError(

@@ -56,29 +56,12 @@ from .ridge import (
 
 SCHEMA_VERSION = 1
 
-# The exhaustive rank sweep ranks all C(3*C(n,3), 2) facet pairs, about
-# 0.1 s at n=6 and 0.5 s at n=7 on a 2-core host; the bounded sweep grows
-# like (orbit representatives) x 2^(n-1).  `cuts` reads n star columns of
-# 2^(n-1) bits and `incidence` three, so their cap bounds that time (about
-# 0.1 s at n=24) and memory (about 60 MiB peak RSS there), which double
-# with each n.
-# Raising a cap turns recorded skips into passes (tests/data), so
-# the caps stay until that is intended.  The bounded family has about
-# C(2b + n, n) sorted representatives at bound b, so larger bounds are
-# refused: on that host b = 8 takes 1 s at n = 7, and b = 16 3.3 s at n = 6.
-# The graph checks and `facets` have no skip rule.  With the graph layer certified
-# at one vertex orbit, `--checks hexagons,triangles,gamma,johnson,aut,theorem1`
-# took 8.5-9.5 s and 219 MiB at n=40 in a fresh interpreter on that host, within a
-# budget of 10 s and 350 MiB, so n_max is refused above MAX_N, the largest n measured
-# within it (time grows about as n^6.5); that also bounds the number of records.
+# The bounded family has about C(2b + n, n) sorted representatives at bound b,
+# so larger bounds are refused: on a 2-core Xeon b = 8 takes 0.5 s at n = 7.
 # Export holds one n's graphs at a time, which grow about as V^2, and streams each
 # edge list row by row: 6.2 s and 38 MiB at n=20, for 55 MiB of files, so export is
 # refused above EXPORT_MAX_N, the largest n it was measured at.
-ADJACENCY_SWEEP_MAX_N = 6
-HYPERMETRIC_SWEEP_MAX_N = 7
-INCIDENCE_MAX_N = 24
 HYPERMETRIC_BOUND_MAX = 8
-MAX_N = 40
 EXPORT_MAX_N = 20
 
 
@@ -172,7 +155,7 @@ class Instance:
 # "pass", "fail", "skip".  Witness is None unless the check fails.  A runner
 # may instead raise StructureError, which run_verify records as a fail with
 # details {} and witness {"error": message}.  A runner is called only at the
-# n its skip rule in CHECKS lets through.
+# n its row in CHECKS lets through.
 
 
 def _cut_order_star(n: int, p: int) -> int:
@@ -433,24 +416,22 @@ def _check_theorem2(inst: Instance, cfg: RunConfig):
             "rank": rank,
             "reason": "non-triangle facet-inducing maximizer",
         }
-    if n <= ADJACENCY_SWEEP_MAX_N:
+    swept = CHECKS["adjacency"].max_n
+    if n <= swept:
         total, mismatches = inst.adjacency
         details["adjacency_pairs"] = total
         if mismatches:
             f, g, by_rank, by_sign = mismatches[0]
             return "fail", details, {"facet_a": repr(f), "facet_b": repr(g)}
     else:
-        details["adjacency_note"] = f"rank sweep covered for n<={ADJACENCY_SWEEP_MAX_N}"
+        details["adjacency_note"] = f"rank sweep covered for n<={swept}"
     return "pass", details, None
 
 
 # --- the check table -------------------------------------------------------
-# CHECKS has one row per check, in report order: id, runner, skip rule and
-# the claim it certifies.  A skip rule maps (n, cfg) to why n is skipped, or None.
-
-
-def _sweep_cap(limit: int, sweep: str):
-    return lambda n, cfg: f"{sweep} capped at n={limit}" if n > limit else None
+# CHECKS has one row per check, in report order: id, runner, skip rule, size
+# limit and the claim it certifies.  A skip rule maps (n, cfg) to why n is
+# skipped, or None; above max_n the check skips as "<work> capped at n=<max_n>".
 
 
 def _needs_triangles(n: int, cfg: RunConfig):
@@ -472,40 +453,54 @@ def _only_n4(n: int, cfg: RunConfig):
 class Check(NamedTuple):
     runner: Callable
     skip: Callable[[int, RunConfig], str | None] | None
+    max_n: int
+    work: str  # what max_n bounds, as the skip reason names it
     claim: str
 
 
+# Figures in process on a 2-core Xeon with Python 3.11.  Raising a max_n turns
+# skips recorded in tests/data into passes, so each stays until that is intended.
+# - 24: `cuts` reads n star columns of 2^(n-1) bits and `incidence` three; with
+#   `facets`, 0.1 s and 60 MiB peak RSS at n=24, doubling with each n.
+# - 6: the sweep ranks all C(3*C(n,3), 2) facet pairs, 0.03 s at n=6, 0.2 s at n=7.
+# - 7: at bound HYPERMETRIC_BOUND_MAX the sweep takes about 0.5 s at n=7, 3 s at n=8.
+# - 40: the six graph checks took 7.5 s and 216 MiB at n=40, within a budget of
+#   10 s and 350 MiB; time grows about as n^6.5.
+# - 64: `facets` takes 0.5-0.6 s and 30 MiB at n=64, where the cut-cone
+#   certificates aim.  n_max is refused above MAX_N, the largest max_n, which
+#   also bounds the number of records.
 CHECKS = {
-    check: Check(runner, skip, claim)
-    for check, runner, skip, claim in [
-        ("cuts", _check_cuts, _sweep_cap(INCIDENCE_MAX_N, "incidence masks"),
+    check: Check(runner, skip, max_n, work, claim)
+    for check, runner, skip, max_n, work, claim in [
+        ("cuts", _check_cuts, None, 24, "incidence masks",
          "nonzero cuts number 2^(n-1)-1 and satisfy every triangle inequality"),
-        ("facets", _check_facets, None,
+        ("facets", _check_facets, None, 64, "facet list",
          "triangle facets number 3*C(n,3) with one +1 and two -1 entries on a 3-set"),
-        ("incidence", _check_incidence, _sweep_cap(INCIDENCE_MAX_N, "incidence masks"),
+        ("incidence", _check_incidence, None, 24, "incidence masks",
          "every triangle facet contains exactly 3*2^(n-3)-1 cuts"),
-        ("adjacency", _check_adjacency, _sweep_cap(ADJACENCY_SWEEP_MAX_N, "exhaustive rank sweep"),
+        ("adjacency", _check_adjacency, None, 6, "exhaustive rank sweep",
          "rank-based codimension-2 oracle agrees with the sign-based non-conflicting test"),
-        ("hexagons", _check_hexagons, None,
+        ("hexagons", _check_hexagons, None, 40, "graph layer",
          "every complement neighborhood is n-3 hexagons on a shared same-support edge"),
-        ("triangles", _check_triangles, None,
+        ("triangles", _check_triangles, None, 40, "graph layer",
          "common-neighbor census (n-2 vs 2) detects exactly the same-support 3-cliques"),
-        ("gamma", _check_gamma, _needs_triangles,
+        ("gamma", _check_gamma, _needs_triangles, 40, "graph layer",
          "Triangle quotient: cross-edges in {0,4} as two 2-paths, with the expected regular structure"),
-        ("johnson", _check_johnson, _needs_triangles,
+        ("johnson", _check_johnson, _needs_triangles, 40, "graph layer",
          "Triangle quotient is the 2-intersection graph on 3-subsets with rook neighborhoods"),
-        ("aut", _check_aut, _aut_cap,
+        ("aut", _check_aut, _aut_cap, 40, "graph layer",
          "automorphism groups have the expected exact orders"),
-        ("theorem1", _check_theorem1, _aut_cap,
+        ("theorem1", _check_theorem1, _aut_cap, 40, "graph layer",
          "ridge-graph automorphisms all come from point permutations (order n!; 144 at n=4)"),
-        ("reflect4", _check_reflect4, _only_n4,
+        ("reflect4", _check_reflect4, _only_n4, 40, "graph layer",
          "five ray-swapping reflections generate an order-144 group with a faithful product action"),
-        ("hypermetric", _check_hypermetric, _sweep_cap(HYPERMETRIC_SWEEP_MAX_N, "bounded sweep"),
+        ("hypermetric", _check_hypermetric, None, 7, "bounded sweep",
          "bounded-coefficient inequalities equal sigma*(1-sigma) on every cut, nonpositive"),
-        ("theorem2", _check_theorem2, _sweep_cap(HYPERMETRIC_SWEEP_MAX_N, "bounded sweep"),
+        ("theorem2", _check_theorem2, None, 7, "bounded sweep",
          "triangle facets are the unique cut-count maximizers and adjacency is sign-determined"),
     ]
 }
+MAX_N = max(spec.max_n for spec in CHECKS.values())
 CHECK_ORDER = tuple(CHECKS)
 # Dispatch goes through this dict so that a runner can be replaced by id.
 _RUNNERS = {check: spec.runner for check, spec in CHECKS.items()}
@@ -559,8 +554,10 @@ def run_verify(cfg: RunConfig) -> dict:
         inst = Instance(n, cfg.aut_vertex_cap, cfg.hypermetric_bound)
         for check in selected:
             start = time.perf_counter()
-            skip = CHECKS[check].skip
-            reason = skip(n, cfg) if skip else None
+            spec = CHECKS[check]
+            reason = spec.skip(n, cfg) if spec.skip else None
+            if reason is None and n > spec.max_n:
+                reason = f"{spec.work} capped at n={spec.max_n}"
             try:
                 if reason is None:
                     outcome, details, witness = _RUNNERS[check](inst, cfg)
@@ -578,7 +575,7 @@ def run_verify(cfg: RunConfig) -> dict:
                 {
                     "check": check,
                     "n": n,
-                    "claim": CHECKS[check].claim,
+                    "claim": spec.claim,
                     "outcome": outcome,
                     "details": details,
                     "witness": witness,

@@ -83,21 +83,28 @@ class TestConfig:
             RunConfig(checks=("aut", 5, b"gamma")).validate()
 
     def test_n_max_above_max_n_rejected(self):
-        RunConfig(n_min=cli.MAX_N, n_max=cli.MAX_N, checks=("facets",)).validate()
-        with pytest.raises(ConfigError, match=f"n_max {cli.MAX_N + 1} is above {cli.MAX_N}"):
-            RunConfig(n_max=cli.MAX_N + 1).validate()
+        # MAX_N is the largest max_n; every single check is refused above it.
+        assert cli.MAX_N == max(spec.max_n for spec in cli.CHECKS.values())
+        for check in cli.CHECK_ORDER:
+            RunConfig(n_min=cli.MAX_N, n_max=cli.MAX_N, checks=(check,)).validate()
+            with pytest.raises(ConfigError, match=f"n_max {cli.MAX_N + 1} is above {cli.MAX_N}"):
+                RunConfig(n_max=cli.MAX_N + 1, checks=(check,)).validate()
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--n-min", "41", "--n-max", "41", "--checks", "triangles"],
-         ["--n-min", "4", "--n-max", "200000", "--checks", "reflect4"]],
+        "argv, stream, message",
+        [(["--n-min", "41", "--n-max", "41", "--checks", "triangles"],
+          "out", f"graph layer capped at n={cli.CHECKS['triangles'].max_n}"),
+         (["--n-min", "4", "--n-max", "200000", "--checks", "reflect4"],
+          "err", f"is above {cli.MAX_N}")],
         ids=["triangles", "reflect4"],
     )
-    def test_n_max_above_max_n_exits_2_at_once(self, capsys, argv):
+    def test_n_max_above_max_n_exits_2_at_once(self, capsys, argv, stream, message):
+        # Above its own max_n a check skips, which certifies nothing; above
+        # MAX_N the run is refused before any check.
         start = time.perf_counter()
         assert main(["verify", *argv]) == 2
         assert time.perf_counter() - start < 1
-        assert f"is above {cli.MAX_N}" in capsys.readouterr().err
+        assert message in getattr(capsys.readouterr(), stream)
 
     def test_export_above_export_max_n_exits_2_before_writing(self, tmp_path, capsys):
         n = cli.EXPORT_MAX_N + 1
@@ -454,11 +461,12 @@ class TestSharedWork:
 
     def test_suite_walks_each_seed_once(self, monkeypatch):
         # Per n = 4, 5, 6: Gbar's two seeds; Gamma5's and Gamma6's two.  Gbar4's
-        # search walks a leaf and checks what it emits, as does Gamma6's.
+        # search walks the leaf it emits once, as does Gamma6's; the check of
+        # what the search emits reads the kept verdicts.
         walks = count_walks(monkeypatch)
         report = run_verify(RunConfig())
         assert report["summary"] == {"pass": 35, "fail": 0, "skip": 4, "error": 0}
-        assert sorted(walks) == [10, 10, 12, 12, 12, 12, 20, 20, 20, 20, 30, 30, 60, 60]
+        assert sorted(walks) == [10, 10, 12, 12, 12, 20, 20, 20, 30, 30, 60, 60]
 
     def test_symmetry_run_checks_each_graphs_seeds_once(self, monkeypatch):
         # Per n: Gamma's two seeds for its orbits, and Gbar's two in the
@@ -480,12 +488,12 @@ class TestSharedWork:
     def test_searches_edge_check_each_seed_once(self, monkeypatch):
         # Below the clique chain each graph's two seeds are walked once, for
         # its orbits and its search alike; Gamma6's search walks the leaf that
-        # gives its complement map and checks that generator again.
+        # gives its complement map once, and its check reads that verdict.
         walks = count_walks(monkeypatch)
         checks = ("hexagons", "triangles", "gamma", "johnson", "aut", "theorem1")
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=checks))
         assert report["summary"]["pass"] == 6
-        assert sorted(walks) == [20, 20, 20, 20, 60, 60]
+        assert sorted(walks) == [20, 20, 20, 60, 60]
 
     def test_adjacency_sweep_shared_with_theorem2(self, monkeypatch):
         calls = count_calls(monkeypatch, adjacency_agreement)
@@ -555,7 +563,7 @@ class TestBoundedFamily:
         assert theorem2["details"] == honest[1]["details"]
 
     def test_adjacency_note_names_the_cap(self, monkeypatch):
-        monkeypatch.setattr(cli, "ADJACENCY_SWEEP_MAX_N", 5)
+        monkeypatch.setitem(cli.CHECKS, "adjacency", cli.CHECKS["adjacency"]._replace(max_n=5))
         report = run_verify(RunConfig(n_min=6, n_max=6, checks=("theorem2",)))
         (record,) = report["checks"]
         assert record["outcome"] == "pass"
@@ -855,13 +863,13 @@ class TestIncidenceCheck:
 class TestIncidenceCap:
     def test_masks_skipped_above_the_cap(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, cut_stars)
-        n = cli.INCIDENCE_MAX_N + 1
+        n = cli.CHECKS["cuts"].max_n + 1
         code = main(["verify", "--n-min", str(n), "--n-max", str(n), "--checks", "cuts,incidence",
                      "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 2
         assert [(rec["outcome"], rec["details"]) for rec in report["checks"]] == [
-            ("skip", {"reason": f"incidence masks capped at n={cli.INCIDENCE_MAX_N}"})
+            ("skip", {"reason": f"incidence masks capped at n={n - 1}"})
         ] * 2
         assert calls == []
 
@@ -869,7 +877,7 @@ class TestIncidenceCap:
         # The n star columns of 2^(n-1) bits and the one star `cuts`
         # compares at a time set the peak: about 60 MiB at n = 24, where the
         # C(n, 2) pair columns took about 30 MiB at n = 20, four n lower.
-        n = cli.INCIDENCE_MAX_N
+        n = cli.CHECKS["cuts"].max_n
         code = (
             "import json, resource\n"
             "from conesym.cli import RunConfig, run_verify\n"
@@ -880,6 +888,49 @@ class TestIncidenceCap:
         summary, peak_mib = json.loads(run_python(code))
         assert summary == {"pass": 3, "fail": 0, "skip": 0, "error": 0}
         assert peak_mib < 100
+
+
+def stub_runners(monkeypatch, checks=cli.CHECK_ORDER) -> list[tuple[str, int]]:
+    """Replace the runners of `checks` by ones that pass at once; the
+    returned list collects the (check, n) of each call."""
+    calls = []
+    for check in checks:
+        monkeypatch.setitem(
+            cli._RUNNERS, check, lambda inst, cfg, c=check: calls.append((c, inst.n)) or ("pass", {}, None)
+        )
+    return calls
+
+
+class TestSizeLimits:
+    """Every per-check size limit is the row's max_n in CHECKS."""
+
+    @pytest.mark.parametrize("check", [c for c, spec in cli.CHECKS.items() if spec.max_n < cli.MAX_N])
+    def test_check_skips_above_its_max_n(self, monkeypatch, check):
+        calls = stub_runners(monkeypatch)
+        spec = cli.CHECKS[check]
+        n = spec.max_n
+        at, above = run_verify(RunConfig(n_min=n, n_max=n + 1, checks=(check,)))["checks"]
+        if check == "reflect4":
+            # Its structural rule runs first and skips every n but 4.
+            reason = "reflection construction is specific to n=4"
+            assert (at["outcome"], calls) == ("skip", [])
+        else:
+            reason = f"{spec.work} capped at n={n}"
+            assert (at["outcome"], calls) == ("pass", [(check, n)])
+        assert (above["outcome"], above["details"]) == ("skip", {"reason": reason})
+
+    def test_mixed_run_passes_facets_above_the_graph_layer(self, monkeypatch):
+        # facets runs to MAX_N while triangles skips above its max_n.  The
+        # triangles runner is stubbed: its real run at n = 40 builds a graph
+        # of 29,640 vertices (about 6.5 s and 216 MiB), which CI runs.
+        calls = stub_runners(monkeypatch, ("triangles",))
+        report = run_verify(RunConfig(n_min=40, n_max=41, checks=("facets", "triangles")))
+        assert [(rec["check"], rec["n"], rec["outcome"]) for rec in report["checks"]] == [
+            ("facets", 40, "pass"), ("triangles", 40, "pass"),
+            ("facets", 41, "pass"), ("triangles", 41, "skip"),
+        ]
+        assert report["checks"][3]["details"] == {"reason": "graph layer capped at n=40"}
+        assert calls == [("triangles", 40)]
 
 
 class TestEntrypoint:

@@ -23,22 +23,18 @@ def test_check_ids_are_the_cli_order():
 
 def test_quoted_caps_are_the_code_caps():
     from conesym.autgrp import AUT_VERTEX_CAP
-    from conesym.cli import ADJACENCY_SWEEP_MAX_N, HYPERMETRIC_SWEEP_MAX_N, INCIDENCE_MAX_N
+    from conesym.cli import CHECKS
 
-    text = " ".join(README.read_text().split())
-    quoted = re.search(
-        r"rank sweep over facet pairs runs for `n <= (\d+)`, the bounded inequality"
-        r" sweeps for `n <= (\d+)`, the facet-by-cut incidence masks of `cuts` and"
-        r" `incidence` for `n <= (\d+)`.*?\(default (\d+) vertices, `autgrp.AUT_VERTEX_CAP`",
-        text,
-    )
-    assert quoted, "README no longer quotes the resource caps"
-    assert tuple(map(int, quoted.groups())) == (
-        ADJACENCY_SWEEP_MAX_N,
-        HYPERMETRIC_SWEEP_MAX_N,
-        INCIDENCE_MAX_N,
-        AUT_VERTEX_CAP,
-    )
+    text = README.read_text()
+    section = text.split("the `max_n` column of `cli.CHECKS`", 1)[1].split("\n\n", 2)[1]
+    quoted = {}
+    for item in section.split("* ")[1:]:
+        checks, n = re.match(r"(.*?) for `n <= (\d+)`", " ".join(item.split())).groups()
+        quoted.update((check, int(n)) for check in re.findall(r"`(\w+)`", checks))
+    assert quoted == {check: spec.max_n for check, spec in CHECKS.items()}
+    vertex_cap = re.search(r"\(default (\d+) vertices,\s+`autgrp.AUT_VERTEX_CAP`", text)
+    assert vertex_cap, "README no longer quotes the search vertex cap"
+    assert int(vertex_cap.group(1)) == AUT_VERTEX_CAP
 
 
 def test_quoted_bound_cap_is_the_code_cap():
