@@ -11,7 +11,11 @@ covariance map, an integral linear bijection (see `core.cut_correlations`),
 so the rank is the same and the rows are sparser.  A face of two
 conflicting triangle facets is shown to have codimension at least 3 by a
 third facet tight on all of its cuts, independent of the two, so its cuts
-are never ranked.
+are never ranked.  The adjacency sweep builds its 0/1 rows as `bytes` once
+per n, one byte per entry, which is what the GF(2) pass packs a row to, so
+no entry is converted per pair.  Each pair still makes one `integer_rank`
+call on its own rows, so the calls and entries that perfbench counts for
+it, and its certificate, stay those of one rank per pair.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     num_pairs,
     pair_list,
 )
-from .ridge import _bits, conflicting
+from .ridge import conflicting
 
 __all__ = [
     "triangle_incidence_bound",
@@ -58,22 +62,21 @@ def enumerate_hypermetric_coeffs(n: int, bound: int) -> list[tuple[int, ...]]:
 def _gf2_rank(m: list, n_cols: int, full: int) -> int:
     """Rank over GF(2) of an integer matrix, stopping once it reaches `full`.
 
-    Each row, a tuple or list, is packed into one int, one byte per entry,
-    and masked to the low bit of every byte: the entry's parity.  The bytes
-    come from the entries' values, never from a row's buffer; a row with an
-    entry outside 0..255 is packed from its entries mod 2.  Every row is
-    packed before any is reduced, so a non-integral entry raises TypeError.
-    A row is reduced against the basis row with the same leading bit, kept
-    in a list indexed by bit length.
+    Each row, a tuple, list or `bytes`, is packed into one int, one byte per
+    entry, and masked to the low bit of every byte: the entry's parity.  A
+    `bytes` row is already those bytes, so it is packed as it is; any other
+    row is turned into bytes from its entries' values, never from its
+    buffer.  When an entry lies outside 0..255 the whole matrix is packed
+    once more from its entries mod 2.  Every row is packed before any is
+    reduced, so a non-integral entry raises TypeError.  A row is reduced
+    against the basis row with the same leading bit, kept in a list indexed
+    by bit length.
     """
     low_bits = int.from_bytes(b"\1" * n_cols, "little")
-    packed = []
-    for row in m:
-        try:
-            parities = bytes(row)
-        except ValueError:
-            parities = bytes([x & 1 for x in row])
-        packed.append(int.from_bytes(parities, "little") & low_bits)
+    try:
+        packed = [int.from_bytes(bytes(row), "little") & low_bits for row in m]
+    except ValueError:
+        packed = [int.from_bytes(bytes([x & 1 for x in row]), "little") for row in m]
     basis = [0] * (8 * n_cols)
     rank = 0
     for v in packed:
@@ -98,12 +101,15 @@ def integer_rank(rows) -> int:
     min(rows, columns) it is the rank.  Otherwise fraction-free Bareiss
     elimination decides (`_bareiss_rank`).
     Entries must be integers (`int`, `bool` or a numpy integer); any other
-    entry, a `Fraction` or a float among them, raises TypeError.
+    entry, a `Fraction` or a float among them, raises TypeError.  A row may
+    be a tuple, a list, `bytes` (one entry per byte, taken as it is, as the
+    adjacency sweep's rows are) or any other iterable, which is listed.
     """
-    m = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
-    n_cols = len(m[0]) if m else 0
-    if any(len(r) != n_cols for r in m):
+    m = [r if isinstance(r, (tuple, list, bytes)) else list(r) for r in rows]
+    widths = set(map(len, m))
+    if len(widths) > 1:
         raise ValueError("ragged matrix")
+    n_cols = widths.pop() if widths else 0
     if not n_cols:
         return 0
     full = min(len(m), n_cols)
@@ -193,6 +199,26 @@ def _third_tight_facet(f: TriangleFacet, g: TriangleFacet) -> TriangleFacet | No
     return None
 
 
+def _byte_row_tables(rows: list[bytes]) -> list[list[tuple[bytes, ...]]]:
+    """Per byte k of a mask over the row order, the rows its values select.
+
+    `tables[k][v]` holds rows 8k + i for the set bits i of v, ascending, so
+    the rows of a mask, in order, are the tables' entries at its
+    little-endian bytes, joined: a few table reads per mask where a walk
+    over its bits takes a step per row.  Each entry extends the one
+    without its top bit.
+    """
+    tables = []
+    for k in range(0, len(rows), 8):
+        chunk = rows[k : k + 8]
+        table = [()]
+        for v in range(1, 1 << len(chunk)):
+            top = v.bit_length() - 1
+            table.append(table[v ^ 1 << top] + (chunk[top],))
+        tables.append(table)
+    return tables
+
+
 def adjacency_agreement(n: int):
     """Compare the rank oracle with the sign test over every facet pair.
 
@@ -213,17 +239,28 @@ def adjacency_agreement(n: int):
     pair is not adjacent.  That rank is the pair's one `integer_rank` call;
     a pair whose h fails either test is ranked on its cuts as above.  The
     certificate holds whatever h is proposed, so it never rests on the
-    sign test it is compared with.
+    sign test it is compared with.  h's mask and functional are read from
+    the per-facet tables by its index.
+
+    The correlation rows and the unit rows are built once per n as `bytes`,
+    and a pair's common rows are read off per-byte tables of its mask
+    (`_byte_row_tables`), so no row is converted per pair.  Each pair still
+    makes one `integer_rank` call on its rows, in cut order: a call ranks
+    exactly the matrix its verdict rests on, so the calls and their sizes
+    count the sweep's work, and a wrong row shows in that pair's rank.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
     facets = enumerate_triangle_facets(n)
+    index = {f: c for c, f in enumerate(facets)}
     stars = cut_stars(n)
     full = (1 << 2 ** (n - 1) - 1) - 1
-    masks = [full ^ _facet_incidence_masks(f, stars) for f in facets]
-    corr_rows = cut_correlations(n)
+    off = [_facet_incidence_masks(f, stars) for f in facets]
+    masks = [full ^ m for m in off]
     dim = num_pairs(n)
-    units = [tuple(int(k == u) for k in range(dim)) for u in range(dim)]
+    units = [bytes(int(k == u) for k in range(dim)) for u in range(dim)]
+    tables = _byte_row_tables([bytes(r) for r in cut_correlations(n)])
+    width = len(tables)
     functionals = [f.correlation for f in facets]
     supports = [{k for k, v in enumerate(c) if v} for c in functionals]
     mismatches = []
@@ -235,15 +272,17 @@ def adjacency_agreement(n: int):
             total += 1
             common = masks[a] & masks[b]
             h = _third_tight_facet(f, g)
+            c = None if h is None else index[h]
             if (
-                h is not None
-                and not common & _facet_incidence_masks(h, stars)
-                and integer_rank([functionals[a], functionals[b], h.correlation]) == 3
+                c is not None
+                and not common & off[c]
+                and integer_rank([functionals[a], functionals[b], functionals[c]]) == 3
             ):
                 by_rank = False
             else:
                 u, v = _unit_coordinates(supports[a], supports[b])
-                rows = [units[u], units[v], *(corr_rows[i] for i in _bits(common))]
+                parts = map(operator.getitem, tables, common.to_bytes(width, "little"))
+                rows = [units[u], units[v], *itertools.chain.from_iterable(parts)]
                 by_rank = integer_rank(rows) == dim
             by_sign = not conflicting(f, g)
             if by_rank != by_sign:

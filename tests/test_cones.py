@@ -284,6 +284,9 @@ class TestRank:
             # Full rank mod 2 is reached before the last row is read.
             [[1, 0], [0, 1], [Fraction(1, 2), 0]],
             [[1, 0], [0, 1], [300, 0.5]],
+            # The same with bytes rows.
+            [b"\1\0", b"\0\1", (0.5, 0)],
+            [b"\1\0", b"\0\1", (300, 0.5)],
             [(Fraction(2), 1)],
             np.array([[1.0, 0.0], [0.0, 1.0]]),
         ],
@@ -320,6 +323,13 @@ class TestRank:
         assert integer_rank(rows) == expected
         assert integer_rank(np.array(rows, dtype=np.int64)) == expected
         assert integer_rank([tuple(r) for r in rows]) == expected
+        if all(0 <= x <= 255 for r in rows for x in r):
+            assert integer_rank([bytes(r) for r in rows]) == expected
+        # bytes rows and one tuple row with a negative entry, which sends the
+        # whole matrix through the parities mod 2.
+        mixed = [bytes(x % 256 for x in r) for r in rows] + [(-1,) * n_cols]
+        wrapped = [[x % 256 for x in r] for r in rows] + [[-1] * n_cols]
+        assert integer_rank(mixed) == integer_rank_reference(wrapped)
 
     @settings(max_examples=40)
     @given(st.data())
@@ -432,7 +442,9 @@ class TestAdjacency:
         # of its common cuts, and its rank less 2 is the reference rank of
         # their cut rows.  A conflicting pair's call gets the functionals of
         # f, g and a third facet h tight on every common cut, so the
-        # reference rank of those cut rows is at most C(n, 2) - 3.
+        # reference rank of those cut rows is at most C(n, 2) - 3.  Rows are
+        # compared by value and in order; a rank-route call's rows are the
+        # bytes the sweep builds once per n.
         calls = []
 
         def recording(rows):
@@ -448,11 +460,12 @@ class TestAdjacency:
         full = (1 << len(cuts)) - 1
         assert on == [full ^ _facet_incidence_masks(f, stars) for f in facets]
         dim = num_pairs(n)
-        expected = []
+        expected, rank_route = [], []
         for a, b in itertools.combinations(range(len(facets)), 2):
             f, g = facets[a], facets[b]
             common = list(_bits(on[a] & on[b]))
             reference = integer_rank_reference([cuts[i] for i in common])
+            rank_route.append(not conflicting(f, g))
             if conflicting(f, g):
                 h = cones._third_tight_facet(f, g)
                 assert all(facet_value_reference(h, cuts[i]) == 0 for i in common)
@@ -466,8 +479,10 @@ class TestAdjacency:
                 units = [tuple(int(k == w) for k in range(dim)) for w in (u, v)]
                 expected.append(units + [correlations[i] for i in common])
                 assert integer_rank(expected[-1]) - 2 == reference == dim - 2
-        assert calls == expected
+        assert [[tuple(r) for r in rows] for rows in calls] == expected
         assert total == len(expected)
+        ranked = [rows for rows, ranks in zip(calls, rank_route) if ranks]
+        assert ranked and all(type(r) is bytes for rows in ranked for r in rows)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bareiss_runs_on_no_adjacent_pair(self, n, monkeypatch):
@@ -520,7 +535,7 @@ class TestAdjacency:
             f, g = corr[a], corr[b]
             assert f[u] * g[v] - f[v] * g[u] in (1, -1)
 
-    @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1"])
+    @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1", "one_parity_dropped"])
     def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):
         def no_diagonal(members, row):
             return tuple(0 if j == 5 else p for (_, j), p in zip(pair_list(5), row))
@@ -528,13 +543,25 @@ class TestAdjacency:
         def rooted_at_1(members, row):
             return tuple(int(j in members and (i == 1 or i in members)) for i, j in pair_list(5))
 
-        wrong = {"no_diagonal": no_diagonal, "rooted_at_1": rooted_at_1}[mutant]
+        def one_parity_dropped(members, row):
+            # The cut of {1, 2, 3} loses the 1 at the pair (1, 2).
+            drop = members == [1, 2, 3]
+            return tuple(p ^ (drop and ij == (1, 2)) for ij, p in zip(pair_list(5), row))
+
+        wrong = {
+            "no_diagonal": no_diagonal,
+            "rooted_at_1": rooted_at_1,
+            "one_parity_dropped": one_parity_dropped,
+        }[mutant]
         rows = [wrong(m, row) for m, row in zip(cut_members(5), cut_correlations(5))]
         monkeypatch.setattr(cones, "cut_correlations", lambda n: rows)
         total, mismatches = adjacency_agreement(5)
-        # Every adjacent pair (435 less the 150 conflicting ones) is missed.
+        # The first two miss every adjacent pair (435 less the 150
+        # conflicting ones); one dropped parity misses the adjacent pairs
+        # whose common cuts need that entry for full rank.
+        missed = {"no_diagonal": 285, "rooted_at_1": 285, "one_parity_dropped": 14}[mutant]
         assert total == 435
-        assert len(mismatches) == 285
+        assert len(mismatches) == missed
         assert all(by_sign and not by_rank for _, _, by_rank, by_sign in mismatches)
 
 
