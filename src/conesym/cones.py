@@ -12,10 +12,11 @@ so the rank is the same and the rows are sparser.  A face of two
 conflicting triangle facets is shown to have codimension at least 3 by a
 third facet tight on all of its cuts, independent of the two, so its cuts
 are never ranked.  The adjacency sweep builds its 0/1 rows as `bytes` once
-per n, one byte per entry, which is what the GF(2) pass packs a row to, so
-no entry is converted per pair.  Each pair still makes one `integer_rank`
-call on its own rows, so the calls and entries that perfbench counts for
-it, and its certificate, stay those of one rank per pair.
+per n, one byte per entry, the correlation rows from the cut stars that the
+`cuts` check certifies, so the GF(2) pass packs each row of a rank call by
+one `int.from_bytes` call.  Each pair still makes one `integer_rank` call
+on its own rows, so the calls and entries that perfbench counts for it,
+and its certificate, stay those of one rank per pair.
 """
 
 from __future__ import annotations
@@ -62,21 +63,22 @@ def enumerate_hypermetric_coeffs(n: int, bound: int) -> list[tuple[int, ...]]:
 def _gf2_rank(m: list, n_cols: int, full: int) -> int:
     """Rank over GF(2) of an integer matrix, stopping once it reaches `full`.
 
-    Each row, a tuple, list or `bytes`, is packed into one int, one byte per
-    entry, and masked to the low bit of every byte: the entry's parity.  A
-    `bytes` row is already those bytes, so it is packed as it is; any other
-    row is turned into bytes from its entries' values, never from its
-    buffer.  When an entry lies outside 0..255 the whole matrix is packed
-    once more from its entries mod 2.  Every row is packed before any is
-    reduced, so a non-integral entry raises TypeError.  A row is reduced
-    against the basis row with the same leading bit, kept in a list indexed
-    by bit length.
+    Each row, a tuple, list or `bytes`, is packed into one int by one
+    `int.from_bytes` call, one byte per entry, and masked to the low bit of
+    every byte: the entry's parity.  `int.from_bytes` takes a `bytes` row as
+    it is and reads a tuple or list by its entries' values; `integer_rank`
+    has listed every other row, so no buffer is read.  On an entry outside
+    0..255 it raises ValueError, and the whole matrix is packed once more
+    from its entries mod 2.  Every row is packed before any is reduced, so
+    a non-integral entry raises TypeError, from either pass.  A row is
+    reduced against the basis row with the same leading bit, kept in a
+    list indexed by bit length.
     """
     low_bits = int.from_bytes(b"\1" * n_cols, "little")
     try:
-        packed = [int.from_bytes(bytes(row), "little") & low_bits for row in m]
+        packed = [int.from_bytes(row, "little") & low_bits for row in m]
     except ValueError:
-        packed = [int.from_bytes(bytes([x & 1 for x in row]), "little") for row in m]
+        packed = [int.from_bytes([x & 1 for x in row], "little") for row in m]
     basis = [0] * (8 * n_cols)
     rank = 0
     for v in packed:
@@ -93,6 +95,9 @@ def _gf2_rank(m: list, n_cols: int, full: int) -> int:
     return rank
 
 
+_ROW_TYPES = (tuple, list, bytes)
+
+
 def integer_rank(rows) -> int:
     """Exact rank of an integer matrix.
 
@@ -102,10 +107,15 @@ def integer_rank(rows) -> int:
     elimination decides (`_bareiss_rank`).
     Entries must be integers (`int`, `bool` or a numpy integer); any other
     entry, a `Fraction` or a float among them, raises TypeError.  A row may
-    be a tuple, a list, `bytes` (one entry per byte, taken as it is, as the
-    adjacency sweep's rows are) or any other iterable, which is listed.
+    be a tuple, a list, `bytes` (one entry per byte, as the adjacency
+    sweep's rows are) or any other iterable.  One C-level test finds whether
+    every row is one of the first three; only when some row is not are the
+    rows listed, so that a row exposing a buffer (a numpy row, an
+    `array.array`, a `memoryview`) is read by its values, never its buffer.
     """
-    m = [r if isinstance(r, (tuple, list, bytes)) else list(r) for r in rows]
+    m = rows if type(rows) is list else list(rows)
+    if not all(map(isinstance, m, itertools.repeat(_ROW_TYPES))):
+        m = [r if isinstance(r, _ROW_TYPES) else list(r) for r in m]
     widths = set(map(len, m))
     if len(widths) > 1:
         raise ValueError("ragged matrix")
@@ -160,15 +170,20 @@ def _facet_incidence_masks(facet: TriangleFacet, stars: list[int]) -> int:
     return (s_i ^ s_k) & (s_j ^ s_k)
 
 
-def _unit_coordinates(f_support: set[int], g_support: set[int]) -> tuple[int, int]:
+def _unit_coordinates(f_support: int, g_support: int) -> tuple[int, int]:
     """Coordinates u in supp f and v in supp g where the 2x2 minor of the
-    correlation functionals f and g is +-1.
+    correlation functionals f and g is +-1, the supports given as bitmasks
+    over the coordinates.
 
-    u avoids supp g and v avoids supp f where they can.  Distinct supports
-    leave at most one of the two differences empty, so g_u or f_v is 0 and
-    the minor f_u * g_v - f_v * g_u is f_u * g_v, a product of two +-1s.
+    u is the lowest coordinate of supp f outside supp g, v the lowest of
+    supp g outside supp f, each falling back to the lowest of its own
+    support when that difference is empty.  Distinct supports leave at most
+    one of the two differences empty, so g_u or f_v is 0 and the minor
+    f_u * g_v - f_v * g_u is f_u * g_v, a product of two +-1s.
     """
-    return min(f_support - g_support or f_support), min(g_support - f_support or g_support)
+    u = f_support & ~g_support or f_support
+    v = g_support & ~f_support or g_support
+    return (u & -u).bit_length() - 1, (v & -v).bit_length() - 1
 
 
 def _third_tight_facet(f: TriangleFacet, g: TriangleFacet) -> TriangleFacet | None:
@@ -197,6 +212,21 @@ def _third_tight_facet(f: TriangleFacet, g: TriangleFacet) -> TriangleFacet | No
         o = min({*range(1, f.n + 1)} - {a, b, k}, default=None)
         return None if o is None else TriangleFacet(b, o, k, f.n)
     return None
+
+
+def _correlation_rows(stars: list[int]) -> list[bytes]:
+    """The correlation row of every cut in cut order, as in
+    `core.cut_correlations`, but as `bytes`, one byte per entry, and read off
+    the stars of `cut_stars(n)`, which the `cuts` check certifies.
+
+    Bit c of stars[p - 1] is s_p for cut c, and the row holds s_i * s_j at
+    the pair (i, j), j < n, and s_i at (i, n).  So column (i, j) is
+    stars[i-1] & stars[j-1] for j < n and stars[i-1] for j = n, and row c
+    holds bit c of every column.
+    """
+    n = len(stars)
+    columns = [stars[i - 1] & stars[j - 1] if j < n else stars[i - 1] for i, j in pair_list(n)]
+    return [bytes(col >> c & 1 for col in columns) for c in range(2 ** (n - 1) - 1)]
 
 
 def _byte_row_tables(rows: list[bytes]) -> list[list[tuple[bytes, ...]]]:
@@ -242,12 +272,14 @@ def adjacency_agreement(n: int):
     sign test it is compared with.  h's mask and functional are read from
     the per-facet tables by its index.
 
-    The correlation rows and the unit rows are built once per n as `bytes`,
-    and a pair's common rows are read off per-byte tables of its mask
-    (`_byte_row_tables`), so no row is converted per pair.  Each pair still
-    makes one `integer_rank` call on its rows, in cut order: a call ranks
-    exactly the matrix its verdict rests on, so the calls and their sizes
-    count the sweep's work, and a wrong row shows in that pair's rank.
+    The correlation rows (`_correlation_rows`, from `cut_stars(n)`) and the
+    unit rows are built once per n as `bytes`, and a pair's common rows are
+    read off per-byte tables of its mask (`_byte_row_tables`), so no row is
+    converted per pair.  Each pair still makes one `integer_rank` call on
+    its rows, in cut order: a call ranks exactly the matrix its verdict
+    rests on, so the calls and their sizes count the sweep's work, and a
+    wrong row shows in that pair's rank.  The supports of the functionals
+    are kept as bitmasks over the coordinates.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
@@ -259,10 +291,10 @@ def adjacency_agreement(n: int):
     masks = [full ^ m for m in off]
     dim = num_pairs(n)
     units = [bytes(int(k == u) for k in range(dim)) for u in range(dim)]
-    tables = _byte_row_tables([bytes(r) for r in cut_correlations(n)])
+    tables = _byte_row_tables(_correlation_rows(stars))
     width = len(tables)
     functionals = [f.correlation for f in facets]
-    supports = [{k for k, v in enumerate(c) if v} for c in functionals]
+    supports = [sum(1 << k for k, v in enumerate(c) if v) for c in functionals]
     mismatches = []
     total = 0
     for a in range(len(facets)):

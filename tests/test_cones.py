@@ -1,5 +1,6 @@
 """Tests for inequality evaluation, incidence counting, and rank certificates."""
 
+import array
 import itertools
 from fractions import Fraction
 
@@ -306,6 +307,28 @@ class TestRank:
         assert integer_rank(np.array([[256, 0], [1, 0]], dtype=np.int64)) == 1
         assert integer_rank(list(np.array([[256, 0], [1, 0]], dtype=np.int64))) == 1
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda: [array.array("q", r) for r in ([256, 0], [1, 0])],
+            lambda: [memoryview(array.array("q", r)) for r in ([256, 0], [1, 0])],
+            lambda: (r for r in ([256, 0], [1, 0])),
+            lambda: (array.array("q", r) for r in ([256, 0], [1, 0])),
+        ],
+        ids=["array", "memoryview", "generator", "generator-of-arrays"],
+    )
+    def test_buffer_rows_ranked_by_value(self, rows):
+        # As the list [[256, 0], [1, 0]]: int.from_bytes on the int64
+        # buffers would read the parities [[0, 1], [1, 0]], of rank 2.
+        assert integer_rank(rows()) == 1
+
+    def test_bytearray_rows_ranked_as_their_bytes(self):
+        # A bytearray's buffer is its values, one byte per entry.
+        assert integer_rank([bytearray([2, 0]), bytearray([1, 0])]) == 1
+        assert integer_rank([bytearray(b"\1\0"), bytearray(b"\0\1")]) == 2
+        assert integer_rank([bytearray([1, 3]), (2, 6)]) == 1
+        assert integer_rank([bytearray([1, 0]), (-1, 1)]) == 2
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_reference_on_small_and_wide_entries(self, data):
@@ -528,12 +551,32 @@ class TestAdjacency:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
     def test_unit_coordinates_give_a_unit_minor(self, n):
         facets = enumerate_triangle_facets(n)
-        supports = [support_reference(f) for f in facets]
+        supports = [sum(1 << k for k in support_reference(f)) for f in facets]
         corr = [f.correlation for f in facets]
         for a, b in itertools.combinations(range(len(facets)), 2):
             u, v = cones._unit_coordinates(supports[a], supports[b])
             f, g = corr[a], corr[b]
+            assert f[u] and g[v]
             assert f[u] * g[v] - f[v] * g[u] in (1, -1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_correlation_rows_come_from_the_stars(self, n):
+        # The sweep's rows, read off cut_stars(n), are cut_correlations(n)
+        # and the covariance map of each reference cut vector, rooted at n:
+        # p_in = x_in and p_ij = (x_in + x_jn - x_ij) / 2.
+        rows = cones._correlation_rows(cut_stars(n))
+        assert all(type(r) is bytes for r in rows)
+        assert [tuple(r) for r in rows] == cut_correlations(n)
+        pairs = pair_list(n)
+        at = {p: k for k, p in enumerate(pairs)}
+        covariance = [
+            tuple(
+                x[k] if j == n else (x[at[i, n]] + x[at[j, n]] - x[k]) // 2
+                for k, (i, j) in enumerate(pairs)
+            )
+            for x in cut_order_reference(n)
+        ]
+        assert [tuple(r) for r in rows] == covariance
 
     @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1", "one_parity_dropped"])
     def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):
@@ -553,8 +596,13 @@ class TestAdjacency:
             "rooted_at_1": rooted_at_1,
             "one_parity_dropped": one_parity_dropped,
         }[mutant]
-        rows = [wrong(m, row) for m, row in zip(cut_members(5), cut_correlations(5))]
-        monkeypatch.setattr(cones, "cut_correlations", lambda n: rows)
+        # The mutants go into the rows the sweep reads off its stars.
+        build = cones._correlation_rows
+
+        def mutated(stars):
+            return [bytes(wrong(m, row)) for m, row in zip(cut_members(5), build(stars))]
+
+        monkeypatch.setattr(cones, "_correlation_rows", mutated)
         total, mismatches = adjacency_agreement(5)
         # The first two miss every adjacent pair (435 less the 150
         # conflicting ones); one dropped parity misses the adjacent pairs
