@@ -12,9 +12,8 @@ so the rank is the same and the rows are sparser.  A face of two
 conflicting triangle facets is shown to have codimension at least 3 by a
 third facet tight on all of its cuts, independent of the two, so its cuts
 are never ranked.  The adjacency sweep builds its 0/1 rows as `bytes` once
-per n, one byte per entry, the correlation rows from the cut stars that the
-`cuts` check certifies, so the GF(2) pass packs each row of a rank call by
-one `int.from_bytes` call.  Each pair still makes one `integer_rank` call
+per n, one byte per entry, so the GF(2) pass packs each row of a rank call
+by one `int.from_bytes` call.  Each pair still makes one `integer_rank` call
 on its own rows, so the calls and entries that perfbench counts for it,
 and its certificate, stay those of one rank per pair.
 """
@@ -214,21 +213,6 @@ def _third_tight_facet(f: TriangleFacet, g: TriangleFacet) -> TriangleFacet | No
     return None
 
 
-def _correlation_rows(stars: list[int]) -> list[bytes]:
-    """The correlation row of every cut in cut order, as in
-    `core.cut_correlations`, but as `bytes`, one byte per entry, and read off
-    the stars of `cut_stars(n)`, which the `cuts` check certifies.
-
-    Bit c of stars[p - 1] is s_p for cut c, and the row holds s_i * s_j at
-    the pair (i, j), j < n, and s_i at (i, n).  So column (i, j) is
-    stars[i-1] & stars[j-1] for j < n and stars[i-1] for j = n, and row c
-    holds bit c of every column.
-    """
-    n = len(stars)
-    columns = [stars[i - 1] & stars[j - 1] if j < n else stars[i - 1] for i, j in pair_list(n)]
-    return [bytes(col >> c & 1 for col in columns) for c in range(2 ** (n - 1) - 1)]
-
-
 def _byte_row_tables(rows: list[bytes]) -> list[list[tuple[bytes, ...]]]:
     """Per byte k of a mask over the row order, the rows its values select.
 
@@ -272,14 +256,14 @@ def adjacency_agreement(n: int):
     sign test it is compared with.  h's mask and functional are read from
     the per-facet tables by its index.
 
-    The correlation rows (`_correlation_rows`, from `cut_stars(n)`) and the
-    unit rows are built once per n as `bytes`, and a pair's common rows are
-    read off per-byte tables of its mask (`_byte_row_tables`), so no row is
-    converted per pair.  Each pair still makes one `integer_rank` call on
-    its rows, in cut order: a call ranks exactly the matrix its verdict
-    rests on, so the calls and their sizes count the sweep's work, and a
-    wrong row shows in that pair's rank.  The supports of the functionals
-    are kept as bitmasks over the coordinates.
+    The correlation rows (`core.cut_correlations`, read off the cut stars)
+    and the unit rows are built once per n as `bytes`, and a pair's common
+    rows are read off per-byte tables of its mask (`_byte_row_tables`), so
+    no row is converted per pair.  Each pair still makes one `integer_rank`
+    call on its rows, in cut order: a call ranks exactly the matrix its
+    verdict rests on, so the calls and their sizes count the sweep's work,
+    and a wrong row shows in that pair's rank.  The supports of the
+    functionals are kept as bitmasks over the coordinates.
     Returns (total_pairs, mismatches) where each mismatch records the facet
     pair and the two verdicts.
     """
@@ -291,7 +275,7 @@ def adjacency_agreement(n: int):
     masks = [full ^ m for m in off]
     dim = num_pairs(n)
     units = [bytes(int(k == u) for k in range(dim)) for u in range(dim)]
-    tables = _byte_row_tables(_correlation_rows(stars))
+    tables = _byte_row_tables([bytes(r) for r in cut_correlations(n)])
     width = len(tables)
     functionals = [f.correlation for f in facets]
     supports = [sum(1 << k for k, v in enumerate(c) if v) for c in functionals]

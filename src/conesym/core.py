@@ -107,13 +107,15 @@ def cut_correlations(n: int) -> list[tuple[int, ...]]:
     and every set of cuts has the same rank in either coordinates.  A cut
     with k generating points has C(k + 1, 2) nonzeros here against
     k * (n - k) in x.
+
+    The rows are read off `cut_stars(n)`, which the `cuts` check certifies:
+    bit c of stars[p - 1] is s_p for cut c, so column (i, j) is
+    stars[i-1] & stars[j-1] for j < n and stars[i-1] for j = n, and row c
+    holds bit c of every column.
     """
-    pairs = pair_list(n)
-    rows = []
-    for members in cut_members(n):
-        s = {*members, n}
-        rows.append(tuple(int(i in s and j in s) for i, j in pairs))
-    return rows
+    stars = cut_stars(n)
+    columns = [stars[i - 1] & stars[j - 1] if j < n else stars[i - 1] for i, j in pair_list(n)]
+    return [tuple(col >> c & 1 for col in columns) for c in range(2 ** (n - 1) - 1)]
 
 
 class TriangleFacet:

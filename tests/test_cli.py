@@ -536,15 +536,14 @@ class TestSharedWork:
 
     # One sweep serves both checks and builds the cut order's correlation
     # rows once; up to the adjacency cap the adjacency sweep that theorem2
-    # also reads builds them once more, from the cut stars.
+    # also reads builds them once more.
     @pytest.mark.parametrize("n, row_lists", [(6, 2), (7, 1)])
     def test_bounded_family_swept_once(self, monkeypatch, n, row_lists):
         sweeps = count_calls(monkeypatch, hypermetric_sweep)
         calls = count_calls(monkeypatch, cut_correlations)
-        star_rows = count_calls(monkeypatch, cones._correlation_rows)
         report = run_verify(RunConfig(n_min=n, n_max=n, checks=("hypermetric", "theorem2")))
         assert report["summary"]["pass"] == 2
-        assert (len(sweeps), len(calls), len(star_rows)) == (1, 1, row_lists - 1)
+        assert (len(sweeps), len(calls)) == (1, row_lists)
 
 
 class TestBoundedFamily:

@@ -559,25 +559,6 @@ class TestAdjacency:
             assert f[u] and g[v]
             assert f[u] * g[v] - f[v] * g[u] in (1, -1)
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_correlation_rows_come_from_the_stars(self, n):
-        # The sweep's rows, read off cut_stars(n), are cut_correlations(n)
-        # and the covariance map of each reference cut vector, rooted at n:
-        # p_in = x_in and p_ij = (x_in + x_jn - x_ij) / 2.
-        rows = cones._correlation_rows(cut_stars(n))
-        assert all(type(r) is bytes for r in rows)
-        assert [tuple(r) for r in rows] == cut_correlations(n)
-        pairs = pair_list(n)
-        at = {p: k for k, p in enumerate(pairs)}
-        covariance = [
-            tuple(
-                x[k] if j == n else (x[at[i, n]] + x[at[j, n]] - x[k]) // 2
-                for k, (i, j) in enumerate(pairs)
-            )
-            for x in cut_order_reference(n)
-        ]
-        assert [tuple(r) for r in rows] == covariance
-
     @pytest.mark.parametrize("mutant", ["no_diagonal", "rooted_at_1", "one_parity_dropped"])
     def test_wrong_correlation_rows_are_caught(self, mutant, monkeypatch):
         def no_diagonal(members, row):
@@ -596,13 +577,8 @@ class TestAdjacency:
             "rooted_at_1": rooted_at_1,
             "one_parity_dropped": one_parity_dropped,
         }[mutant]
-        # The mutants go into the rows the sweep reads off its stars.
-        build = cones._correlation_rows
-
-        def mutated(stars):
-            return [bytes(wrong(m, row)) for m, row in zip(cut_members(5), build(stars))]
-
-        monkeypatch.setattr(cones, "_correlation_rows", mutated)
+        rows = [wrong(m, row) for m, row in zip(cut_members(5), cut_correlations(5))]
+        monkeypatch.setattr(cones, "cut_correlations", lambda n: rows)
         total, mismatches = adjacency_agreement(5)
         # The first two miss every adjacent pair (435 less the 150
         # conflicting ones); one dropped parity misses the adjacent pairs
