@@ -17,7 +17,6 @@ import sys
 import time
 from functools import cached_property
 from math import comb, factorial
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -462,7 +461,7 @@ class Check(NamedTuple):
 # skips recorded in tests/data into passes, so each stays until that is intended.
 # - 24: `cuts` reads n star columns of 2^(n-1) bits and `incidence` three; with
 #   `facets`, 0.1 s and 60 MiB peak RSS at n=24, doubling with each n.
-# - 6: the sweep ranks all C(3*C(n,3), 2) facet pairs, 0.021 s at n=6, 0.12 s at n=7.
+# - 6: the sweep ranks all C(3*C(n,3), 2) facet pairs, 0.019 s at n=6, 0.11 s at n=7.
 # - 7: at bound HYPERMETRIC_BOUND_MAX the sweep takes about 0.5 s at n=7, 3 s at n=8.
 # - 40: the six graph checks took 7.5 s and 216 MiB at n=40, within a budget of
 #   10 s and 350 MiB; time grows about as n^6.5.
@@ -595,6 +594,8 @@ def run_verify(cfg: RunConfig) -> dict:
 def export_graphs(cfg: RunConfig) -> dict:
     """Write the ridge graph, its complement, and the Triangle quotient in
     graph6 and edge-list form with label sidecars, plus a manifest."""
+    from pathlib import Path  # only an export writes files; a verify run skips the import
+
     cfg.validate()
     out_dir = Path(cfg.export_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

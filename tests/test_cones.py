@@ -288,6 +288,9 @@ class TestRank:
             # The same with bytes rows.
             [b"\1\0", b"\0\1", (0.5, 0)],
             [b"\1\0", b"\0\1", (300, 0.5)],
+            # The same with signed rows, each packed by its entries' parities.
+            [(1, 0), (0, -1), (Fraction(1, 2), 0)],
+            [(-1, 0), (0, 1), (0.5, -1)],
             [(Fraction(2), 1)],
             np.array([[1.0, 0.0], [0.0, 1.0]]),
         ],
@@ -306,6 +309,33 @@ class TestRank:
         assert integer_rank([[256, 0], [1, 0]]) == 1
         assert integer_rank(np.array([[256, 0], [1, 0]], dtype=np.int64)) == 1
         assert integer_rank(list(np.array([[256, 0], [1, 0]], dtype=np.int64))) == 1
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            # Full rank mod 2, so the GF(2) pass alone decides.
+            ([[-1, 256], [256, -3]], 2),
+            # Parities of rank 1: Bareiss decides.
+            ([[-3, 258], [-1, 86]], 1),
+            ([[-1, 256], [257, -2]], 2),
+        ],
+    )
+    def test_signed_and_wide_numpy_rows_ranked_by_value(self, rows, rank):
+        matrix = np.array(rows, dtype=np.int64)
+        assert integer_rank(matrix) == integer_rank(list(matrix)) == rank
+        assert integer_rank_reference(rows) == rank
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([b"\1\0\1", b"\0\1\1", (-1, 1, 0)], 2),
+            ([b"\1\0\1", b"\0\1\1", (-1, -1, 1)], 3),
+            ([b"\1\0", (300, -1)], 2),
+            ([b"\2\4", (-1, -2)], 1),
+        ],
+    )
+    def test_bytes_rows_mixed_with_a_signed_row(self, rows, rank):
+        assert integer_rank(rows) == integer_rank_reference(rows) == rank
 
     @pytest.mark.parametrize(
         "rows",
@@ -346,8 +376,12 @@ class TestRank:
         assert integer_rank(rows) == expected
         assert integer_rank(np.array(rows, dtype=np.int64)) == expected
         assert integer_rank([tuple(r) for r in rows]) == expected
+        # The GF(2) pass pivots on the lowest coordinates; reversing the
+        # columns moves its pivots and keeps the rank.
+        assert integer_rank([r[::-1] for r in rows]) == expected
         if all(0 <= x <= 255 for r in rows for x in r):
             assert integer_rank([bytes(r) for r in rows]) == expected
+            assert integer_rank([bytes(r[::-1]) for r in rows]) == expected
         # bytes rows and one tuple row with a negative entry, which sends the
         # whole matrix through the parities mod 2.
         mixed = [bytes(x % 256 for x in r) for r in rows] + [(-1,) * n_cols]
@@ -490,7 +524,7 @@ class TestAdjacency:
             reference = integer_rank_reference([cuts[i] for i in common])
             rank_route.append(not conflicting(f, g))
             if conflicting(f, g):
-                h = cones._third_tight_facet(f, g)
+                h = TriangleFacet(*cones._third_tight_facet(f, g), n)
                 assert all(facet_value_reference(h, cuts[i]) == 0 for i in common)
                 expected.append([f.correlation, g.correlation, h.correlation])
                 assert integer_rank_reference(expected[-1]) == 3
@@ -521,17 +555,21 @@ class TestAdjacency:
         assert len(ranks) == total == {4: 66, 5: 435, 6: 1770, 7: 5460}[n]
         assert bareiss == []
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_third_facet_proposed_exactly_for_conflicting_pairs(self, n):
-        # Each proposed h is tight on the pair's common cuts and independent
-        # of the pair's functionals.
+        # Each proposed key names an enumerated facet h, tight on the pair's
+        # common cuts and independent of the pair's functionals.  At n = 3
+        # every pair conflicts, but no point is left for h.
         facets, stars = enumerate_triangle_facets(n), cut_stars(n)
+        keys = {(f.i, f.j, f.k) for f in facets}
         off = [_facet_incidence_masks(f, stars) for f in facets]
         for a, b in itertools.combinations(range(len(facets)), 2):
             f, g = facets[a], facets[b]
-            h = cones._third_tight_facet(f, g)
-            assert (h is not None) is conflicting(f, g)
-            if h is not None:
+            key = cones._third_tight_facet(f, g)
+            assert (key is not None) is (n > 3 and conflicting(f, g))
+            if key is not None:
+                assert key in keys
+                h = TriangleFacet(*key, n)
                 assert not _facet_incidence_masks(h, stars) & ~(off[a] | off[b])
                 assert integer_rank_reference([f.correlation, g.correlation, h.correlation]) == 3
 
@@ -539,12 +577,14 @@ class TestAdjacency:
     def test_wrong_third_facets_leave_every_verdict(self, proposal, monkeypatch):
         # An arbitrary h is mostly not tight on the common cuts, and h = f is
         # tight but dependent; either way the pair is ranked on its cuts.
+        # Both are proposed by key, as the sweep reads them.
         facets = enumerate_triangle_facets(5)
 
         def arbitrary(f, g):
-            return next(h for h in facets if h != f and h != g)
+            h = next(h for h in facets if h != f and h != g)
+            return h.i, h.j, h.k
 
-        propose = {"arbitrary": arbitrary, "f_itself": lambda f, g: f}[proposal]
+        propose = {"arbitrary": arbitrary, "f_itself": lambda f, g: (f.i, f.j, f.k)}[proposal]
         monkeypatch.setattr(cones, "_third_tight_facet", propose)
         assert adjacency_agreement(5) == (435, [])
 
