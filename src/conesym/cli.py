@@ -461,7 +461,7 @@ class Check(NamedTuple):
 # skips recorded in tests/data into passes, so each stays until that is intended.
 # - 24: `cuts` reads n star columns of 2^(n-1) bits and `incidence` three; with
 #   `facets`, 0.1 s and 60 MiB peak RSS at n=24, doubling with each n.
-# - 6: the sweep ranks all C(3*C(n,3), 2) facet pairs, 0.019 s at n=6, 0.11 s at n=7.
+# - 6: the sweep ranks all C(3*C(n,3), 2) facet pairs, 0.017 s at n=6, 0.09 s at n=7.
 # - 7: at bound HYPERMETRIC_BOUND_MAX the sweep takes about 0.5 s at n=7, 3 s at n=8.
 # - 40: the six graph checks took 7.5 s and 216 MiB at n=40, within a budget of
 #   10 s and 350 MiB; time grows about as n^6.5.

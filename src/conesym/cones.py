@@ -12,18 +12,23 @@ so the rank is the same and the rows are sparser.  A face of two
 conflicting triangle facets is shown to have codimension at least 3 by a
 third facet tight on all of its cuts, independent of the two, so its cuts
 are never ranked.  The adjacency sweep builds its 0/1 rows as `bytes` once
-per n, one byte per entry, so the GF(2) pass packs each row of a rank call
-by one `int.from_bytes` call.  It packs big-endian, so its pivots fall on
-the lowest coordinates, which takes fewer reduction steps on these rows
-than pivoting on the highest.  A conflicting pair's third facet is named
-by its key and read from the sweep's facet index.  Each pair still makes
-one `integer_rank` call on its own rows, so the calls and entries that
-perfbench counts for it, and its certificate, stay those of one rank per
-pair.
+per n, one byte per entry, so the GF(2) pass packs each row by one
+`int.from_bytes` call, and keeps the packing of each distinct `bytes` row in
+a cache bounded at 1024 rows (`_packed_parities`), so the rows shared by
+every rank call of an n are packed once per process.  Only exact `bytes`
+rows are cached, being immutable and hashed by value; a row of any other
+type is packed again on each call.  The pass packs big-endian, so its
+pivots fall on the lowest coordinates, which takes fewer reduction steps on
+these rows than pivoting on the highest.  A conflicting pair's third facet
+is named by its key and read from the sweep's facet index.  Each pair still
+makes one `integer_rank` call on its own rows, so the calls and entries
+that perfbench counts for it, and its certificate, stay those of one rank
+per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from math import factorial, prod
@@ -63,27 +68,46 @@ def enumerate_hypermetric_coeffs(n: int, bound: int) -> list[tuple[int, ...]]:
     return [b for b in itertools.product(rng, repeat=n) if sum(b) == 1]
 
 
+@functools.lru_cache(maxsize=1024)
+def _packed_parities(row: bytes) -> int:
+    """The parities of a `bytes` row, the low bit of each byte, packed
+    big-endian into one int (see `_gf2_rank` for why it is cached)."""
+    return int.from_bytes(row, "big") & int.from_bytes(b"\1" * len(row), "big")
+
+
 def _gf2_rank(m: list, n_cols: int, full: int) -> int:
     """Rank over GF(2) of an integer matrix, stopping once it reaches `full`.
 
-    Each row is packed into one int by one `int.from_bytes` call, one byte
-    per entry, big-endian, so that coordinate 0 is the highest byte: a
-    row's leading bit is its lowest coordinate, and a row is reduced
-    against the basis row with the same leading bit, kept in a list indexed
-    by bit length.  Reversing the columns keeps the rank; pivoting on the
-    lowest coordinates takes fewer reduction steps on the adjacency sweep's
-    rows (24.0 against 36.3 per adjacent pair at n = 6).  A `bytes` row is
-    taken as it is and masked to the low bit of every byte, the entry's
-    parity.  Any other row is packed from its entries' parities by value,
-    `x & 1`, so a negative or wide entry needs no second pass, no buffer is
-    read, and a non-integral entry (a float or a `Fraction`) raises
-    TypeError.  Every row is packed before any is reduced, so that error is
-    raised even when full rank comes first.
+    Each row is packed into one int, one bit per entry, big-endian, so that
+    coordinate 0 is the highest bit: a row's leading bit is its lowest
+    coordinate, and a row is reduced against the basis row with the same
+    leading bit, kept in a list indexed by bit length.  Reversing the
+    columns keeps the rank; pivoting on the lowest coordinates takes fewer
+    XOR reductions on the adjacency sweep's rows (24.0 against 36.3 per
+    adjacent pair at n = 6, not counting the 15 rows each pair puts into
+    the basis).
+
+    A `bytes` row is read by one `int.from_bytes` call and masked to the
+    low bit of every byte, the entry's parity, by `_packed_parities`, an
+    `lru_cache` bounded at 1024 rows.  The adjacency sweep passes the same
+    few `bytes` rows to every rank call of an n (72 distinct of 29,730 in
+    the default run), so each is packed about once per process.  Only an
+    exact `bytes` row is cached: it is immutable, and hashed and compared
+    by its value, so a hit is the packing of the same bytes.  A `bytearray`
+    or `memoryview` can change after it was packed, a `bytes` subclass can
+    redefine equality, and a tuple compares equal to one holding floats
+    ((1.0, 0) == (1, 0)), which would then skip its TypeError; so each of
+    these is packed again, by value, on every call.
+
+    Any other row is packed from its entries' parities by value, `x & 1`,
+    so a negative or wide entry needs no second pass, no buffer is read,
+    and a non-integral entry (a float or a `Fraction`) raises TypeError.
+    Every row is packed before any is reduced, so that error is raised even
+    when full rank comes first.
     """
-    low_bits = int.from_bytes(b"\1" * n_cols, "big")
     ones = itertools.repeat(1)
     packed = [
-        int.from_bytes(row, "big") & low_bits
+        _packed_parities(row)
         if type(row) is bytes
         else int.from_bytes(map(operator.and_, row, ones), "big")
         for row in m

@@ -101,15 +101,35 @@ def symn_orbits() -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _det(rows) -> int:
-    """Determinant of a square integer matrix, given as a list of tuples, by
-    expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-        for j, a in enumerate(rows[0])
-        if a
-    )
+    """Determinant of a nonempty square integer matrix, given as a sequence
+    of rows, by fraction-free Bareiss elimination.
+
+    Each step leaves every entry below and right of its pivot equal to the
+    minor of the row-swapped matrix on the rows and columns eliminated so
+    far and the entry's own, so each division is exact (the Sylvester
+    identity) and the last entry is the determinant.  A zero pivot is
+    swapped with the first nonzero entry below it, which flips the sign; a
+    column with none leaves a singular trailing block, and the determinant
+    is 0.
+    """
+    m = [list(r) for r in rows]
+    size = len(m)
+    sign = prev = 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        piv = row_k[k]
+        for row_r in m[k + 1:]:
+            f = row_r[k]
+            for c in range(k + 1, size):
+                row_r[c] = (piv * row_r[c] - f * row_k[c]) // prev
+        prev = piv
+    return sign * m[-1][-1]
 
 
 def kernel_vector(rays: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -145,25 +145,17 @@ def mat_mul_reference(a, b) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_dot_reference(row, col) for col in cols) for row in a)
 
 
-def det_reference(m) -> Fraction:
-    """The determinant of the square matrix with rows m, by elimination."""
-    rows = [list(map(Fraction, r)) for r in m]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
+def det_reference(m):
+    """The determinant of the nonempty square matrix with rows m, by
+    cofactor expansion along the first row: an int for integer entries, a
+    Fraction for Fractions."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * a * det_reference([r[:j] + r[j + 1:] for r in m[1:]])
+        for j, a in enumerate(m[0])
+        if a
+    )
 
 
 def build_ridge_graph_reference(n: int) -> Graph:

@@ -359,6 +359,58 @@ class TestRank:
         assert integer_rank([bytearray([1, 3]), (2, 6)]) == 1
         assert integer_rank([bytearray([1, 0]), (-1, 1)]) == 2
 
+    def test_bytearray_mutated_between_calls_ranked_by_its_new_value(self):
+        row = bytearray(b"\1\0")
+        rows = [row, b"\1\0"]
+        assert integer_rank(rows) == 1
+        row[1] = 1
+        assert integer_rank(rows) == 2
+
+    def test_bytes_subclass_ranked_by_its_own_bytes(self):
+        # Were these rows cached, every one would hit the packing of the
+        # first, e_2, and the second call's GF(2) rank would be a false 2.
+        class AllEqual(bytes):
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return 0
+
+        assert integer_rank([AllEqual(b"\0\1")]) == 1
+        assert integer_rank([b"\1\0", AllEqual(b"\1\0")]) == 1
+        assert integer_rank([AllEqual(b"\1\0"), AllEqual(b"\0\1")]) == 2
+
+    def test_float_row_refused_after_its_values_were_ranked(self):
+        # (0, 1.0) == (0, 1) and their hashes agree, so a cached tuple would
+        # hand the float row the int row's packing.
+        assert integer_rank([b"\1\0", b"\0\1"]) == 2
+        assert integer_rank([(1, 0), (0, 1)]) == 2
+        for rows in ([(1, 0), (0, 1.0)], [b"\1\0", b"\0\1", (0, 1.0)]):
+            with pytest.raises(TypeError):
+                integer_rank(rows)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_sweep_packs_each_distinct_row_once(self, n, monkeypatch):
+        seen = set()
+        passed = 0
+        original = cones.integer_rank
+
+        def recording(rows):
+            nonlocal passed
+            byte_rows = [r for r in rows if type(r) is bytes]
+            seen.update(byte_rows)
+            passed += len(byte_rows)
+            return original(rows)
+
+        monkeypatch.setattr(cones, "integer_rank", recording)
+        cones._packed_parities.cache_clear()
+        adjacency_agreement(n)
+        info = cones._packed_parities.cache_info()
+        # The unit rows and the nonzero cuts' correlation rows, some equal.
+        assert info.misses == len(seen) <= num_pairs(n) + 2 ** (n - 1) - 1
+        assert info.hits + info.misses == passed
+        assert info.currsize <= info.maxsize
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_reference_on_small_and_wide_entries(self, data):

@@ -183,6 +183,43 @@ class TestAgainstRationalReference:
         else:
             assert kernel_vector(rows) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_det_matches_cofactor_expansion(self, data):
+        size = data.draw(st.integers(1, 6))
+        entries = data.draw(st.sampled_from([st.integers(-2, 2), st.integers(-10**6, 10**6)]))
+        row = st.lists(entries, min_size=size, max_size=size)
+        rows = data.draw(st.lists(row, min_size=size, max_size=size))
+        kind = data.draw(st.sampled_from(["any", "singular", "zero-lead", "swap"]))
+        if kind == "singular":
+            # A multiple of another row, or a zero row.
+            src, dst = data.draw(st.permutations(range(size)))[:2] if size > 1 else (0, 0)
+            k = data.draw(st.sampled_from([0, 1, -1, 3]))
+            rows[dst] = [k * v for v in rows[src]]
+        elif kind == "zero-lead":
+            # Zero pivots in the leading t x t block: a swap, or a column
+            # with no pivot at all when its lower entries are zero too.
+            t = data.draw(st.integers(1, size))
+            for r in range(t):
+                rows[r][:t] = [0] * t
+        elif kind == "swap" and size > 1:
+            rows[0][0] = 0
+            rows[-1][0] = data.draw(st.integers(1, 5))
+        assert reflections._det([tuple(r) for r in rows]) == det_reference(rows)
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([[0, 1], [1, 0]], -1),  # one row swap
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),  # one swap, then none
+            ([[0, 2, 1], [0, 1, 3], [0, 4, 5]], 0),  # no pivot in column 0
+            ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),  # no pivot after one step
+            ([[2, 1, 0], [4, 2, 1], [0, 3, 1]], -6),  # zero pivot after one step
+        ],
+    )
+    def test_det_swaps_and_singular_columns(self, rows, det):
+        assert reflections._det(rows) == det_reference(rows) == det
+
     @pytest.mark.parametrize("i, j", list(itertools.permutations(range(1, 8), 2)))
     def test_ray_permutation_on_every_swap(self, i, j):
         # The Gram test admits a swap exactly when the reflection through
